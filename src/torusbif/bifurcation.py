@@ -22,15 +22,22 @@ form (-1)^{(dim W + dim V) n + 1} * n with n the relevant count n_-/n_+, and it
 vanishes at every strictly lower level; a certificate records these
 coefficients and the integer identity that rules out cancellation, which is
 what forces any bounded return to the trivial branch into a contradiction.
+
+Each level needs only V and W, so one ascending sweep with a running sum for W
+serves a whole range: bifurcation_levels and certify_levels enumerate the
+spectrum once; the per-level functions sweep up to |level| and keep the last
+split.  witness_coefficient is the one copy of the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, NamedTuple
+
 from .euler_ring import UNIT, EulerRingElement
-from .jsonio import frac_from_json, frac_to_json
-from .spaces import SymmetricSpaceData, TorusRepDecomposition, eigenvalue_of, spectrum_up_to
+from .jsonio import frac_from_json, frac_to_json, int_from_json
+from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, eigenvalue_of, spectrum_up_to
 from .weights import RestrictedWeight, SubgroupId, canonicalize
 
 
@@ -41,7 +48,7 @@ class SystemSignature:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
+        a = tuple(int_from_json(x) for x in self.a)
         if not a:
             raise ValueError("signature must be nonempty")
         if any(x not in (-1, 1) for x in a):
@@ -139,6 +146,57 @@ class UnboundednessCertificate:
 # ---------------------------------------------------------------------------
 
 
+class _Split(NamedTuple):
+    """Eigenspace V at one eigenvalue, span W of all lower ones, W + V, and
+    the parity of dim W + dim V."""
+
+    v: SpectralLevel
+    w: TorusRepDecomposition
+    wv: TorusRepDecomposition
+    dim_parity: int
+
+
+def _sweep(space: SymmetricSpaceData, cutoff) -> Iterator[_Split]:
+    """Splits at every eigenvalue up to the cutoff from one enumeration."""
+    w = TorusRepDecomposition(0, ())
+    d_w = 0
+    for v in spectrum_up_to(space, cutoff):
+        wv = w + v.torus_decomp
+        yield _Split(v, w, wv, (d_w + v.real_dim) % 2)
+        w, d_w = wv, d_w + v.real_dim
+
+
+def _split_at(space: SymmetricSpaceData, level) -> _Split:
+    """The split at |level|: a sweep up to it, keeping the last split."""
+    lam = abs(Fraction(level))
+    *_, split = _sweep(space, lam)  # never empty: 0 is always an eigenvalue
+    if split.v.eigenvalue != lam:
+        raise ValueError(f"{level} is not (plus or minus) an eigenvalue of this space")
+    return split
+
+
+def _equations_at(sig: SystemSignature, level: Fraction) -> int:
+    """n_- above zero, n_+ below, p at zero; 0 means no candidate level."""
+    if level == 0:
+        return sig.p
+    return sig.n_minus if level > 0 else sig.n_plus
+
+
+def _candidates(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> list[tuple[Fraction, _Split]]:
+    """Candidate levels in [-cutoff, cutoff], ascending, with their splits."""
+    out = []
+    for split in _sweep(space, cutoff):
+        lam = split.v.eigenvalue
+        out.extend((level, split) for level in {lam, -lam} if _equations_at(sig, level))
+    return sorted(out, key=lambda ls: ls[0])
+
+
+def _check_level_admissible(sig: SystemSignature, level: Fraction) -> None:
+    if not _equations_at(sig, level):
+        sign = "-1" if level > 0 else "+1"
+        raise ValueError(f"level {level} is not a candidate level when no equation has a_i = {sign}")
+
+
 def neg_identity_degree(decomp: TorusRepDecomposition) -> EulerRingElement:
     """Degree of -Id on the unit ball of the representation with the given
     block multiplicities: (-1)^{k0} (I - sum_mu k_mu [T/H_mu]), truncated."""
@@ -147,74 +205,38 @@ def neg_identity_degree(decomp: TorusRepDecomposition) -> EulerRingElement:
     return EulerRingElement(sign, codim1, truncated=True)
 
 
-def _split_levels(space: SymmetricSpaceData, level: Fraction) -> tuple[TorusRepDecomposition, TorusRepDecomposition, int, int]:
-    """Eigenspace data at |level|: decompositions and real dimensions of the
-    lower-span W and the level eigenspace V."""
-    lam = abs(level)
-    levels = spectrum_up_to(space, lam)
-    if not levels or levels[-1].eigenvalue != lam:
-        raise ValueError(f"{level} is not (plus or minus) an eigenvalue of this space")
-    target = levels[-1]
-    lower = levels[:-1]
-    w_dec = TorusRepDecomposition(0, ())
-    for lv in lower:
-        w_dec = w_dec + lv.torus_decomp
-    d_w = sum(lv.real_dim for lv in lower)
-    return w_dec, target.torus_decomp, d_w, target.real_dim
+def witness_coefficient(n: int, dim_parity: int) -> int:
+    """Closed form (-1)^{(d_W + d_V) n + 1} * n of the witness coefficient of
+    the index at +-lambda_alpha, given n (n_- for +lambda, n_+ for -lambda) and
+    the parity of d_W + d_V."""
+    return (-1) ** ((dim_parity % 2) * n + 1) * n
 
 
-def _check_level_admissible(sig: SystemSignature, level: Fraction) -> None:
-    if level > 0 and sig.n_minus == 0:
-        raise ValueError(f"level {level} is not a candidate level when no equation has a_i = -1")
-    if level < 0 and sig.n_plus == 0:
-        raise ValueError(f"level {level} is not a candidate level when no equation has a_i = +1")
+def _index(sig: SystemSignature, level: Fraction, split: _Split | None) -> EulerRingElement:
+    """Index across a candidate level; the zero level needs no split."""
+    if level == 0:
+        return UNIT.scaled((-1) ** sig.n_minus - (-1) ** sig.n_plus)
+    deg_v = neg_identity_degree(split.v.torus_decomp)
+    if level > 0:
+        return (neg_identity_degree(split.w) ** sig.n_minus) * (deg_v ** sig.n_minus - UNIT)
+    return (neg_identity_degree(split.wv) ** (-sig.n_plus)) * (deg_v ** sig.n_plus - UNIT)
 
 
 def bifurcation_index(space: SymmetricSpaceData, sig: SystemSignature, level) -> EulerRingElement:
     """Index of the trivial branch across a candidate level, evaluated in the
     truncated Euler ring."""
     lam = Fraction(level)
-    if lam == 0:
-        c = (-1) ** sig.n_minus - (-1) ** sig.n_plus
-        return UNIT.scaled(c)
     _check_level_admissible(sig, lam)
-    w_dec, v_dec, _, _ = _split_levels(space, lam)
-    deg_v = neg_identity_degree(v_dec)
-    if lam > 0:
-        deg_w = neg_identity_degree(w_dec)
-        return (deg_w ** sig.n_minus) * (deg_v ** sig.n_minus - UNIT)
-    deg_wv = neg_identity_degree(w_dec + v_dec)
-    return (deg_wv ** (-sig.n_plus)) * (deg_v ** sig.n_plus - UNIT)
+    return _index(sig, lam, _split_at(space, lam) if lam else None)
 
 
 def bifurcation_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[BifurcationLevel, ...]:
     """All candidate levels in [-cutoff, cutoff] with kernel dimensions and
     indices, sorted ascending."""
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    spectrum = spectrum_up_to(space, cutoff)
-    values: set[Fraction] = set()
-    dims: dict[Fraction, int] = {}
-    for lv in spectrum:
-        dims[lv.eigenvalue] = lv.real_dim
-        if lv.eigenvalue == 0:
-            values.add(Fraction(0))
-            continue
-        if sig.n_minus > 0:
-            values.add(lv.eigenvalue)
-        if sig.n_plus > 0:
-            values.add(-lv.eigenvalue)
-    out = []
-    for lam in sorted(values):
-        if lam == 0:
-            kernel = sig.p * dims[Fraction(0)]
-        elif lam > 0:
-            kernel = sig.n_minus * dims[lam]
-        else:
-            kernel = sig.n_plus * dims[-lam]
-        out.append(BifurcationLevel(lam, kernel, bifurcation_index(space, sig, lam)))
-    return tuple(out)
+    return tuple(
+        BifurcationLevel(lam, _equations_at(sig, lam) * split.v.real_dim, _index(sig, lam, split))
+        for lam, split in _candidates(space, sig, cutoff)
+    )
 
 
 def coeff_formula_check(
@@ -224,8 +246,8 @@ def coeff_formula_check(
     sign: int = 1,
 ) -> tuple[int, int]:
     """Witness coefficient of the index at sign * lambda_alpha, paired with its
-    closed form (-1)^{(d_W + d_V) n + 1} * n, where n counts the equations of
-    the matching Laplacian sign.  Both integers are returned for comparison."""
+    closed form :func:`witness_coefficient`.  Both integers are returned for
+    comparison."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     lam = eigenvalue_of(space, alpha)
@@ -233,23 +255,9 @@ def coeff_formula_check(
         raise ValueError("the zero level has no witness coefficient")
     level = sign * lam
     _check_level_admissible(sig, level)
-    _, _, d_w, d_v = _split_levels(space, level)
-    n = sig.n_minus if sign > 0 else sig.n_plus
-    computed = bifurcation_index(space, sig, level).coeff_at(canonicalize(alpha))
-    closed = (-1) ** ((d_w + d_v) * n + 1) * n
-    return computed, closed
-
-
-def symmetry_breaking_flag(space: SymmetricSpaceData, level) -> bool:
-    """True when bifurcating solutions at the level must break the full
-    symmetry: the kernel carries no nonzero invariant functions exactly when
-    the level is nonzero (invariant eigenfunctions are constant and belong to
-    eigenvalue zero only)."""
-    lam = Fraction(level)
-    spectrum = spectrum_up_to(space, abs(lam))
-    if not spectrum or spectrum[-1].eigenvalue != abs(lam):
-        raise ValueError(f"{level} is not (plus or minus) an eigenvalue of this space")
-    return lam != 0
+    split = _split_at(space, level)
+    computed = _index(sig, level, split).coeff_at(canonicalize(alpha))
+    return computed, witness_coefficient(_equations_at(sig, level), split.dim_parity)
 
 
 def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
@@ -264,22 +272,13 @@ def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
     return (-1) ** e * n_minus != -n_plus
 
 
-def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) -> UnboundednessCertificate:
-    """Certificate that the continuum bifurcating at the level is unbounded.
-
-    Nonzero level: among candidate levels of any bounded return set, only the
-    two of maximal absolute value can contribute to the witness coefficient,
-    and their contributions cannot sum to zero, so the indices cannot cancel.
-    Zero level (p odd): index(0) = +-2I is already nonzero, and a bounded
-    continuum through zero would pass through some nonzero level whose own
-    certificate applies.
-    """
-    lam = Fraction(level)
-    if lam == 0:
+def _certificate(sig: SystemSignature, level: Fraction, split: _Split | None) -> UnboundednessCertificate:
+    """Certificate at a level, or ValueError with the reason there is none.
+    The split is read only at guaranteed nonzero levels."""
+    if level == 0:
         if sig.p % 2 == 0:
             raise ValueError("no bifurcation guaranteed at this level: p is even")
-        index0 = bifurcation_index(space, sig, 0)
-        coeff = index0.unit
+        coeff = _index(sig, level, split).unit
         conclusion = (
             f"index(0) = {coeff}*I != 0, so 0 is a bifurcation level; any bounded "
             "continuum through 0 would meet a nonzero candidate level, whose "
@@ -293,25 +292,18 @@ def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) ->
             symmetry_breaking=False,
         )
 
-    if lam > 0 and sig.n_minus == 0:
-        raise ValueError("no bifurcation guaranteed at this level: no equation has a_i = -1")
-    if lam < 0 and sig.n_plus == 0:
-        raise ValueError("no bifurcation guaranteed at this level: no equation has a_i = +1")
+    if not _equations_at(sig, level):
+        sign = "-1" if level > 0 else "+1"
+        raise ValueError(f"no bifurcation guaranteed at this level: no equation has a_i = {sign}")
 
-    lam_abs = abs(lam)
-    levels = spectrum_up_to(space, lam_abs)
-    if not levels or levels[-1].eigenvalue != lam_abs:
-        raise ValueError(f"{level} is not (plus or minus) an eigenvalue of this space")
-    alpha = levels[-1].alphas[0]
-    witness = canonicalize(alpha)
-    _, _, d_w, d_v = _split_levels(space, lam_abs)
-
+    lam_abs = abs(level)
+    witness = canonicalize(split.v.alphas[0])
     ledger = []
     for s, n in ((1, sig.n_minus), (-1, sig.n_plus)):
         if n == 0:
             continue
-        coeff = bifurcation_index(space, sig, s * lam_abs).coeff_at(witness)
-        expected = (-1) ** ((d_w + d_v) * n + 1) * n
+        coeff = _index(sig, s * lam_abs, split).coeff_at(witness)
+        expected = witness_coefficient(n, split.dim_parity)
         if coeff != expected:
             raise ValueError(
                 f"index coefficient {coeff} at {witness} disagrees with closed form {expected}"
@@ -319,7 +311,7 @@ def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) ->
         ledger.append((s * lam_abs, coeff))
     ledger.sort(key=lambda lc: lc[0])
 
-    if not cancellation_impossible(sig.n_minus, sig.n_plus, (d_w + d_v) % 2):
+    if not cancellation_impossible(sig.n_minus, sig.n_plus, split.dim_parity):
         raise ValueError("cancellation identity failed; certificate cannot be issued")
     total = sum(c for _, c in ledger)
     if total == 0:
@@ -329,9 +321,37 @@ def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) ->
         f"finite candidate set with max |level| = {lam_abs} lets the indices cancel"
     )
     return UnboundednessCertificate(
-        level=lam,
+        level=level,
         witness=witness,
         ledger=tuple(ledger),
         conclusion=conclusion,
         symmetry_breaking=True,
     )
+
+
+def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) -> UnboundednessCertificate:
+    """Certificate that the continuum bifurcating at the level is unbounded.
+
+    Nonzero level: among candidate levels of any bounded return set, only the
+    two of maximal absolute value can contribute to the witness coefficient,
+    and their contributions cannot sum to zero, so the indices cannot cancel.
+    Zero level (p odd): index(0) = +-2I is already nonzero, and a bounded
+    continuum through zero would pass through some nonzero level whose own
+    certificate applies.
+    """
+    lam = Fraction(level)
+    split = _split_at(space, level) if lam and _equations_at(sig, lam) else None
+    return _certificate(sig, lam, split)
+
+
+def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[tuple[Fraction, UnboundednessCertificate | str], ...]:
+    """Every candidate level in [-cutoff, cutoff], ascending, with its
+    certificate, or with the reason no certificate was issued (the message
+    :func:`certify_unbounded` would raise)."""
+    out = []
+    for lam, split in _candidates(space, sig, cutoff):
+        try:
+            out.append((lam, _certificate(sig, lam, split)))
+        except ValueError as exc:
+            out.append((lam, str(exc)))
+    return tuple(out)

@@ -16,11 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import (
-    SystemSignature,
-    bifurcation_levels,
-    certify_unbounded,
-)
+from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
 from .continuation import ContinuationError, ContinuationOptions, continue_branch
 from .galerkin import NONLINEARITIES, GalerkinBasis, trivial_branch_crossings
 from .jsonio import canonical_dumps, frac_from_json, frac_to_json
@@ -190,18 +186,16 @@ def cmd_certify(raw: dict, base_dir, fmt: str) -> tuple[str, int]:
     space = require_space(raw, base_dir)
     sig = require_signature(raw)
     cutoff = require_cutoff(raw)
-    levels = bifurcation_levels(space, sig, cutoff)
     certificates = []
     skipped = []
     failures = []
-    for bl in levels:
-        if bl.level == 0 and sig.p % 2 == 0:
-            skipped.append({"level": frac_to_json(bl.level), "note": "p even: no claim at level 0"})
-            continue
-        try:
-            certificates.append(certify_unbounded(space, sig, bl.level))
-        except ValueError as exc:
-            failures.append({"level": frac_to_json(bl.level), "error": str(exc)})
+    for level, cert in certify_levels(space, sig, cutoff):
+        if level == 0 and sig.p % 2 == 0:
+            skipped.append({"level": frac_to_json(level), "note": "p even: no claim at level 0"})
+        elif isinstance(cert, str):
+            failures.append({"level": frac_to_json(level), "error": cert})
+        else:
+            certificates.append(cert)
     code = 1 if failures else 0
     if fmt == "json":
         payload = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 
@@ -22,6 +23,14 @@ def frac_from_json(data) -> Fraction:
     if isinstance(data, str):
         return Fraction(data)
     raise ValueError(f"expected a rational (int, 'p/q', or {{num,den}}), got {data!r}")
+
+
+def int_from_json(data) -> int:
+    """Parse an integer.  Booleans, floats and strings are rejected rather
+    than truncated, so a config never runs with a value it did not state."""
+    if isinstance(data, bool) or not isinstance(data, numbers.Integral):
+        raise ValueError(f"expected an integer, got {data!r}")
+    return int(data)
 
 
 def canonical_dumps(obj) -> str:

@@ -18,6 +18,7 @@ from .bifurcation import (
     bifurcation_levels,
     cancellation_impossible,
     coeff_formula_check,
+    witness_coefficient,
 )
 from .continuation import ContinuationOptions, continue_branch
 from .euler_ring import UNIT, ZERO, EulerRingElement
@@ -146,15 +147,15 @@ def criterion_04_coefficient_formula(seed=0) -> CriterionResult:
             for i in range(len(levels))
         ]
         for sig in _signatures(5):
+            indices = {bl.level: bl.index for bl in bifurcation_levels(space, sig, 30)}
             for sign, n in ((1, sig.n_minus), (-1, sig.n_plus)):
                 if n == 0:
                     continue
                 for i, lv in enumerate(levels):
                     if lv.eigenvalue == 0:
                         continue
-                    index = bifurcation_index(space, sig, sign * lv.eigenvalue)
-                    d_w = sum(dims[:i])
-                    closed = (-1) ** ((d_w + lv.real_dim) * n + 1) * n
+                    index = indices[sign * lv.eigenvalue]
+                    closed = witness_coefficient(n, sum(dims[: i + 1]) % 2)
                     for alpha in lv.alphas:
                         formula_checks += 1
                         if index.coeff_at(canonicalize(alpha)) != closed:

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonio import frac_from_json, frac_to_json
+from .jsonio import frac_from_json, frac_to_json, int_from_json
 from .weights import RestrictedWeight, SubgroupId, canonicalize
 
 SPHERE = "sphere"
@@ -175,9 +175,10 @@ class GenericTables:
 # ---------------------------------------------------------------------------
 
 
-def _minor_det(gram: Sequence[Sequence[Fraction]], size: int) -> Fraction:
-    # exact Gaussian elimination on the leading principal minor
-    a = [[Fraction(gram[i][j]) for j in range(size)] for i in range(size)]
+def _minor_det(gram: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> Fraction:
+    # exact Gaussian elimination on the principal minor over the indices idx
+    a = [[Fraction(gram[i][j]) for j in idx] for i in idx]
+    size = len(a)
     det = Fraction(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
@@ -222,7 +223,7 @@ class SymmetricSpaceData:
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram must be symmetric")
         for size in range(1, self.rank + 1):
-            if _minor_det(gram, size) <= 0:
+            if _minor_det(gram, range(size)) <= 0:
                 raise ValueError("gram must be positive definite")
         # (alpha_i, rho) >= 0 keeps the spectrum enumeration bound valid
         for i in range(self.rank):
@@ -236,6 +237,7 @@ class SymmetricSpaceData:
     @classmethod
     def sphere(cls, n: int) -> "SymmetricSpaceData":
         """Round n-sphere, n >= 2, normalized so lambda_k = k(k + n - 1)."""
+        n = int_from_json(n)
         if n < 2:
             raise ValueError("sphere preset needs n >= 2")
         return cls(
@@ -249,7 +251,7 @@ class SymmetricSpaceData:
     @classmethod
     def product_of_spheres(cls, factors: Iterable[int]) -> "SymmetricSpaceData":
         """Product S^{n_1} x ... x S^{n_s}; Gram block diagonal, rho concatenated."""
-        ns = tuple(int(n) for n in factors)
+        ns = tuple(int_from_json(n) for n in factors)
         if not ns:
             raise ValueError("product preset needs at least one factor")
         if any(n < 2 for n in ns):
@@ -289,7 +291,7 @@ def load_space(descriptor: dict, base_dir=None) -> SymmetricSpaceData:
     {"kind":"generic","gram":[[..]],"rho":[..],"tables":"path"}."""
     kind = descriptor.get("kind")
     if kind == SPHERE:
-        return SymmetricSpaceData.sphere(int(descriptor["n"]))
+        return SymmetricSpaceData.sphere(descriptor["n"])
     if kind == PRODUCT:
         return SymmetricSpaceData.product_of_spheres(descriptor["factors"])
     if kind == GENERIC:
@@ -322,26 +324,25 @@ def eigenvalue_of(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Fractio
     return space.inner(coords, coords) + 2 * space.inner(coords, space.rho)
 
 
-def _coordinate_bound(space: SymmetricSpaceData, cutoff: Fraction) -> int:
-    """Box bound on dominant coordinates with (alpha, alpha) <= cutoff, via a
-    float lower estimate of the smallest Gram eigenvalue.  Candidates are
-    filtered exactly afterwards, so the estimate only needs to be safe."""
-    import numpy as np
-
-    g = np.array([[float(x) for x in row] for row in space.gram], dtype=float)
-    lam_min = float(np.linalg.eigvalsh(g)[0]) * 0.999
-    if lam_min <= 0:
-        raise ValueError("gram smallest eigenvalue estimate is not positive")
-    return int(math.floor(math.sqrt(float(cutoff) / lam_min))) + 1
+def _coordinate_bound(gram: Sequence[Sequence[Fraction]], cutoff: Fraction) -> tuple[int, ...]:
+    """Exact box bound on dominant coordinates with (alpha, alpha) <= cutoff:
+    alpha_i^2 <= (alpha, alpha) (G^-1)_ii by Cauchy-Schwarz, with (G^-1)_ii the
+    cofactor ratio det G_(ii) / det G.  Candidates are filtered exactly after."""
+    r = len(gram)
+    det = _minor_det(gram, range(r))
+    return tuple(
+        math.isqrt(math.floor(cutoff * _minor_det(gram, [j for j in range(r) if j != i]) / det))
+        for i in range(r)
+    )
 
 
 @lru_cache(maxsize=None)
 def _spectrum_cached(space: SymmetricSpaceData, cutoff: Fraction) -> tuple[SpectralLevel, ...]:
     import itertools
 
-    bound = _coordinate_bound(space, cutoff) if cutoff > 0 else 0
+    bounds = _coordinate_bound(space.gram, cutoff)
     by_eig: dict[Fraction, list[RestrictedWeight]] = {}
-    for coords in itertools.product(range(bound + 1), repeat=space.rank):
+    for coords in itertools.product(*(range(b + 1) for b in bounds)):
         alpha = RestrictedWeight(coords)
         lam = eigenvalue_of(space, alpha)
         if lam <= cutoff:
@@ -486,13 +487,6 @@ def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeig
         if h.canonical.coords == coords:
             mults[h] = mults.get(h, 0) + mult
     return TorusRepDecomposition.from_dict(k0, mults)
-
-
-def torus_decomposition(space: SymmetricSpaceData, level: SpectralLevel) -> TorusRepDecomposition:
-    """Decomposition of the real eigenspace at a level into torus blocks:
-    plane multiplicities are the complex weight multiplicities of the canonical
-    weights, and k0 is the multiplicity of the zero weight."""
-    return _decompose_alphas(space, level.alphas)
 
 
 def alpha_decomposition(space: SymmetricSpaceData, alpha: RestrictedWeight) -> TorusRepDecomposition:

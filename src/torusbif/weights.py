@@ -14,17 +14,7 @@ H_{2mu}, so identifiers are never reduced by content.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Ordering(enum.Enum):
-    """Outcome of comparing two weights in the dominance order."""
-
-    PRECEDES = "precedes"
-    EQUALS = "equals"
-    SUCCEEDS = "succeeds"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -102,21 +92,6 @@ def canonicalize(mu: RestrictedWeight) -> SubgroupId:
         raise ValueError("zero weight has no codimension-one subgroup")
     first = next(c for c in mu.coords if c != 0)
     return SubgroupId(mu if first > 0 else -mu)
-
-
-def dominates(mu: RestrictedWeight, nu: RestrictedWeight) -> Ordering:
-    """Compare mu against nu in the dominance order: mu precedes nu exactly
-    when nu - mu has nonnegative integer coordinates."""
-    if mu.rank != nu.rank:
-        raise ValueError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    diff = [b - a for a, b in zip(mu.coords, nu.coords)]
-    if all(d == 0 for d in diff):
-        return Ordering.EQUALS
-    if all(d >= 0 for d in diff):
-        return Ordering.PRECEDES
-    if all(d <= 0 for d in diff):
-        return Ordering.SUCCEEDS
-    return Ordering.INCOMPARABLE
 
 
 def proportional(mu: RestrictedWeight, nu: RestrictedWeight) -> bool:

@@ -16,11 +16,12 @@ from torusbif import (
     bifurcation_levels,
     cancellation_impossible,
     canonicalize,
+    certify_levels,
     certify_unbounded,
     coeff_formula_check,
     neg_identity_degree,
     spectrum_up_to,
-    symmetry_breaking_flag,
+    witness_coefficient,
 )
 
 W = RestrictedWeight
@@ -131,6 +132,15 @@ def test_index_nonvanishing_on_guaranteed_levels():
 # -- closed-form coefficients ---------------------------------------------------------
 
 
+def test_witness_coefficient_closed_form():
+    assert witness_coefficient(1, 0) == -1
+    assert witness_coefficient(1, 1) == 1
+    assert witness_coefficient(2, 1) == -2
+    assert witness_coefficient(3, 1) == 3
+    # d_W + d_V itself may be passed; only its parity matters
+    assert witness_coefficient(3, 9) == witness_coefficient(3, 1)
+
+
 def test_coeff_formula_first_level():
     assert coeff_formula_check(S2, sig(0, 1), W((1,))) == (-1, -1)
 
@@ -230,22 +240,50 @@ def test_certificate_on_product_space():
     assert cert.coefficient_sum() != 0
 
 
+def test_certify_levels_matches_per_level_certificates():
+    for space in (S2, P22):
+        for s in (sig(0, 1), sig(1, 0), sig(1, 1), sig(1, 2)):
+            got = certify_levels(space, s, 12)
+            assert [lv for lv, _ in got] == [bl.level for bl in bifurcation_levels(space, s, 12)]
+            for level, cert in got:
+                try:
+                    want = certify_unbounded(space, s, level)
+                except ValueError as exc:
+                    want = str(exc)
+                assert cert == want
+
+
+def test_levels_match_per_level_index():
+    for space in (S2, P22):
+        for s in (sig(0, 2), sig(2, 1), sig(1, 1)):
+            for bl in bifurcation_levels(space, s, 12):
+                assert bl.index == bifurcation_index(space, s, bl.level)
+
+
+def test_one_enumeration_per_range(monkeypatch):
+    import torusbif.bifurcation as bif
+
+    calls = []
+    real = bif.spectrum_up_to
+
+    def counted(space, cutoff):
+        calls.append(cutoff)
+        return real(space, cutoff)
+
+    monkeypatch.setattr(bif, "spectrum_up_to", counted)
+    levels = bifurcation_levels(P22, sig(1, 2), 30)
+    assert len(levels) > 10
+    assert calls == [30]
+    calls.clear()
+    certify_levels(P22, sig(1, 2), 30)
+    assert calls == [30]
+
+
 def test_impossibility_identity():
     for nm in range(1, 7):
         for np_ in range(1, 7):
             for parity in (0, 1):
                 assert cancellation_impossible(nm, np_, parity)
-
-
-# -- symmetry breaking --------------------------------------------------------------------
-
-
-def test_symmetry_breaking_flag():
-    assert symmetry_breaking_flag(S2, 2) is True
-    assert symmetry_breaking_flag(S2, -6) is True
-    assert symmetry_breaking_flag(S2, 0) is False
-    with pytest.raises(ValueError):
-        symmetry_breaking_flag(S2, 5)
 
 
 # -- serialization -------------------------------------------------------------------------

@@ -172,6 +172,27 @@ def test_bad_signature(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("a", [[1.7], [-1.0], [True], ["-1"]])
+def test_non_integer_signature_rejected(tmp_path, capsys, a):
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "a": a, "cutoff": 6})
+    code, out, err = run(capsys, ["index", "--config", cfg])
+    assert code == 2
+    assert "bad signature" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "space",
+    [{"kind": "sphere", "n": 2.9}, {"kind": "sphere", "n": True}, {"kind": "product", "factors": [2, 3.5]}],
+)
+def test_non_integer_sphere_dimension_rejected(tmp_path, capsys, space):
+    cfg = write_config(tmp_path, {"space": space, "a": [-1], "cutoff": 6})
+    code, out, err = run(capsys, ["index", "--config", cfg])
+    assert code == 2
+    assert "bad space descriptor" in err
+    assert out == ""
+
+
 def test_float_cutoff_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": 6.5})
     code, _, err = run(capsys, ["spectrum", "--config", cfg])

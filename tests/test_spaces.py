@@ -3,23 +3,22 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusbif import (
     GenericTables,
-    Ordering,
     RestrictedWeight,
     SpectralLevel,
     SymmetricSpaceData,
     canonicalize,
-    dominates,
     eigenvalue_of,
     harmonic_dim,
     load_space,
     spectrum_to_csv,
     spectrum_up_to,
     sphere_weight_multiplicity,
-    torus_decomposition,
 )
+from torusbif.spaces import _coordinate_bound
 
 W = RestrictedWeight
 S2 = SymmetricSpaceData.sphere(2)
@@ -53,11 +52,46 @@ def test_eigenvalue_monotone_in_dominance_order():
         box = [W(c) for c in itertools.product(range(6), repeat=rank)]
         for a in box:
             for b in box:
-                if dominates(a, b) is Ordering.PRECEDES:
+                diff = [y - x for x, y in zip(a.coords, b.coords)]
+                if all(d >= 0 for d in diff) and a != b:
                     assert eigenvalue_of(space, a) < eigenvalue_of(space, b)
 
 
 # -- spectrum enumeration --------------------------------------------------------
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def positive_definite_grams(draw):
+    # B^T B + c I with c > 0 is symmetric positive definite over the rationals
+    r = draw(st.integers(2, 3))
+    b = [[draw(small_fractions) for _ in range(r)] for _ in range(r)]
+    c = draw(st.builds(Fraction, st.integers(2, 8), st.integers(1, 4)))
+    return tuple(
+        tuple(sum(b[k][i] * b[k][j] for k in range(r)) + (c if i == j else 0) for j in range(r))
+        for i in range(r)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_definite_grams(), st.builds(Fraction, st.integers(0, 30), st.integers(1, 4)))
+def test_coordinate_bound_is_exact_and_safe(gram, cutoff):
+    bounds = _coordinate_bound(gram, cutoff)
+    assert all(isinstance(b, int) and b >= 0 for b in bounds)
+    for coords in itertools.product(*(range(b + 3) for b in bounds)):
+        if all(x <= b for x, b in zip(coords, bounds)):
+            continue
+        norm = sum(coords[i] * gram[i][j] * coords[j] for i in range(len(gram)) for j in range(len(gram)))
+        assert norm > cutoff
+
+
+def test_coordinate_bound_on_identity_gram():
+    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert _coordinate_bound(identity, Fraction(80)) == (8, 8)
+    assert _coordinate_bound(identity, Fraction(81)) == (9, 9)
+    assert _coordinate_bound(identity, Fraction(0)) == (0, 0)
 
 
 def test_sphere_spectrum_levels():
@@ -132,12 +166,6 @@ def test_product_level_decomposition():
     dec = levels[Fraction(2)].torus_decomp
     assert dec.k0 == 2
     assert dec.mults_map == {canonicalize(W((1, 0))): 1, canonicalize(W((0, 1))): 1}
-
-
-def test_torus_decomposition_recomputes_level():
-    for space in (S2, P23):
-        for lv in spectrum_up_to(space, 20):
-            assert torus_decomposition(space, lv) == lv.torus_decomp
 
 
 def test_dimension_consistency_and_parity():

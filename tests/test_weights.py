@@ -1,9 +1,7 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
-from torusbif import Ordering, RestrictedWeight, SubgroupId, canonicalize, dominates, proportional
+from torusbif import RestrictedWeight, SubgroupId, canonicalize, proportional
 
 W = RestrictedWeight
 
@@ -25,18 +23,6 @@ def test_proportional_weights_get_distinct_ids():
     assert not proportional(W((1, 0)), W((0, 1)))
 
 
-def test_dominates_examples():
-    assert dominates(W((1, 0)), W((1, 2))) is Ordering.PRECEDES
-    assert dominates(W((1, 0)), W((0, 2))) is Ordering.INCOMPARABLE
-    assert dominates(W((2, 2)), W((2, 2))) is Ordering.EQUALS
-    assert dominates(W((1, 2)), W((1, 0))) is Ordering.SUCCEEDS
-
-
-def test_dominates_rank_mismatch():
-    with pytest.raises(ValueError, match="rank mismatch"):
-        dominates(W((1,)), W((1, 2)))
-
-
 coords_strategy = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(tuple)
 nonzero_weights = coords_strategy.map(W).filter(lambda w: not w.is_zero())
 
@@ -50,23 +36,6 @@ def test_canonicalize_idempotent(mu):
 @given(nonzero_weights)
 def test_canonicalize_identifies_opposites(mu):
     assert canonicalize(mu) == canonicalize(-mu)
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_dominance_is_partial_order_exhaustively(rank):
-    box = list(itertools.product(range(-3, 4), repeat=rank))
-    weights = [W(c) for c in box]
-    succ = {
-        w: frozenset(v for v in weights if dominates(w, v) in (Ordering.PRECEDES, Ordering.EQUALS))
-        for w in weights
-    }
-    for w in weights:
-        assert w in succ[w]  # reflexive
-    for w in weights:
-        for v in succ[w]:
-            if w in succ[v]:
-                assert v == w  # antisymmetric
-            assert succ[v] <= succ[w]  # transitive
 
 
 def test_subgroup_id_requires_canonical_form():
