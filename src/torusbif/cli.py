@@ -19,7 +19,7 @@ import numpy as np
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
 from .continuation import ContinuationError, ContinuationOptions, continue_branch
 from .galerkin import NONLINEARITIES, GalerkinBasis, trivial_branch_crossings
-from .jsonio import canonical_dumps, frac_from_json, frac_to_json
+from .jsonio import canonical_dumps, frac_from_json, frac_to_json, int_from_json
 from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_to_csv, spectrum_up_to
 
 FORMATS = ("json", "csv", "pretty")
@@ -262,8 +262,9 @@ def cmd_branch(raw: dict, base_dir, out, seed: int) -> int:
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'galerkin' block for branch runs")
     try:
-        K = int(block["K"])
+        K = int_from_json(block["K"])
         crossing = frac_from_json(block["crossing"])
+        max_steps = int_from_json(block.get("max_steps", 500))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")
@@ -276,7 +277,7 @@ def cmd_branch(raw: dict, base_dir, out, seed: int) -> int:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
     opts = ContinuationOptions(
         step=float(block.get("step", 0.05)),
-        max_steps=int(block.get("max_steps", 500)),
+        max_steps=max_steps,
         target_norm=float(block.get("target_norm", 1.0)),
         isotropy_restriction=block.get("isotropy_restriction"),
     )

@@ -129,30 +129,32 @@ def continue_branch(
         return F, M
 
     def newton(x, lam, constraint_row, constraint_val):
-        for _ in range(opts.max_newton_iter):
+        """Corrected (x, lam) and the bordered matrix evaluated there, or
+        None in place of the matrix when the corrector does not converge."""
+        for it in range(opts.max_newton_iter + 1):
             F, M = F_and_J(x, lam, constraint_row, constraint_val)
             nrm = float(np.max(np.abs(F)))
             if np.isfinite(nrm) and nrm < opts.newton_tol:
-                return x, lam, True
+                return x, lam, M
+            if it == opts.max_newton_iter:
+                break
             try:
                 dz = np.linalg.solve(M, -F)
             except np.linalg.LinAlgError:
-                return x, lam, False
+                break
             if not np.all(np.isfinite(dz)):
-                return x, lam, False
+                break
             x = x + dz[:n_act]
             lam = lam + dz[n_act]
-        F, _ = F_and_J(x, lam, constraint_row, constraint_val)
-        nrm = float(np.max(np.abs(F)))
-        return x, lam, bool(np.isfinite(nrm) and nrm < opts.newton_tol)
+        return x, lam, None
 
     # branch switching: pin the kernel amplitude at delta
     pin_row = lambda x, lam: np.concatenate([np.eye(n_act)[k_pos], [0.0]])
     pin_val = lambda x, lam: x[k_pos] - delta
     x0 = np.zeros(n_act)
     x0[k_pos] = delta
-    x1, lam1, ok = newton(x0, lam0f, pin_row, pin_val)
-    if not ok:
+    x1, lam1, M1 = newton(x0, lam0f, pin_row, pin_val)
+    if M1 is None:
         raise ContinuationError("failed to leave the trivial branch at the crossing", [])
 
     states: list[BranchState] = []
@@ -173,13 +175,9 @@ def continue_branch(
     if outcome is not None:
         return BranchResult(states, outcome)
 
-    def tangent_at(x, lam, prev_t):
-        full = embed(x)
-        J = residual_jacobian(basis, nl, sig, full, lam, active)
-        dlam = residual_lambda_derivative(basis, nl, sig, full, lam, active)
-        M = np.zeros((n_act + 1, n_act + 1))
-        M[:n_act, :n_act] = J
-        M[:n_act, n_act] = dlam
+    def tangent_at(M, prev_t):
+        # M is Newton's bordered matrix at the converged point; the border row
+        # becomes the previous tangent so the new one keeps its orientation
         M[n_act, :] = prev_t
         rhs = np.zeros(n_act + 1)
         rhs[n_act] = 1.0
@@ -196,7 +194,7 @@ def continue_branch(
     prev = np.concatenate([x1, [lam1]])
     first_dir = np.concatenate([x1, [lam1 - lam0f]])
     first_dir /= np.linalg.norm(first_dir)
-    tangent = tangent_at(x1, lam1, first_dir)
+    tangent = tangent_at(M1, first_dir)
 
     h = min(max(opts.step, opts.min_step), opts.max_step)
     while True:
@@ -208,8 +206,8 @@ def continue_branch(
         arc_val = lambda x, lam: float(
             np.dot(t_fixed[:n_act], x - z_base[:n_act]) + t_fixed[n_act] * (lam - z_base[n_act]) - h_now
         )
-        x_new, lam_new, ok = newton(z_pred[:n_act].copy(), float(z_pred[n_act]), arc_row, arc_val)
-        if not ok:
+        x_new, lam_new, M_new = newton(z_pred[:n_act].copy(), float(z_pred[n_act]), arc_row, arc_val)
+        if M_new is None:
             if h <= opts.min_step:
                 raise ContinuationError(
                     f"Newton corrector failed at minimum step {opts.min_step}", states
@@ -219,7 +217,7 @@ def continue_branch(
         z_new = np.concatenate([x_new, [lam_new]])
         s_total += float(np.linalg.norm(z_new - prev))
         states.append(make_state(basis, embed(x_new), lam_new, s_total))
-        tangent = tangent_at(x_new, lam_new, tangent)
+        tangent = tangent_at(M_new, tangent)
         prev = z_new
         h = min(h * 1.4, opts.max_step)
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import lpmv
+from scipy.special import sph_legendre_p_all
 
 
 def degree_eigenvalue(k: int) -> int:
@@ -72,9 +72,14 @@ class GalerkinBasis:
         self.mode_index = {km: i for i, km in enumerate(self.modes)}
         self.eigenvalues = np.array([degree_eigenvalue(k) for k, _ in self.modes], dtype=float)
 
-        self.values = np.empty((len(self.modes), self.node_x.size))
-        for i, (k, m) in enumerate(self.modes):
-            self.values[i] = _real_harmonic(k, m, self.node_x, self.node_phi)
+        # Y_{k,m} = normalized Legendre row of (k, |m|) in cos(theta) times
+        # 1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) in longitude
+        degree, order = np.array(self.modes).T
+        legendre = sph_legendre_p_all(K, K, np.arccos(x))[0][degree, np.abs(order)]
+        angle = np.abs(order)[:, None] * phi[None, :]
+        trig = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
+        trig[order == 0] = 1.0
+        self.values = (legendre[:, :, None] * trig[:, None, :]).reshape(len(self.modes), -1)
 
     @property
     def n_modes(self) -> int:
@@ -82,30 +87,18 @@ class GalerkinBasis:
 
     def mass_error(self) -> float:
         """Largest deviation of the quadrature Gram matrix from the identity."""
-        gram = (self.values * self.weights) @ self.values.T
-        return float(np.max(np.abs(gram - np.eye(self.n_modes))))
+        return float(np.max(np.abs(self.project(self.values) - np.eye(self.n_modes))))
 
     def integrate(self, node_values: np.ndarray) -> float:
         return float(np.dot(node_values, self.weights))
 
     def project(self, node_values: np.ndarray) -> np.ndarray:
         """Coefficients <f, Y_{k,m}> of nodal data, rows broadcast over modes."""
-        return node_values @ (self.values * self.weights).T
+        return (node_values * self.weights) @ self.values.T
 
     def evaluate(self, coeffs_block: np.ndarray) -> np.ndarray:
         """Nodal values of sum c_{k,m} Y_{k,m}; accepts (..., n_modes)."""
         return coeffs_block @ self.values
-
-
-def _real_harmonic(k: int, m: int, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    am = abs(m)
-    ratio = float(Fraction(math.factorial(k - am), math.factorial(k + am)))
-    if m == 0:
-        return math.sqrt((2 * k + 1) / (4.0 * math.pi)) * lpmv(0, k, x)
-    c = math.sqrt((2 * k + 1) / (2.0 * math.pi) * ratio)
-    if m > 0:
-        return c * lpmv(am, k, x) * np.cos(am * phi)
-    return c * lpmv(am, k, x) * np.sin(am * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +285,7 @@ def residual_jacobian(
     J[np.arange(n_act), np.arange(n_act)] = diag_full[active]
     if nl.hess is not None:
         u = basis.evaluate(c)
-        H = nl.hess(u, lam)  # (p, p, nodes)
-        Yw = basis.values * basis.weights
+        Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
         comp = active // basis.n_modes
         mode = active % basis.n_modes
         for i in range(p):
@@ -304,7 +296,7 @@ def residual_jacobian(
                 cols = np.nonzero(comp == j)[0]
                 if cols.size == 0:
                     continue
-                block = (Yw[mode[rows]] * H[i, j]) @ basis.values[mode[cols]].T
+                block = (basis.values[mode[rows]] * Hw[i, j]) @ basis.values[mode[cols]].T
                 J[np.ix_(rows, cols)] -= block
         return J
     # no analytic second derivative: difference the residual columnwise

@@ -16,12 +16,15 @@ def frac_from_json(data) -> Fraction:
     Floats are rejected: exact outputs must not pick up binary drift."""
     if isinstance(data, bool):
         raise ValueError("expected a rational, got a boolean")
-    if isinstance(data, dict):
-        return Fraction(int(data["num"]), int(data["den"]))
     if isinstance(data, int):
         return Fraction(data)
-    if isinstance(data, str):
-        return Fraction(data)
+    try:
+        if isinstance(data, dict):
+            return Fraction(int_from_json(data["num"]), int_from_json(data["den"]))
+        if isinstance(data, str):
+            return Fraction(data)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {data!r}") from None
     raise ValueError(f"expected a rational (int, 'p/q', or {{num,den}}), got {data!r}")
 
 

@@ -146,7 +146,7 @@ class GenericTables:
             alpha = RestrictedWeight.from_json(entry["alpha"])
             weights = tuple(
                 sorted(
-                    ((RestrictedWeight.from_json(w["mu"]), int(w["mult"])) for w in entry["weights"]),
+                    ((RestrictedWeight.from_json(w["mu"]), int_from_json(w["mult"])) for w in entry["weights"]),
                     key=lambda wm: wm[0].coords,
                 )
             )

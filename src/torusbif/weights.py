@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .jsonio import int_from_json
+
 
 @dataclass(frozen=True)
 class RestrictedWeight:
@@ -48,7 +50,7 @@ class RestrictedWeight:
 
     @classmethod
     def from_json(cls, data) -> "RestrictedWeight":
-        return cls(tuple(int(c) for c in data))
+        return cls(tuple(int_from_json(c) for c in data))
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,49 @@ def test_float_cutoff_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_integer_cutoff_fraction_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": {"num": 30.9, "den": 1}})
+    code, out, err = run(capsys, ["spectrum", "--config", cfg])
+    assert code == 2
+    assert "bad cutoff: expected an integer, got 30.9" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cutoff", [{"num": 1, "den": 0}, "3/0"])
+def test_zero_denominator_cutoff_rejected(tmp_path, capsys, cutoff):
+    cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": cutoff})
+    code, out, err = run(capsys, ["spectrum", "--config", cfg])
+    assert code == 2
+    assert "bad cutoff: zero denominator" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda entry: entry.update(alpha=[1.9]),
+        lambda entry: entry["weights"][0].update(mu=[-1.0]),
+        lambda entry: entry["weights"][0].update(mult=1.5),
+    ],
+    ids=["alpha", "mu", "mult"],
+)
+def test_non_integer_generic_table_rejected(tmp_path, capsys, corrupt):
+    # weight tables of the degree-0 and degree-1 harmonics on S^2, one entry spoiled
+    tables = {
+        "entries": [
+            {"alpha": [0], "weights": [{"mu": [0], "mult": 1}]},
+            {"alpha": [1], "weights": [{"mu": [m], "mult": 1} for m in (-1, 0, 1)]},
+        ]
+    }
+    corrupt(tables["entries"][1])
+    space = {"kind": "generic", "gram": [[1]], "rho": ["1/2"], "tables": tables}
+    cfg = write_config(tmp_path, {"space": space, "cutoff": 2})
+    code, out, err = run(capsys, ["spectrum", "--config", cfg])
+    assert code == 2
+    assert "bad space descriptor: expected an integer" in err
+    assert out == ""
+
+
 # -- branch -----------------------------------------------------------------------------
 
 
@@ -245,6 +288,24 @@ def test_branch_budget_of_one_step(tmp_path, capsys):
     assert summary["outcome"] == "incomplete"
     assert summary["steps"] == 1
     assert len(out_csv.read_text().strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("key, value", [("K", 8.9), ("max_steps", 1.7), ("max_steps", True)])
+def test_branch_non_integer_block_entry_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], key: value}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert code == 2
+    assert f"bad galerkin block: expected an integer, got {value!r}" in err
+    assert out == ""
+
+
+def test_branch_zero_denominator_crossing_rejected(tmp_path, capsys):
+    block = {**BRANCH_CFG["galerkin"], "crossing": {"num": 2, "den": 0}}
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": block})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert code == 2
+    assert "bad galerkin block: zero denominator" in err
+    assert out == ""
 
 
 def test_branch_requires_sphere_two(tmp_path, capsys):

@@ -31,6 +31,28 @@ def branch():
     return continue_branch(BASIS, QUARTIC, NEG, 2, axisymmetric_opts())
 
 
+@pytest.fixture(scope="module")
+def constant_branch():
+    return continue_branch(BASIS, QUARTIC, NEG, 0, ContinuationOptions(target_norm=0.8, max_steps=200))
+
+
+# Trajectory pins: the exact state count and the end point of both K = 8
+# branches, so a change of step control or tangent shows up in tier-1.
+@pytest.mark.parametrize(
+    "which, count, lam, h1",
+    [
+        ("branch", 7, 2.07872453389801, 1.2869460146821294),
+        ("constant_branch", 8, 0.07104094391332852, 0.9448422249302512),
+    ],
+    ids=["axisymmetric", "constant"],
+)
+def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
+    result = request.getfixturevalue(which)
+    assert len(result.states) == count
+    assert math.isclose(result.states[-1].lam, lam, rel_tol=1e-12)
+    assert math.isclose(result.states[-1].h1_norm, h1, rel_tol=1e-12)
+
+
 def test_branch_reaches_target_without_returning(branch):
     assert branch.outcome == "reached_target"
     assert branch.states[-1].h1_norm >= 1.0
@@ -73,11 +95,10 @@ def test_branch_matches_one_mode_reduction(branch):
     assert checked >= 3
 
 
-def test_constant_branch_from_zero_crossing():
+def test_constant_branch_from_zero_crossing(constant_branch):
     # kernel at lambda = 0 is the constant mode; the branch obeys the exact
     # scalar relation lambda = c^2 * integral(Y00^4)
-    opts = ContinuationOptions(target_norm=0.8, max_steps=200)
-    result = continue_branch(BASIS, QUARTIC, NEG, 0, opts)
+    result = constant_branch
     assert result.outcome == "reached_target"
     kappa = 1.0 / (4 * math.pi)
     i00 = BASIS.mode_index[(0, 0)]

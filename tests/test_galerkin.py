@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
 from torusbif import (
     GalerkinBasis,
@@ -27,11 +29,31 @@ NEG = SystemSignature((-1,))
 # -- basis ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("K", [0, 2, 4, 8])
+@pytest.mark.parametrize("K", [0, 2, 4, 8, 24])
 def test_mode_count_and_orthonormality(K):
     basis = GalerkinBasis(K)
     assert basis.n_modes == (K + 1) ** 2
     assert basis.mass_error() <= 1e-12
+
+
+def reference_harmonic(k, m, x, phi):
+    # the per-mode formula the table replaced: lpmv times a float factorial
+    # ratio, which overflows from about degree 86 and so serves only at low K
+    am = abs(m)
+    ratio = float(Fraction(math.factorial(k - am), math.factorial(k + am)))
+    if m == 0:
+        return math.sqrt((2 * k + 1) / (4.0 * math.pi)) * lpmv(0, k, x)
+    c = math.sqrt((2 * k + 1) / (2.0 * math.pi) * ratio)
+    if m > 0:
+        return c * lpmv(am, k, x) * np.cos(am * phi)
+    return c * lpmv(am, k, x) * np.sin(am * phi)
+
+
+def test_harmonic_table_matches_legendre_formula():
+    basis = GalerkinBasis(12)
+    for i, (k, m) in enumerate(basis.modes):
+        want = reference_harmonic(k, m, basis.node_x, basis.node_phi)
+        assert np.max(np.abs(basis.values[i] - want)) <= 1e-12, (k, m)
 
 
 def test_no_constant_mode_at_positive_levels():
