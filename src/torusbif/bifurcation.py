@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .euler_ring import UNIT, EulerRingElement
-from .jsonio import frac_from_json, frac_to_json, int_from_json
+from .euler_ring import UNIT, EulerRingElement, _element
+from .jsonio import bool_from_json, frac_from_json, frac_to_json, int_from_json
 from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, eigenvalue_of, spectrum_up_to
 from .weights import RestrictedWeight, SubgroupId, canonicalize
 
@@ -91,7 +91,7 @@ class BifurcationLevel:
     def from_json(cls, data) -> "BifurcationLevel":
         return cls(
             frac_from_json(data["level"]),
-            int(data["kernel_dim"]),
+            int_from_json(data["kernel_dim"]),
             EulerRingElement.from_json(data["index"]),
         )
 
@@ -134,10 +134,10 @@ class UnboundednessCertificate:
         return cls(
             frac_from_json(data["level"]),
             None if witness is None else SubgroupId.from_json(witness),
-            tuple((frac_from_json(e["level"]), int(e["coeff"])) for e in data["ledger"]),
+            tuple((frac_from_json(e["level"]), int_from_json(e["coeff"])) for e in data["ledger"]),
             data["conclusion"],
-            bool(data["symmetry_breaking"]),
-            bool(data["unbounded"]),
+            bool_from_json(data["symmetry_breaking"]),
+            bool_from_json(data["unbounded"]),
         )
 
 
@@ -201,8 +201,9 @@ def neg_identity_degree(decomp: TorusRepDecomposition) -> EulerRingElement:
     """Degree of -Id on the unit ball of the representation with the given
     block multiplicities: (-1)^{k0} (I - sum_mu k_mu [T/H_mu]), truncated."""
     sign = -1 if decomp.k0 % 2 else 1
-    codim1 = tuple((h, -sign * m) for h, m in decomp.mults)
-    return EulerRingElement(sign, codim1, truncated=True)
+    # the multiplicities are positive, unique and sorted, so the coefficients
+    # are already normalized
+    return _element(sign, tuple((h, -sign * m) for h, m in decomp.mults), True)
 
 
 def witness_coefficient(n: int, dim_parity: int) -> int:

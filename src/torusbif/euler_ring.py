@@ -20,24 +20,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
-from .weights import SubgroupId, proportional
+from .jsonio import bool_from_json, int_from_json
+from .weights import SubgroupId, _merge_sorted
 
 Codim1 = tuple[tuple[SubgroupId, int], ...]
 
 
 def _normalize(codim1) -> Codim1:
-    if isinstance(codim1, Mapping):
-        items = codim1.items()
-    else:
-        items = list(codim1)
+    items = codim1.items() if isinstance(codim1, dict) else codim1
     acc: dict[SubgroupId, int] = {}
     for h, c in items:
         if not isinstance(h, SubgroupId):
             raise TypeError(f"codim1 keys must be SubgroupId, got {type(h).__name__}")
         acc[h] = acc.get(h, 0) + int(c)
-    return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: hc[0].sort_key()))
+    return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: hc[0].sort_key))
+
+
+# Arithmetic on normalized parts (nonzero coefficients, sorted by subgroup
+# key): results come out normalized, so they skip _normalize.
+
+
+def _scale(a: Codim1, s: int) -> Codim1:
+    if s == 1:
+        return a
+    return tuple((h, s * c) for h, c in a) if s else ()
+
+
+def _combine(a: Codim1, s: int, b: Codim1, t: int) -> Codim1:
+    """Normalized s*a + t*b."""
+    if not (s and a):
+        return _scale(b, t)
+    if not (t and b):
+        return _scale(a, s)
+    return _merge_sorted(a, s, b, t)
+
+
+def _spans_two_directions(*parts: Codim1) -> bool:
+    """True when the ids of the parts are not all proportional.  Ids of
+    different ranks belong to different tori, which is an error."""
+    directions = {h.direction for part in parts for h, _ in part}
+    if len(directions) < 2:
+        return False
+    ranks = {len(d) for d in directions}
+    if len(ranks) > 1:
+        raise ValueError(f"rank mismatch: {min(ranks)} vs {max(ranks)}")
+    return True
+
+
+def _element(unit: int, codim1: Codim1, truncated: bool) -> "EulerRingElement":
+    """An element from normalized data, built without re-validating it."""
+    x = object.__new__(EulerRingElement)
+    x.__dict__.update(unit=unit, codim1=codim1, truncated=truncated)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +134,14 @@ class EulerRingElement:
     def __add__(self, other: "EulerRingElement") -> "EulerRingElement":
         if not isinstance(other, EulerRingElement):
             return NotImplemented
-        return EulerRingElement(
+        return _element(
             self.unit + other.unit,
-            self.codim1 + other.codim1,
+            _combine(self.codim1, 1, other.codim1, 1),
             self.truncated or other.truncated,
         )
 
     def __neg__(self) -> "EulerRingElement":
-        return EulerRingElement(-self.unit, tuple((h, -c) for h, c in self.codim1), self.truncated)
+        return _element(-self.unit, _scale(self.codim1, -1), self.truncated)
 
     def __sub__(self, other: "EulerRingElement") -> "EulerRingElement":
         if not isinstance(other, EulerRingElement):
@@ -115,7 +150,7 @@ class EulerRingElement:
 
     def scaled(self, n: int) -> "EulerRingElement":
         n = int(n)
-        return EulerRingElement(n * self.unit, tuple((h, n * c) for h, c in self.codim1), self.truncated)
+        return _element(n * self.unit, _scale(self.codim1, n), self.truncated)
 
     # -- ring structure -----------------------------------------------------
 
@@ -124,21 +159,11 @@ class EulerRingElement:
             return self.scaled(other)
         if not isinstance(other, EulerRingElement):
             return NotImplemented
-        acc: dict[SubgroupId, int] = {}
-        for h, c in self.codim1:
-            acc[h] = acc.get(h, 0) + other.unit * c
-        for h, c in other.codim1:
-            acc[h] = acc.get(h, 0) + self.unit * c
+        a, b = self.codim1, other.codim1
         # products of two codimension-one classes: zero for proportional
         # weights, a discarded codimension-two class otherwise
-        dropped = self.truncated or other.truncated
-        if not dropped:
-            dropped = any(
-                not proportional(h.canonical, g.canonical)
-                for h, _ in self.codim1
-                for g, _ in other.codim1
-            )
-        return EulerRingElement(self.unit * other.unit, acc, dropped)
+        dropped = self.truncated or other.truncated or (bool(a and b) and _spans_two_directions(a, b))
+        return _element(self.unit * other.unit, _combine(a, other.unit, b, self.unit), dropped)
 
     def __rmul__(self, other) -> "EulerRingElement":
         if isinstance(other, int):
@@ -151,16 +176,20 @@ class EulerRingElement:
         if self.unit not in (1, -1):
             raise ValueError("not invertible in truncated ring")
         dropped = self.truncated or bool(self.codim1)
-        return EulerRingElement(self.unit, tuple((h, -c) for h, c in self.codim1), dropped)
+        return _element(self.unit, _scale(self.codim1, -1), dropped)
 
     def __pow__(self, n: int) -> "EulerRingElement":
+        """(u*I + b)^n = u^n I + n u^(n-1) b, since b*b has no codimension-one
+        part; for n >= 2 the power discards codimension-two classes exactly
+        when b is supported on two non-proportional ids."""
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = EulerRingElement.unit_element()
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return _element(1, (), False)
+        u, b = self.unit, self.codim1
+        dropped = self.truncated or (n >= 2 and _spans_two_directions(b))
+        return _element(u**n, _scale(b, n * u ** (n - 1)), dropped)
 
     # -- presentation -------------------------------------------------------
 
@@ -188,8 +217,8 @@ class EulerRingElement:
 
     @classmethod
     def from_json(cls, data) -> "EulerRingElement":
-        codim1 = tuple((SubgroupId.from_json(e), int(e["c"])) for e in data.get("codim1", ()))
-        return cls(int(data["unit"]), codim1, bool(data.get("truncated", False)))
+        codim1 = tuple((SubgroupId.from_json(e), int_from_json(e["c"])) for e in data.get("codim1", ()))
+        return cls(int_from_json(data["unit"]), codim1, bool_from_json(data.get("truncated", False)))
 
 
 UNIT = EulerRingElement.unit_element()

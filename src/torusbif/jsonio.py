@@ -36,6 +36,14 @@ def int_from_json(data) -> int:
     return int(data)
 
 
+def bool_from_json(data) -> bool:
+    """Parse a flag.  Only JSON booleans are accepted: the string "false" is
+    truthy and 0/1 are counts, so neither is read as a flag."""
+    if not isinstance(data, bool):
+        raise ValueError(f"expected a boolean, got {data!r}")
+    return data
+
+
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
     import json

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .jsonio import frac_from_json, frac_to_json, int_from_json
-from .weights import RestrictedWeight, SubgroupId, canonicalize
+from .weights import RestrictedWeight, SubgroupId, _merge_sorted, canonicalize
 
 SPHERE = "sphere"
 PRODUCT = "product"
@@ -52,7 +52,7 @@ class TorusRepDecomposition:
     def __post_init__(self):
         if self.k0 < 0:
             raise ValueError("k0 must be nonnegative")
-        items = tuple(sorted(self.mults, key=lambda hm: hm[0].sort_key()))
+        items = tuple(sorted(self.mults, key=lambda hm: hm[0].sort_key))
         if any(m <= 0 for _, m in items):
             raise ValueError("plane multiplicities must be positive")
         if len({h for h, _ in items}) != len(items):
@@ -75,10 +75,11 @@ class TorusRepDecomposition:
         return self.k0 + 2 * sum(m for _, m in self.mults)
 
     def __add__(self, other: "TorusRepDecomposition") -> "TorusRepDecomposition":
-        acc = dict(self.mults)
-        for h, m in other.mults:
-            acc[h] = acc.get(h, 0) + m
-        return TorusRepDecomposition.from_dict(self.k0 + other.k0, acc)
+        # both sides are validated, so the merge is sorted, positive and free
+        # of duplicates: it skips __post_init__
+        out = object.__new__(TorusRepDecomposition)
+        out.__dict__.update(k0=self.k0 + other.k0, mults=_merge_sorted(self.mults, 1, other.mults, 1))
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -88,8 +89,8 @@ class TorusRepDecomposition:
 
     @classmethod
     def from_json(cls, data) -> "TorusRepDecomposition":
-        mults = tuple((SubgroupId.from_json(e), int(e["mult"])) for e in data.get("mults", ()))
-        return cls(int(data["k0"]), mults)
+        mults = tuple((SubgroupId.from_json(e), int_from_json(e["mult"])) for e in data.get("mults", ()))
+        return cls(int_from_json(data["k0"]), mults)
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class SpectralLevel:
         return cls(
             frac_from_json(data["eigenvalue"]),
             tuple(RestrictedWeight.from_json(a) for a in data["alphas"]),
-            int(data["real_dim"]),
+            int_from_json(data["real_dim"]),
             TorusRepDecomposition.from_json(data["decomposition"]),
         )
 
@@ -512,7 +513,7 @@ def spectrum_to_csv(levels: Sequence[SpectralLevel]) -> str:
     """Delimited spectrum table: exact eigenvalue, weights, dimension, k0, and
     one multiplicity column per weight id appearing anywhere in the range."""
     ids: list[SubgroupId] = sorted(
-        {h for lv in levels for h, _ in lv.torus_decomp.mults}, key=lambda h: h.sort_key()
+        {h for lv in levels for h, _ in lv.torus_decomp.mults}, key=lambda h: h.sort_key
     )
     header = ["eigenvalue_num", "eigenvalue_den", "alphas", "real_dim", "k0"]
     header += [f"k{h.canonical}" for h in ids]

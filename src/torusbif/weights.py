@@ -9,11 +9,14 @@ determines the codimension-one closed subgroup
 of the rank-r torus T.  Since H_mu = H_{-mu}, the subgroup is identified by the
 sign-canonical representative of {mu, -mu} (first nonzero coordinate positive).
 Proportional weights give *distinct* subgroups: H_mu is a proper subgroup of
-H_{2mu}, so identifiers are never reduced by content.
+H_{2mu}, so identifiers are never reduced by content.  They do share a
+primitive direction (the canonical coordinates over their gcd), which is all
+the Euler ring needs to tell proportional pairs apart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .jsonio import int_from_json
@@ -28,6 +31,10 @@ class RestrictedWeight:
     def __post_init__(self):
         coords = tuple(int(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_hash", hash(coords))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -56,23 +63,38 @@ class RestrictedWeight:
 @dataclass(frozen=True)
 class SubgroupId:
     """Identifier of the codimension-one subgroup H_mu, keyed by the
-    sign-canonical weight.  Construct via :func:`canonicalize`."""
+    sign-canonical weight.  Construct via :func:`canonicalize`.
+
+    Set once at construction: ``sort_key`` is (rank, coords), the order of
+    every sorted sequence of ids, and ``direction`` is the primitive
+    direction coords // gcd(coords); two ids are proportional exactly when
+    their directions are equal."""
 
     canonical: RestrictedWeight
 
     def __post_init__(self):
+        coords = self.canonical.coords
         if self.canonical.is_zero():
             raise ValueError("zero weight has no codimension-one subgroup")
-        first = next(c for c in self.canonical.coords if c != 0)
+        first = next(c for c in coords if c != 0)
         if first < 0:
             raise ValueError(f"{self.canonical} is not sign-canonical")
+        g = math.gcd(*coords)
+        object.__setattr__(self, "sort_key", (len(coords), coords))
+        object.__setattr__(self, "direction", tuple(c // g for c in coords))
+        object.__setattr__(self, "_hash", self.canonical._hash)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.canonical.coords == other.canonical.coords
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:
         return self.canonical.rank
-
-    def sort_key(self) -> tuple:
-        return (self.canonical.rank, self.canonical.coords)
 
     def __str__(self) -> str:
         return "H[" + ",".join(str(c) for c in self.canonical.coords) + "]"
@@ -84,6 +106,32 @@ class SubgroupId:
     def from_json(cls, data) -> "SubgroupId":
         coords = data["H"] if isinstance(data, dict) else data
         return cls(RestrictedWeight.from_json(coords))
+
+
+def _merge_sorted(a, s: int, b, t: int) -> tuple:
+    """s*a + t*b for nonzero s, t and two sequences of (SubgroupId, nonzero
+    count) pairs sorted by ``sort_key`` with unique ids, merged in one pass.
+    Counts that cancel are dropped, the result is sorted the same way, and an
+    id present on both sides keeps the object from ``a``."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (h, c), (g, d) = a[i], b[j]
+        if h.sort_key < g.sort_key:
+            out.append((h, s * c))
+            i += 1
+        elif g.sort_key < h.sort_key:
+            out.append((g, t * d))
+            j += 1
+        else:
+            if s * c + t * d:
+                out.append((h, s * c + t * d))
+            i += 1
+            j += 1
+    out += [(h, s * c) for h, c in a[i:]]
+    out += [(g, t * d) for g, d in b[j:]]
+    return tuple(out)
 
 
 def canonicalize(mu: RestrictedWeight) -> SubgroupId:

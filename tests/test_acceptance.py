@@ -8,6 +8,13 @@ import pytest
 
 from torusbif import selftest
 
+# The case counts of the two slowest sweeps, pinned so that no speed-up can
+# shrink what they cover.
+EXPECTED_DETAIL = {
+    "coefficient-formula": "1620 coefficient identities, 10530 vanishing checks",
+    "euler-ring-axioms": "10000 randomized cases per law",
+}
+
 
 @pytest.mark.parametrize(
     "criterion",
@@ -18,3 +25,5 @@ def test_criterion(criterion):
     result = criterion(seed=0)
     print(selftest.format_result(result), end="")
     assert result.passed, f"{result.slug}: {result.detail}"
+    if result.slug in EXPECTED_DETAIL:
+        assert result.detail == EXPECTED_DETAIL[result.slug]

@@ -299,3 +299,25 @@ def test_certificate_json_round_trip():
         cert = certify_unbounded(S2, sig(1, 2), level)
         back = UnboundednessCertificate.from_json(cert.to_json())
         assert back == cert
+
+
+@pytest.mark.parametrize("value", ["3", 3.9, True, None])
+def test_bifurcation_level_reader_is_strict(value):
+    data = bifurcation_levels(S2, sig(1, 2), 6)[0].to_json()
+    data["kernel_dim"] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        BifurcationLevel.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("unbounded", "false"), ("symmetry_breaking", "false"), ("unbounded", 0), ("symmetry_breaking", None), ("coeff", 2.5)],
+)
+def test_certificate_reader_is_strict(field, value):
+    data = certify_unbounded(S2, sig(1, 2), 2).to_json()
+    if field == "coeff":
+        data["ledger"][0]["coeff"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match="expected an? (integer|boolean)"):
+        UnboundednessCertificate.from_json(data)

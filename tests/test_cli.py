@@ -324,14 +324,22 @@ def test_branch_kernel_restriction_error_is_domain_failure(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import torusbif
+
+    # the child imports the same torusbif as this process, installed or not
+    src = str(Path(torusbif.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg = write_config(tmp_path, SPHERE_CFG)
     proc = subprocess.run(
         [sys.executable, "-m", "torusbif", "spectrum", "--config", cfg, "--format", "csv"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("0,1,(0)")

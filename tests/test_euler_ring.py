@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusbif import UNIT, ZERO, EulerRingElement, RestrictedWeight, canonicalize
+from torusbif import UNIT, ZERO, EulerRingElement, RestrictedWeight, canonicalize, proportional
 
 H10 = canonicalize(RestrictedWeight((1, 0)))
 H01 = canonicalize(RestrictedWeight((0, 1)))
@@ -117,6 +117,13 @@ def test_affine_power_closed_form_matches_iterated_multiplication():
             assert x**n == expected
 
 
+def test_product_of_different_ranks_is_rejected():
+    with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
+        EulerRingElement.generator(H1) * EulerRingElement.generator(H10)
+    with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
+        el(1, ((H1, 1), (H10, 1))) ** 2
+
+
 # -- coefficient extraction -----------------------------------------------------
 
 
@@ -187,3 +194,133 @@ def test_json_round_trip():
     back = EulerRingElement.from_json(data)
     assert back == x
     assert back.truncated == x.truncated
+
+
+def test_json_without_flag_reads_untruncated():
+    back = EulerRingElement.from_json({"unit": 1, "codim1": [{"H": [1, 0], "c": 2}]})
+    assert back == el(1, ((H10, 2),))
+    assert back.truncated is False
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("unit", 1.7), ("unit", "1"), ("unit", True), ("c", 2.9), ("c", None), ("truncated", "no"), ("truncated", 1)],
+)
+def test_json_reader_is_strict(field, value):
+    data = {"unit": 1, "codim1": [{"H": [1, 0], "c": 2}], "truncated": False}
+    if field == "c":
+        data["codim1"][0]["c"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match="expected an? (integer|boolean)"):
+        EulerRingElement.from_json(data)
+
+
+# -- differential check against a plain reference ----------------------------
+#
+# The reference keeps the textbook algorithms: a dict accumulation sorted by
+# (rank, coords), a pairwise ``proportional`` scan for the truncation flag,
+# and powers by iterated multiplication.  Elements are (unit, codim1,
+# truncated) triples.
+
+
+def _ref_normalize(pairs):
+    acc = {}
+    for h, c in pairs:
+        acc[h] = acc.get(h, 0) + c
+    return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: (hc[0].rank, hc[0].canonical.coords)))
+
+
+def _ref(x):
+    return (x.unit, x.codim1, x.truncated)
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], _ref_normalize(x[1] + y[1]), x[2] or y[2])
+
+
+def ref_scaled(x, n):
+    return (n * x[0], _ref_normalize((h, n * c) for h, c in x[1]), x[2])
+
+
+def ref_mul(x, y):
+    codim1 = _ref_normalize([(h, y[0] * c) for h, c in x[1]] + [(h, x[0] * c) for h, c in y[1]])
+    dropped = x[2] or y[2]
+    if not dropped:
+        dropped = any(not proportional(h.canonical, g.canonical) for h, _ in x[1] for g, _ in y[1])
+    return (x[0] * y[0], codim1, dropped)
+
+
+def ref_inverse(x):
+    if x[0] not in (1, -1):
+        raise ValueError("not invertible in truncated ring")
+    return (x[0], tuple((h, -c) for h, c in x[1]), x[2] or bool(x[1]))
+
+
+def ref_pow(x, n):
+    if n < 0:
+        return ref_pow(ref_inverse(x), -n)
+    out = (1, (), False)
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    unit, codim1, truncated = want
+    assert repr(got) == f"EulerRingElement(unit={unit}, codim1={codim1!r}, truncated={truncated})"
+    assert got.truncated is truncated
+    assert got.codim1 == codim1  # same order, not just the same set
+
+
+# pools of one rank each, with proportional pairs (distinct ids, one direction)
+REF_POOLS = [
+    [canonicalize(RestrictedWeight(c)) for c in [(1,), (2,), (3,)]],
+    [canonicalize(RestrictedWeight(c)) for c in [(1, 0), (2, 0), (1, 1), (2, 2), (0, 1), (1, -1), (3, -2), (2, 1)]],
+    [canonicalize(RestrictedWeight(c)) for c in [(1, 0, 0), (2, 0, 0), (0, 1, -1), (0, 2, -2), (1, 1, 1)]],
+]
+
+
+@st.composite
+def same_rank_pairs(draw):
+    pool = draw(st.sampled_from(REF_POOLS))
+
+    def element():
+        codim1 = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-4, 4)), max_size=6))
+        return EulerRingElement(draw(st.integers(-3, 3)), tuple(codim1), draw(st.booleans()))
+
+    return element(), element()
+
+
+@settings(max_examples=500, deadline=None)
+@given(same_rank_pairs(), st.integers(-3, 6), st.integers(-3, 3))
+def test_ring_operations_match_reference(pair, n, k):
+    x, y = pair
+    rx, ry = _ref(x), _ref(y)
+    _assert_same(x * y, ref_mul(rx, ry))
+    _assert_same(x + y, ref_add(rx, ry))
+    _assert_same(x - y, ref_add(rx, ref_scaled(ry, -1)))
+    _assert_same(-x, ref_scaled(rx, -1))
+    _assert_same(x.scaled(k), ref_scaled(rx, k))
+    _assert_same(_outcome(EulerRingElement.inverse, x), _outcome(ref_inverse, rx))
+    _assert_same(_outcome(pow, x, n), _outcome(ref_pow, rx, n))
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.tuples(*[st.lists(st.integers(-6, 6), min_size=r, max_size=r).map(tuple)] * 2)
+    ).filter(lambda uv: any(uv[0]) and any(uv[1]))
+)
+def test_proportional_iff_same_direction(uv):
+    h, g = (canonicalize(RestrictedWeight(c)) for c in uv)
+    assert proportional(h.canonical, g.canonical) == (h.direction == g.direction)

@@ -10,6 +10,7 @@ from torusbif import (
     RestrictedWeight,
     SpectralLevel,
     SymmetricSpaceData,
+    TorusRepDecomposition,
     canonicalize,
     eigenvalue_of,
     harmonic_dim,
@@ -307,3 +308,23 @@ def test_spectrum_csv_shape():
 def test_spectral_level_json_round_trip():
     for lv in spectrum_up_to(P22, 8):
         assert SpectralLevel.from_json(lv.to_json()) == lv
+
+
+@pytest.mark.parametrize("value", [3.9, "3", False])
+def test_spectral_level_reader_is_strict(value):
+    data = spectrum_up_to(P22, 2)[1].to_json()
+    data["real_dim"] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        SpectralLevel.from_json(data)
+
+
+@pytest.mark.parametrize("field, value", [("k0", 1.5), ("k0", "1"), ("mult", 2.9), ("mult", True)])
+def test_decomposition_reader_is_strict(field, value):
+    data = spectrum_up_to(P22, 2)[1].torus_decomp.to_json()
+    assert TorusRepDecomposition.from_json(data).to_json() == data
+    if field == "k0":
+        data["k0"] = value
+    else:
+        data["mults"][0]["mult"] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        TorusRepDecomposition.from_json(data)
