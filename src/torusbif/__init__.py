@@ -21,12 +21,9 @@ from .bifurcation import (
     BifurcationLevel,
     SystemSignature,
     UnboundednessCertificate,
-    bifurcation_index,
     bifurcation_levels,
     cancellation_impossible,
     certify_levels,
-    certify_unbounded,
-    coeff_formula_check,
     neg_identity_degree,
     witness_coefficient,
 )
@@ -71,12 +68,9 @@ __all__ = [
     "BifurcationLevel",
     "SystemSignature",
     "UnboundednessCertificate",
-    "bifurcation_index",
     "bifurcation_levels",
     "cancellation_impossible",
     "certify_levels",
-    "certify_unbounded",
-    "coeff_formula_check",
     "neg_identity_degree",
     "witness_coefficient",
     "BranchState",

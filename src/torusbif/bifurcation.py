@@ -25,8 +25,7 @@ what forces any bounded return to the trivial branch into a contradiction.
 
 Each level needs only V and W, so one ascending sweep with a running sum for W
 serves a whole range: bifurcation_levels and certify_levels enumerate the
-spectrum once; the per-level functions sweep up to |level| and keep the last
-split.  witness_coefficient is the one copy of the closed form.
+spectrum once.  witness_coefficient is the one copy of the closed form.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from typing import Iterator, NamedTuple
 
 from .euler_ring import UNIT, EulerRingElement, _element
 from .jsonio import bool_from_json, frac_from_json, frac_to_json, int_from_json
-from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, eigenvalue_of, spectrum_up_to
-from .weights import RestrictedWeight, SubgroupId, canonicalize
+from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, spectrum_up_to
+from .weights import SubgroupId, canonicalize
 
 
 @dataclass(frozen=True)
@@ -166,15 +165,6 @@ def _sweep(space: SymmetricSpaceData, cutoff) -> Iterator[_Split]:
         w, d_w = wv, d_w + v.real_dim
 
 
-def _split_at(space: SymmetricSpaceData, level) -> _Split:
-    """The split at |level|: a sweep up to it, keeping the last split."""
-    lam = abs(Fraction(level))
-    *_, split = _sweep(space, lam)  # never empty: 0 is always an eigenvalue
-    if split.v.eigenvalue != lam:
-        raise ValueError(f"{level} is not (plus or minus) an eigenvalue of this space")
-    return split
-
-
 def _equations_at(sig: SystemSignature, level: Fraction) -> int:
     """n_- above zero, n_+ below, p at zero; 0 means no candidate level."""
     if level == 0:
@@ -189,12 +179,6 @@ def _candidates(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> list
         lam = split.v.eigenvalue
         out.extend((level, split) for level in {lam, -lam} if _equations_at(sig, level))
     return sorted(out, key=lambda ls: ls[0])
-
-
-def _check_level_admissible(sig: SystemSignature, level: Fraction) -> None:
-    if not _equations_at(sig, level):
-        sign = "-1" if level > 0 else "+1"
-        raise ValueError(f"level {level} is not a candidate level when no equation has a_i = {sign}")
 
 
 def neg_identity_degree(decomp: TorusRepDecomposition) -> EulerRingElement:
@@ -213,22 +197,14 @@ def witness_coefficient(n: int, dim_parity: int) -> int:
     return (-1) ** ((dim_parity % 2) * n + 1) * n
 
 
-def _index(sig: SystemSignature, level: Fraction, split: _Split | None) -> EulerRingElement:
-    """Index across a candidate level; the zero level needs no split."""
+def _index(sig: SystemSignature, level: Fraction, split: _Split) -> EulerRingElement:
+    """Index across a candidate level; the zero level does not read the split."""
     if level == 0:
         return UNIT.scaled((-1) ** sig.n_minus - (-1) ** sig.n_plus)
     deg_v = neg_identity_degree(split.v.torus_decomp)
     if level > 0:
         return (neg_identity_degree(split.w) ** sig.n_minus) * (deg_v ** sig.n_minus - UNIT)
     return (neg_identity_degree(split.wv) ** (-sig.n_plus)) * (deg_v ** sig.n_plus - UNIT)
-
-
-def bifurcation_index(space: SymmetricSpaceData, sig: SystemSignature, level) -> EulerRingElement:
-    """Index of the trivial branch across a candidate level, evaluated in the
-    truncated Euler ring."""
-    lam = Fraction(level)
-    _check_level_admissible(sig, lam)
-    return _index(sig, lam, _split_at(space, lam) if lam else None)
 
 
 def bifurcation_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[BifurcationLevel, ...]:
@@ -238,27 +214,6 @@ def bifurcation_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) 
         BifurcationLevel(lam, _equations_at(sig, lam) * split.v.real_dim, _index(sig, lam, split))
         for lam, split in _candidates(space, sig, cutoff)
     )
-
-
-def coeff_formula_check(
-    space: SymmetricSpaceData,
-    sig: SystemSignature,
-    alpha: RestrictedWeight,
-    sign: int = 1,
-) -> tuple[int, int]:
-    """Witness coefficient of the index at sign * lambda_alpha, paired with its
-    closed form :func:`witness_coefficient`.  Both integers are returned for
-    comparison."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    lam = eigenvalue_of(space, alpha)
-    if lam == 0:
-        raise ValueError("the zero level has no witness coefficient")
-    level = sign * lam
-    _check_level_admissible(sig, level)
-    split = _split_at(space, level)
-    computed = _index(sig, level, split).coeff_at(canonicalize(alpha))
-    return computed, witness_coefficient(_equations_at(sig, level), split.dim_parity)
 
 
 def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
@@ -273,9 +228,9 @@ def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
     return (-1) ** e * n_minus != -n_plus
 
 
-def _certificate(sig: SystemSignature, level: Fraction, split: _Split | None) -> UnboundednessCertificate:
-    """Certificate at a level, or ValueError with the reason there is none.
-    The split is read only at guaranteed nonzero levels."""
+def _certificate(sig: SystemSignature, level: Fraction, split: _Split) -> UnboundednessCertificate:
+    """Certificate at a candidate level, or ValueError with the reason there
+    is none."""
     if level == 0:
         if sig.p % 2 == 0:
             raise ValueError("no bifurcation guaranteed at this level: p is even")
@@ -292,10 +247,6 @@ def _certificate(sig: SystemSignature, level: Fraction, split: _Split | None) ->
             conclusion=conclusion,
             symmetry_breaking=False,
         )
-
-    if not _equations_at(sig, level):
-        sign = "-1" if level > 0 else "+1"
-        raise ValueError(f"no bifurcation guaranteed at this level: no equation has a_i = {sign}")
 
     lam_abs = abs(level)
     witness = canonicalize(split.v.alphas[0])
@@ -330,8 +281,10 @@ def _certificate(sig: SystemSignature, level: Fraction, split: _Split | None) ->
     )
 
 
-def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) -> UnboundednessCertificate:
-    """Certificate that the continuum bifurcating at the level is unbounded.
+def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[tuple[Fraction, UnboundednessCertificate | str], ...]:
+    """Every candidate level in [-cutoff, cutoff], ascending, with the
+    certificate that the continuum bifurcating there is unbounded, or with the
+    reason no certificate was issued.
 
     Nonzero level: among candidate levels of any bounded return set, only the
     two of maximal absolute value can contribute to the witness coefficient,
@@ -340,15 +293,6 @@ def certify_unbounded(space: SymmetricSpaceData, sig: SystemSignature, level) ->
     continuum through zero would pass through some nonzero level whose own
     certificate applies.
     """
-    lam = Fraction(level)
-    split = _split_at(space, level) if lam and _equations_at(sig, lam) else None
-    return _certificate(sig, lam, split)
-
-
-def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[tuple[Fraction, UnboundednessCertificate | str], ...]:
-    """Every candidate level in [-cutoff, cutoff], ascending, with its
-    certificate, or with the reason no certificate was issued (the message
-    :func:`certify_unbounded` would raise)."""
     out = []
     for lam, split in _candidates(space, sig, cutoff):
         try:

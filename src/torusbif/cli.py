@@ -264,7 +264,12 @@ def cmd_branch(raw: dict, base_dir, out, seed: int) -> int:
     try:
         K = int_from_json(block["K"])
         crossing = frac_from_json(block["crossing"])
-        max_steps = int_from_json(block.get("max_steps", 500))
+        opts = ContinuationOptions(
+            step=block.get("step", 0.05),
+            max_steps=int_from_json(block.get("max_steps", 500)),
+            target_norm=block.get("target_norm", 1.0),
+            isotropy_restriction=block.get("isotropy_restriction"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")
@@ -275,12 +280,6 @@ def cmd_branch(raw: dict, base_dir, out, seed: int) -> int:
     known = {c.lam for c in trivial_branch_crossings(basis, sig, (crossing, crossing))}
     if crossing not in known:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
-    opts = ContinuationOptions(
-        step=float(block.get("step", 0.05)),
-        max_steps=max_steps,
-        target_norm=float(block.get("target_norm", 1.0)),
-        isotropy_restriction=block.get("isotropy_restriction"),
-    )
     code = 0
     try:
         result = continue_branch(basis, nl, sig, crossing, opts)

@@ -17,6 +17,8 @@ is not a finitely checkable property.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +39,19 @@ from .galerkin import (
 ISOTROPY_RESTRICTIONS = ("axisymmetric",)
 
 
-@dataclass
+def _positive_real(name: str, x) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {x!r}")
+    return float(x)
+
+
+@dataclass(frozen=True)
 class ContinuationOptions:
+    """Step control and stopping rule of a continuation run.  Step sizes and
+    the target norm are checked here, and the options are frozen so the check
+    holds for the whole run: a nan step would halve forever without ever
+    reaching ``min_step``."""
+
     step: float = 0.05
     max_steps: int = 500
     target_norm: float = 1.0
@@ -48,6 +61,14 @@ class ContinuationOptions:
     max_newton_iter: int = 25
     min_step: float = 1e-6
     max_step: float = 0.2
+
+    def __post_init__(self):
+        for name in ("step", "target_norm", "min_step", "max_step"):
+            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
+        if self.min_step > self.max_step:
+            raise ValueError(f"min_step {self.min_step} exceeds max_step {self.max_step}")
+        if self.isotropy_restriction is not None and self.isotropy_restriction not in ISOTROPY_RESTRICTIONS:
+            raise ValueError(f"unknown isotropy restriction {self.isotropy_restriction!r}")
 
 
 @dataclass
@@ -67,8 +88,6 @@ class ContinuationError(RuntimeError):
 def _active_indices(basis: GalerkinBasis, p: int, restriction: str | None) -> np.ndarray:
     if restriction is None:
         return np.arange(p * basis.n_modes)
-    if restriction not in ISOTROPY_RESTRICTIONS:
-        raise ValueError(f"unknown isotropy restriction {restriction!r}")
     keep = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
     return np.concatenate([np.asarray(keep) + comp * basis.n_modes for comp in range(p)])
 

@@ -33,7 +33,7 @@ def _normalize(codim1) -> Codim1:
     for h, c in items:
         if not isinstance(h, SubgroupId):
             raise TypeError(f"codim1 keys must be SubgroupId, got {type(h).__name__}")
-        acc[h] = acc.get(h, 0) + int(c)
+        acc[h] = acc.get(h, 0) + int_from_json(c)
     return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: hc[0].sort_key))
 
 
@@ -88,7 +88,7 @@ class EulerRingElement:
     truncated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "unit", int(self.unit))
+        object.__setattr__(self, "unit", int_from_json(self.unit))
         object.__setattr__(self, "codim1", _normalize(self.codim1))
 
     @cached_property
@@ -149,7 +149,7 @@ class EulerRingElement:
         return self + (-other)
 
     def scaled(self, n: int) -> "EulerRingElement":
-        n = int(n)
+        n = int_from_json(n)
         return _element(n * self.unit, _scale(self.codim1, n), self.truncated)
 
     # -- ring structure -----------------------------------------------------
@@ -182,7 +182,7 @@ class EulerRingElement:
         """(u*I + b)^n = u^n I + n u^(n-1) b, since b*b has no codimension-one
         part; for n >= 2 the power discards codimension-two classes exactly
         when b is supported on two non-proportional ids."""
-        n = int(n)
+        n = int_from_json(n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
@@ -217,8 +217,8 @@ class EulerRingElement:
 
     @classmethod
     def from_json(cls, data) -> "EulerRingElement":
-        codim1 = tuple((SubgroupId.from_json(e), int_from_json(e["c"])) for e in data.get("codim1", ()))
-        return cls(int_from_json(data["unit"]), codim1, bool_from_json(data.get("truncated", False)))
+        codim1 = tuple((SubgroupId.from_json(e), e["c"]) for e in data.get("codim1", ()))
+        return cls(data["unit"], codim1, bool_from_json(data.get("truncated", False)))
 
 
 UNIT = EulerRingElement.unit_element()

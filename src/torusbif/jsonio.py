@@ -31,6 +31,8 @@ def frac_from_json(data) -> Fraction:
 def int_from_json(data) -> int:
     """Parse an integer.  Booleans, floats and strings are rejected rather
     than truncated, so a config never runs with a value it did not state."""
+    if type(data) is int:  # the common case, ahead of the slower ABC check
+        return data
     if isinstance(data, bool) or not isinstance(data, numbers.Integral):
         raise ValueError(f"expected an integer, got {data!r}")
     return int(data)

@@ -29,7 +29,7 @@ class RestrictedWeight:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(int_from_json(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_hash", hash(coords))
 
@@ -57,7 +57,7 @@ class RestrictedWeight:
 
     @classmethod
     def from_json(cls, data) -> "RestrictedWeight":
-        return cls(tuple(int_from_json(c) for c in data))
+        return cls(tuple(data))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,10 @@ from torusbif import (
     SystemSignature,
     TorusRepDecomposition,
     UnboundednessCertificate,
-    bifurcation_index,
     bifurcation_levels,
     cancellation_impossible,
     canonicalize,
     certify_levels,
-    certify_unbounded,
-    coeff_formula_check,
     neg_identity_degree,
     spectrum_up_to,
     witness_coefficient,
@@ -28,6 +25,7 @@ W = RestrictedWeight
 S2 = SymmetricSpaceData.sphere(2)
 S3 = SymmetricSpaceData.sphere(3)
 P22 = SymmetricSpaceData.product_of_spheres([2, 2])
+P23 = SymmetricSpaceData.product_of_spheres([2, 3])
 H1 = canonicalize(W((1,)))
 H2 = canonicalize(W((2,)))
 
@@ -38,6 +36,16 @@ def sig(n_plus, n_minus):
 
 def decomp(k0, mults):
     return TorusRepDecomposition.from_dict(k0, mults)
+
+
+def index_at(space, s, level):
+    """The index at one candidate level, read off the range up to |level|."""
+    return {bl.level: bl.index for bl in bifurcation_levels(space, s, abs(level))}[Fraction(level)]
+
+
+def cert_at(space, s, level):
+    """The certificate (or the reason for none) at one candidate level."""
+    return dict(certify_levels(space, s, abs(level)))[Fraction(level)]
 
 
 # -- degree of the negative identity ------------------------------------------
@@ -89,31 +97,22 @@ def test_kernel_dimensions():
 
 
 def test_index_first_level_single_negative_equation():
-    got = bifurcation_index(S2, sig(0, 1), 2)
+    got = index_at(S2, sig(0, 1), 2)
     assert got == EulerRingElement(2, ((H1, -1),))
     assert got.coeff_at(H1) == -1
 
 
 def test_index_negative_level_single_positive_equation():
-    got = bifurcation_index(S2, sig(1, 0), -2)
+    got = index_at(S2, sig(1, 0), -2)
     # inverse of I - chi times (-2I + chi), truncated
     assert got == EulerRingElement(-2, ((H1, -1),))
     assert got.coeff_at(H1) == -1
 
 
 def test_index_zero_level_values():
-    assert bifurcation_index(S2, sig(2, 1), 0) == UNIT.scaled(-2)
-    assert bifurcation_index(S2, sig(1, 2), 0) == UNIT.scaled(2)
-    assert bifurcation_index(S2, sig(1, 1), 0).is_zero()
-
-
-def test_index_rejects_levels_outside_candidate_set():
-    with pytest.raises(ValueError):
-        bifurcation_index(S2, sig(1, 0), 2)  # positive level needs a_i = -1
-    with pytest.raises(ValueError):
-        bifurcation_index(S2, sig(0, 1), -2)
-    with pytest.raises(ValueError):
-        bifurcation_index(S2, sig(1, 1), 3)  # not an eigenvalue
+    assert index_at(S2, sig(2, 1), 0) == UNIT.scaled(-2)
+    assert index_at(S2, sig(1, 2), 0) == UNIT.scaled(2)
+    assert index_at(S2, sig(1, 1), 0).is_zero()
 
 
 def test_index_nonvanishing_on_guaranteed_levels():
@@ -142,28 +141,43 @@ def test_witness_coefficient_closed_form():
 
 
 def test_coeff_formula_first_level():
-    assert coeff_formula_check(S2, sig(0, 1), W((1,))) == (-1, -1)
+    # d_W + d_V = 1 + 3
+    assert index_at(S2, sig(0, 1), 2).coeff_at(H1) == witness_coefficient(1, 4) == -1
 
 
 def test_coeff_formula_second_level_two_negative_equations():
-    computed, closed = coeff_formula_check(S2, sig(0, 2), W((2,)))
+    closed = witness_coefficient(2, 4 + 5)
     assert closed == (-1) ** ((4 + 5) * 2 + 1) * 2 == -2
-    assert computed == closed
+    assert index_at(S2, sig(0, 2), 6).coeff_at(H2) == closed
 
 
 def test_coeff_formula_negative_side():
-    computed, closed = coeff_formula_check(S2, sig(1, 0), W((1,)), sign=-1)
-    assert (computed, closed) == (-1, -1)
+    assert index_at(S2, sig(1, 0), -2).coeff_at(H1) == witness_coefficient(1, 4) == -1
 
 
 def test_lower_level_coefficient_vanishes():
-    index = bifurcation_index(S2, sig(0, 1), 2)
-    assert index.coeff_at(H2) == 0
+    assert index_at(S2, sig(0, 1), 2).coeff_at(H2) == 0
 
 
-def test_coeff_formula_rejects_zero_weight():
-    with pytest.raises(ValueError):
-        coeff_formula_check(S2, sig(0, 1), W((0,)))
+def test_ledger_matches_closed_form_from_summed_dimensions():
+    # ties the sweep's running parity of d_W + d_V to the level dimensions
+    for space in (S2, S3, P22, P23):
+        dims = {}
+        total = 0
+        for lv in spectrum_up_to(space, 30):
+            total += lv.real_dim
+            dims[lv.eigenvalue] = total
+        for p in range(1, 4):
+            for n_plus in range(p + 1):
+                s = sig(n_plus, p - n_plus)
+                for level, cert in certify_levels(space, s, 30):
+                    if level == 0 and p % 2 == 0:
+                        continue
+                    for lv, coeff in cert.ledger:
+                        if lv == 0:
+                            continue
+                        n = s.n_minus if lv > 0 else s.n_plus
+                        assert coeff == witness_coefficient(n, dims[abs(lv)] % 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,7 +215,7 @@ def test_parity_substitution_never_changes_signs():
 
 
 def test_certificate_single_negative_equation():
-    cert = certify_unbounded(S2, sig(0, 1), 2)
+    cert = cert_at(S2, sig(0, 1), 2)
     assert cert.witness == H1
     assert cert.ledger == ((Fraction(2), -1),)
     assert cert.coefficient_sum() == -1
@@ -210,54 +224,33 @@ def test_certificate_single_negative_equation():
 
 
 def test_certificate_both_signs():
-    cert = certify_unbounded(S2, sig(1, 1), 2)
+    cert = cert_at(S2, sig(1, 1), 2)
     assert cert.ledger == ((Fraction(-2), -1), (Fraction(2), -1))
     assert cert.coefficient_sum() == -2
 
 
 def test_certificate_zero_level_odd_p():
-    cert = certify_unbounded(S2, sig(1, 2), 0)  # n_minus = 2, n_plus = 1
+    cert = cert_at(S2, sig(1, 2), 0)  # n_minus = 2, n_plus = 1
     assert cert.witness is None
     assert cert.ledger == ((Fraction(0), 2),)
     assert not cert.symmetry_breaking
-    cert = certify_unbounded(S2, sig(2, 1), 0)  # n_minus = 1, n_plus = 2
+    cert = cert_at(S2, sig(2, 1), 0)  # n_minus = 1, n_plus = 2
     assert cert.ledger == ((Fraction(0), -2),)
 
 
 def test_certificate_refuses_even_p_at_zero():
-    with pytest.raises(ValueError, match="no bifurcation guaranteed"):
-        certify_unbounded(S2, sig(1, 1), 0)
+    assert cert_at(S2, sig(1, 1), 0) == "no bifurcation guaranteed at this level: p is even"
 
 
 def test_certificate_refuses_wrong_sign():
-    with pytest.raises(ValueError, match="no bifurcation guaranteed"):
-        certify_unbounded(S2, sig(0, 1), -2)
+    # -2 needs an equation with a_i = +1, so no certificate is issued there
+    assert [lv for lv, _ in certify_levels(S2, sig(0, 1), 2)] == [0, 2]
 
 
 def test_certificate_on_product_space():
-    cert = certify_unbounded(P22, sig(0, 1), 2)
+    cert = cert_at(P22, sig(0, 1), 2)
     assert cert.witness == canonicalize(W((0, 1)))
     assert cert.coefficient_sum() != 0
-
-
-def test_certify_levels_matches_per_level_certificates():
-    for space in (S2, P22):
-        for s in (sig(0, 1), sig(1, 0), sig(1, 1), sig(1, 2)):
-            got = certify_levels(space, s, 12)
-            assert [lv for lv, _ in got] == [bl.level for bl in bifurcation_levels(space, s, 12)]
-            for level, cert in got:
-                try:
-                    want = certify_unbounded(space, s, level)
-                except ValueError as exc:
-                    want = str(exc)
-                assert cert == want
-
-
-def test_levels_match_per_level_index():
-    for space in (S2, P22):
-        for s in (sig(0, 2), sig(2, 1), sig(1, 1)):
-            for bl in bifurcation_levels(space, s, 12):
-                assert bl.index == bifurcation_index(space, s, bl.level)
 
 
 def test_one_enumeration_per_range(monkeypatch):
@@ -296,7 +289,7 @@ def test_bifurcation_level_json_round_trip():
 
 def test_certificate_json_round_trip():
     for level in (2, 0):
-        cert = certify_unbounded(S2, sig(1, 2), level)
+        cert = cert_at(S2, sig(1, 2), level)
         back = UnboundednessCertificate.from_json(cert.to_json())
         assert back == cert
 
@@ -314,7 +307,7 @@ def test_bifurcation_level_reader_is_strict(value):
     [("unbounded", "false"), ("symmetry_breaking", "false"), ("unbounded", 0), ("symmetry_breaking", None), ("coeff", 2.5)],
 )
 def test_certificate_reader_is_strict(field, value):
-    data = certify_unbounded(S2, sig(1, 2), 2).to_json()
+    data = cert_at(S2, sig(1, 2), 2).to_json()
     if field == "coeff":
         data["ledger"][0]["coeff"] = value
     else:

@@ -299,6 +299,26 @@ def test_branch_non_integer_block_entry_rejected(tmp_path, capsys, key, value):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("step", "nan"),
+        ("step", float("nan")),  # written as the JSON literal NaN
+        ("step", "abc"),
+        ("step", 0),
+        ("target_norm", True),
+        ("target_norm", -1.0),
+        ("isotropy_restriction", "bogus"),
+    ],
+)
+def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], key: value}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert code == 2
+    assert "bad galerkin block: " in err
+    assert out == ""
+
+
 def test_branch_zero_denominator_crossing_rejected(tmp_path, capsys):
     block = {**BRANCH_CFG["galerkin"], "crossing": {"num": 2, "den": 0}}
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": block})

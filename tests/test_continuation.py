@@ -141,6 +141,29 @@ def test_unknown_restriction_name():
         continue_branch(BASIS, QUARTIC, NEG, 2, axisymmetric_opts(isotropy_restriction="octahedral"))
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"step": float("nan")},
+        {"step": float("inf")},
+        {"step": "0.05"},
+        {"step": True},
+        {"target_norm": 0.0},
+        {"max_step": -0.2},
+        {"min_step": 0.5},  # above max_step
+    ],
+)
+def test_options_reject_bad_step_control(kw):
+    with pytest.raises(ValueError):
+        ContinuationOptions(**kw)
+
+
+def test_options_cannot_be_changed_after_validation():
+    opts = axisymmetric_opts()
+    with pytest.raises(AttributeError):
+        opts.step = float("nan")
+
+
 def test_newton_breakdown_raises_with_partial_branch():
     def bad_grad(u, lam):
         out = -np.sum(u * u, axis=0) * u

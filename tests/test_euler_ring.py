@@ -216,6 +216,22 @@ def test_json_reader_is_strict(field, value):
         EulerRingElement.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EulerRingElement(1.9),
+        lambda: EulerRingElement(1, ((H1, 2.9),)),
+        lambda: UNIT.scaled(2.7),
+        lambda: el(1, ((H1, 1),)) ** 2.5,
+        lambda: RestrictedWeight((1.5, 2)),
+    ],
+    ids=["unit", "coefficient", "scaled", "pow", "weight"],
+)
+def test_library_constructors_reject_non_integers(build):
+    with pytest.raises(ValueError, match="expected an integer"):
+        build()
+
+
 # -- differential check against a plain reference ----------------------------
 #
 # The reference keeps the textbook algorithms: a dict accumulation sorted by
