@@ -2,7 +2,7 @@
 elliptic systems on compact symmetric spaces, with a desk-scale numerical
 continuation witness on the 2-sphere."""
 
-from .weights import RestrictedWeight, SubgroupId, canonicalize, proportional
+from .weights import RestrictedWeight, SubgroupId, canonicalize
 from .euler_ring import UNIT, ZERO, EulerRingElement
 from .spaces import (
     GenericTables,
@@ -50,7 +50,6 @@ __all__ = [
     "RestrictedWeight",
     "SubgroupId",
     "canonicalize",
-    "proportional",
     "UNIT",
     "ZERO",
     "EulerRingElement",

@@ -119,11 +119,11 @@ def cmd_spectrum(raw: dict, base_dir, fmt: str) -> str:
 
 
 def cmd_decompose(raw: dict, base_dir, fmt: str) -> str:
+    if fmt == "csv":
+        raise ConfigError("decompose writes json or pretty; for csv use spectrum")
     space = require_space(raw, base_dir)
     cutoff = require_cutoff(raw)
     levels = spectrum_up_to(space, cutoff)
-    if fmt == "csv":
-        return spectrum_to_csv(levels)
     if fmt == "json":
         payload = {
             "space": str(space),
@@ -253,7 +253,7 @@ def branch_csv(basis: GalerkinBasis, sig: SystemSignature, states) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_branch(raw: dict, base_dir, out, seed: int) -> int:
+def cmd_branch(raw: dict, base_dir, out) -> int:
     space = require_space(raw, base_dir)
     if space.kind != "sphere" or space.factors != (2,):
         raise ConfigError("the branch solver supports the 2-sphere only")
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
             text, code = cmd_certify(raw, base_dir, args.format)
             _emit(text, args.out)
             return code
-        return cmd_branch(raw, base_dir, args.out, args.seed)
+        return cmd_branch(raw, base_dir, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

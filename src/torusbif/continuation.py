@@ -4,9 +4,11 @@ Branch switching pins the kernel coordinate at a small onset amplitude and
 solves for the remaining coordinates and the parameter; afterwards the branch
 is traced with a tangent predictor and a Newton corrector on the residual
 extended by the arclength constraint.  Kernels with symmetry-induced
-multiplicity are cut down by restricting to an isotropy subspace
-(``axisymmetric`` keeps the m = 0 modes), which must leave a one-dimensional
-kernel at the chosen crossing.
+multiplicity are cut down by restricting to an isotropy subspace, which must
+leave a one-dimensional kernel at the chosen crossing.  A restriction is a
+subset of the modes (``axisymmetric`` keeps m = 0): the solver works in the
+restricted basis directly, and states are embedded into the full basis only
+when they are recorded.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, or when the branch re-enters a small
@@ -85,11 +87,10 @@ class ContinuationError(RuntimeError):
         self.states = states
 
 
-def _active_indices(basis: GalerkinBasis, p: int, restriction: str | None) -> np.ndarray:
+def _kept_modes(basis: GalerkinBasis, restriction: str | None) -> np.ndarray:
     if restriction is None:
-        return np.arange(p * basis.n_modes)
-    keep = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
-    return np.concatenate([np.asarray(keep) + comp * basis.n_modes for comp in range(p)])
+        return np.arange(basis.n_modes)
+    return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 0])
 
 
 def continue_branch(
@@ -113,33 +114,29 @@ def continue_branch(
     if lam0 not in crossings:
         raise ValueError(f"{crossing} is not a crossing of the trivial branch")
 
-    active = _active_indices(basis, p, opts.isotropy_restriction)
-    active_set = set(int(i) for i in active)
-    kernel_flat = [
-        comp * basis.n_modes + basis.mode_index[(k, m)]
+    keep = _kept_modes(basis, opts.isotropy_restriction)
+    sub = basis if opts.isotropy_restriction is None else basis.restrict(keep)
+    kernel = [
+        comp * sub.n_modes + sub.mode_index[(k, m)]
         for comp, k, m in crossings[lam0].modes
+        if (k, m) in sub.mode_index
     ]
-    kernel_active = [i for i in kernel_flat if i in active_set]
-    if len(kernel_active) != 1:
-        raise ValueError(
-            f"restricted kernel is {len(kernel_active)}-dimensional; apply isotropy restriction"
-        )
-    pos_of = {int(idx): pos for pos, idx in enumerate(active)}
-    k_pos = pos_of[kernel_active[0]]
-    n_act = active.size
+    if len(kernel) != 1:
+        raise ValueError(f"restricted kernel is {len(kernel)}-dimensional; apply isotropy restriction")
+    k_pos = kernel[0]
+    n_act = p * sub.n_modes
     lam0f = float(lam0)
     delta = opts.onset_amplitude
 
     def embed(x: np.ndarray) -> np.ndarray:
-        full = np.zeros(p * basis.n_modes)
-        full[active] = x
-        return full
+        full = np.zeros((p, basis.n_modes))
+        full[:, keep] = x.reshape(p, sub.n_modes)
+        return full.ravel()
 
     def F_and_J(x, lam, constraint_row, constraint_val):
-        full = embed(x)
-        R = residual_coeffs(basis, nl, sig, full, lam)[active]
-        J = residual_jacobian(basis, nl, sig, full, lam, active)
-        dlam = residual_lambda_derivative(basis, nl, sig, full, lam, active)
+        R = residual_coeffs(sub, nl, sig, x, lam)
+        J = residual_jacobian(sub, nl, sig, x, lam)
+        dlam = residual_lambda_derivative(sub, nl, sig, x, lam)
         F = np.concatenate([R, [constraint_val(x, lam)]])
         M = np.zeros((n_act + 1, n_act + 1))
         M[:n_act, :n_act] = J

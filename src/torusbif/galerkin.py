@@ -21,6 +21,7 @@ diagonal, so eigenvalue crossings are located exactly at lam = -a_i k(k+1).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import sph_legendre_p_all
+
+from .jsonio import int_from_json
 
 
 def degree_eigenvalue(k: int) -> int:
@@ -48,11 +51,12 @@ class GalerkinBasis:
     """
 
     def __init__(self, max_degree: int, quad_margin: int = 4):
-        if max_degree < 0:
+        K = int_from_json(max_degree)
+        quad_margin = int_from_json(quad_margin)
+        if K < 0:
             raise ValueError("max_degree must be nonnegative")
         if quad_margin < 2:
             raise ValueError("quad_margin must be at least 2")
-        K = int(max_degree)
         self.max_degree = K
         self.quad_degree = quad_margin * K
         n_theta = self.quad_degree // 2 + 1
@@ -80,6 +84,18 @@ class GalerkinBasis:
         trig = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
         trig[order == 0] = 1.0
         self.values = (legendre[:, :, None] * trig[:, None, :]).reshape(len(self.modes), -1)
+
+    def restrict(self, keep) -> "GalerkinBasis":
+        """The same quadrature on the modes ``keep`` (ascending indices into
+        ``modes``): a smaller basis whose coefficient vectors hold only the
+        kept modes."""
+        keep = np.asarray(keep)
+        sub = copy.copy(self)
+        sub.modes = tuple(self.modes[i] for i in keep)
+        sub.mode_index = {km: i for i, km in enumerate(sub.modes)}
+        sub.eigenvalues = self.eigenvalues[keep]
+        sub.values = self.values[keep]
+        return sub
 
     @property
     def n_modes(self) -> int:
@@ -111,27 +127,21 @@ class NonlinearitySpec:
     """Lower-order term h(u, lam) of the potential, given pointwise.
 
     ``value`` maps node values u of shape (p, nodes) to h(u) of shape (nodes,);
-    ``grad`` returns d_u h of shape (p, nodes); ``hess`` (optional) returns the
-    second derivative of shape (p, p, nodes).  ``grad_degree`` is the
-    polynomial degree of grad in u when known, used to confirm the quadrature
-    resolves the projected residual; ``lam_dependent`` marks an explicit
-    parameter dependence of grad.  The gradient must vanish to second order at
-    u = 0 so the trivial branch persists, and ``growth_exponent`` q must stay
-    subcritical (on a 2-dimensional space any finite q works).
+    ``grad`` returns d_u h of shape (p, nodes) and ``hess`` the second
+    derivative of shape (p, p, nodes), which the Newton corrector's Jacobian
+    is assembled from.  ``grad_degree`` is the polynomial degree of grad in u
+    when known, used to confirm the quadrature resolves the projected
+    residual; ``lam_dependent`` marks an explicit parameter dependence of
+    grad.  The gradient must vanish to second order at u = 0 so the trivial
+    branch persists.
     """
 
     name: str
     value: Callable[[np.ndarray, float], np.ndarray]
     grad: Callable[[np.ndarray, float], np.ndarray]
-    hess: Callable[[np.ndarray, float], np.ndarray] | None = None
-    growth_exponent: float = 2.0
+    hess: Callable[[np.ndarray, float], np.ndarray]
     grad_degree: int | None = None
     lam_dependent: bool = True
-
-    def subcritical(self, dim_m: int = 2) -> bool:
-        if dim_m <= 2:
-            return math.isfinite(self.growth_exponent)
-        return self.growth_exponent < 2 * dim_m / (dim_m - 2)
 
     @classmethod
     def quartic(cls) -> "NonlinearitySpec":
@@ -155,7 +165,6 @@ class NonlinearitySpec:
             value=value,
             grad=grad,
             hess=hess,
-            growth_exponent=4.0,
             grad_degree=3,
             lam_dependent=False,
         )
@@ -179,14 +188,13 @@ class NonlinearitySpec:
             value=value,
             grad=grad,
             hess=hess,
-            growth_exponent=2.0,
             grad_degree=0,
             lam_dependent=False,
         )
 
     @classmethod
-    def from_callables(cls, name, value, grad, hess=None, growth_exponent=2.0, grad_degree=None):
-        return cls(name, value, grad, hess, growth_exponent, grad_degree)
+    def from_callables(cls, name, value, grad, hess, grad_degree=None):
+        return cls(name, value, grad, hess, grad_degree)
 
 
 NONLINEARITIES = {"quartic": NonlinearitySpec.quartic, "zero": NonlinearitySpec.zero}
@@ -273,42 +281,22 @@ def residual_jacobian(
     sig,
     coeffs: np.ndarray,
     lam: float,
-    active: np.ndarray,
 ) -> np.ndarray:
-    """Jacobian of the residual restricted to the active coordinate set."""
+    """Jacobian of the residual: the diagonal linear part minus the quadrature
+    Gram blocks of the pointwise Hessian, which is symmetric in (i, j)."""
     a = np.asarray(sig.a, dtype=float)
-    p = a.size
-    c = np.asarray(coeffs, dtype=float).reshape(p, basis.n_modes)
-    diag_full = (-(a[:, None] * basis.eigenvalues[None, :] + lam)).ravel()
-    n_act = active.size
-    J = np.zeros((n_act, n_act))
-    J[np.arange(n_act), np.arange(n_act)] = diag_full[active]
-    if nl.hess is not None:
-        u = basis.evaluate(c)
-        Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
-        comp = active // basis.n_modes
-        mode = active % basis.n_modes
-        for i in range(p):
-            rows = np.nonzero(comp == i)[0]
-            if rows.size == 0:
-                continue
-            for j in range(p):
-                cols = np.nonzero(comp == j)[0]
-                if cols.size == 0:
-                    continue
-                block = (basis.values[mode[rows]] * Hw[i, j]) @ basis.values[mode[cols]].T
-                J[np.ix_(rows, cols)] -= block
-        return J
-    # no analytic second derivative: difference the residual columnwise
-    base = np.asarray(coeffs, dtype=float).copy()
-    for col, idx in enumerate(active):
-        h = 1e-6 * max(1.0, abs(base[idx]))
-        cp = base.copy()
-        cp[idx] += h
-        cm = base.copy()
-        cm[idx] -= h
-        deriv = (residual_coeffs(basis, nl, sig, cp, lam) - residual_coeffs(basis, nl, sig, cm, lam)) / (2 * h)
-        J[:, col] = deriv[active]
+    p, n = a.size, basis.n_modes
+    c = np.asarray(coeffs, dtype=float).reshape(p, n)
+    Hw = nl.hess(basis.evaluate(c), lam) * basis.weights  # (p, p, nodes), quadrature-weighted
+    J = np.empty((p * n, p * n))
+    blocks = J.reshape(p, n, p, n)  # a view: blocks[i, :, j, :] is block (i, j)
+    for i in range(p):
+        for j in range(i, p):
+            blocks[i, :, j, :] = -((basis.values * Hw[i, j]) @ basis.values.T)
+            if j > i:
+                blocks[j, :, i, :] = blocks[i, :, j, :].T
+    diag = np.arange(p * n)
+    J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
     return J
 
 
@@ -318,14 +306,13 @@ def residual_lambda_derivative(
     sig,
     coeffs: np.ndarray,
     lam: float,
-    active: np.ndarray,
 ) -> np.ndarray:
     if not nl.lam_dependent:
-        return -np.asarray(coeffs, dtype=float)[active]
+        return -np.asarray(coeffs, dtype=float)
     h = 1e-6 * max(1.0, abs(lam))
     rp = residual_coeffs(basis, nl, sig, coeffs, lam + h)
     rm = residual_coeffs(basis, nl, sig, coeffs, lam - h)
-    return ((rp - rm) / (2 * h))[active]
+    return (rp - rm) / (2 * h)
 
 
 def gradient_check(

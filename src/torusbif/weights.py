@@ -143,12 +143,3 @@ def canonicalize(mu: RestrictedWeight) -> SubgroupId:
     first = next(c for c in mu.coords if c != 0)
     return SubgroupId(mu if first > 0 else -mu)
 
-
-def proportional(mu: RestrictedWeight, nu: RestrictedWeight) -> bool:
-    """True when mu and nu span the same line over the rationals.  Proportional
-    weights have subgroups H_mu, H_nu with equal identity component, so their
-    intersection keeps codimension one."""
-    if mu.rank != nu.rank:
-        raise ValueError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    a, b = mu.coords, nu.coords
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))

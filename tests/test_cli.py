@@ -70,6 +70,15 @@ def test_decompose_json_lists_per_alpha(tmp_path, capsys):
     assert len(level2["per_alpha"]) == 2
 
 
+def test_decompose_csv_is_a_config_error(tmp_path, capsys):
+    # csv held only the spectrum's rows, with no per-alpha data
+    cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": 6})
+    code, out, err = run(capsys, ["decompose", "--config", cfg, "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert "decompose writes json or pretty" in err
+
+
 # -- index / certify -----------------------------------------------------------------
 
 

@@ -174,7 +174,7 @@ def test_newton_breakdown_raises_with_partial_branch():
         "quartic-with-blowup",
         value=lambda u, lam: -0.25 * np.sum(u * u, axis=0) ** 2,
         grad=bad_grad,
-        growth_exponent=4.0,
+        hess=QUARTIC.hess,
         grad_degree=3,
     )
     opts = axisymmetric_opts(min_step=1e-3, step=0.05)

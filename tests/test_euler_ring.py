@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusbif import UNIT, ZERO, EulerRingElement, RestrictedWeight, canonicalize, proportional
+from test_weights import proportional
+from torusbif import UNIT, ZERO, EulerRingElement, RestrictedWeight, canonicalize
 
 H10 = canonicalize(RestrictedWeight((1, 0)))
 H01 = canonicalize(RestrictedWeight((0, 1)))

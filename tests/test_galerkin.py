@@ -19,6 +19,7 @@ from torusbif import (
     rotate_coeffs,
     trivial_branch_crossings,
 )
+from torusbif.galerkin import residual_jacobian
 
 BASIS = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -47,6 +48,32 @@ def reference_harmonic(k, m, x, phi):
     if m > 0:
         return c * lpmv(am, k, x) * np.cos(am * phi)
     return c * lpmv(am, k, x) * np.sin(am * phi)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"max_degree": 3.9},
+        {"max_degree": True},
+        {"max_degree": "4"},
+        {"max_degree": 4, "quad_margin": 2.5},
+        {"max_degree": 4, "quad_margin": False},
+    ],
+)
+def test_basis_rejects_non_integers(kw):
+    with pytest.raises(ValueError, match="expected an integer"):
+        GalerkinBasis(**kw)
+
+
+def test_restricted_basis_keeps_the_chosen_modes():
+    keep = [i for i, (k, m) in enumerate(BASIS.modes) if m == 0]
+    sub = BASIS.restrict(keep)
+    assert sub.modes == tuple((k, 0) for k in range(9))
+    assert sub.mode_index[(3, 0)] == 3
+    assert np.array_equal(sub.values, BASIS.values[keep])
+    assert np.array_equal(sub.eigenvalues, BASIS.eigenvalues[keep])
+    assert sub.weights is BASIS.weights and sub.quad_degree == BASIS.quad_degree
+    assert BASIS.n_modes == 81 and sub.mass_error() <= 1e-12
 
 
 def test_harmonic_table_matches_legendre_formula():
@@ -141,6 +168,50 @@ def test_gradient_check_linear_functional_is_exact():
     assert gradient_check(BASIS, LINEAR, NEG, state, 1e-5) <= 1e-8
 
 
+def central_difference_jacobian(basis, nl, sig, coeffs, lam):
+    # reference: central differences of the residual, one column per coordinate
+    base = np.asarray(coeffs, dtype=float)
+    cols = []
+    for idx in range(base.size):
+        step = np.zeros_like(base)
+        step[idx] = 1e-6 * max(1.0, abs(base[idx]))
+        rp = residual_coeffs(basis, nl, sig, base + step, lam)
+        rm = residual_coeffs(basis, nl, sig, base - step, lam)
+        cols.append((rp - rm) / (2 * step[idx]))
+    return np.column_stack(cols)
+
+
+M0 = [i for i, (k, m) in enumerate(BASIS.modes) if m == 0]
+
+
+@pytest.mark.parametrize("keep", [None, M0], ids=["full", "m0"])
+def test_jacobian_matches_central_differences(keep):
+    basis = BASIS if keep is None else BASIS.restrict(keep)
+    sig = SystemSignature((1, -1))
+    rng = np.random.default_rng(17)
+    c = 0.5 * rng.standard_normal(2 * basis.n_modes)
+    J = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
+    ref = central_difference_jacobian(basis, QUARTIC, sig, c, 1.3)
+    assert J.shape == (c.size, c.size)
+    assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_restricted_residual_is_the_kept_part_of_the_full_one():
+    # a state supported on the m = 0 modes: the residual of the restricted
+    # coefficients equals the full residual at the kept entries
+    sig = SystemSignature((1, -1))
+    sub = BASIS.restrict(M0)
+    rng = np.random.default_rng(19)
+    x = 0.5 * rng.standard_normal((2, sub.n_modes))
+    full = np.zeros((2, BASIS.n_modes))
+    full[:, M0] = x
+    got = residual_coeffs(sub, QUARTIC, sig, x.ravel(), 0.9).reshape(2, -1)
+    want = residual_coeffs(BASIS, QUARTIC, sig, full.ravel(), 0.9).reshape(2, -1)
+    assert np.max(np.abs(got - want[:, M0])) <= 1e-13 * np.max(np.abs(want))
+    # and nothing leaks out of the subspace: the quartic keeps m = 0 invariant
+    assert np.max(np.abs(np.delete(want, M0, axis=1))) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_gradient_check_validates_epsilon():
     state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
     with pytest.raises(ValueError):
@@ -195,9 +266,6 @@ def test_quartic_gradient_vanishes_to_second_order_at_origin():
     assert np.all(QUARTIC.grad(zero, 0.3) == 0)
     assert np.all(QUARTIC.hess(zero, 0.3) == 0)
 
-
-def test_quartic_is_subcritical_on_surfaces():
-    assert QUARTIC.subcritical(dim_m=2)
 
 
 def test_energy_matches_hand_value_for_constants():

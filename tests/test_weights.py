@@ -5,9 +5,19 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from torusbif import RestrictedWeight, SubgroupId, canonicalize, proportional
+from torusbif import RestrictedWeight, SubgroupId, canonicalize
 
 W = RestrictedWeight
+
+
+def proportional(mu: RestrictedWeight, nu: RestrictedWeight) -> bool:
+    """True when mu and nu span the same line over the rationals, by pairwise
+    2x2 minors: the reference that the library's cached ``direction`` tuples
+    are checked against."""
+    if mu.rank != nu.rank:
+        raise ValueError(f"rank mismatch: {mu.rank} vs {nu.rank}")
+    a, b = mu.coords, nu.coords
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
 def test_canonicalize_sign_flip():
