@@ -2,6 +2,8 @@
 elliptic systems on compact symmetric spaces, with a desk-scale numerical
 continuation witness on the 2-sphere."""
 
+from importlib import import_module as _import_module
+
 from .weights import RestrictedWeight, SubgroupId, canonicalize
 from .euler_ring import UNIT, ZERO, EulerRingElement
 from .spaces import (
@@ -27,22 +29,43 @@ from .bifurcation import (
     neg_identity_degree,
     witness_coefficient,
 )
-from .galerkin import (
-    BranchState,
-    Crossing,
-    GalerkinBasis,
-    NonlinearitySpec,
-    energy,
-    gradient_check,
-    h1_norm,
-    make_state,
-    node_variance,
-    residual,
-    residual_coeffs,
-    rotate_coeffs,
-    trivial_branch_crossings,
-)
-from .continuation import BranchResult, ContinuationError, ContinuationOptions, continue_branch
+
+# The numerical half loads numpy, so its names resolve on first access
+# (PEP 562) and the exact commands never import it.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "BranchState",
+            "Crossing",
+            "GalerkinBasis",
+            "NonlinearitySpec",
+            "energy",
+            "gradient_check",
+            "h1_norm",
+            "make_state",
+            "node_variance",
+            "residual",
+            "residual_coeffs",
+            "rotate_coeffs",
+            "trivial_branch_crossings",
+        ),
+        "galerkin",
+    ),
+    **dict.fromkeys(("BranchResult", "ContinuationError", "ContinuationOptions", "continue_branch"), "continuation"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -14,11 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
-from .continuation import ContinuationError, ContinuationOptions, continue_branch
-from .galerkin import NONLINEARITIES, GalerkinBasis, trivial_branch_crossings
 from .jsonio import canonical_dumps, frac_from_json, frac_to_json, int_from_json
 from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_to_csv, spectrum_up_to
 
@@ -234,7 +230,9 @@ def cmd_certify(raw: dict, base_dir, fmt: str) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def branch_csv(basis: GalerkinBasis, sig: SystemSignature, states) -> str:
+def branch_csv(basis, sig: SystemSignature, states) -> str:
+    import numpy as np
+
     leading: list[int] = []
     if states:
         final = np.abs(np.asarray(states[-1].coeffs, dtype=float))
@@ -254,6 +252,10 @@ def branch_csv(basis: GalerkinBasis, sig: SystemSignature, states) -> str:
 
 
 def cmd_branch(raw: dict, base_dir, out) -> int:
+    # the numerical half (and numpy) loads only for this command
+    from .continuation import ContinuationError, ContinuationOptions, continue_branch
+    from .galerkin import NONLINEARITIES, GalerkinBasis, trivial_branch_crossings
+
     space = require_space(raw, base_dir)
     if space.kind != "sphere" or space.factors != (2,):
         raise ConfigError("the branch solver supports the 2-sphere only")
@@ -315,6 +317,13 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """ValueError, plus ContinuationError once the solver is loaded; it can
+    only have been raised if it was, so the exact commands never import it."""
+    solver = sys.modules.get(f"{__package__}.continuation")
+    return (ValueError,) if solver is None else (ValueError, solver.ContinuationError)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusbif",
@@ -359,7 +368,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ContinuationError) as exc:
+    except _domain_errors() as exc:  # evaluated only when an exception reaches it
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,10 +25,10 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import sph_legendre_p_all
 
 from .jsonio import int_from_json
 
@@ -36,6 +36,47 @@ from .jsonio import int_from_json
 def degree_eigenvalue(k: int) -> int:
     """Exact Laplace-Beltrami eigenvalue of degree-k harmonics on S^2."""
     return k * (k + 1)
+
+
+def _legendre_table(K: int, x: np.ndarray) -> np.ndarray:
+    """Normalized associated Legendre functions laid out per order,
+    ``P[m, k, node] = Pbar_k^m(x[node])`` for 0 <= m <= k <= K and zero for
+    k < m, with the Condon-Shortley phase (-1)^m, so that
+    Pbar_k^m(cos theta) exp(i m phi) is the orthonormal Y_k^m.
+
+    Sectoral values come from Pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta)
+    Pbar_{m-1}^{m-1}, and each order then climbs in degree with the stable
+    three-term recurrence Pbar_k^m = a (x Pbar_{k-1}^m - b Pbar_{k-2}^m),
+    a = sqrt((4k^2-1)/(k^2-m^2)), b = sqrt(((k-1)^2-m^2)/(4(k-1)^2-1))
+    (Schaeffer 2013, section 2); no factorial ratio is formed, so nothing
+    overflows at high degree."""
+    P = np.zeros((K + 1, K + 1, x.size))
+    sin_theta = np.sqrt((1.0 - x) * (1.0 + x))
+    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, K + 1):
+        P[m, m] = -math.sqrt((2 * m + 1) / (2 * m)) * sin_theta * P[m - 1, m - 1]
+    m = np.arange(K)
+    P[m, m + 1] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[m, m]
+    for k in range(2, K + 1):
+        m = np.arange(k - 1)[:, None]  # the orders with m <= k - 2
+        a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+        b = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1) ** 2 - 1.0))
+        P[: k - 1, k] = a * (x * P[: k - 1, k - 1] - b * P[: k - 1, k - 2])
+    return P
+
+
+def _check_legendre_table(P: np.ndarray, wx: np.ndarray) -> None:
+    """Refuse a table that is not orthonormal order by order on the
+    Gauss-Legendre nodes: sum_x w_x P[m,k,x] P[m,j,x] = delta_kj / (2 pi) for
+    k, j >= m.  O(K^4), and the dense table is never formed."""
+    if not np.all(np.isfinite(P)):
+        raise ValueError("Legendre table has non-finite entries")
+    orders = P.shape[0]
+    gram = (P * wx) @ P.transpose(0, 2, 1)  # (m, k, j)
+    want = np.eye(orders) * np.triu(np.ones((orders, orders)))[:, :, None] / (2.0 * math.pi)
+    err = float(np.max(np.abs(gram - want)))
+    if not err <= 1e-12:
+        raise ValueError(f"Legendre table is not orthonormal per order (error {err:.3g})")
 
 
 class GalerkinBasis:
@@ -48,6 +89,13 @@ class GalerkinBasis:
     quad_margin : int
         Quadrature is exact for integrands of polynomial degree
         quad_margin * K; the default 4 covers a quartic nonlinearity.
+
+    The basis keeps two small factors: ``legendre[m, k, i]``, the normalized
+    Legendre function of degree k and order m at the i-th colatitude node,
+    and ``longitude[m + K, j]``, which is 1, sqrt(2) cos(m phi_j) or
+    sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and m < 0.  Mode Y_{k,m} is their
+    outer product; the dense (n_modes, nodes) table ``values`` is formed from
+    the factors on first use, for the modes of this basis only.
     """
 
     def __init__(self, max_degree: int, quad_margin: int = 4):
@@ -76,25 +124,31 @@ class GalerkinBasis:
         self.mode_index = {km: i for i, km in enumerate(self.modes)}
         self.eigenvalues = np.array([degree_eigenvalue(k) for k, _ in self.modes], dtype=float)
 
-        # Y_{k,m} = normalized Legendre row of (k, |m|) in cos(theta) times
-        # 1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) in longitude
-        degree, order = np.array(self.modes).T
-        legendre = sph_legendre_p_all(K, K, np.arccos(x))[0][degree, np.abs(order)]
+        self.legendre = _legendre_table(K, x)
+        _check_legendre_table(self.legendre, wx)
+        order = np.arange(-K, K + 1)
         angle = np.abs(order)[:, None] * phi[None, :]
-        trig = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
-        trig[order == 0] = 1.0
-        self.values = (legendre[:, :, None] * trig[:, None, :]).reshape(len(self.modes), -1)
+        self.longitude = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
+        self.longitude[K] = 1.0
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Dense table Y_{k,m}(node), one row per mode of this basis."""
+        degree, order = np.array(self.modes).T
+        legendre = self.legendre[np.abs(order), degree]
+        trig = self.longitude[order + self.max_degree]
+        return (legendre[:, :, None] * trig[:, None, :]).reshape(len(self.modes), -1)
 
     def restrict(self, keep) -> "GalerkinBasis":
         """The same quadrature on the modes ``keep`` (ascending indices into
         ``modes``): a smaller basis whose coefficient vectors hold only the
-        kept modes."""
+        kept modes, and whose table holds only their rows."""
         keep = np.asarray(keep)
         sub = copy.copy(self)
         sub.modes = tuple(self.modes[i] for i in keep)
         sub.mode_index = {km: i for i, km in enumerate(sub.modes)}
         sub.eigenvalues = self.eigenvalues[keep]
-        sub.values = self.values[keep]
+        vars(sub).pop("values", None)  # formed from the kept rows on first use
         return sub
 
     @property

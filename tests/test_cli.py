@@ -375,7 +375,7 @@ def test_module_entry_point(tmp_path):
 
 
 def test_branch_solver_divergence_reports_partial_output(tmp_path, capsys, monkeypatch):
-    import torusbif.cli as cli
+    import torusbif.continuation as continuation
     from torusbif.continuation import ContinuationError
     from torusbif.galerkin import GalerkinBasis, make_state
     import numpy as np
@@ -386,7 +386,7 @@ def test_branch_solver_divergence_reports_partial_output(tmp_path, capsys, monke
     def explode(*args, **kwargs):
         raise ContinuationError("corrector failed", partial)
 
-    monkeypatch.setattr(cli, "continue_branch", explode)
+    monkeypatch.setattr(continuation, "continue_branch", explode)
     cfg = write_config(tmp_path, BRANCH_CFG)
     out_csv = tmp_path / "branch.csv"
     code, out, _ = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
@@ -395,3 +395,65 @@ def test_branch_solver_divergence_reports_partial_output(tmp_path, capsys, monke
     assert summary["outcome"] == "diverged"
     assert summary["steps"] == 1
     assert len(out_csv.read_text().strip().splitlines()) == 2
+
+
+def test_escaping_solver_error_is_domain_failure(tmp_path, capsys, monkeypatch):
+    import torusbif.cli as cli
+    from torusbif.continuation import ContinuationError
+
+    def explode(*args, **kwargs):
+        raise ContinuationError("corrector failed", [])
+
+    monkeypatch.setattr(cli, "cmd_branch", explode)
+    code, _, err = run(capsys, ["branch", "--config", write_config(tmp_path, BRANCH_CFG)])
+    assert code == 1
+    assert "corrector failed" in err
+
+
+IMPORT_PROBE = """
+import json, sys
+from torusbif.cli import main
+
+exact, branch, out, result = sys.argv[1:]
+for command in ("spectrum", "index", "certify"):
+    assert main([command, "--config", exact, "--format", "json", "--out", out]) == 0, command
+after_exact = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+assert main(["branch", "--config", branch, "--out", out]) == 0
+with open(result, "w") as fh:
+    json.dump([after_exact, "numpy" in sys.modules, "scipy" in sys.modules], fh)
+"""
+
+
+def test_commands_load_only_the_layers_they_use(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import torusbif
+
+    src = str(Path(torusbif.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    exact = write_config(tmp_path, {**SPHERE_CFG, "a": [-1]}, "exact.json")
+    branch = write_config(tmp_path, BRANCH_CFG, "branch.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, exact, branch, str(tmp_path / "out"), str(tmp_path / "result")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_exact, numpy_loaded, scipy_loaded = json.loads((tmp_path / "result").read_text())
+    assert after_exact == []
+    assert numpy_loaded and not scipy_loaded
+
+
+def test_every_public_name_resolves():
+    import torusbif
+
+    missing = [name for name in torusbif.__all__ if not hasattr(torusbif, name)]
+    assert missing == []
+    assert set(torusbif.__all__) <= set(dir(torusbif))
+    namespace = {}
+    exec("from torusbif import *", namespace)
+    assert set(torusbif.__all__) <= set(namespace)

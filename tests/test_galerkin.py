@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import lpmv
+from scipy.special import lpmv, sph_legendre_p_all
 
 from torusbif import (
     GalerkinBasis,
@@ -19,6 +20,8 @@ from torusbif import (
     rotate_coeffs,
     trivial_branch_crossings,
 )
+from torusbif import ContinuationOptions, continue_branch
+from torusbif import galerkin
 from torusbif.galerkin import residual_jacobian
 
 BASIS = GalerkinBasis(8)
@@ -74,6 +77,66 @@ def test_restricted_basis_keeps_the_chosen_modes():
     assert np.array_equal(sub.eigenvalues, BASIS.eigenvalues[keep])
     assert sub.weights is BASIS.weights and sub.quad_degree == BASIS.quad_degree
     assert BASIS.n_modes == 81 and sub.mass_error() <= 1e-12
+
+
+@pytest.mark.parametrize("K", [8, 24, 64])
+def test_legendre_recurrence_matches_scipy(K):
+    # the per-order table against scipy's normalized Legendre functions
+    # (Condon-Shortley phase included), on the basis's own colatitude nodes
+    x, _ = np.polynomial.legendre.leggauss(2 * K + 1)
+    got = galerkin._legendre_table(K, x)
+    want = sph_legendre_p_all(K, K, np.arccos(x))[0][:, : K + 1].transpose(1, 0, 2)  # (m, k, node)
+    assert got.shape == (K + 1, K + 1, x.size)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_legendre_table_at_high_degree_is_finite_and_orthonormal():
+    # K = 90 is past where factorial ratios overflow; the dense table
+    # (about 4.3 GB) is never formed
+    basis = GalerkinBasis(90)
+    assert "values" not in vars(basis)
+    assert np.all(np.isfinite(basis.legendre))
+    x, wx = np.polynomial.legendre.leggauss(181)
+    galerkin._check_legendre_table(basis.legendre, wx)
+
+
+@pytest.mark.parametrize("bad", [1e-9, math.nan], ids=["perturbed", "nan"])
+def test_basis_refuses_a_bad_legendre_table(monkeypatch, bad):
+    build = galerkin._legendre_table
+
+    def corrupted(K, x):
+        P = build(K, x)
+        P[2, 5, 3] += bad
+        return P
+
+    monkeypatch.setattr(galerkin, "_legendre_table", corrupted)
+    with pytest.raises(ValueError, match="Legendre table"):
+        GalerkinBasis(8)
+
+
+def test_dense_table_is_formed_on_first_use_only():
+    basis = GalerkinBasis(6)
+    assert "values" not in vars(basis)
+    keep = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
+    sub = basis.restrict(keep)
+    assert sub.values.shape == (7, basis.weights.size)
+    assert "values" not in vars(basis)
+    assert np.array_equal(sub.values, basis.values[keep])
+
+
+def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
+    # the full K = 40 table is 175 MB; the m = 0 rows are 4.3 MB
+    tracemalloc.start()
+    try:
+        basis = GalerkinBasis(40)
+        opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
+        result = continue_branch(basis, QUARTIC, NEG, 2, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.outcome == "reached_target"
+    assert "values" not in vars(basis)
+    assert peak < 40e6
 
 
 def test_harmonic_table_matches_legendre_formula():
