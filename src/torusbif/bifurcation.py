@@ -73,7 +73,9 @@ class SystemSignature:
 
 @dataclass(frozen=True)
 class BifurcationLevel:
-    """Candidate level with its kernel dimension and index."""
+    """Candidate level with its kernel dimension and index.  The JSON form
+    marks the index ``truncated`` at nonzero levels, where codimension-two
+    classes were discarded; index(0) is a multiple of the unit."""
 
     level: Fraction
     kernel_dim: int
@@ -83,7 +85,7 @@ class BifurcationLevel:
         return {
             "level": frac_to_json(self.level),
             "kernel_dim": self.kernel_dim,
-            "index": self.index.to_json(),
+            "index": {**self.index.to_json(), "truncated": self.level != 0},
         }
 
     @classmethod
@@ -187,7 +189,7 @@ def neg_identity_degree(decomp: TorusRepDecomposition) -> EulerRingElement:
     sign = -1 if decomp.k0 % 2 else 1
     # the multiplicities are positive, unique and sorted, so the coefficients
     # are already normalized
-    return _element(sign, tuple((h, -sign * m) for h, m in decomp.mults), True)
+    return _element(sign, tuple((h, -sign * m) for h, m in decomp.mults))
 
 
 def witness_coefficient(n: int, dim_parity: int) -> int:

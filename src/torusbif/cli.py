@@ -38,7 +38,9 @@ def load_config(path) -> tuple[dict, Path | None]:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"malformed config: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -48,6 +50,8 @@ def load_config(path) -> tuple[dict, Path | None]:
 def require_space(raw: dict, base_dir) -> SymmetricSpaceData:
     if "space" not in raw:
         raise ConfigError("config needs a 'space' descriptor")
+    if not isinstance(raw["space"], dict):
+        raise ConfigError(f"bad space descriptor: expected a JSON object, got {raw['space']!r}")
     try:
         return load_space(raw["space"], base_dir)
     except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -275,6 +279,8 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")
+    if not isinstance(nl_name, str):
+        raise ConfigError(f"bad galerkin block: 'nl' must be a string, got {nl_name!r}")
     if nl_name not in NONLINEARITIES:
         raise ConfigError(f"unknown nonlinearity {nl_name!r}; choose from {sorted(NONLINEARITIES)}")
     nl = NONLINEARITIES[nl_name]()

@@ -165,7 +165,9 @@ def continue_branch(
         return x, lam, None
 
     # branch switching: pin the kernel amplitude at delta
-    pin_row = lambda x, lam: np.concatenate([np.eye(n_act)[k_pos], [0.0]])
+    unit_row = np.zeros(n_act + 1)
+    unit_row[k_pos] = 1.0
+    pin_row = lambda x, lam: unit_row
     pin_val = lambda x, lam: x[k_pos] - delta
     x0 = np.zeros(n_act)
     x0[k_pos] = delta

@@ -11,9 +11,9 @@ follows the dimension rule for the intersection H'' = H_mu ∩ H_nu:
     when the dimension count drops (mu, nu proportional).
 
 Classes of subgroups of codimension two and higher never feed back into the
-unit or codimension-one coefficients, so they are discarded; the ``truncated``
-flag records that such terms were dropped somewhere in an element's history.
-Once set, the flag is inherited by every derived element.
+unit or codimension-one coefficients, so they are discarded.  The ids of one
+element, and of the operands of a sum or product, all have one rank: the rank
+of the torus.
 """
 
 from __future__ import annotations
@@ -27,6 +27,16 @@ from .weights import SubgroupId, _merge_sorted
 Codim1 = tuple[tuple[SubgroupId, int], ...]
 
 
+def _check_ranks(a: Codim1, b: Codim1) -> None:
+    """Raise unless the first ids of two normalized parts have one rank;
+    parts are sorted by (rank, coords), so a part's first id has its lowest
+    rank."""
+    if a and b:
+        r, s = a[0][0].rank, b[0][0].rank
+        if r != s:
+            raise ValueError(f"rank mismatch: {min(r, s)} vs {max(r, s)}")
+
+
 def _normalize(codim1) -> Codim1:
     items = codim1.items() if isinstance(codim1, dict) else codim1
     acc: dict[SubgroupId, int] = {}
@@ -34,7 +44,9 @@ def _normalize(codim1) -> Codim1:
         if not isinstance(h, SubgroupId):
             raise TypeError(f"codim1 keys must be SubgroupId, got {type(h).__name__}")
         acc[h] = acc.get(h, 0) + int_from_json(c)
-    return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: hc[0].sort_key))
+    out = tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: hc[0].sort_key))
+    _check_ranks(out, out[-1:])  # lowest rank against highest
+    return out
 
 
 # Arithmetic on normalized parts (nonzero coefficients, sorted by subgroup
@@ -56,36 +68,19 @@ def _combine(a: Codim1, s: int, b: Codim1, t: int) -> Codim1:
     return _merge_sorted(a, s, b, t)
 
 
-def _spans_two_directions(*parts: Codim1) -> bool:
-    """True when the ids of the parts are not all proportional.  Ids of
-    different ranks belong to different tori, which is an error."""
-    directions = {h.direction for part in parts for h, _ in part}
-    if len(directions) < 2:
-        return False
-    ranks = {len(d) for d in directions}
-    if len(ranks) > 1:
-        raise ValueError(f"rank mismatch: {min(ranks)} vs {max(ranks)}")
-    return True
-
-
-def _element(unit: int, codim1: Codim1, truncated: bool) -> "EulerRingElement":
+def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
     """An element from normalized data, built without re-validating it."""
     x = object.__new__(EulerRingElement)
-    x.__dict__.update(unit=unit, codim1=codim1, truncated=truncated)
+    x.__dict__.update(unit=unit, codim1=codim1)
     return x
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EulerRingElement:
-    """Truncated element u*I + sum_mu c_mu * [T/H_mu].
-
-    Equality and hashing compare the ring data only; ``truncated`` is
-    provenance bookkeeping and does not affect comparisons.
-    """
+    """Truncated element u*I + sum_mu c_mu * [T/H_mu]."""
 
     unit: int = 0
     codim1: Codim1 = ()
-    truncated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "unit", int_from_json(self.unit))
@@ -94,16 +89,6 @@ class EulerRingElement:
     @cached_property
     def codim1_map(self) -> dict[SubgroupId, int]:
         return dict(self.codim1)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "EulerRingElement":
-        return cls(0)
-
-    @classmethod
-    def unit_element(cls) -> "EulerRingElement":
-        return cls(1)
 
     @classmethod
     def generator(cls, h: SubgroupId) -> "EulerRingElement":
@@ -121,27 +106,16 @@ class EulerRingElement:
             return self.unit
         return self.codim1_map.get(h, 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EulerRingElement):
-            return NotImplemented
-        return self.unit == other.unit and self.codim1 == other.codim1
-
-    def __hash__(self):
-        return hash((self.unit, self.codim1))
-
     # -- module structure ----------------------------------------------------
 
     def __add__(self, other: "EulerRingElement") -> "EulerRingElement":
         if not isinstance(other, EulerRingElement):
             return NotImplemented
-        return _element(
-            self.unit + other.unit,
-            _combine(self.codim1, 1, other.codim1, 1),
-            self.truncated or other.truncated,
-        )
+        _check_ranks(self.codim1, other.codim1)
+        return _element(self.unit + other.unit, _combine(self.codim1, 1, other.codim1, 1))
 
     def __neg__(self) -> "EulerRingElement":
-        return _element(-self.unit, _scale(self.codim1, -1), self.truncated)
+        return _element(-self.unit, _scale(self.codim1, -1))
 
     def __sub__(self, other: "EulerRingElement") -> "EulerRingElement":
         if not isinstance(other, EulerRingElement):
@@ -150,7 +124,7 @@ class EulerRingElement:
 
     def scaled(self, n: int) -> "EulerRingElement":
         n = int_from_json(n)
-        return _element(n * self.unit, _scale(self.codim1, n), self.truncated)
+        return _element(n * self.unit, _scale(self.codim1, n))
 
     # -- ring structure -----------------------------------------------------
 
@@ -160,10 +134,10 @@ class EulerRingElement:
         if not isinstance(other, EulerRingElement):
             return NotImplemented
         a, b = self.codim1, other.codim1
-        # products of two codimension-one classes: zero for proportional
-        # weights, a discarded codimension-two class otherwise
-        dropped = self.truncated or other.truncated or (bool(a and b) and _spans_two_directions(a, b))
-        return _element(self.unit * other.unit, _combine(a, other.unit, b, self.unit), dropped)
+        _check_ranks(a, b)
+        # products of two codimension-one classes have no unit or
+        # codimension-one part, so only the cross terms with the units remain
+        return _element(self.unit * other.unit, _combine(a, other.unit, b, self.unit))
 
     def __rmul__(self, other) -> "EulerRingElement":
         if isinstance(other, int):
@@ -175,21 +149,18 @@ class EulerRingElement:
         (u*I + b)^(-1) = u*I - b in the truncated representation."""
         if self.unit not in (1, -1):
             raise ValueError("not invertible in truncated ring")
-        dropped = self.truncated or bool(self.codim1)
-        return _element(self.unit, _scale(self.codim1, -1), dropped)
+        return _element(self.unit, _scale(self.codim1, -1))
 
     def __pow__(self, n: int) -> "EulerRingElement":
         """(u*I + b)^n = u^n I + n u^(n-1) b, since b*b has no codimension-one
-        part; for n >= 2 the power discards codimension-two classes exactly
-        when b is supported on two non-proportional ids."""
+        part."""
         n = int_from_json(n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            return _element(1, (), False)
+            return UNIT
         u, b = self.unit, self.codim1
-        dropped = self.truncated or (n >= 2 and _spans_two_directions(b))
-        return _element(u**n, _scale(b, n * u ** (n - 1)), dropped)
+        return _element(u**n, _scale(b, n * u ** (n - 1)))
 
     # -- presentation -------------------------------------------------------
 
@@ -205,21 +176,20 @@ class EulerRingElement:
             out += f" + {c}*{sym}" if c >= 0 else f" - {-c}*{sym}"
         return out
 
-    def __repr__(self) -> str:
-        return f"EulerRingElement(unit={self.unit}, codim1={self.codim1!r}, truncated={self.truncated})"
-
     def to_json(self) -> dict:
         return {
             "unit": self.unit,
             "codim1": [{"H": h.canonical.to_json(), "c": c} for h, c in self.codim1],
-            "truncated": self.truncated,
         }
 
     @classmethod
     def from_json(cls, data) -> "EulerRingElement":
+        """Read an element; the ``truncated`` key of older artifacts is
+        checked to be a boolean and otherwise ignored."""
+        bool_from_json(data.get("truncated", False))
         codim1 = tuple((SubgroupId.from_json(e), e["c"]) for e in data.get("codim1", ()))
-        return cls(data["unit"], codim1, bool_from_json(data.get("truncated", False)))
+        return cls(data["unit"], codim1)
 
 
-UNIT = EulerRingElement.unit_element()
-ZERO = EulerRingElement.zero()
+UNIT = EulerRingElement(1)
+ZERO = EulerRingElement(0)

@@ -246,10 +246,6 @@ class NonlinearitySpec:
             lam_dependent=False,
         )
 
-    @classmethod
-    def from_callables(cls, name, value, grad, hess, grad_degree=None):
-        return cls(name, value, grad, hess, grad_degree)
-
 
 NONLINEARITIES = {"quartic": NonlinearitySpec.quartic, "zero": NonlinearitySpec.zero}
 
@@ -386,11 +382,13 @@ def gradient_check(
     epsilon : float
         Central difference step, required in [1e-8, 1e-3].
     n_samples : int
-        Number of sampled coordinates (at least 50 by default; capped at the
-        total coordinate count).
+        Number of sampled coordinates, at least 1 (50 by default; capped at
+        the total coordinate count).
     """
     if not (1e-8 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-8, 1e-3]")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     r = residual(basis, nl, sig, state)
     total = r.size
     rng = np.random.default_rng(seed)

@@ -196,10 +196,10 @@ def criterion_06_zero_level(seed=0) -> CriterionResult:
     return _result(6, "zero-level-index", t0, ok, "all signatures with p <= 7")
 
 
-def _random_element(rng: random.Random, pool, truncated=False) -> EulerRingElement:
+def _random_element(rng: random.Random, pool) -> EulerRingElement:
     support = rng.sample(pool, rng.randint(0, min(8, len(pool))))
     codim1 = tuple((h, rng.randint(-9, 9)) for h in support)
-    return EulerRingElement(rng.randint(-9, 9), codim1, truncated)
+    return EulerRingElement(rng.randint(-9, 9), codim1)
 
 
 def criterion_07_euler_axioms(seed=0) -> CriterionResult:

@@ -50,13 +50,15 @@ class TorusRepDecomposition:
     mults: tuple[tuple[SubgroupId, int], ...]
 
     def __post_init__(self):
-        if self.k0 < 0:
+        k0 = int_from_json(self.k0)
+        if k0 < 0:
             raise ValueError("k0 must be nonnegative")
-        items = tuple(sorted(self.mults, key=lambda hm: hm[0].sort_key))
+        items = tuple(sorted(((h, int_from_json(m)) for h, m in self.mults), key=lambda hm: hm[0].sort_key))
         if any(m <= 0 for _, m in items):
             raise ValueError("plane multiplicities must be positive")
         if len({h for h, _ in items}) != len(items):
             raise ValueError("duplicate weight id in decomposition")
+        object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "mults", items)
 
     @classmethod
@@ -89,8 +91,8 @@ class TorusRepDecomposition:
 
     @classmethod
     def from_json(cls, data) -> "TorusRepDecomposition":
-        mults = tuple((SubgroupId.from_json(e), int_from_json(e["mult"])) for e in data.get("mults", ()))
-        return cls(int_from_json(data["k0"]), mults)
+        mults = tuple((SubgroupId.from_json(e), e["mult"]) for e in data.get("mults", ()))
+        return cls(data["k0"], mults)
 
 
 @dataclass(frozen=True)

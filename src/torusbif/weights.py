@@ -9,14 +9,11 @@ determines the codimension-one closed subgroup
 of the rank-r torus T.  Since H_mu = H_{-mu}, the subgroup is identified by the
 sign-canonical representative of {mu, -mu} (first nonzero coordinate positive).
 Proportional weights give *distinct* subgroups: H_mu is a proper subgroup of
-H_{2mu}, so identifiers are never reduced by content.  They do share a
-primitive direction (the canonical coordinates over their gcd), which is all
-the Euler ring needs to tell proportional pairs apart.
+H_{2mu}, so identifiers are never reduced by content.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .jsonio import int_from_json
@@ -66,9 +63,7 @@ class SubgroupId:
     sign-canonical weight.  Construct via :func:`canonicalize`.
 
     Set once at construction: ``sort_key`` is (rank, coords), the order of
-    every sorted sequence of ids, and ``direction`` is the primitive
-    direction coords // gcd(coords); two ids are proportional exactly when
-    their directions are equal."""
+    every sorted sequence of ids."""
 
     canonical: RestrictedWeight
 
@@ -79,9 +74,7 @@ class SubgroupId:
         first = next(c for c in coords if c != 0)
         if first < 0:
             raise ValueError(f"{self.canonical} is not sign-canonical")
-        g = math.gcd(*coords)
         object.__setattr__(self, "sort_key", (len(coords), coords))
-        object.__setattr__(self, "direction", tuple(c // g for c in coords))
         object.__setattr__(self, "_hash", self.canonical._hash)
 
     def __eq__(self, other) -> bool:

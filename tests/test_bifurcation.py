@@ -63,7 +63,6 @@ def test_neg_identity_degree_single_plane():
 def test_neg_identity_degree_sphere_second_level():
     got = neg_identity_degree(decomp(1, {H1: 1, H2: 1}))
     assert got == EulerRingElement(-1, ((H1, 1), (H2, 1)))
-    assert got.truncated
 
 
 # -- candidate level sets -------------------------------------------------------

@@ -91,6 +91,20 @@ def test_index_json_round_trip(tmp_path, capsys):
     assert [lv.level for lv in levels] == [-6, -2, 0, 2, 6]
 
 
+@pytest.mark.parametrize("n_plus, n_minus", [(i, p - i) for p in range(1, 4) for i in range(p + 1)])
+def test_index_json_marks_nonzero_levels_truncated(tmp_path, capsys, n_plus, n_minus):
+    a = [1] * n_plus + [-1] * n_minus
+    cfg = write_config(tmp_path, {"space": {"kind": "product", "factors": [2, 3]}, "a": a, "cutoff": 12})
+    code, out, _ = run(capsys, ["index", "--config", cfg, "--format", "json"])
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert levels
+    for lv in levels:
+        level = Fraction(lv["level"]["num"], lv["level"]["den"])
+        assert lv["index"]["truncated"] is (level != 0)
+        assert sorted(lv["index"]) == ["codim1", "truncated", "unit"]
+
+
 def test_certify_single_negative_equation(tmp_path, capsys):
     cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "a": [-1], "cutoff": 6})
     code, out, _ = run(capsys, ["certify", "--config", cfg, "--format", "json"])
@@ -169,6 +183,23 @@ def test_malformed_json_config(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p: p.mkdir(), "cannot read config"),
+        (lambda p: p.write_bytes(b'{"cutoff": "\xff"}'), "malformed config"),
+    ],
+    ids=["directory", "not-utf8"],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, make, message):
+    path = tmp_path / "config.json"
+    make(path)
+    code, out, err = run(capsys, ["spectrum", "--config", str(path)])
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_unknown_space_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, {"space": {"kind": "hyperbolic"}, "cutoff": 4})
     code, _, err = run(capsys, ["spectrum", "--config", cfg])
@@ -192,7 +223,7 @@ def test_non_integer_signature_rejected(tmp_path, capsys, a):
 
 @pytest.mark.parametrize(
     "space",
-    [{"kind": "sphere", "n": 2.9}, {"kind": "sphere", "n": True}, {"kind": "product", "factors": [2, 3.5]}],
+    [{"kind": "sphere", "n": 2.9}, {"kind": "sphere", "n": True}, {"kind": "product", "factors": [2, 3.5]}, "sphere"],
 )
 def test_non_integer_sphere_dimension_rejected(tmp_path, capsys, space):
     cfg = write_config(tmp_path, {"space": space, "a": [-1], "cutoff": 6})
@@ -318,6 +349,7 @@ def test_branch_non_integer_block_entry_rejected(tmp_path, capsys, key, value):
         ("target_norm", True),
         ("target_norm", -1.0),
         ("isotropy_restriction", "bogus"),
+        ("nl", ["quartic"]),
     ],
 )
 def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):

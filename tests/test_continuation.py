@@ -170,12 +170,13 @@ def test_newton_breakdown_raises_with_partial_branch():
         out[np.abs(u) > 0.02] = np.nan
         return out
 
-    nl = NonlinearitySpec.from_callables(
+    nl = NonlinearitySpec(
         "quartic-with-blowup",
         value=lambda u, lam: -0.25 * np.sum(u * u, axis=0) ** 2,
         grad=bad_grad,
         hess=QUARTIC.hess,
         grad_degree=3,
+        lam_dependent=False,
     )
     opts = axisymmetric_opts(min_step=1e-3, step=0.05)
     with pytest.raises(ContinuationError) as excinfo:

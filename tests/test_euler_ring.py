@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_weights import proportional
-from torusbif import UNIT, ZERO, EulerRingElement, RestrictedWeight, canonicalize
+from torusbif import UNIT, ZERO, EulerRingElement, RestrictedWeight, TorusRepDecomposition, canonicalize
 
 H10 = canonicalize(RestrictedWeight((1, 0)))
 H01 = canonicalize(RestrictedWeight((0, 1)))
@@ -11,8 +10,8 @@ H1 = canonicalize(RestrictedWeight((1,)))
 H2 = canonicalize(RestrictedWeight((2,)))
 
 
-def el(unit, codim1=(), truncated=False):
-    return EulerRingElement(unit, codim1, truncated)
+def el(unit, codim1=()):
+    return EulerRingElement(unit, codim1)
 
 
 # -- addition ----------------------------------------------------------------
@@ -50,29 +49,17 @@ def test_unit_is_neutral():
 
 def test_codim1_product_vanishes_in_truncation():
     prod = EulerRingElement.generator(H10) * EulerRingElement.generator(H01)
-    assert prod == ZERO
-    assert prod.truncated  # a codimension-two class was discarded
+    assert prod == ZERO  # a codimension-two class was discarded
 
 
 def test_proportional_codim1_product_is_exactly_zero():
     prod = EulerRingElement.generator(H1) * EulerRingElement.generator(H2)
-    assert prod == ZERO
-    assert not prod.truncated  # dimension count drops, nothing was discarded
+    assert prod == ZERO  # the dimension count drops
 
 
 def test_square_of_sphere_class():
     x = el(-1, ((H1, 1),))
     assert x * x == el(1, ((H1, -2),))
-
-
-def test_truncation_flag_is_absorbing():
-    x = el(1, ((H10, 1),), truncated=True)
-    y = el(2)
-    assert (x + y).truncated
-    assert (x * y).truncated
-    assert (-x).truncated
-    assert (x**3).truncated
-    assert x.inverse().truncated
 
 
 # -- powers and inverses -------------------------------------------------------
@@ -100,7 +87,7 @@ def test_inverse_closed_form_for_sphere_classes(k0):
 
 
 def test_power_zero_is_unit():
-    x = el(7, ((H11, -3),), truncated=True)
+    x = el(7, ((H11, -3),))
     assert x**0 == UNIT
 
 
@@ -122,7 +109,25 @@ def test_product_of_different_ranks_is_rejected():
     with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
         EulerRingElement.generator(H1) * EulerRingElement.generator(H10)
     with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
-        el(1, ((H1, 1), (H10, 1))) ** 2
+        el(1, ((H10, 2),)) * el(-1, ((H1, 1),))
+
+
+def test_sum_of_different_ranks_is_rejected():
+    with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
+        EulerRingElement.generator(H1) + EulerRingElement.generator(H10)
+    with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
+        el(3, ((H01, 1),)) - el(0, ((H2, 1),))
+    assert UNIT + EulerRingElement.generator(H1) == el(1, ((H1, 1),))
+
+
+@pytest.mark.parametrize(
+    "codim1",
+    [((H1, 1), (H10, 1)), ((H11, 2), (H2, -1), (H01, 1)), {H10: 1, H1: 1}],
+    ids=["pair", "interleaved", "dict"],
+)
+def test_constructor_rejects_ids_of_two_ranks(codim1):
+    with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
+        el(1, codim1)
 
 
 # -- coefficient extraction -----------------------------------------------------
@@ -185,22 +190,27 @@ def test_inverse_law(x, unit):
 
 
 def test_json_round_trip():
-    x = el(-2, ((H10, 3), (H01, -1)), truncated=True)
+    x = el(-2, ((H10, 3), (H01, -1)))
     data = x.to_json()
     assert data == {
         "unit": -2,
         "codim1": [{"H": [0, 1], "c": -1}, {"H": [1, 0], "c": 3}],
-        "truncated": True,
     }
-    back = EulerRingElement.from_json(data)
-    assert back == x
-    assert back.truncated == x.truncated
+    assert EulerRingElement.from_json(data) == x
 
 
 def test_json_without_flag_reads_untruncated():
     back = EulerRingElement.from_json({"unit": 1, "codim1": [{"H": [1, 0], "c": 2}]})
     assert back == el(1, ((H10, 2),))
-    assert back.truncated is False
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_flag_of_older_artifacts_is_read_and_ignored(flag):
+    codim1 = [{"H": [1, 0], "c": 2}, {"H": [0, 1], "c": -1}]
+    with_flag = EulerRingElement.from_json({"unit": 1, "codim1": codim1, "truncated": flag})
+    assert with_flag == EulerRingElement.from_json({"unit": 1, "codim1": codim1})
+    assert with_flag == el(1, ((H10, 2), (H01, -1)))
+    assert "truncated" not in with_flag.to_json()
 
 
 @pytest.mark.parametrize(
@@ -225,8 +235,10 @@ def test_json_reader_is_strict(field, value):
         lambda: UNIT.scaled(2.7),
         lambda: el(1, ((H1, 1),)) ** 2.5,
         lambda: RestrictedWeight((1.5, 2)),
+        lambda: TorusRepDecomposition(1.5, ()),
+        lambda: TorusRepDecomposition(1, ((H1, 2.5),)),
     ],
-    ids=["unit", "coefficient", "scaled", "pow", "weight"],
+    ids=["unit", "coefficient", "scaled", "pow", "weight", "k0", "multiplicity"],
 )
 def test_library_constructors_reject_non_integers(build):
     with pytest.raises(ValueError, match="expected an integer"):
@@ -236,9 +248,8 @@ def test_library_constructors_reject_non_integers(build):
 # -- differential check against a plain reference ----------------------------
 #
 # The reference keeps the textbook algorithms: a dict accumulation sorted by
-# (rank, coords), a pairwise ``proportional`` scan for the truncation flag,
-# and powers by iterated multiplication.  Elements are (unit, codim1,
-# truncated) triples.
+# (rank, coords) and powers by iterated multiplication.  Elements are
+# (unit, codim1) pairs.
 
 
 def _ref_normalize(pairs):
@@ -249,35 +260,33 @@ def _ref_normalize(pairs):
 
 
 def _ref(x):
-    return (x.unit, x.codim1, x.truncated)
+    return (x.unit, x.codim1)
 
 
 def ref_add(x, y):
-    return (x[0] + y[0], _ref_normalize(x[1] + y[1]), x[2] or y[2])
+    return (x[0] + y[0], _ref_normalize(x[1] + y[1]))
 
 
 def ref_scaled(x, n):
-    return (n * x[0], _ref_normalize((h, n * c) for h, c in x[1]), x[2])
+    return (n * x[0], _ref_normalize((h, n * c) for h, c in x[1]))
 
 
 def ref_mul(x, y):
+    # codimension-one classes multiply to nothing that survives truncation
     codim1 = _ref_normalize([(h, y[0] * c) for h, c in x[1]] + [(h, x[0] * c) for h, c in y[1]])
-    dropped = x[2] or y[2]
-    if not dropped:
-        dropped = any(not proportional(h.canonical, g.canonical) for h, _ in x[1] for g, _ in y[1])
-    return (x[0] * y[0], codim1, dropped)
+    return (x[0] * y[0], codim1)
 
 
 def ref_inverse(x):
     if x[0] not in (1, -1):
         raise ValueError("not invertible in truncated ring")
-    return (x[0], tuple((h, -c) for h, c in x[1]), x[2] or bool(x[1]))
+    return (x[0], tuple((h, -c) for h, c in x[1]))
 
 
 def ref_pow(x, n):
     if n < 0:
         return ref_pow(ref_inverse(x), -n)
-    out = (1, (), False)
+    out = (1, ())
     for _ in range(n):
         out = ref_mul(out, x)
     return out
@@ -294,9 +303,9 @@ def _assert_same(got, want):
     if isinstance(want, str):
         assert got == want
         return
-    unit, codim1, truncated = want
-    assert repr(got) == f"EulerRingElement(unit={unit}, codim1={codim1!r}, truncated={truncated})"
-    assert got.truncated is truncated
+    unit, codim1 = want
+    assert repr(got) == f"EulerRingElement(unit={unit}, codim1={codim1!r})"
+    assert got == EulerRingElement(unit, codim1)
     assert got.codim1 == codim1  # same order, not just the same set
 
 
@@ -314,7 +323,7 @@ def same_rank_pairs(draw):
 
     def element():
         codim1 = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-4, 4)), max_size=6))
-        return EulerRingElement(draw(st.integers(-3, 3)), tuple(codim1), draw(st.booleans()))
+        return EulerRingElement(draw(st.integers(-3, 3)), tuple(codim1))
 
     return element(), element()
 
@@ -332,12 +341,3 @@ def test_ring_operations_match_reference(pair, n, k):
     _assert_same(_outcome(EulerRingElement.inverse, x), _outcome(ref_inverse, rx))
     _assert_same(_outcome(pow, x, n), _outcome(ref_pow, rx, n))
 
-
-@given(
-    st.integers(1, 3).flatmap(
-        lambda r: st.tuples(*[st.lists(st.integers(-6, 6), min_size=r, max_size=r).map(tuple)] * 2)
-    ).filter(lambda uv: any(uv[0]) and any(uv[1]))
-)
-def test_proportional_iff_same_direction(uv):
-    h, g = (canonicalize(RestrictedWeight(c)) for c in uv)
-    assert proportional(h.canonical, g.canonical) == (h.direction == g.direction)

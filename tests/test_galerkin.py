@@ -281,6 +281,24 @@ def test_gradient_check_validates_epsilon():
         gradient_check(BASIS, QUARTIC, NEG, state, 1e-2)
 
 
+def test_gradient_check_requires_a_sample():
+    # a gradient off by a factor of two: any sampled coordinate exposes it
+    wrong = NonlinearitySpec(
+        "quartic-doubled-gradient",
+        QUARTIC.value,
+        lambda u, lam: 2.0 * QUARTIC.grad(u, lam),
+        QUARTIC.hess,
+        grad_degree=3,
+        lam_dependent=False,
+    )
+    rng = np.random.default_rng(5)
+    state = make_state(BASIS, 0.5 * rng.standard_normal(BASIS.n_modes), 1.0)
+    assert gradient_check(BASIS, wrong, NEG, state, 1e-5, n_samples=5) > 0.1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            gradient_check(BASIS, wrong, NEG, state, 1e-5, n_samples=n)
+
+
 # -- crossings -----------------------------------------------------------------------
 
 
