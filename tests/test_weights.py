@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -8,6 +9,12 @@ from hypothesis import given, strategies as st
 from torusbif import RestrictedWeight, SubgroupId, canonicalize
 
 W = RestrictedWeight
+
+
+def primitive(h: SubgroupId) -> tuple[int, ...]:
+    """The canonical coords divided by their gcd: the line that h lies on."""
+    g = math.gcd(*h.canonical.coords)
+    return tuple(c // g for c in h.canonical.coords)
 
 
 def test_canonicalize_sign_flip():
@@ -23,9 +30,6 @@ def test_canonicalize_rejects_zero():
 
 def test_proportional_weights_get_distinct_ids():
     assert canonicalize(W((1, 0))) != canonicalize(W((2, 0)))
-    h12, h24 = canonicalize(W((1, 2))), canonicalize(W((-2, -4)))
-    assert h12 != h24
-    assert len({h12, h24}) == 2
 
 
 coords_strategy = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(tuple)
@@ -70,6 +74,14 @@ def test_subgroup_id_hash_consistent_with_eq(mu, nu):
         assert hash(h) == hash(g)
     assert canonicalize(mu) is not h and canonicalize(mu) == h
     assert hash(canonicalize(-mu)) == hash(h)
+
+
+def test_proportional_ids_are_distinct_but_share_a_direction():
+    h12, h24 = canonicalize(W((1, 2))), canonicalize(W((-2, -4)))
+    assert h12 != h24
+    assert len({h12, h24}) == 2
+    assert primitive(h12) == primitive(h24) == (1, 2)
+    assert primitive(canonicalize(W((0, -3)))) == (0, 1)
 
 
 def test_sort_key_orders_by_rank_then_coords():
