@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,8 +61,6 @@ def require_space(raw: dict, base_dir) -> SymmetricSpaceData:
 
 def require_signature(raw: dict) -> SystemSignature:
     a = raw.get("a")
-    if a is None and isinstance(raw.get("galerkin"), dict):
-        a = raw["galerkin"].get("a")
     if a is None:
         raise ConfigError("config needs a signature 'a': [...] of +-1 entries")
     try:
@@ -267,15 +266,16 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     block = raw.get("galerkin")
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'galerkin' block for branch runs")
+    option_keys = [f.name for f in fields(ContinuationOptions)]
+    unknown = sorted(set(block) - {"K", "crossing", "nl", *option_keys})
+    if unknown:
+        raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
     try:
         K = int_from_json(block["K"])
+        if K < 0:
+            raise ValueError(f"K must be nonnegative, got {K}")
         crossing = frac_from_json(block["crossing"])
-        opts = ContinuationOptions(
-            step=block.get("step", 0.05),
-            max_steps=int_from_json(block.get("max_steps", 500)),
-            target_norm=block.get("target_norm", 1.0),
-            isotropy_restriction=block.get("isotropy_restriction"),
-        )
+        opts = ContinuationOptions(**{key: block[key] for key in option_keys if key in block})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")

@@ -37,8 +37,18 @@ from .galerkin import (
     residual_lambda_derivative,
     trivial_branch_crossings,
 )
+from .jsonio import int_from_json
 
 ISOTROPY_RESTRICTIONS = ("axisymmetric",)
+
+# Fixed solver constants: the kernel amplitude pinned at branch switching (a
+# state below a tenth of it counts as back on the trivial branch), the Newton
+# residual tolerance and iteration cap, and the bounds of the adaptive step.
+ONSET_AMPLITUDE = 1e-3
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITER = 25
+MIN_STEP = 1e-6
+MAX_STEP = 0.2
 
 
 def _positive_real(name: str, x) -> float:
@@ -49,26 +59,22 @@ def _positive_real(name: str, x) -> float:
 
 @dataclass(frozen=True)
 class ContinuationOptions:
-    """Step control and stopping rule of a continuation run.  Step sizes and
-    the target norm are checked here, and the options are frozen so the check
-    holds for the whole run: a nan step would halve forever without ever
-    reaching ``min_step``."""
+    """Step, budget and stopping rule of a continuation run.  The values are
+    checked here, and the options are frozen so the check holds for the whole
+    run: a nan step would halve forever without ever reaching ``MIN_STEP``."""
 
     step: float = 0.05
     max_steps: int = 500
     target_norm: float = 1.0
     isotropy_restriction: str | None = None
-    onset_amplitude: float = 1e-3
-    newton_tol: float = 1e-10
-    max_newton_iter: int = 25
-    min_step: float = 1e-6
-    max_step: float = 0.2
 
     def __post_init__(self):
-        for name in ("step", "target_norm", "min_step", "max_step"):
+        for name in ("step", "target_norm"):
             object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
-        if self.min_step > self.max_step:
-            raise ValueError(f"min_step {self.min_step} exceeds max_step {self.max_step}")
+        max_steps = int_from_json(self.max_steps)
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+        object.__setattr__(self, "max_steps", max_steps)
         if self.isotropy_restriction is not None and self.isotropy_restriction not in ISOTROPY_RESTRICTIONS:
             raise ValueError(f"unknown isotropy restriction {self.isotropy_restriction!r}")
 
@@ -126,33 +132,29 @@ def continue_branch(
     k_pos = kernel[0]
     n_act = p * sub.n_modes
     lam0f = float(lam0)
-    delta = opts.onset_amplitude
 
     def embed(x: np.ndarray) -> np.ndarray:
         full = np.zeros((p, basis.n_modes))
         full[:, keep] = x.reshape(p, sub.n_modes)
         return full.ravel()
 
-    def F_and_J(x, lam, constraint_row, constraint_val):
-        R = residual_coeffs(sub, nl, sig, x, lam)
-        J = residual_jacobian(sub, nl, sig, x, lam)
-        dlam = residual_lambda_derivative(sub, nl, sig, x, lam)
-        F = np.concatenate([R, [constraint_val(x, lam)]])
+    def newton(x, lam, row, base, offset):
+        """Solve R(x, lam) = 0 bordered by ``row . (z - base) = offset`` with
+        z = (x, lam).  Returns the corrected (x, lam) and the bordered matrix
+        evaluated there, or None in place of the matrix when the corrector
+        does not converge."""
         M = np.zeros((n_act + 1, n_act + 1))
-        M[:n_act, :n_act] = J
-        M[:n_act, n_act] = dlam
-        M[n_act, :] = constraint_row(x, lam)
-        return F, M
-
-    def newton(x, lam, constraint_row, constraint_val):
-        """Corrected (x, lam) and the bordered matrix evaluated there, or
-        None in place of the matrix when the corrector does not converge."""
-        for it in range(opts.max_newton_iter + 1):
-            F, M = F_and_J(x, lam, constraint_row, constraint_val)
+        M[n_act, :] = row
+        for it in range(MAX_NEWTON_ITER + 1):
+            R = residual_coeffs(sub, nl, sig, x, lam)
+            M[:n_act, :n_act] = residual_jacobian(sub, nl, sig, x, lam)
+            M[:n_act, n_act] = residual_lambda_derivative(sub, nl, sig, x, lam)
+            border = np.dot(row[:n_act], x - base[:n_act]) + row[n_act] * (lam - base[n_act]) - offset
+            F = np.concatenate([R, [border]])
             nrm = float(np.max(np.abs(F)))
-            if np.isfinite(nrm) and nrm < opts.newton_tol:
+            if np.isfinite(nrm) and nrm < NEWTON_TOL:
                 return x, lam, M
-            if it == opts.max_newton_iter:
+            if it == MAX_NEWTON_ITER:
                 break
             try:
                 dz = np.linalg.solve(M, -F)
@@ -163,35 +165,6 @@ def continue_branch(
             x = x + dz[:n_act]
             lam = lam + dz[n_act]
         return x, lam, None
-
-    # branch switching: pin the kernel amplitude at delta
-    unit_row = np.zeros(n_act + 1)
-    unit_row[k_pos] = 1.0
-    pin_row = lambda x, lam: unit_row
-    pin_val = lambda x, lam: x[k_pos] - delta
-    x0 = np.zeros(n_act)
-    x0[k_pos] = delta
-    x1, lam1, M1 = newton(x0, lam0f, pin_row, pin_val)
-    if M1 is None:
-        raise ContinuationError("failed to leave the trivial branch at the crossing", [])
-
-    states: list[BranchState] = []
-    s_total = float(np.sqrt(np.dot(x1, x1) + (lam1 - lam0f) ** 2))
-    states.append(make_state(basis, embed(x1), lam1, s_total))
-
-    def stop_outcome() -> str | None:
-        st = states[-1]
-        if st.h1_norm >= opts.target_norm:
-            return "reached_target"
-        if st.h1_norm < delta / 10.0:
-            return "returned_to_trivial"
-        return None
-
-    outcome = stop_outcome()
-    if outcome is None and len(states) >= opts.max_steps:
-        outcome = "incomplete"
-    if outcome is not None:
-        return BranchResult(states, outcome)
 
     def tangent_at(M, prev_t):
         # M is Newton's bordered matrix at the converged point; the border row
@@ -209,38 +182,42 @@ def continue_branch(
             nrm = float(np.linalg.norm(t))
         return t / nrm
 
-    prev = np.concatenate([x1, [lam1]])
-    first_dir = np.concatenate([x1, [lam1 - lam0f]])
+    # branch switching: pin the kernel amplitude at the onset amplitude
+    unit_row = np.zeros(n_act + 1)
+    unit_row[k_pos] = 1.0
+    x0 = np.zeros(n_act)
+    x0[k_pos] = ONSET_AMPLITUDE
+    x, lam, M = newton(x0, lam0f, unit_row, np.zeros(n_act + 1), ONSET_AMPLITUDE)
+    if M is None:
+        raise ContinuationError("failed to leave the trivial branch at the crossing", [])
+
+    s_total = float(np.sqrt(np.dot(x, x) + (lam - lam0f) ** 2))
+    states = [make_state(basis, embed(x), lam, s_total)]
+    prev = np.concatenate([x, [lam]])
+    first_dir = np.concatenate([x, [lam - lam0f]])
     first_dir /= np.linalg.norm(first_dir)
-    tangent = tangent_at(M1, first_dir)
+    tangent = tangent_at(M, first_dir)
 
-    h = min(max(opts.step, opts.min_step), opts.max_step)
+    h = min(max(opts.step, MIN_STEP), MAX_STEP)
     while True:
-        z_pred = prev + h * tangent
-        t_fixed = tangent.copy()
-        z_base = prev.copy()
-        h_now = h
-        arc_row = lambda x, lam: t_fixed
-        arc_val = lambda x, lam: float(
-            np.dot(t_fixed[:n_act], x - z_base[:n_act]) + t_fixed[n_act] * (lam - z_base[n_act]) - h_now
-        )
-        x_new, lam_new, M_new = newton(z_pred[:n_act].copy(), float(z_pred[n_act]), arc_row, arc_val)
-        if M_new is None:
-            if h <= opts.min_step:
-                raise ContinuationError(
-                    f"Newton corrector failed at minimum step {opts.min_step}", states
-                )
-            h = max(h / 2.0, opts.min_step)
-            continue
-        z_new = np.concatenate([x_new, [lam_new]])
-        s_total += float(np.linalg.norm(z_new - prev))
-        states.append(make_state(basis, embed(x_new), lam_new, s_total))
-        tangent = tangent_at(M_new, tangent)
-        prev = z_new
-        h = min(h * 1.4, opts.max_step)
-
-        outcome = stop_outcome()
-        if outcome is not None:
-            return BranchResult(states, outcome)
+        norm = states[-1].h1_norm
+        if norm >= opts.target_norm:
+            return BranchResult(states, "reached_target")
+        if norm < ONSET_AMPLITUDE / 10.0:
+            return BranchResult(states, "returned_to_trivial")
         if len(states) >= opts.max_steps:
             return BranchResult(states, "incomplete")
+
+        z_pred = prev + h * tangent
+        x, lam, M = newton(z_pred[:n_act].copy(), float(z_pred[n_act]), tangent, prev, h)
+        if M is None:
+            if h <= MIN_STEP:
+                raise ContinuationError(f"Newton corrector failed at minimum step {MIN_STEP}", states)
+            h = max(h / 2.0, MIN_STEP)
+            continue
+        z_new = np.concatenate([x, [lam]])
+        s_total += float(np.linalg.norm(z_new - prev))
+        states.append(make_state(basis, embed(x), lam, s_total))
+        tangent = tangent_at(M, tangent)
+        prev = z_new
+        h = min(h * 1.4, MAX_STEP)

@@ -18,7 +18,7 @@ from .bifurcation import (
     cancellation_impossible,
     witness_coefficient,
 )
-from .continuation import ContinuationOptions, continue_branch
+from .continuation import ONSET_AMPLITUDE, ContinuationOptions, continue_branch
 from .euler_ring import UNIT, ZERO, EulerRingElement
 from .galerkin import (
     GalerkinBasis,
@@ -277,7 +277,7 @@ def criterion_10_branch_witness(seed=0) -> CriterionResult:
     opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0, max_steps=500)
     result = continue_branch(basis, nl, sig, 2, opts)
     ok = result.outcome == "reached_target" and len(result.states) <= 500
-    ok = ok and all(st.h1_norm >= opts.onset_amplitude / 10.0 for st in result.states)
+    ok = ok and all(st.h1_norm >= ONSET_AMPLITUDE / 10.0 for st in result.states)
     ok = ok and all(
         node_variance(basis, st.coeffs) > 1e-8 * st.h1_norm**2 for st in result.states
     )

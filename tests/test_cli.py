@@ -350,6 +350,9 @@ def test_branch_non_integer_block_entry_rejected(tmp_path, capsys, key, value):
         ("target_norm", -1.0),
         ("isotropy_restriction", "bogus"),
         ("nl", ["quartic"]),
+        ("K", -3),
+        ("max_steps", 0),
+        ("max_steps", -4),
     ],
 )
 def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):
@@ -357,6 +360,27 @@ def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):
     code, out, err = run(capsys, ["branch", "--config", cfg])
     assert code == 2
     assert "bad galerkin block: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "extra, top_level_a, message",
+    [
+        ({"min_step": 1e-3}, True, "bad galerkin block: unknown key 'min_step'"),
+        ({"newton_tol": 1e-8}, True, "bad galerkin block: unknown key 'newton_tol'"),
+        ({"stepp": 0.1}, True, "bad galerkin block: unknown key 'stepp'"),
+        ({"a": [-1]}, True, "bad galerkin block: unknown key 'a'"),
+        ({"a": [-1]}, False, "config needs a signature 'a'"),
+    ],
+    ids=["min_step", "newton_tol", "typo", "signature-in-block", "signature-only-in-block"],
+)
+def test_branch_galerkin_block_accepts_only_its_keys(tmp_path, capsys, extra, top_level_a, message):
+    config = {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], **extra}}
+    if not top_level_a:
+        del config["a"]
+    code, out, err = run(capsys, ["branch", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    assert message in err
     assert out == ""
 
 

@@ -149,8 +149,9 @@ def test_unknown_restriction_name():
         {"step": "0.05"},
         {"step": True},
         {"target_norm": 0.0},
-        {"max_step": -0.2},
-        {"min_step": 0.5},  # above max_step
+        {"max_steps": 0},
+        {"max_steps": -4},
+        {"max_steps": 2.5},
     ],
 )
 def test_options_reject_bad_step_control(kw):
@@ -178,7 +179,8 @@ def test_newton_breakdown_raises_with_partial_branch():
         grad_degree=3,
         lam_dependent=False,
     )
-    opts = axisymmetric_opts(min_step=1e-3, step=0.05)
+    opts = axisymmetric_opts(step=0.05)
     with pytest.raises(ContinuationError) as excinfo:
         continue_branch(BASIS, nl, NEG, 2, opts)
     assert isinstance(excinfo.value.states, list)
+    assert excinfo.value.states  # the states traced before the breakdown
