@@ -6,6 +6,11 @@ and the digest of every ``index`` and ``certify`` output in each format plus
 ``spectrum --format json``.  The digests were recorded from the per-level
 implementation that the one-pass sweep replaced; a change to them is a change
 to the program's output and is never made to get a test passing.
+
+The sixteen cases for ``spectrum --format csv|pretty`` and ``decompose
+--format json|pretty`` were added later, recorded from the per-command
+renderers that the CLI's format table replaced, so that every exact command
+and format is pinned on every config.
 """
 
 import hashlib
