@@ -15,7 +15,6 @@ from .spaces import (
     eigenvalue_of,
     harmonic_dim,
     load_space,
-    spectrum_to_csv,
     spectrum_up_to,
     sphere_weight_multiplicity,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "eigenvalue_of",
     "harmonic_dim",
     "load_space",
-    "spectrum_to_csv",
     "spectrum_up_to",
     "sphere_weight_multiplicity",
     "BifurcationLevel",

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Subcommands: spectrum, decompose, index, certify, branch, selftest.
-Flags: --config PATH, --out PATH, --format {json,csv,pretty}, --seed N.
+Subcommands: spectrum, decompose, index, certify, branch, selftest.  Each
+writes the formats ``COMMANDS`` lists for it, the first by default.
+Flags: --config PATH, --out PATH, --format FMT, --seed N.
 Exit codes: 0 success, 1 domain failure (precondition or solver), 2 usage or
 config error.  Exact rationals serialize as {"num": p, "den": q}.
 """
@@ -14,12 +15,11 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
 from .jsonio import canonical_dumps, frac_from_json, frac_to_json, int_from_json
-from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_to_csv, spectrum_up_to
-
-FORMATS = ("json", "csv", "pretty")
+from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_up_to
 
 
 class ConfigError(Exception):
@@ -89,143 +89,177 @@ def _emit(text: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# spectrum / decompose
+# exact commands: one computation each, one renderer per format
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(raw: dict, base_dir, fmt: str) -> str:
-    space = require_space(raw, base_dir)
-    cutoff = require_cutoff(raw)
-    levels = spectrum_up_to(space, cutoff)
-    if fmt == "csv":
-        return spectrum_to_csv(levels)
-    if fmt == "json":
-        payload = {
-            "space": str(space),
-            "cutoff": frac_to_json(cutoff),
-            "levels": [lv.to_json() for lv in levels],
-        }
-        return canonical_dumps(payload)
-    lines = [f"spectrum of {space} up to {cutoff}"]
-    for lv in levels:
+class Run(NamedTuple):  # what a renderer sees: the parsed config and the result
+    space: SymmetricSpaceData
+    sig: SystemSignature | None
+    cutoff: Fraction
+    result: object
+
+
+class Certification(NamedTuple):
+    certificates: list
+    skipped: list  # levels, as Fractions
+    failures: list  # (level, error) pairs
+
+
+SKIP_NOTE = "p even: no claim at level 0"
+
+
+# Callees are looked up when called, so perfbench's wrapped copies are the ones that run.
+def _spectrum(space, sig, cutoff) -> list:
+    return spectrum_up_to(space, cutoff)
+
+
+def _levels(space, sig, cutoff) -> list:
+    return bifurcation_levels(space, sig, cutoff)
+
+
+def _certify(space, sig, cutoff) -> Certification:
+    done = Certification([], [], [])
+    for level, cert in certify_levels(space, sig, cutoff):
+        if level == 0 and sig.p % 2 == 0:
+            done.skipped.append(level)
+        elif isinstance(cert, str):
+            done.failures.append((level, cert))
+        else:
+            done.certificates.append(cert)
+    return done
+
+
+def _levels_json(run: Run) -> dict:  # spectrum and index
+    return {"levels": [lv.to_json() for lv in run.result]}
+
+
+def _spectrum_pretty(run: Run) -> list[str]:
+    lines = [f"spectrum of {run.space} up to {run.cutoff}"]
+    for lv in run.result:
         alphas = " ".join(str(a) for a in lv.alphas)
         mults = " ".join(f"{h}:{m}" for h, m in lv.torus_decomp.mults) or "-"
         lines.append(
             f"  lambda = {lv.eigenvalue}  dim = {lv.real_dim}  alphas = {alphas}  "
             f"k0 = {lv.torus_decomp.k0}  planes = {mults}"
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def cmd_decompose(raw: dict, base_dir, fmt: str) -> str:
-    if fmt == "csv":
-        raise ConfigError("decompose writes json or pretty; for csv use spectrum")
-    space = require_space(raw, base_dir)
-    cutoff = require_cutoff(raw)
-    levels = spectrum_up_to(space, cutoff)
-    if fmt == "json":
-        payload = {
-            "space": str(space),
-            "cutoff": frac_to_json(cutoff),
-            "levels": [
-                {
-                    **lv.to_json(),
-                    "per_alpha": [
-                        {
-                            "alpha": a.to_json(),
-                            "decomposition": alpha_decomposition(space, a).to_json(),
-                        }
-                        for a in lv.alphas
-                    ],
-                }
-                for lv in levels
-            ],
-        }
-        return canonical_dumps(payload)
-    lines = [f"torus decompositions for {space} up to {cutoff}"]
-    for lv in levels:
+def _spectrum_csv(run: Run) -> list[str]:
+    """Exact eigenvalue, weights, dimension, k0, and one multiplicity column
+    per weight id appearing anywhere in the range."""
+    ids = sorted({h for lv in run.result for h, _ in lv.torus_decomp.mults}, key=lambda h: h.sort_key)
+    header = ["eigenvalue_num", "eigenvalue_den", "alphas", "real_dim", "k0"]
+    header += [f"k{h.canonical}" for h in ids]
+    lines = [",".join(header)]
+    for lv in run.result:
+        row = [lv.eigenvalue.numerator, lv.eigenvalue.denominator, ";".join(str(a) for a in lv.alphas)]
+        row += [lv.real_dim, lv.torus_decomp.k0, *(lv.torus_decomp.multiplicity(h) for h in ids)]
+        lines.append(",".join(map(str, row)))
+    return lines
+
+
+def _decompose_pretty(run: Run) -> list[str]:
+    lines = [f"torus decompositions for {run.space} up to {run.cutoff}"]
+    for lv in run.result:
         lines.append(f"  lambda = {lv.eigenvalue} (dim {lv.real_dim})")
         for a in lv.alphas:
-            dec = alpha_decomposition(space, a)
+            dec = alpha_decomposition(run.space, a)
             mults = " ".join(f"{h}:{m}" for h, m in dec.mults) or "-"
             lines.append(f"    alpha {a}: k0 = {dec.k0}  planes = {mults}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-# ---------------------------------------------------------------------------
-# index / certify
-# ---------------------------------------------------------------------------
+def _decompose_json(run: Run) -> dict:
+    def per_alpha(a):
+        return {"alpha": a.to_json(), "decomposition": alpha_decomposition(run.space, a).to_json()}
+
+    return {"levels": [{**lv.to_json(), "per_alpha": [per_alpha(a) for a in lv.alphas]} for lv in run.result]}
 
 
-def cmd_index(raw: dict, base_dir, fmt: str) -> str:
-    space = require_space(raw, base_dir)
-    sig = require_signature(raw)
-    cutoff = require_cutoff(raw)
-    levels = bifurcation_levels(space, sig, cutoff)
-    if fmt == "json":
-        payload = {
-            "space": str(space),
-            "a": list(sig.a),
-            "cutoff": frac_to_json(cutoff),
-            "levels": [bl.to_json() for bl in levels],
-        }
-        return canonical_dumps(payload)
-    if fmt == "csv":
-        lines = ["level_num,level_den,kernel_dim,index"]
-        for bl in levels:
-            lines.append(f"{bl.level.numerator},{bl.level.denominator},{bl.kernel_dim},{bl.index}")
-        return "\n".join(lines) + "\n"
-    lines = [f"bifurcation levels of {space} for a = {list(sig.a)}"]
-    for bl in levels:
-        lines.append(f"  level {bl.level}: kernel dim {bl.kernel_dim}, index {bl.index}")
-    return "\n".join(lines) + "\n"
+def _index_pretty(run: Run) -> list[str]:
+    lines = [f"bifurcation levels of {run.space} for a = {list(run.sig.a)}"]
+    lines += [f"  level {bl.level}: kernel dim {bl.kernel_dim}, index {bl.index}" for bl in run.result]
+    return lines
 
 
-def cmd_certify(raw: dict, base_dir, fmt: str) -> tuple[str, int]:
-    space = require_space(raw, base_dir)
-    sig = require_signature(raw)
-    cutoff = require_cutoff(raw)
-    certificates = []
-    skipped = []
-    failures = []
-    for level, cert in certify_levels(space, sig, cutoff):
-        if level == 0 and sig.p % 2 == 0:
-            skipped.append({"level": frac_to_json(level), "note": "p even: no claim at level 0"})
-        elif isinstance(cert, str):
-            failures.append({"level": frac_to_json(level), "error": cert})
-        else:
-            certificates.append(cert)
-    code = 1 if failures else 0
-    if fmt == "json":
-        payload = {
-            "space": str(space),
-            "a": list(sig.a),
-            "cutoff": frac_to_json(cutoff),
-            "certificates": [c.to_json() for c in certificates],
-            "skipped": skipped,
-            "failures": failures,
-            "all_certified": not failures,
-        }
-        return canonical_dumps(payload), code
-    if fmt == "csv":
-        lines = ["level_num,level_den,witness,ledger,unbounded,symmetry_breaking"]
-        for c in certificates:
-            ledger = ";".join(f"{lv}:{co}" for lv, co in c.ledger)
-            witness = str(c.witness) if c.witness is not None else "-"
-            lines.append(
-                f"{c.level.numerator},{c.level.denominator},{witness},{ledger},"
-                f"{c.unbounded},{c.symmetry_breaking}"
-            )
-        return "\n".join(lines) + "\n", code
-    lines = [f"unboundedness certificates for {space}, a = {list(sig.a)}"]
-    for c in certificates:
+def _index_csv(run: Run) -> list[str]:
+    lines = ["level_num,level_den,kernel_dim,index"]
+    lines += [f"{bl.level.numerator},{bl.level.denominator},{bl.kernel_dim},{bl.index}" for bl in run.result]
+    return lines
+
+
+def _certify_pretty(run: Run) -> list[str]:
+    done = run.result
+    lines = [f"unboundedness certificates for {run.space}, a = {list(run.sig.a)}"]
+    for c in done.certificates:
         witness = str(c.witness) if c.witness is not None else "(unit)"
         lines.append(f"  level {c.level}: witness {witness}, {c.conclusion}")
-    for s in skipped:
-        lines.append(f"  level {frac_from_json(s['level'])}: skipped ({s['note']})")
-    for f in failures:
-        lines.append(f"  level {frac_from_json(f['level'])}: FAILED ({f['error']})")
-    return "\n".join(lines) + "\n", code
+    lines += [f"  level {level}: skipped ({SKIP_NOTE})" for level in done.skipped]
+    lines += [f"  level {level}: FAILED ({error})" for level, error in done.failures]
+    return lines
+
+
+def _certify_json(run: Run) -> dict:
+    done = run.result
+    return {
+        "certificates": [c.to_json() for c in done.certificates],
+        "skipped": [{"level": frac_to_json(level), "note": SKIP_NOTE} for level in done.skipped],
+        "failures": [{"level": frac_to_json(level), "error": error} for level, error in done.failures],
+        "all_certified": not done.failures,
+    }
+
+
+def _certify_csv(run: Run) -> list[str]:
+    lines = ["level_num,level_den,witness,ledger,unbounded,symmetry_breaking"]
+    for c in run.result.certificates:
+        ledger = ";".join(f"{lv}:{co}" for lv, co in c.ledger)
+        witness = str(c.witness) if c.witness is not None else "-"
+        row = [c.level.numerator, c.level.denominator, witness, ledger, c.unbounded, c.symmetry_breaking]
+        lines.append(",".join(map(str, row)))
+    return lines
+
+
+class Command(NamedTuple):
+    """A subcommand's renderers by format, the first being its default.  An
+    exact command also names its computation and whether it reads a
+    signature; a renderer returns the JSON body under the shared header, or
+    the text lines.  branch and selftest write their own output."""
+
+    renderers: dict
+    compute: Callable | None = None
+    signature: bool = False
+
+
+COMMANDS = {
+    "spectrum": Command({"pretty": _spectrum_pretty, "json": _levels_json, "csv": _spectrum_csv}, _spectrum),
+    "decompose": Command({"pretty": _decompose_pretty, "json": _decompose_json}, _spectrum),
+    "index": Command({"pretty": _index_pretty, "json": _levels_json, "csv": _index_csv}, _levels, signature=True),
+    "certify": Command(
+        {"pretty": _certify_pretty, "json": _certify_json, "csv": _certify_csv}, _certify, signature=True
+    ),
+    "branch": Command({"csv": None}),
+    "selftest": Command({"pretty": None}),
+}
+
+
+def run_exact(command: str, raw: dict, base_dir, fmt: str) -> tuple[str, int]:
+    """Run an exact command on a parsed config and render it in ``fmt``.
+    Returns the text and the exit code, 1 when certify has failures."""
+    entry = COMMANDS[command]
+    space = require_space(raw, base_dir)
+    sig = require_signature(raw) if entry.signature else None
+    cutoff = require_cutoff(raw)
+    run = Run(space, sig, cutoff, entry.compute(space, sig, cutoff))
+    body = entry.renderers[fmt](run)
+    code = 1 if isinstance(run.result, Certification) and run.result.failures else 0
+    if fmt != "json":
+        return "\n".join(body) + "\n", code
+    header = {"space": str(space), "cutoff": frac_to_json(cutoff)}
+    if sig is not None:
+        header["a"] = list(sig.a)
+    return canonical_dumps({**header, **body}), code
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +370,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra, bifurcation indices, unboundedness certificates, "
         "and branch continuation for elliptic systems on symmetric spaces.",
     )
-    parser.add_argument(
-        "command", choices=("spectrum", "decompose", "index", "certify", "branch", "selftest")
-    )
+    parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=FORMATS, default="pretty")
+    formats = sorted({fmt for entry in COMMANDS.values() for fmt in entry.renderers})
+    parser.add_argument("--format", choices=formats, help="default: the command's first format")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formats = COMMANDS[args.command].renderers
+    fmt = args.format or next(iter(formats))
     try:
+        if fmt not in formats:
+            raise ConfigError(f"{args.command} writes {' or '.join(sorted(formats))}")
         if args.command == "selftest":
             from . import selftest
 
@@ -357,20 +394,11 @@ def main(argv=None) -> int:
             _emit(text, args.out)
             return 0 if all(r.passed for r in results) else 1
         raw, base_dir = load_config(args.config)
-        if args.command == "spectrum":
-            _emit(cmd_spectrum(raw, base_dir, args.format), args.out)
-            return 0
-        if args.command == "decompose":
-            _emit(cmd_decompose(raw, base_dir, args.format), args.out)
-            return 0
-        if args.command == "index":
-            _emit(cmd_index(raw, base_dir, args.format), args.out)
-            return 0
-        if args.command == "certify":
-            text, code = cmd_certify(raw, base_dir, args.format)
-            _emit(text, args.out)
-            return code
-        return cmd_branch(raw, base_dir, args.out)
+        if args.command == "branch":
+            return cmd_branch(raw, base_dir, args.out)
+        text, code = run_exact(args.command, raw, base_dir, fmt)
+        _emit(text, args.out)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

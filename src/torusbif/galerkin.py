@@ -32,6 +32,8 @@ import numpy as np
 
 from .jsonio import int_from_json
 
+QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
+
 
 def degree_eigenvalue(k: int) -> int:
     """Exact Laplace-Beltrami eigenvalue of degree-k harmonics on S^2."""
@@ -86,9 +88,6 @@ class GalerkinBasis:
     ----------
     max_degree : int
         Largest harmonic degree K; the basis has (K+1)^2 modes.
-    quad_margin : int
-        Quadrature is exact for integrands of polynomial degree
-        quad_margin * K; the default 4 covers a quartic nonlinearity.
 
     The basis keeps two small factors: ``legendre[m, k, i]``, the normalized
     Legendre function of degree k and order m at the i-th colatitude node,
@@ -98,15 +97,12 @@ class GalerkinBasis:
     the factors on first use, for the modes of this basis only.
     """
 
-    def __init__(self, max_degree: int, quad_margin: int = 4):
+    def __init__(self, max_degree: int):
         K = int_from_json(max_degree)
-        quad_margin = int_from_json(quad_margin)
         if K < 0:
             raise ValueError("max_degree must be nonnegative")
-        if quad_margin < 2:
-            raise ValueError("quad_margin must be at least 2")
         self.max_degree = K
-        self.quad_degree = quad_margin * K
+        self.quad_degree = QUAD_MARGIN * K
         n_theta = self.quad_degree // 2 + 1
         n_phi = self.quad_degree + 1
 

@@ -77,7 +77,7 @@ def _signatures(max_p: int):
 
 def criterion_01_spectrum_exactness(seed=0) -> CriterionResult:
     """Sphere spectra through the spectrum command match k(k+n-1) exactly."""
-    from .cli import cmd_spectrum
+    from .cli import run_exact
 
     spaces.clear_caches()
     t0 = time.perf_counter()
@@ -85,7 +85,7 @@ def criterion_01_spectrum_exactness(seed=0) -> CriterionResult:
     checked = 0
     for n in (2, 3, 4):
         raw = {"space": {"kind": "sphere", "n": n}, "cutoff": 200}
-        csv = cmd_spectrum(raw, None, "csv")
+        csv, _ = run_exact("spectrum", raw, None, "csv")
         rows = csv.strip().splitlines()[1:]
         got = [(int(r.split(",")[0]), int(r.split(",")[1]), r.split(",")[2]) for r in rows]
         expected = []

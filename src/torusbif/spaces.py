@@ -504,30 +504,3 @@ def clear_caches() -> None:
     _alpha_weight_map.cache_clear()
     _factor_weights.cache_clear()
     sphere_weight_multiplicity.cache_clear()
-
-
-# ---------------------------------------------------------------------------
-# tabular export
-# ---------------------------------------------------------------------------
-
-
-def spectrum_to_csv(levels: Sequence[SpectralLevel]) -> str:
-    """Delimited spectrum table: exact eigenvalue, weights, dimension, k0, and
-    one multiplicity column per weight id appearing anywhere in the range."""
-    ids: list[SubgroupId] = sorted(
-        {h for lv in levels for h, _ in lv.torus_decomp.mults}, key=lambda h: h.sort_key
-    )
-    header = ["eigenvalue_num", "eigenvalue_den", "alphas", "real_dim", "k0"]
-    header += [f"k{h.canonical}" for h in ids]
-    lines = [",".join(header)]
-    for lv in levels:
-        row = [
-            str(lv.eigenvalue.numerator),
-            str(lv.eigenvalue.denominator),
-            ";".join(str(a) for a in lv.alphas),
-            str(lv.real_dim),
-            str(lv.torus_decomp.k0),
-        ]
-        row += [str(lv.torus_decomp.multiplicity(h)) for h in ids]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -312,6 +312,36 @@ def test_branch_run_writes_csv_and_summary(tmp_path, capsys):
     assert len(lines) == summary["steps"] + 1
 
 
+@pytest.mark.parametrize(
+    "command, fmt, message",
+    [
+        ("branch", "json", "branch writes csv"),
+        ("branch", "pretty", "branch writes csv"),
+        ("selftest", "csv", "selftest writes pretty"),
+        ("selftest", "json", "selftest writes pretty"),
+    ],
+)
+def test_unwritten_format_is_a_config_error(tmp_path, capsys, command, fmt, message):
+    out_file = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, BRANCH_CFG), "--format", fmt, "--out", str(out_file)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not out_file.exists()
+
+
+def test_branch_default_format_is_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path, BRANCH_CFG)
+    runs = []
+    for extra in ([], ["--format", "csv"]):
+        out_csv = tmp_path / "branch.csv"
+        code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv), *extra])
+        runs.append((code, out, err, out_csv.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][3].startswith(b"arclength,lambda,h1_norm")
+
+
 def test_branch_rejects_non_crossing(tmp_path, capsys):
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "crossing": 3}})
     code, _, err = run(capsys, ["branch", "--config", cfg])

@@ -22,7 +22,7 @@ from torusbif import (
 )
 from torusbif import ContinuationOptions, continue_branch
 from torusbif import galerkin
-from torusbif.galerkin import residual_jacobian
+from torusbif.galerkin import residual_jacobian, residual_lambda_derivative
 
 BASIS = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -59,8 +59,6 @@ def reference_harmonic(k, m, x, phi):
         {"max_degree": 3.9},
         {"max_degree": True},
         {"max_degree": "4"},
-        {"max_degree": 4, "quad_margin": 2.5},
-        {"max_degree": 4, "quad_margin": False},
     ],
 )
 def test_basis_rejects_non_integers(kw):
@@ -196,9 +194,24 @@ def test_residual_rejects_wrong_length():
 
 
 def test_underresolved_quadrature_is_rejected():
-    coarse = GalerkinBasis(8, quad_margin=2)
-    with pytest.raises(ValueError, match="quadrature underresolved"):
-        residual_coeffs(coarse, QUARTIC, NEG, np.zeros(coarse.n_modes), 1.0)
+    # h = -(|u|^2)^3 / 6 has a quintic gradient: its residual needs degree 6K,
+    # and the quadrature is exact to degree 4K
+    def hess(u, lam):
+        s = np.sum(u * u, axis=0)
+        out = -4.0 * s * u[:, None, :] * u[None, :, :]
+        out[np.arange(len(u)), np.arange(len(u)), :] -= s**2
+        return out
+
+    sextic = NonlinearitySpec(
+        "sextic",
+        lambda u, lam: -np.sum(u * u, axis=0) ** 3 / 6.0,
+        lambda u, lam: -np.sum(u * u, axis=0) ** 2 * u,
+        hess,
+        grad_degree=5,
+        lam_dependent=False,
+    )
+    with pytest.raises(ValueError, match="quadrature underresolved: exact to degree 32, residual needs 48"):
+        residual_coeffs(BASIS, sextic, NEG, np.zeros(BASIS.n_modes), 1.0)
 
 
 def test_h1_norm_weights():
@@ -279,6 +292,29 @@ def test_gradient_check_validates_epsilon():
     state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
     with pytest.raises(ValueError):
         gradient_check(BASIS, QUARTIC, NEG, state, 1e-2)
+
+
+def test_lambda_derivative_of_a_lambda_dependent_nonlinearity():
+    # h(u, lam) = lam * quartic, so R = -(a k(k+1) + lam) c - lam P(q(u)) with
+    # q the quartic gradient, and dR/dlam = -c - P(q(u)); the derivative is
+    # taken by central differences since lam_dependent is left at its default
+    scaled = NonlinearitySpec(
+        "lam-quartic",
+        lambda u, lam: lam * QUARTIC.value(u, lam),
+        lambda u, lam: lam * QUARTIC.grad(u, lam),
+        lambda u, lam: lam * QUARTIC.hess(u, lam),
+        grad_degree=3,
+    )
+    assert scaled.lam_dependent
+    rng = np.random.default_rng(13)
+    sig = SystemSignature((1, -1))
+    c = 0.5 * rng.standard_normal(2 * BASIS.n_modes)
+    lam = 1.7
+    projected = BASIS.project(QUARTIC.grad(BASIS.evaluate(c.reshape(2, -1)), lam)).ravel()
+    want = -c - projected
+    got = residual_lambda_derivative(BASIS, scaled, sig, c, lam)
+    assert np.max(np.abs(projected)) > 0.1  # the nonlinear term is not negligible
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 def test_gradient_check_requires_a_sample():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from torusbif.cli import main
+from torusbif.cli import COMMANDS, main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
@@ -36,3 +36,15 @@ def test_exact_output_matches_golden_digest(tmp_path, case):
     code = main([case["command"], "--config", str(cfg), "--format", case["format"], "--out", str(out)])
     assert code == case["exit"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"]
+
+
+def test_every_exact_format_has_a_digest_on_every_config():
+    pinned = {(c["config"], c["command"], c["format"]) for c in GOLDEN["cases"]}
+    wanted = {
+        (config, command, fmt)
+        for config in GOLDEN["configs"]
+        for command, entry in COMMANDS.items()
+        if entry.compute is not None
+        for fmt in entry.renderers
+    }
+    assert sorted(wanted - pinned) == []

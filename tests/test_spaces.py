@@ -15,10 +15,10 @@ from torusbif import (
     eigenvalue_of,
     harmonic_dim,
     load_space,
-    spectrum_to_csv,
     spectrum_up_to,
     sphere_weight_multiplicity,
 )
+from torusbif.cli import run_exact
 from torusbif.spaces import _coordinate_bound
 
 W = RestrictedWeight
@@ -296,8 +296,8 @@ def test_generic_tables_must_be_conjugation_symmetric():
 
 
 def test_spectrum_csv_shape():
-    levels = spectrum_up_to(S2, 6)
-    csv = spectrum_to_csv(levels)
+    csv, code = run_exact("spectrum", {"space": {"kind": "sphere", "n": 2}, "cutoff": 6}, None, "csv")
+    assert code == 0
     lines = csv.strip().splitlines()
     assert lines[0] == "eigenvalue_num,eigenvalue_den,alphas,real_dim,k0,k(1),k(2)"
     assert lines[1] == "0,1,(0),1,1,0,0"
