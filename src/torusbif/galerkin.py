@@ -93,8 +93,8 @@ class GalerkinBasis:
     Legendre function of degree k and order m at the i-th colatitude node,
     and ``longitude[m + K, j]``, which is 1, sqrt(2) cos(m phi_j) or
     sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and m < 0.  Mode Y_{k,m} is their
-    outer product; the dense (n_modes, nodes) table ``values`` is formed from
-    the factors on first use, for the modes of this basis only.
+    outer product.  The transforms and the Jacobian work from the factors;
+    the dense (n_modes, nodes) table ``values`` is formed only when read.
     """
 
     def __init__(self, max_degree: int):
@@ -128,43 +128,73 @@ class GalerkinBasis:
         self.longitude[K] = 1.0
 
     @cached_property
+    def _factors(self):
+        """Index data of the factored transforms, for the modes of this basis:
+        each mode's colatitude row ``colat[mode] = legendre[|m|, k]``, the
+        longitude rows ``lon`` of the orders present (ascending), each mode's
+        position ``pos`` among those orders, and the ``rows`` of each order."""
+        order = [m for _, m in self.modes]
+        present = sorted(set(order))
+        at = {m: b for b, m in enumerate(present)}
+        pos = np.array([at[m] for m in order])
+        rows = [np.flatnonzero(pos == b) for b in range(len(present))]
+        colat = self.legendre[np.abs(order), [k for k, _ in self.modes]]
+        lon = self.longitude[np.array(present) + self.max_degree]
+        return colat, lon, pos, rows
+
+    @cached_property
     def values(self) -> np.ndarray:
-        """Dense table Y_{k,m}(node), one row per mode of this basis."""
-        degree, order = np.array(self.modes).T
-        legendre = self.legendre[np.abs(order), degree]
-        trig = self.longitude[order + self.max_degree]
-        return (legendre[:, :, None] * trig[:, None, :]).reshape(len(self.modes), -1)
+        """Dense table Y_{k,m}(node), one row per mode of this basis.  No
+        computation reads it; it serves as a reference for the factored
+        transforms."""
+        colat, lon, pos, _ = self._factors
+        return (colat[:, :, None] * lon[pos][:, None, :]).reshape(self.n_modes, -1)
 
     def restrict(self, keep) -> "GalerkinBasis":
-        """The same quadrature on the modes ``keep`` (ascending indices into
-        ``modes``): a smaller basis whose coefficient vectors hold only the
-        kept modes, and whose table holds only their rows."""
+        """The same quadrature on the modes ``keep`` (strictly increasing
+        indices into ``modes``): a smaller basis whose coefficient vectors
+        hold only the kept modes, and whose factors hold only their orders."""
         keep = np.asarray(keep)
+        if keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iu":
+            raise ValueError("keep must be a nonempty sequence of integer mode indices")
+        keep = keep.astype(np.intp)  # so that differences of unsigned indices cannot wrap
+        if keep[0] < 0 or keep[-1] >= self.n_modes or np.any(np.diff(keep) <= 0):
+            raise ValueError(f"keep must be strictly increasing mode indices in [0, {self.n_modes})")
         sub = copy.copy(self)
         sub.modes = tuple(self.modes[i] for i in keep)
         sub.mode_index = {km: i for i, km in enumerate(sub.modes)}
         sub.eigenvalues = self.eigenvalues[keep]
-        vars(sub).pop("values", None)  # formed from the kept rows on first use
+        for cached in ("_factors", "values"):  # rebuilt from the kept modes on first use
+            vars(sub).pop(cached, None)
         return sub
 
     @property
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def mass_error(self) -> float:
-        """Largest deviation of the quadrature Gram matrix from the identity."""
-        return float(np.max(np.abs(self.project(self.values) - np.eye(self.n_modes))))
-
     def integrate(self, node_values: np.ndarray) -> float:
         return float(np.dot(node_values, self.weights))
 
     def project(self, node_values: np.ndarray) -> np.ndarray:
-        """Coefficients <f, Y_{k,m}> of nodal data, rows broadcast over modes."""
-        return (node_values * self.weights) @ self.values.T
+        """Coefficients <f, Y_{k,m}> of nodal data, rows broadcast over modes:
+        a sum over longitude for each order present, then over colatitude."""
+        colat, lon, pos, rows = self._factors
+        f = np.asarray(node_values) * self.weights
+        by_order = f.reshape(f.shape[:-1] + (colat.shape[1], -1)) @ lon.T  # (..., theta, order)
+        out = np.empty(f.shape[:-1] + (pos.size,))
+        for b, r in enumerate(rows):
+            out[..., r] = by_order[..., b] @ colat[r].T
+        return out
 
     def evaluate(self, coeffs_block: np.ndarray) -> np.ndarray:
-        """Nodal values of sum c_{k,m} Y_{k,m}; accepts (..., n_modes)."""
-        return coeffs_block @ self.values
+        """Nodal values of sum c_{k,m} Y_{k,m}; accepts (..., n_modes).  A sum
+        over degree within each order, then over order."""
+        colat, lon, pos, rows = self._factors
+        c = np.asarray(coeffs_block)
+        by_order = np.empty(c.shape[:-1] + (len(rows), colat.shape[1]))
+        for b, r in enumerate(rows):
+            by_order[..., b, :] = c[..., r] @ colat[r]
+        return (np.swapaxes(by_order, -1, -2) @ lon).reshape(c.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +359,25 @@ def residual_jacobian(
     lam: float,
 ) -> np.ndarray:
     """Jacobian of the residual: the diagonal linear part minus the quadrature
-    Gram blocks of the pointwise Hessian, which is symmetric in (i, j)."""
+    Gram blocks of the pointwise Hessian, which is symmetric in (i, j).
+
+    A Gram entry is sum_theta colat_a colat_b T[order_a, theta, order_b],
+    where T[b, theta, a] = sum_phi L_b L_a w sums the weighted Hessian w
+    against each pair of longitude rows.  So T costs one batched product and
+    the rows of each order one product with the colatitude rows: O(n^2 n_theta)
+    per block, where a Gram through the dense table costs O(n^2 n_theta n_phi)."""
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
     Hw = nl.hess(basis.evaluate(c), lam) * basis.weights  # (p, p, nodes), quadrature-weighted
+    colat, lon, pos, rows = basis._factors
     J = np.empty((p * n, p * n))
     blocks = J.reshape(p, n, p, n)  # a view: blocks[i, :, j, :] is block (i, j)
     for i in range(p):
         for j in range(i, p):
-            blocks[i, :, j, :] = -((basis.values * Hw[i, j]) @ basis.values.T)
+            T = (lon[:, None, :] * Hw[i, j].reshape(colat.shape[1], -1)) @ lon.T  # (order, theta, order)
+            for b, r in enumerate(rows):
+                blocks[i, r, j, :] = -(colat[r] @ (T[b][:, pos] * colat.T))
             if j > i:
                 blocks[j, :, i, :] = blocks[i, :, j, :].T
     diag = np.arange(p * n)

@@ -506,7 +506,7 @@ for command in ("spectrum", "index", "certify"):
 after_exact = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 assert main(["branch", "--config", branch, "--out", out]) == 0
 with open(result, "w") as fh:
-    json.dump([after_exact, "numpy" in sys.modules, "scipy" in sys.modules], fh)
+    json.dump([after_exact, "numpy" in sys.modules, "scipy" in sys.modules, "numpy.ma" in sys.modules], fh)
 """
 
 
@@ -529,9 +529,10 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    after_exact, numpy_loaded, scipy_loaded = json.loads((tmp_path / "result").read_text())
+    after_exact, numpy_loaded, scipy_loaded, masked_loaded = json.loads((tmp_path / "result").read_text())
     assert after_exact == []
     assert numpy_loaded and not scipy_loaded
+    assert not masked_loaded  # np.unique, for one, imports numpy.ma
 
 
 def test_every_public_name_resolves():

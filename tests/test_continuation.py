@@ -14,6 +14,8 @@ from torusbif import (
     node_variance,
     residual_coeffs,
 )
+from torusbif import continuation
+from test_galerkin import dense_jacobian
 
 BASIS = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -26,14 +28,21 @@ def axisymmetric_opts(**kw):
     return ContinuationOptions(**defaults)
 
 
+# crossing and options of the two K = 8 fixtures
+RUNS = {
+    "branch": (2, axisymmetric_opts()),
+    "constant_branch": (0, ContinuationOptions(target_norm=0.8, max_steps=200)),
+}
+
+
 @pytest.fixture(scope="module")
 def branch():
-    return continue_branch(BASIS, QUARTIC, NEG, 2, axisymmetric_opts())
+    return continue_branch(BASIS, QUARTIC, NEG, *RUNS["branch"])
 
 
 @pytest.fixture(scope="module")
 def constant_branch():
-    return continue_branch(BASIS, QUARTIC, NEG, 0, ContinuationOptions(target_norm=0.8, max_steps=200))
+    return continue_branch(BASIS, QUARTIC, NEG, *RUNS["constant_branch"])
 
 
 # Trajectory pins: the exact state count and the end point of both K = 8
@@ -51,6 +60,18 @@ def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
     assert len(result.states) == count
     assert math.isclose(result.states[-1].lam, lam, rel_tol=1e-12)
     assert math.isclose(result.states[-1].h1_norm, h1, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("which", RUNS)
+def test_branch_states_match_a_run_with_the_dense_jacobian(request, monkeypatch, which):
+    factored = request.getfixturevalue(which)
+    monkeypatch.setattr(continuation, "residual_jacobian", dense_jacobian)
+    dense = continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
+    assert dense.outcome == factored.outcome
+    assert len(dense.states) == len(factored.states)
+    for got, want in zip(factored.states, dense.states):
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
+        assert math.isclose(got.lam, want.lam, rel_tol=1e-12)
 
 
 def test_branch_reaches_target_without_returning(branch):

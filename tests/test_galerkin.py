@@ -33,11 +33,41 @@ NEG = SystemSignature((-1,))
 # -- basis ----------------------------------------------------------------------
 
 
+def mass_error(basis):
+    # largest deviation of the quadrature Gram matrix from the identity
+    return float(np.max(np.abs(basis.project(basis.values) - np.eye(basis.n_modes))))
+
+
+def dense_jacobian(basis, nl, sig, coeffs, lam):
+    # reference: the Gram blocks through the dense (modes, nodes) table, the
+    # formula the factored assembly replaced
+    a = np.asarray(sig.a, dtype=float)
+    p, n = a.size, basis.n_modes
+    c = np.asarray(coeffs, dtype=float).reshape(p, n)
+    Hw = nl.hess(c @ basis.values, lam) * basis.weights
+    J = np.empty((p * n, p * n))
+    blocks = J.reshape(p, n, p, n)
+    for i in range(p):
+        for j in range(i, p):
+            blocks[i, :, j, :] = -((basis.values * Hw[i, j]) @ basis.values.T)
+            if j > i:
+                blocks[j, :, i, :] = blocks[i, :, j, :].T
+    diag = np.arange(p * n)
+    J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
+    return J
+
+
+def with_orders(basis, orders):
+    if orders is None:
+        return basis
+    return basis.restrict([i for i, (k, m) in enumerate(basis.modes) if m in orders])
+
+
 @pytest.mark.parametrize("K", [0, 2, 4, 8, 24])
 def test_mode_count_and_orthonormality(K):
     basis = GalerkinBasis(K)
     assert basis.n_modes == (K + 1) ** 2
-    assert basis.mass_error() <= 1e-12
+    assert mass_error(basis) <= 1e-12
 
 
 def reference_harmonic(k, m, x, phi):
@@ -74,7 +104,29 @@ def test_restricted_basis_keeps_the_chosen_modes():
     assert np.array_equal(sub.values, BASIS.values[keep])
     assert np.array_equal(sub.eigenvalues, BASIS.eigenvalues[keep])
     assert sub.weights is BASIS.weights and sub.quad_degree == BASIS.quad_degree
-    assert BASIS.n_modes == 81 and sub.mass_error() <= 1e-12
+    assert BASIS.n_modes == 81 and mass_error(sub) <= 1e-12
+    # the factors of the parent basis are not inherited: the axisymmetric
+    # basis holds the single order m = 0
+    colat, lon, pos, rows = sub._factors
+    assert lon.shape[0] == 1 and len(rows) == 1 and not np.any(pos)
+    assert np.array_equal(lon[0], np.ones(lon.shape[1]))
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [[-1, 3, 3], [4, 1], [2, 2], [0, 9], [], [0.0, 1.0], [True, False], [[0, 1]]],
+    ids=["negative-repeated", "descending", "repeated", "past-end", "empty", "floats", "bools", "nested"],
+)
+def test_restrict_rejects_keep_that_is_not_an_increasing_run_of_mode_indices(keep):
+    basis = GalerkinBasis(2)
+    with pytest.raises(ValueError, match="keep must be"):
+        basis.restrict(keep)
+
+
+def test_restrict_accepts_increasing_integer_indices():
+    basis = GalerkinBasis(2)
+    assert basis.restrict(np.array([0, 4, 8], dtype=np.uint8)).modes == ((0, 0), (2, -2), (2, 2))
+    assert basis.restrict(range(1, 4)).modes == ((1, -1), (1, 0), (1, 1))
 
 
 @pytest.mark.parametrize("K", [8, 24, 64])
@@ -135,6 +187,46 @@ def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
     assert result.outcome == "reached_target"
     assert "values" not in vars(basis)
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
+@pytest.mark.parametrize("orders", [None, (0,), (0, 3, -3)], ids=["full", "m0", "m0+-3"])
+@pytest.mark.parametrize("K", [0, 1, 8, 16])
+def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
+    basis = with_orders(GalerkinBasis(K), orders)
+    sig = SystemSignature(a)
+    rng = np.random.default_rng(K + 100 * len(a))
+    c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
+    J = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+    u = c @ basis.values
+    assert np.max(np.abs(basis.evaluate(c) - u)) <= 1e-13 * np.max(np.abs(u))
+    f = rng.standard_normal((len(a), basis.weights.size))
+    proj = (f * basis.weights) @ basis.values.T
+    assert np.max(np.abs(basis.project(f) - proj)) <= 1e-13 * np.max(np.abs(proj))
+
+
+def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
+    # J alone is 9.5 MB; the dense table would be 73 MB
+    basis = GalerkinBasis(32)
+    c = 0.3 * np.random.default_rng(23).standard_normal(basis.n_modes)
+    tracemalloc.start()
+    try:
+        J = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (1089, 1089)
+    assert peak < 30e6
+    assert "values" not in vars(basis)
+
+
+def test_unrestricted_branch_at_K16_never_forms_the_table():
+    basis = GalerkinBasis(16)
+    result = continue_branch(basis, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
+    assert result.outcome == "reached_target"
+    assert "values" not in vars(basis)
 
 
 def test_harmonic_table_matches_legendre_formula():
