@@ -106,15 +106,32 @@ class UnboundednessCertificate:
     realizing |level|; ``ledger`` lists the witness coefficient of the index at
     every candidate level of maximal absolute value, and their sum is nonzero.
     For level zero the witness is absent and the ledger holds the unit
-    coefficient of index(0).
+    coefficient of index(0).  The flags and the conclusion are derived from
+    these three fields.
     """
 
     level: Fraction
     witness: SubgroupId | None
     ledger: tuple[tuple[Fraction, int], ...]
-    conclusion: str
-    symmetry_breaking: bool
-    unbounded: bool = True
+
+    unbounded = True  # what every issued certificate shows
+
+    @property
+    def symmetry_breaking(self) -> bool:
+        return self.level != 0
+
+    @property
+    def conclusion(self) -> str:
+        if self.level == 0:
+            return (
+                f"index(0) = {self.ledger[0][1]}*I != 0, so 0 is a bifurcation level; any bounded "
+                "continuum through 0 would meet a nonzero candidate level, whose "
+                "certificate rules out a bounded return"
+            )
+        return (
+            f"sum {self.coefficient_sum()} != 0 at witness {self.witness}: lower levels contribute 0 there, "
+            f"so no finite candidate set with max |level| = {abs(self.level)} lets the indices cancel"
+        )
 
     def coefficient_sum(self) -> int:
         return sum(c for _, c in self.ledger)
@@ -132,14 +149,17 @@ class UnboundednessCertificate:
     @classmethod
     def from_json(cls, data) -> "UnboundednessCertificate":
         witness = data.get("witness")
-        return cls(
+        stated = {key: bool_from_json(data[key]) for key in ("symmetry_breaking", "unbounded")}
+        stated["conclusion"] = data["conclusion"]
+        cert = cls(
             frac_from_json(data["level"]),
             None if witness is None else SubgroupId.from_json(witness),
             tuple((frac_from_json(e["level"]), int_from_json(e["coeff"])) for e in data["ledger"]),
-            data["conclusion"],
-            bool_from_json(data["symmetry_breaking"]),
-            bool_from_json(data["unbounded"]),
         )
+        for key, value in stated.items():
+            if value != getattr(cert, key):
+                raise ValueError(f"{key} {value!r} disagrees with the value derived from level, witness and ledger")
+        return cert
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +256,7 @@ def _certificate(sig: SystemSignature, level: Fraction, split: _Split) -> Unboun
     if level == 0:
         if sig.p % 2 == 0:
             raise ValueError("no bifurcation guaranteed at this level: p is even")
-        coeff = _index(sig, level, split).unit
-        conclusion = (
-            f"index(0) = {coeff}*I != 0, so 0 is a bifurcation level; any bounded "
-            "continuum through 0 would meet a nonzero candidate level, whose "
-            "certificate rules out a bounded return"
-        )
-        return UnboundednessCertificate(
-            level=Fraction(0),
-            witness=None,
-            ledger=((Fraction(0), coeff),),
-            conclusion=conclusion,
-            symmetry_breaking=False,
-        )
+        return UnboundednessCertificate(Fraction(0), None, ((Fraction(0), _index(sig, level, split).unit),))
 
     lam_abs = abs(level)
     witness = canonicalize(split.v.alphas[0])
@@ -267,20 +275,10 @@ def _certificate(sig: SystemSignature, level: Fraction, split: _Split) -> Unboun
 
     if not cancellation_impossible(sig.n_minus, sig.n_plus, split.dim_parity):
         raise ValueError("cancellation identity failed; certificate cannot be issued")
-    total = sum(c for _, c in ledger)
-    if total == 0:
+    cert = UnboundednessCertificate(level, witness, tuple(ledger))
+    if cert.coefficient_sum() == 0:
         raise ValueError("witness coefficients cancel; certificate cannot be issued")
-    conclusion = (
-        f"sum {total} != 0 at witness {witness}: lower levels contribute 0 there, so no "
-        f"finite candidate set with max |level| = {lam_abs} lets the indices cancel"
-    )
-    return UnboundednessCertificate(
-        level=level,
-        witness=witness,
-        ledger=tuple(ledger),
-        conclusion=conclusion,
-        symmetry_breaking=True,
-    )
+    return cert
 
 
 def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[tuple[Fraction, UnboundednessCertificate | str], ...]:

@@ -294,7 +294,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     from .galerkin import NONLINEARITIES, GalerkinBasis, trivial_branch_crossings
 
     space = require_space(raw, base_dir)
-    if space.kind != "sphere" or space.factors != (2,):
+    if space.factors != (2,):
         raise ConfigError("the branch solver supports the 2-sphere only")
     sig = require_signature(raw)
     block = raw.get("galerkin")

@@ -315,6 +315,18 @@ def _check_resolution(basis: GalerkinBasis, nl: NonlinearitySpec) -> None:
         )
 
 
+def _residual_at(
+    basis: GalerkinBasis, nl: NonlinearitySpec, sig, c: np.ndarray, u: np.ndarray, lam: float
+) -> np.ndarray:
+    """The residual from the coefficient blocks c, shape (p, n_modes), and
+    their nodal values u."""
+    _check_resolution(basis, nl)
+    a = np.asarray(sig.a, dtype=float)
+    proj = basis.project(nl.grad(u, lam))
+    R = -(a[:, None] * basis.eigenvalues[None, :] + lam) * c - proj
+    return R.ravel()
+
+
 def residual_coeffs(
     basis: GalerkinBasis,
     nl: NonlinearitySpec,
@@ -323,14 +335,8 @@ def residual_coeffs(
     lam: float,
 ) -> np.ndarray:
     """Coefficient gradient of the discrete functional at (coeffs, lam)."""
-    _check_resolution(basis, nl)
-    a = np.asarray(sig.a, dtype=float)
-    p = a.size
-    c = np.asarray(coeffs, dtype=float).reshape(p, basis.n_modes)
-    u = basis.evaluate(c)
-    proj = basis.project(nl.grad(u, lam))
-    R = -(a[:, None] * basis.eigenvalues[None, :] + lam) * c - proj
-    return R.ravel()
+    c = np.asarray(coeffs, dtype=float).reshape(len(sig.a), basis.n_modes)
+    return _residual_at(basis, nl, sig, c, basis.evaluate(c), lam)
 
 
 def residual(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: BranchState) -> np.ndarray:
@@ -357,9 +363,10 @@ def residual_jacobian(
     sig,
     coeffs: np.ndarray,
     lam: float,
-) -> np.ndarray:
-    """Jacobian of the residual: the diagonal linear part minus the quadrature
-    Gram blocks of the pointwise Hessian, which is symmetric in (i, j).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residual R and its Jacobian J at (coeffs, lam), from one transform
+    of the state.  J is the diagonal linear part minus the quadrature Gram
+    blocks of the pointwise Hessian, which is symmetric in (i, j).
 
     A Gram entry is sum_theta colat_a colat_b T[order_a, theta, order_b],
     where T[b, theta, a] = sum_phi L_b L_a w sums the weighted Hessian w
@@ -369,7 +376,9 @@ def residual_jacobian(
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
-    Hw = nl.hess(basis.evaluate(c), lam) * basis.weights  # (p, p, nodes), quadrature-weighted
+    u = basis.evaluate(c)
+    R = _residual_at(basis, nl, sig, c, u, lam)
+    Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
     colat, lon, pos, rows = basis._factors
     J = np.empty((p * n, p * n))
     blocks = J.reshape(p, n, p, n)  # a view: blocks[i, :, j, :] is block (i, j)
@@ -382,7 +391,7 @@ def residual_jacobian(
                 blocks[j, :, i, :] = blocks[i, :, j, :].T
     diag = np.arange(p * n)
     J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
-    return J
+    return R, J
 
 
 def residual_lambda_derivative(

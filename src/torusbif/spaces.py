@@ -29,12 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .jsonio import frac_from_json, frac_to_json, int_from_json
-from .weights import RestrictedWeight, SubgroupId, _merge_sorted, canonicalize
-
-SPHERE = "sphere"
-PRODUCT = "product"
-GENERIC = "generic"
-
+from .weights import RestrictedWeight, SubgroupId, _merge_sorted
 
 # ---------------------------------------------------------------------------
 # torus representation data
@@ -101,8 +96,11 @@ class SpectralLevel:
 
     eigenvalue: Fraction
     alphas: tuple[RestrictedWeight, ...]
-    real_dim: int
     torus_decomp: TorusRepDecomposition
+
+    @property
+    def real_dim(self) -> int:
+        return self.torus_decomp.total_dim
 
     def to_json(self) -> dict:
         return {
@@ -114,12 +112,15 @@ class SpectralLevel:
 
     @classmethod
     def from_json(cls, data) -> "SpectralLevel":
-        return cls(
+        real_dim = int_from_json(data["real_dim"])
+        level = cls(
             frac_from_json(data["eigenvalue"]),
             tuple(RestrictedWeight.from_json(a) for a in data["alphas"]),
-            int_from_json(data["real_dim"]),
             TorusRepDecomposition.from_json(data["decomposition"]),
         )
+        if real_dim != level.real_dim:
+            raise ValueError(f"real_dim {real_dim} disagrees with the decomposition's dimension {level.real_dim}")
+        return level
 
 
 # ---------------------------------------------------------------------------
@@ -198,78 +199,75 @@ def _minor_det(gram: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> Fracti
     return det
 
 
+def _sphere_form(ns: Sequence[int]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+    """Gram = identity and rho_i = (n_i - 1)/2, so S^n has spectrum k(k + n - 1)."""
+    r = len(ns)
+    gram = tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
+    return gram, tuple(Fraction(n - 1, 2) for n in ns)
+
+
 @dataclass(frozen=True)
 class SymmetricSpaceData:
-    """Exact descriptor: rank, Gram matrix of simple restricted roots, rho in
-    simple-root coordinates, and the oracle kind."""
+    """Exact descriptor: Gram matrix of simple restricted roots, rho in
+    simple-root coordinates, and exactly one weight oracle, the sphere factors
+    of a product of spheres or user-supplied weight tables.  Sphere factors
+    fix the Gram matrix and rho, and a descriptor that states others is
+    refused."""
 
-    rank: int
     gram: tuple[tuple[Fraction, ...], ...]
     rho: tuple[Fraction, ...]
-    kind: str
     factors: tuple[int, ...] | None = None
     tables: GenericTables | None = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
         gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
         rho = tuple(Fraction(x) for x in self.rho)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "rho", rho)
-        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
+        if (self.factors is None) == (self.tables is None):
+            raise ValueError("a space needs exactly one weight oracle: sphere factors or weight tables")
+        if self.factors is not None:
+            ns = tuple(int_from_json(n) for n in self.factors)
+            if any(n < 2 for n in ns):
+                raise ValueError("each sphere factor needs n >= 2")
+            if (gram, rho) != _sphere_form(ns):
+                raise ValueError(f"sphere factors {list(ns)} fix gram = identity and rho_i = (n_i - 1)/2")
+            object.__setattr__(self, "factors", ns)
+        r = len(gram)
+        if r < 1:
+            raise ValueError("rank must be positive")
+        if any(len(row) != r for row in gram):
             raise ValueError("gram must be a rank x rank matrix")
-        if len(rho) != self.rank:
+        if len(rho) != r:
             raise ValueError("rho must have length rank")
-        for i in range(self.rank):
+        for i in range(r):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram must be symmetric")
-        for size in range(1, self.rank + 1):
+        for size in range(1, r + 1):
             if _minor_det(gram, range(size)) <= 0:
                 raise ValueError("gram must be positive definite")
         # (alpha_i, rho) >= 0 keeps the spectrum enumeration bound valid
-        for i in range(self.rank):
-            if sum(gram[i][j] * rho[j] for j in range(self.rank)) < 0:
+        for i in range(r):
+            if sum(gram[i][j] * rho[j] for j in range(r)) < 0:
                 raise ValueError("rho must pair nonnegatively with every simple root")
-        if self.kind == GENERIC and self.tables is None:
-            raise ValueError("weight tables required for a generic space")
 
     # -- presets --------------------------------------------------------------
 
     @classmethod
     def sphere(cls, n: int) -> "SymmetricSpaceData":
         """Round n-sphere, n >= 2, normalized so lambda_k = k(k + n - 1)."""
-        n = int_from_json(n)
-        if n < 2:
-            raise ValueError("sphere preset needs n >= 2")
-        return cls(
-            rank=1,
-            gram=((Fraction(1),),),
-            rho=(Fraction(n - 1, 2),),
-            kind=SPHERE,
-            factors=(n,),
-        )
+        return cls.product_of_spheres((n,))
 
     @classmethod
     def product_of_spheres(cls, factors: Iterable[int]) -> "SymmetricSpaceData":
         """Product S^{n_1} x ... x S^{n_s}; Gram block diagonal, rho concatenated."""
         ns = tuple(int_from_json(n) for n in factors)
-        if not ns:
-            raise ValueError("product preset needs at least one factor")
-        if any(n < 2 for n in ns):
-            raise ValueError("each sphere factor needs n >= 2")
-        r = len(ns)
-        gram = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(r)) for i in range(r)
-        )
-        rho = tuple(Fraction(n - 1, 2) for n in ns)
-        return cls(rank=r, gram=gram, rho=rho, kind=PRODUCT, factors=ns)
+        return cls(*_sphere_form(ns), factors=ns)
 
-    @classmethod
-    def generic(cls, gram, rho, tables: GenericTables) -> "SymmetricSpaceData":
-        gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        return cls(rank=len(gram), gram=gram, rho=tuple(Fraction(x) for x in rho), kind=GENERIC, tables=tables)
+    @property
+    def rank(self) -> int:
+        return len(self.gram)
 
     # -- exact inner product ---------------------------------------------------
 
@@ -281,9 +279,7 @@ class SymmetricSpaceData:
         )
 
     def __str__(self) -> str:
-        if self.kind == SPHERE:
-            return f"S^{self.factors[0]}"
-        if self.kind == PRODUCT:
+        if self.factors is not None:
             return " x ".join(f"S^{n}" for n in self.factors)
         return f"generic rank-{self.rank} space"
 
@@ -293,11 +289,11 @@ def load_space(descriptor: dict, base_dir=None) -> SymmetricSpaceData:
     {"kind":"product","factors":[2,3]}, or
     {"kind":"generic","gram":[[..]],"rho":[..],"tables":"path"}."""
     kind = descriptor.get("kind")
-    if kind == SPHERE:
+    if kind == "sphere":
         return SymmetricSpaceData.sphere(descriptor["n"])
-    if kind == PRODUCT:
+    if kind == "product":
         return SymmetricSpaceData.product_of_spheres(descriptor["factors"])
-    if kind == GENERIC:
+    if kind == "generic":
         gram = [[frac_from_json(x) for x in row] for row in descriptor["gram"]]
         rho = [frac_from_json(x) for x in descriptor["rho"]]
         tables = descriptor["tables"]
@@ -308,7 +304,7 @@ def load_space(descriptor: dict, base_dir=None) -> SymmetricSpaceData:
             tables = GenericTables.load(path)
         else:
             tables = GenericTables.from_json(tables)
-        return SymmetricSpaceData.generic(gram, rho, tables)
+        return SymmetricSpaceData(gram, rho, tables=tables)
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -359,7 +355,7 @@ def _spectrum_cached(space: SymmetricSpaceData, cutoff: Fraction) -> tuple[Spect
             raise ValueError(
                 f"decomposition dimension {decomp.total_dim} != eigenspace dimension {real_dim} at lambda={lam}"
             )
-        levels.append(SpectralLevel(lam, alphas, real_dim, decomp))
+        levels.append(SpectralLevel(lam, alphas, decomp))
     return tuple(levels)
 
 
@@ -445,7 +441,7 @@ def _factor_weights(n: int, k: int) -> tuple[tuple[int, int], ...]:
 def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Complex restricted-weight multiplicities of the irreducible summand with
     highest weight alpha, as ((coords, mult), ...)."""
-    if space.kind in (SPHERE, PRODUCT):
+    if space.factors is not None:
         acc: dict[tuple[int, ...], int] = {(): 1}
         for n, k in zip(space.factors, alpha.coords):
             nxt: dict[tuple[int, ...], int] = {}
@@ -455,8 +451,6 @@ def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> tup
                     nxt[key] = nxt.get(key, 0) + mult * fm
             acc = nxt
         return tuple(sorted(acc.items()))
-    if space.tables is None:
-        raise ValueError("weight tables required")
     entry = space.tables.by_alpha.get(alpha)
     if entry is None:
         raise ValueError(f"weight tables required: no entry for alpha {alpha}")
@@ -464,7 +458,7 @@ def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> tup
 
 
 def _alpha_complex_dim(space: SymmetricSpaceData, alpha: RestrictedWeight) -> int:
-    if space.kind in (SPHERE, PRODUCT):
+    if space.factors is not None:
         return math.prod(harmonic_dim(n, k) for n, k in zip(space.factors, alpha.coords))
     return sum(m for _, m in _alpha_weight_map(space, alpha))
 
@@ -480,15 +474,15 @@ def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeig
     for coords, mult in weights.items():
         if coords == zero:
             continue
-        neg = tuple(-c for c in coords)
-        if weights.get(neg, 0) != mult:
+        if weights.get(tuple(-c for c in coords), 0) != mult:
             raise ValueError(
                 f"weight multiplicities are not conjugation-symmetric at {coords}: "
                 "not the complexification of a real representation"
             )
-        h = canonicalize(RestrictedWeight(coords))
-        if h.canonical.coords == coords:
-            mults[h] = mults.get(h, 0) + mult
+        # one id per pair {mu, -mu}, built from its sign-canonical member;
+        # coordinates are unique keys, so each id is set once
+        if next(c for c in coords if c) > 0:
+            mults[SubgroupId(RestrictedWeight(coords))] = mult
     return TorusRepDecomposition.from_dict(k0, mults)
 
 

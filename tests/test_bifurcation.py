@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,39 @@ def test_bifurcation_level_reader_is_strict(value):
     data["kernel_dim"] = value
     with pytest.raises(ValueError, match="expected an integer"):
         BifurcationLevel.from_json(data)
+
+
+def test_certificate_stores_only_level_witness_and_ledger():
+    assert [f.name for f in dataclasses.fields(UnboundednessCertificate)] == ["level", "witness", "ledger"]
+    cert = UnboundednessCertificate(Fraction(-2), H1, ((Fraction(-2), -1), (Fraction(2), -1)))
+    assert cert == cert_at(S2, sig(1, 1), -2)
+    assert cert.unbounded and cert.symmetry_breaking
+    assert cert.conclusion == (
+        "sum -2 != 0 at witness H[1]: lower levels contribute 0 there, so no finite "
+        "candidate set with max |level| = 2 lets the indices cancel"
+    )
+    zero = UnboundednessCertificate(Fraction(0), None, ((Fraction(0), 2),))
+    assert zero.unbounded and not zero.symmetry_breaking
+    assert zero.conclusion.startswith("index(0) = 2*I != 0, so 0 is a bifurcation level")
+
+
+@pytest.mark.parametrize(
+    "level, field, value",
+    [
+        (2, "unbounded", False),
+        (0, "unbounded", False),
+        (2, "symmetry_breaking", False),
+        (0, "symmetry_breaking", True),
+        (2, "conclusion", "anything"),
+        (0, "conclusion", "index(0) = 2*I != 0"),
+        (2, "conclusion", None),
+    ],
+)
+def test_certificate_reader_rejects_derived_keys_that_disagree(level, field, value):
+    data = cert_at(S2, sig(1, 2), level).to_json()
+    data[field] = value
+    with pytest.raises(ValueError, match=f"{field} .* disagrees"):
+        UnboundednessCertificate.from_json(data)
 
 
 @pytest.mark.parametrize(

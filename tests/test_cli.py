@@ -429,6 +429,15 @@ def test_branch_requires_sphere_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_branch_accepts_any_descriptor_of_the_two_sphere(tmp_path, capsys):
+    runs = []
+    for space in ({"kind": "sphere", "n": 2}, {"kind": "product", "factors": [2]}):
+        cfg = write_config(tmp_path, {**BRANCH_CFG, "space": space})
+        runs.append(run(capsys, ["branch", "--config", cfg]))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 def test_branch_kernel_restriction_error_is_domain_failure(tmp_path, capsys):
     block = {**BRANCH_CFG["galerkin"]}
     del block["isotropy_restriction"]

@@ -74,6 +74,28 @@ def test_branch_states_match_a_run_with_the_dense_jacobian(request, monkeypatch,
         assert math.isclose(got.lam, want.lam, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("which", RUNS)
+def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
+    # residual_jacobian returns R and J from one evaluate, and the quartic does
+    # not read lambda, so each Newton iteration evaluates the state once
+    calls = {"evaluate": 0, "jacobian": 0}
+    evaluate, jacobian = GalerkinBasis.evaluate, continuation.residual_jacobian
+
+    def counted_evaluate(basis, block):
+        calls["evaluate"] += 1
+        return evaluate(basis, block)
+
+    def counted_jacobian(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(GalerkinBasis, "evaluate", counted_evaluate)
+    monkeypatch.setattr(continuation, "residual_jacobian", counted_jacobian)
+    result = continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
+    assert calls["jacobian"] > len(result.states)
+    assert calls["evaluate"] == calls["jacobian"]
+
+
 def test_branch_reaches_target_without_returning(branch):
     assert branch.outcome == "reached_target"
     assert branch.states[-1].h1_norm >= 1.0

@@ -39,8 +39,8 @@ def mass_error(basis):
 
 
 def dense_jacobian(basis, nl, sig, coeffs, lam):
-    # reference: the Gram blocks through the dense (modes, nodes) table, the
-    # formula the factored assembly replaced
+    # reference: the residual, and the Gram blocks through the dense
+    # (modes, nodes) table, the formula the factored assembly replaced
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
@@ -54,7 +54,7 @@ def dense_jacobian(basis, nl, sig, coeffs, lam):
                 blocks[j, :, i, :] = blocks[i, :, j, :].T
     diag = np.arange(p * n)
     J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
-    return J
+    return residual_coeffs(basis, nl, sig, coeffs, lam), J
 
 
 def with_orders(basis, orders):
@@ -197,9 +197,10 @@ def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     sig = SystemSignature(a)
     rng = np.random.default_rng(K + 100 * len(a))
     c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
-    J = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    R, J = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    R_ref, ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(R, R_ref)
     u = c @ basis.values
     assert np.max(np.abs(basis.evaluate(c) - u)) <= 1e-13 * np.max(np.abs(u))
     f = rng.standard_normal((len(a), basis.weights.size))
@@ -213,7 +214,7 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
     c = 0.3 * np.random.default_rng(23).standard_normal(basis.n_modes)
     tracemalloc.start()
     try:
-        J = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
+        R, J = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,8 +359,9 @@ def test_jacobian_matches_central_differences(keep):
     sig = SystemSignature((1, -1))
     rng = np.random.default_rng(17)
     c = 0.5 * rng.standard_normal(2 * basis.n_modes)
-    J = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
+    R, J = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
     ref = central_difference_jacobian(basis, QUARTIC, sig, c, 1.3)
+    assert np.array_equal(R, residual_coeffs(basis, QUARTIC, sig, c, 1.3))
     assert J.shape == (c.size, c.size)
     assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -194,15 +195,45 @@ def test_first_appearance_of_each_plane():
 
 
 def test_gram_must_be_symmetric_positive_definite():
+    tables = GenericTables(())
     with pytest.raises(ValueError, match="symmetric"):
-        SymmetricSpaceData(2, ((1, 1), (0, 1)), (1, 1), "product", factors=(2, 2))
+        SymmetricSpaceData(((1, 1), (0, 1)), (1, 1), tables=tables)
     with pytest.raises(ValueError, match="positive definite"):
-        SymmetricSpaceData(2, ((1, 2), (2, 1)), (1, 1), "product", factors=(2, 2))
+        SymmetricSpaceData(((1, 2), (2, 1)), (1, 1), tables=tables)
 
 
 def test_sphere_preset_requires_n_at_least_two():
     with pytest.raises(ValueError):
         SymmetricSpaceData.sphere(1)
+
+
+def test_descriptor_stores_no_rank_or_kind():
+    assert [f.name for f in dataclasses.fields(SymmetricSpaceData)] == ["gram", "rho", "factors", "tables"]
+    assert P23.rank == 2
+    assert S2 == SymmetricSpaceData.product_of_spheres([2])
+    assert str(S2) == "S^2" and str(P23) == "S^2 x S^3"
+
+
+@pytest.mark.parametrize(
+    "gram, rho, factors",
+    [
+        # the Gram and rho of S^4 with the factor of S^2: S^4 eigenvalues with S^2 dimensions
+        (((1,),), (Fraction(3, 2),), (2,)),
+        (((2,),), (Fraction(1, 2),), (2,)),
+        (((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1)), (2, 2)),
+        (((1, Fraction(1, 2)), (Fraction(1, 2), 1)), (Fraction(1, 2), Fraction(1, 2)), (2, 2)),
+        (((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1, 2)), (2,)),
+    ],
+)
+def test_sphere_factors_fix_gram_and_rho(gram, rho, factors):
+    with pytest.raises(ValueError, match="sphere factors"):
+        SymmetricSpaceData(gram, rho, factors=factors)
+
+
+def test_descriptor_with_both_oracles_is_rejected():
+    tables = GenericTables.from_json(sphere2_tables(2))
+    with pytest.raises(ValueError, match="exactly one weight oracle"):
+        SymmetricSpaceData(((1,),), (Fraction(1, 2),), factors=(2,), tables=tables)
 
 
 # -- generic spaces via weight tables ---------------------------------------------------
@@ -235,13 +266,13 @@ def test_generic_space_replicates_sphere(tmp_path):
 
 
 def test_generic_space_without_tables_is_rejected():
-    with pytest.raises(ValueError, match="weight tables required"):
-        SymmetricSpaceData(1, ((Fraction(1),),), (Fraction(1, 2),), "generic")
+    with pytest.raises(ValueError, match="exactly one weight oracle"):
+        SymmetricSpaceData(((Fraction(1),),), (Fraction(1, 2),))
 
 
 def test_generic_space_missing_entry():
     tables = GenericTables.from_json(sphere2_tables(2))
-    space = SymmetricSpaceData.generic([[1]], [Fraction(1, 2)], tables)
+    space = SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=tables)
     with pytest.raises(ValueError, match="weight tables required"):
         spectrum_up_to(space, 30)  # needs alpha = (3), not tabulated
 
@@ -272,7 +303,7 @@ def test_generic_space_with_rational_gram_groups_fractional_eigenvalues():
         }
     )
     half = Fraction(1, 2)
-    space = SymmetricSpaceData.generic([[1, half], [half, 1]], [half, half], tables)
+    space = SymmetricSpaceData([[1, half], [half, 1]], [half, half], tables=tables)
     assert eigenvalue_of(space, W((1, 0))) == Fraction(5, 2)
     levels = spectrum_up_to(space, Fraction(5, 2))
     assert [lv.eigenvalue for lv in levels] == [0, Fraction(5, 2)]
@@ -287,7 +318,7 @@ def test_generic_tables_must_be_conjugation_symmetric():
         {"entries": [{"alpha": [0], "weights": [{"mu": [0], "mult": 1}]},
                      {"alpha": [1], "weights": [{"mu": [1], "mult": 1}, {"mu": [0], "mult": 1}]}]}
     )
-    space = SymmetricSpaceData.generic([[1]], [Fraction(1, 2)], tables)
+    space = SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=tables)
     with pytest.raises(ValueError, match="conjugation-symmetric"):
         spectrum_up_to(space, 2)
 
@@ -315,6 +346,19 @@ def test_spectral_level_reader_is_strict(value):
     data = spectrum_up_to(P22, 2)[1].to_json()
     data["real_dim"] = value
     with pytest.raises(ValueError, match="expected an integer"):
+        SpectralLevel.from_json(data)
+
+
+def test_spectral_level_stores_no_dimension():
+    assert [f.name for f in dataclasses.fields(SpectralLevel)] == ["eigenvalue", "alphas", "torus_decomp"]
+    assert [lv.real_dim for lv in spectrum_up_to(S2, 12)] == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("value", [7, 4, 0])
+def test_spectral_level_reader_rejects_a_dimension_the_decomposition_does_not_have(value):
+    data = spectrum_up_to(S2, 2)[1].to_json()  # lambda = 2, dimension 3
+    data["real_dim"] = value
+    with pytest.raises(ValueError, match="disagrees with the decomposition"):
         SpectralLevel.from_json(data)
 
 
