@@ -25,7 +25,6 @@ from .bifurcation import (
     bifurcation_levels,
     cancellation_impossible,
     certify_levels,
-    neg_identity_degree,
     witness_coefficient,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "bifurcation_levels",
     "cancellation_impossible",
     "certify_levels",
-    "neg_identity_degree",
     "witness_coefficient",
     "BranchState",
     "Crossing",

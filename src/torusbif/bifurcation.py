@@ -17,6 +17,14 @@ level and the span W of all lower eigenspaces:
     index(0)    = ((-1)^{n_-} - (-1)^{n_+}) I,
 
 with deg the sign (-1)^{k0} times (I - sum of plane multiplicities).  The
+product of two codimension-one classes has no unit or codimension-one part, so
+these products expand into one linear combination of multiplicities.  With s
+the sign of the level, (n, X) = (n_-, W) for s = +1 and (n_+, W + V) for
+s = -1, k_X the plane multiplicities of X and u_X = (-1)^{k0(X) n},
+
+    index(s lam) = u_X (u_V - 1) I - n u_X [s (u_V - 1) k_X + u_V k_V],
+
+which is how the index is evaluated; no ring product is formed.  The
 coefficient of the subgroup id of alpha in index(+-lambda_alpha) has the closed
 form (-1)^{(dim W + dim V) n + 1} * n with n the relevant count n_-/n_+, and it
 vanishes at every strictly lower level; a certificate records these
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .euler_ring import UNIT, EulerRingElement, _element
+from .euler_ring import UNIT, EulerRingElement, _combine, _element
 from .jsonio import bool_from_json, frac_from_json, frac_to_json, int_from_json
 from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, spectrum_up_to
 from .weights import SubgroupId, canonicalize
@@ -107,7 +115,8 @@ class UnboundednessCertificate:
     every candidate level of maximal absolute value, and their sum is nonzero.
     For level zero the witness is absent and the ledger holds the unit
     coefficient of index(0).  The flags and the conclusion are derived from
-    these three fields.
+    these three fields, and a record that contradicts its level is refused
+    with ``ValueError``.
     """
 
     level: Fraction
@@ -115,6 +124,19 @@ class UnboundednessCertificate:
     ledger: tuple[tuple[Fraction, int], ...]
 
     unbounded = True  # what every issued certificate shows
+
+    def __post_init__(self):
+        if (self.witness is None) != (self.level == 0):
+            raise ValueError("a certificate has a witness exactly when its level is nonzero")
+        levels = [lv for lv, _ in self.ledger]
+        if not levels:
+            raise ValueError("the ledger is empty")
+        if any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ValueError("ledger levels must be strictly ascending")
+        if any(abs(lv) != abs(self.level) for lv in levels):
+            raise ValueError(f"every ledger level must be +-{abs(self.level)}")
+        if self.coefficient_sum() == 0:
+            raise ValueError("witness coefficients cancel; certificate cannot be issued")
 
     @property
     def symmetry_breaking(self) -> bool:
@@ -203,15 +225,6 @@ def _candidates(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> list
     return sorted(out, key=lambda ls: ls[0])
 
 
-def neg_identity_degree(decomp: TorusRepDecomposition) -> EulerRingElement:
-    """Degree of -Id on the unit ball of the representation with the given
-    block multiplicities: (-1)^{k0} (I - sum_mu k_mu [T/H_mu]), truncated."""
-    sign = -1 if decomp.k0 % 2 else 1
-    # the multiplicities are positive, unique and sorted, so the coefficients
-    # are already normalized
-    return _element(sign, tuple((h, -sign * m) for h, m in decomp.mults))
-
-
 def witness_coefficient(n: int, dim_parity: int) -> int:
     """Closed form (-1)^{(d_W + d_V) n + 1} * n of the witness coefficient of
     the index at +-lambda_alpha, given n (n_- for +lambda, n_+ for -lambda) and
@@ -220,13 +233,14 @@ def witness_coefficient(n: int, dim_parity: int) -> int:
 
 
 def _index(sig: SystemSignature, level: Fraction, split: _Split) -> EulerRingElement:
-    """Index across a candidate level; the zero level does not read the split."""
+    """Index across a candidate level by the expansion in the module
+    docstring; the zero level does not read the split."""
     if level == 0:
         return UNIT.scaled((-1) ** sig.n_minus - (-1) ** sig.n_plus)
-    deg_v = neg_identity_degree(split.v.torus_decomp)
-    if level > 0:
-        return (neg_identity_degree(split.w) ** sig.n_minus) * (deg_v ** sig.n_minus - UNIT)
-    return (neg_identity_degree(split.wv) ** (-sig.n_plus)) * (deg_v ** sig.n_plus - UNIT)
+    s, n = (1, sig.n_minus) if level > 0 else (-1, sig.n_plus)
+    x, v = split.w if s == 1 else split.wv, split.v.torus_decomp
+    u_x, u_v = (-1) ** (x.k0 * n), (-1) ** (v.k0 * n)
+    return _element(u_x * (u_v - 1), _combine(x.mults, -n * u_x * s * (u_v - 1), v.mults, -n * u_x * u_v))
 
 
 def bifurcation_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[BifurcationLevel, ...]:
@@ -275,10 +289,7 @@ def _certificate(sig: SystemSignature, level: Fraction, split: _Split) -> Unboun
 
     if not cancellation_impossible(sig.n_minus, sig.n_plus, split.dim_parity):
         raise ValueError("cancellation identity failed; certificate cannot be issued")
-    cert = UnboundednessCertificate(level, witness, tuple(ledger))
-    if cert.coefficient_sum() == 0:
-        raise ValueError("witness coefficients cancel; certificate cannot be issued")
-    return cert
+    return UnboundednessCertificate(level, witness, tuple(ledger))
 
 
 def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[tuple[Fraction, UnboundednessCertificate | str], ...]:

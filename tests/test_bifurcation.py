@@ -1,8 +1,12 @@
 import dataclasses
+import functools
+import json
+import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusbif import (
     UNIT,
@@ -17,10 +21,13 @@ from torusbif import (
     cancellation_impossible,
     canonicalize,
     certify_levels,
-    neg_identity_degree,
+    load_space,
     spectrum_up_to,
     witness_coefficient,
 )
+from torusbif import bifurcation
+from torusbif.jsonio import frac_from_json, frac_to_json
+from torusbif.spaces import SpectralLevel
 
 W = RestrictedWeight
 S2 = SymmetricSpaceData.sphere(2)
@@ -29,6 +36,9 @@ P22 = SymmetricSpaceData.product_of_spheres([2, 2])
 P23 = SymmetricSpaceData.product_of_spheres([2, 3])
 H1 = canonicalize(W((1,)))
 H2 = canonicalize(W((2,)))
+H3 = canonicalize(W((3,)))
+RANK2_IDS = [canonicalize(W(c)) for c in ((1, 0), (2, 0), (0, 1), (1, -1))]
+GOLDEN_CONFIGS = json.loads((Path(__file__).parent / "golden_cli.json").read_text())["configs"]
 
 
 def sig(n_plus, n_minus):
@@ -47,6 +57,13 @@ def index_at(space, s, level):
 def cert_at(space, s, level):
     """The certificate (or the reason for none) at one candidate level."""
     return dict(certify_levels(space, s, abs(level)))[Fraction(level)]
+
+
+def neg_identity_degree(decomp):
+    """Degree of -Id on the unit ball of a torus representation, the factor
+    of the ring path: (-1)^{k0} (I - sum_mu k_mu [T/H_mu]), truncated."""
+    sign = -1 if decomp.k0 % 2 else 1
+    return EulerRingElement(sign, tuple((h, -sign * m) for h, m in decomp.mults))
 
 
 # -- degree of the negative identity ------------------------------------------
@@ -126,6 +143,44 @@ def test_index_nonvanishing_on_guaranteed_levels():
                     if bl.level == 0 and s.p % 2 == 0:
                         continue
                     assert not bl.index.is_zero()
+
+
+@st.composite
+def decompositions(draw, ids):
+    return decomp(draw(st.integers(0, 3)), draw(st.dictionaries(st.sampled_from(ids), st.integers(1, 4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([[H1, H2, H3], RANK2_IDS]).flatmap(lambda ids: st.tuples(decompositions(ids), decompositions(ids))),
+    st.integers(0, 5),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2),
+)
+def test_index_matches_ring_path(vw, n, s, other):
+    # the expansion in _index against the products of degrees it replaces
+    v, w = vw
+    assume(n + other > 0)
+    signature = sig(other, n) if s > 0 else sig(n, other)
+    split = bifurcation._Split(SpectralLevel(Fraction(1), (), v), w, w + v, (w.total_dim + v.total_dim) % 2)
+    if s > 0:
+        ring = neg_identity_degree(w) ** n * (neg_identity_degree(v) ** n - UNIT)
+    else:
+        ring = neg_identity_degree(w + v) ** -n * (neg_identity_degree(v) ** n - UNIT)
+    assert bifurcation._index(signature, Fraction(s), split) == ring
+
+
+def test_levels_and_certificates_form_no_ring_product(monkeypatch):
+    # S^2 x S^2, S^2, S^2 x S^3 and the rank-2 generic space of the golden outputs
+    runs = [(load_space(c["space"]), SystemSignature(c["a"]), frac_from_json(c["cutoff"])) for c in GOLDEN_CONFIGS.values()]
+    expected = [(bifurcation_levels(*run), certify_levels(*run)) for run in runs]
+
+    def no_product(*args):
+        raise AssertionError("an Euler-ring product was formed")
+
+    for name in ("__mul__", "__pow__", "inverse"):
+        monkeypatch.setattr(EulerRingElement, name, no_product)
+    assert [(bifurcation_levels(*run), certify_levels(*run)) for run in runs] == expected
 
 
 # -- closed-form coefficients ---------------------------------------------------------
@@ -253,6 +308,29 @@ def test_certificate_on_product_space():
     assert cert.coefficient_sum() != 0
 
 
+@pytest.mark.parametrize(
+    "space, a, cutoff, n_sets",
+    [(S2, (1, -1, -1), 30, 2047), (P22, (1, 1, -1), 8, 511), (S2, (1, 1, -1, -1), 20, 510)],
+    ids=["S2-p3", "S2xS2-p3", "S2-p4"],
+)
+def test_no_return_set_has_zero_index_sum(space, a, cutoff, n_sets):
+    # every candidate set whose members of largest |level| are all certified,
+    # as a bounded continuum's return set would be: its indices never cancel
+    s = SystemSignature(a)
+    levels = bifurcation_levels(space, s, cutoff)
+    certified = {lv for lv, c in certify_levels(space, s, cutoff) if isinstance(c, UnboundednessCertificate)}
+    assert len(levels) <= 12
+    checked = 0
+    for mask in range(1, 2 ** len(levels)):
+        members = [bl for i, bl in enumerate(levels) if mask >> i & 1]
+        top = max(abs(bl.level) for bl in members)
+        if all(bl.level in certified for bl in members if abs(bl.level) == top):
+            total = functools.reduce(operator.add, (bl.index for bl in members))
+            assert not total.is_zero(), [bl.level for bl in members]
+            checked += 1
+    assert checked == n_sets
+
+
 def test_one_enumeration_per_range(monkeypatch):
     import torusbif.bifurcation as bif
 
@@ -347,3 +425,34 @@ def test_certificate_reader_is_strict(field, value):
         data[field] = value
     with pytest.raises(ValueError, match="expected an? (integer|boolean)"):
         UnboundednessCertificate.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "level, witness, ledger, message",
+    [
+        (2, None, [(2, -1)], "witness exactly when its level is nonzero"),
+        (0, H1, [(0, 2)], "witness exactly when its level is nonzero"),
+        (2, H1, [], "the ledger is empty"),
+        (2, H1, [(2, -1), (-2, -1)], "strictly ascending"),
+        (0, None, [(0, 2), (0, 2)], "strictly ascending"),
+        (2, H1, [(6, -1)], r"every ledger level must be \+-2"),
+        (0, None, [(0, 2), (2, -1)], r"every ledger level must be \+-0"),
+        (-2, H1, [(-2, 1), (2, -1)], "witness coefficients cancel; certificate cannot be issued"),
+    ],
+    ids=["no-witness", "witness-at-zero", "empty", "descending", "repeated", "off-level", "off-zero", "cancels"],
+)
+@pytest.mark.parametrize("reader", ["constructor", "from_json"])
+def test_certificate_contradicting_its_level_is_refused(reader, level, witness, ledger, message):
+    data = {
+        "level": frac_to_json(Fraction(level)),
+        "witness": None if witness is None else witness.canonical.to_json(),
+        "ledger": [{"level": frac_to_json(Fraction(lv)), "coeff": c} for lv, c in ledger],
+        "conclusion": "",
+        "unbounded": True,
+        "symmetry_breaking": level != 0,
+    }
+    with pytest.raises(ValueError, match=message):
+        if reader == "constructor":
+            UnboundednessCertificate(Fraction(level), witness, tuple((Fraction(lv), c) for lv, c in ledger))
+        else:
+            UnboundednessCertificate.from_json(data)
