@@ -33,7 +33,9 @@ what forces any bounded return to the trivial branch into a contradiction.
 
 Each level needs only V and W, so one ascending sweep with a running sum for W
 serves a whole range: bifurcation_levels and certify_levels enumerate the
-spectrum once.  witness_coefficient is the one copy of the closed form.
+spectrum once, hold one eigenvalue's data at a time and compute each index
+once; a certificate reads the indices at +-lambda of its own eigenvalue.
+witness_coefficient is the one copy of the closed form.
 """
 
 from __future__ import annotations
@@ -216,15 +218,6 @@ def _equations_at(sig: SystemSignature, level: Fraction) -> int:
     return sig.n_minus if level > 0 else sig.n_plus
 
 
-def _candidates(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> list[tuple[Fraction, _Split]]:
-    """Candidate levels in [-cutoff, cutoff], ascending, with their splits."""
-    out = []
-    for split in _sweep(space, cutoff):
-        lam = split.v.eigenvalue
-        out.extend((level, split) for level in {lam, -lam} if _equations_at(sig, level))
-    return sorted(out, key=lambda ls: ls[0])
-
-
 def witness_coefficient(n: int, dim_parity: int) -> int:
     """Closed form (-1)^{(d_W + d_V) n + 1} * n of the witness coefficient of
     the index at +-lambda_alpha, given n (n_- for +lambda, n_+ for -lambda) and
@@ -243,13 +236,22 @@ def _index(sig: SystemSignature, level: Fraction, split: _Split) -> EulerRingEle
     return _element(u_x * (u_v - 1), _combine(x.mults, -n * u_x * s * (u_v - 1), v.mults, -n * u_x * u_v))
 
 
+def _indices(sig: SystemSignature, split: _Split) -> dict[Fraction, EulerRingElement]:
+    """The index at each candidate level of the split's eigenvalue: +-lambda
+    where the level has equations."""
+    lam = split.v.eigenvalue
+    return {level: _index(sig, level, split) for level in {lam, -lam} if _equations_at(sig, level)}
+
+
 def bifurcation_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> tuple[BifurcationLevel, ...]:
     """All candidate levels in [-cutoff, cutoff] with kernel dimensions and
     indices, sorted ascending."""
-    return tuple(
-        BifurcationLevel(lam, _equations_at(sig, lam) * split.v.real_dim, _index(sig, lam, split))
-        for lam, split in _candidates(space, sig, cutoff)
-    )
+    out = [
+        BifurcationLevel(level, _equations_at(sig, level) * split.v.real_dim, index)
+        for split in _sweep(space, cutoff)
+        for level, index in _indices(sig, split).items()
+    ]
+    return tuple(sorted(out, key=lambda bl: bl.level))
 
 
 def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
@@ -264,28 +266,26 @@ def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
     return (-1) ** e * n_minus != -n_plus
 
 
-def _certificate(sig: SystemSignature, level: Fraction, split: _Split) -> UnboundednessCertificate:
-    """Certificate at a candidate level, or ValueError with the reason there
-    is none."""
+def _certificate(
+    sig: SystemSignature, level: Fraction, split: _Split, indices: dict[Fraction, EulerRingElement]
+) -> UnboundednessCertificate:
+    """Certificate at a candidate level from the indices at the candidate
+    levels of its eigenvalue, or ValueError with the reason there is none."""
     if level == 0:
         if sig.p % 2 == 0:
             raise ValueError("no bifurcation guaranteed at this level: p is even")
-        return UnboundednessCertificate(Fraction(0), None, ((Fraction(0), _index(sig, level, split).unit),))
+        return UnboundednessCertificate(Fraction(0), None, ((Fraction(0), indices[level].unit),))
 
-    lam_abs = abs(level)
     witness = canonicalize(split.v.alphas[0])
     ledger = []
-    for s, n in ((1, sig.n_minus), (-1, sig.n_plus)):
-        if n == 0:
-            continue
-        coeff = _index(sig, s * lam_abs, split).coeff_at(witness)
-        expected = witness_coefficient(n, split.dim_parity)
+    for lv in sorted(indices):
+        coeff = indices[lv].coeff_at(witness)
+        expected = witness_coefficient(_equations_at(sig, lv), split.dim_parity)
         if coeff != expected:
             raise ValueError(
                 f"index coefficient {coeff} at {witness} disagrees with closed form {expected}"
             )
-        ledger.append((s * lam_abs, coeff))
-    ledger.sort(key=lambda lc: lc[0])
+        ledger.append((lv, coeff))
 
     if not cancellation_impossible(sig.n_minus, sig.n_plus, split.dim_parity):
         raise ValueError("cancellation identity failed; certificate cannot be issued")
@@ -305,9 +305,11 @@ def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> t
     certificate applies.
     """
     out = []
-    for lam, split in _candidates(space, sig, cutoff):
-        try:
-            out.append((lam, _certificate(sig, lam, split)))
-        except ValueError as exc:
-            out.append((lam, str(exc)))
-    return tuple(out)
+    for split in _sweep(space, cutoff):
+        indices = _indices(sig, split)
+        for level in indices:
+            try:
+                out.append((level, _certificate(sig, level, split, indices)))
+            except ValueError as exc:
+                out.append((level, str(exc)))
+    return tuple(sorted(out, key=lambda lc: lc[0]))

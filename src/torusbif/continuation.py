@@ -85,7 +85,8 @@ class BranchResult:
 
 
 class ContinuationError(RuntimeError):
-    """Newton failure at the minimum step; carries the partial branch."""
+    """Newton failure at the minimum step, or no tangent at an accepted
+    state; carries the partial branch."""
 
     def __init__(self, message: str, states: list[BranchState]):
         super().__init__(message)
@@ -110,7 +111,7 @@ def continue_branch(
     Raises ``ValueError`` when the crossing is not a singular value of the
     trivial-branch linearization or when the restricted kernel is not
     one-dimensional, and ``ContinuationError`` when the corrector cannot
-    converge even at the minimum step.
+    converge even at the minimum step or the tangent solve fails.
     """
     opts = opts or ContinuationOptions()
     lam0 = Fraction(crossing)
@@ -173,11 +174,10 @@ def continue_branch(
         try:
             t = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
-            t = prev_t.copy()
+            raise ContinuationError("no tangent: the bordered matrix is singular", states) from None
         nrm = float(np.linalg.norm(t))
         if not np.isfinite(nrm) or nrm == 0.0:
-            t = prev_t.copy()
-            nrm = float(np.linalg.norm(t))
+            raise ContinuationError(f"no tangent: the tangent solve gave norm {nrm}", states)
         return t / nrm
 
     # branch switching: pin the kernel amplitude at the onset amplitude

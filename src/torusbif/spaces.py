@@ -162,17 +162,6 @@ class GenericTables:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "alpha": alpha.to_json(),
-                    "weights": [{"mu": mu.to_json(), "mult": m} for mu, m in ws],
-                }
-                for alpha, ws in self.rows
-            ]
-        }
-
 
 # ---------------------------------------------------------------------------
 # space descriptor
@@ -397,7 +386,6 @@ def harmonic_dim(n: int, k: int) -> int:
     return _monomial_count(k, n + 1) - _monomial_count(k - 2, n + 1)
 
 
-@lru_cache(maxsize=None)
 def sphere_weight_multiplicity(n: int, k: int, m: int) -> int:
     """Multiplicity of the rotation weight m in the complexified degree-k
     harmonics on S^n.
@@ -437,10 +425,10 @@ def _factor_weights(n: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Iterable[tuple[tuple[int, ...], int]]:
     """Complex restricted-weight multiplicities of the irreducible summand with
-    highest weight alpha, as ((coords, mult), ...)."""
+    highest weight alpha, as (coords, mult) pairs; table weights come in
+    coordinate order."""
     if space.factors is not None:
         acc: dict[tuple[int, ...], int] = {(): 1}
         for n, k in zip(space.factors, alpha.coords):
@@ -450,11 +438,11 @@ def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> tup
                     key = prefix + (m,)
                     nxt[key] = nxt.get(key, 0) + mult * fm
             acc = nxt
-        return tuple(sorted(acc.items()))
+        return acc.items()
     entry = space.tables.by_alpha.get(alpha)
     if entry is None:
         raise ValueError(f"weight tables required: no entry for alpha {alpha}")
-    return tuple(sorted((mu.coords, m) for mu, m in entry.items()))
+    return sorted((mu.coords, m) for mu, m in entry.items())
 
 
 def _alpha_complex_dim(space: SymmetricSpaceData, alpha: RestrictedWeight) -> int:
@@ -493,8 +481,7 @@ def alpha_decomposition(space: SymmetricSpaceData, alpha: RestrictedWeight) -> T
 
 
 def clear_caches() -> None:
-    """Reset the enumeration and counting caches (used for timing runs)."""
+    """Reset the two caches, the spectrum per (space, cutoff) and the
+    weights of each sphere factor per degree, so a timing run starts cold."""
     _spectrum_cached.cache_clear()
-    _alpha_weight_map.cache_clear()
     _factor_weights.cache_clear()
-    sphere_weight_multiplicity.cache_clear()

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import operator
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,13 +342,51 @@ def test_one_enumeration_per_range(monkeypatch):
         calls.append(cutoff)
         return real(space, cutoff)
 
+    indexed = []
+    real_index = bif._index
+
+    def counted_index(s, level, split):
+        indexed.append(level)
+        return real_index(s, level, split)
+
     monkeypatch.setattr(bif, "spectrum_up_to", counted)
+    monkeypatch.setattr(bif, "_index", counted_index)
     levels = bifurcation_levels(P22, sig(1, 2), 30)
     assert len(levels) > 10
     assert calls == [30]
+    # one index per candidate level, certificates included
+    assert sorted(indexed) == [bl.level for bl in levels]
     calls.clear()
-    certify_levels(P22, sig(1, 2), 30)
+    indexed.clear()
+    certs = certify_levels(P22, sig(1, 2), 30)
     assert calls == [30]
+    assert sorted(indexed) == [lv for lv, _ in certs] == [bl.level for bl in levels]
+
+
+@pytest.mark.parametrize("range_function", [bifurcation_levels, certify_levels])
+def test_range_functions_hold_one_eigenvalue_at_a_time(monkeypatch, range_function):
+    # every split's W is watched from the sweep; while any index is computed,
+    # at most two of them (the current eigenvalue's and the previous one's) live
+    import torusbif.bifurcation as bif
+
+    watched = []
+    alive = []
+    real_sweep, real_index = bif._sweep, bif._index
+
+    def watched_sweep(space, cutoff):
+        for split in real_sweep(space, cutoff):
+            watched.append(weakref.ref(split.w))
+            yield split
+
+    def counted_index(s, level, split):
+        alive.append(sum(ref() is not None for ref in watched))
+        return real_index(s, level, split)
+
+    monkeypatch.setattr(bif, "_sweep", watched_sweep)
+    monkeypatch.setattr(bif, "_index", counted_index)
+    range_function(P22, sig(1, 2), 30)
+    assert len(watched) > 10
+    assert 1 <= max(alive) <= 2
 
 
 def test_impossibility_identity():

@@ -227,3 +227,21 @@ def test_newton_breakdown_raises_with_partial_branch():
         continue_branch(BASIS, nl, NEG, 2, opts)
     assert isinstance(excinfo.value.states, list)
     assert excinfo.value.states  # the states traced before the breakdown
+
+
+@pytest.mark.parametrize("failure", ["nan", "singular"])
+def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure):
+    # only the tangent solve (unit right-hand side) fails; Newton's solves do not
+    real = np.linalg.solve
+
+    def solve(a, b):
+        if b[-1] == 1.0 and not np.any(b[:-1]):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(ContinuationError, match="no tangent") as excinfo:
+        continue_branch(BASIS, QUARTIC, NEG, *RUNS["branch"])
+    assert excinfo.value.states  # the onset state, accepted before its tangent

@@ -1,6 +1,6 @@
 """Exact CLI outputs pinned by SHA-256.
 
-``golden_cli.json`` holds four configs (the README's S^2 x S^2 run, S^2 with
+``golden_cli.json`` first held four configs (the README's S^2 x S^2 run, S^2 with
 three equations, S^2 x S^3 at a fractional cutoff, a rank-2 generic space)
 and the digest of every ``index`` and ``certify`` output in each format plus
 ``spectrum --format json``.  The digests were recorded from the per-level
@@ -11,6 +11,10 @@ The sixteen cases for ``spectrum --format csv|pretty`` and ``decompose
 --format json|pretty`` were added later, recorded from the per-command
 renderers that the CLI's format table replaced, so that every exact command
 and format is pinned on every config.
+
+The fifth config, (S^2)^3 with three equations, adds the eleven digests of a
+rank-3 space, recorded before the range functions were changed to hold one
+eigenvalue at a time and the per-alpha weight maps lost their cache.
 """
 
 import hashlib

@@ -323,6 +323,25 @@ def test_generic_tables_must_be_conjugation_symmetric():
         spectrum_up_to(space, 2)
 
 
+def test_released_spectrum_leaves_no_weight_maps():
+    # the per-alpha weight maps are not cached: once the spectrum is released,
+    # only the per-factor weights (a few entries per degree) stay allocated
+    import tracemalloc
+
+    from torusbif import spaces
+
+    space = SymmetricSpaceData.product_of_spheres([2, 2, 2])
+    spaces.clear_caches()
+    tracemalloc.start()
+    try:
+        assert len(spectrum_up_to(space, 40)) > 10
+        spaces._spectrum_cached.cache_clear()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 500_000
+
+
 # -- export and serialization --------------------------------------------------------------
 
 
