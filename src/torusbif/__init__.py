@@ -42,7 +42,6 @@ _LAZY = {
             "h1_norm",
             "make_state",
             "node_variance",
-            "residual",
             "residual_coeffs",
             "rotate_coeffs",
             "trivial_branch_crossings",
@@ -100,7 +99,6 @@ __all__ = [
     "h1_norm",
     "make_state",
     "node_variance",
-    "residual",
     "residual_coeffs",
     "rotate_coeffs",
     "trivial_branch_crossings",

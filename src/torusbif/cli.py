@@ -83,7 +83,10 @@ def require_cutoff(raw: dict) -> Fraction:
 
 def _emit(text: str, out) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -33,7 +33,6 @@ from .galerkin import (
     h1_norm,
     make_state,
     residual_jacobian,
-    residual_lambda_derivative,
     trivial_branch_crossings,
 )
 from .jsonio import int_from_json
@@ -146,8 +145,7 @@ def continue_branch(
         M = np.zeros((n_act + 1, n_act + 1))
         M[n_act, :] = row
         for it in range(MAX_NEWTON_ITER + 1):
-            R, M[:n_act, :n_act] = residual_jacobian(sub, nl, sig, x, lam)
-            M[:n_act, n_act] = residual_lambda_derivative(sub, nl, sig, x, lam)
+            R, M[:n_act, :n_act], M[:n_act, n_act] = residual_jacobian(sub, nl, sig, x, lam)
             border = np.dot(row[:n_act], x - base[:n_act]) + row[n_act] * (lam - base[n_act]) - offset
             F = np.concatenate([R, [border]])
             nrm = float(np.max(np.abs(F)))

@@ -211,9 +211,9 @@ class NonlinearitySpec:
     derivative of shape (p, p, nodes), which the Newton corrector's Jacobian
     is assembled from.  ``grad_degree`` is the polynomial degree of grad in u
     when known, used to confirm the quadrature resolves the projected
-    residual; ``lam_dependent`` marks an explicit parameter dependence of
-    grad.  The gradient must vanish to second order at u = 0 so the trivial
-    branch persists.
+    residual.  All three may read lam; the solver observes whether grad does
+    (see ``residual_jacobian``).  The gradient must vanish to second order at
+    u = 0 so the trivial branch persists.
     """
 
     name: str
@@ -221,7 +221,6 @@ class NonlinearitySpec:
     grad: Callable[[np.ndarray, float], np.ndarray]
     hess: Callable[[np.ndarray, float], np.ndarray]
     grad_degree: int | None = None
-    lam_dependent: bool = True
 
     @classmethod
     def quartic(cls) -> "NonlinearitySpec":
@@ -246,7 +245,6 @@ class NonlinearitySpec:
             grad=grad,
             hess=hess,
             grad_degree=3,
-            lam_dependent=False,
         )
 
     @classmethod
@@ -269,7 +267,6 @@ class NonlinearitySpec:
             grad=grad,
             hess=hess,
             grad_degree=0,
-            lam_dependent=False,
         )
 
 
@@ -334,17 +331,14 @@ def residual_coeffs(
     coeffs: np.ndarray,
     lam: float,
 ) -> np.ndarray:
-    """Coefficient gradient of the discrete functional at (coeffs, lam)."""
-    c = np.asarray(coeffs, dtype=float).reshape(len(sig.a), basis.n_modes)
-    return _residual_at(basis, nl, sig, c, basis.evaluate(c), lam)
-
-
-def residual(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: BranchState) -> np.ndarray:
-    """Residual at a branch state; zero exactly at discrete critical points."""
+    """Coefficient gradient of the discrete functional at (coeffs, lam); zero
+    exactly at discrete critical points."""
+    c = np.asarray(coeffs, dtype=float)
     expected = len(sig.a) * basis.n_modes
-    if np.asarray(state.coeffs).size != expected:
+    if c.size != expected:
         raise ValueError(f"coefficient vector has wrong length (expected {expected})")
-    return residual_coeffs(basis, nl, sig, state.coeffs, state.lam)
+    c = c.reshape(len(sig.a), basis.n_modes)
+    return _residual_at(basis, nl, sig, c, basis.evaluate(c), lam)
 
 
 def energy(basis: GalerkinBasis, nl: NonlinearitySpec, sig, coeffs: np.ndarray, lam: float) -> float:
@@ -363,10 +357,14 @@ def residual_jacobian(
     sig,
     coeffs: np.ndarray,
     lam: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residual R and its Jacobian J at (coeffs, lam), from one transform
-    of the state.  J is the diagonal linear part minus the quadrature Gram
-    blocks of the pointwise Hessian, which is symmetric in (i, j).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual R, its Jacobian J and its lam-derivative R_lam at
+    (coeffs, lam), from one transform of the state.  J is the diagonal linear
+    part minus the quadrature Gram blocks of the pointwise Hessian, which is
+    symmetric in (i, j).  R_lam = -c - P(D), where D is the central difference
+    of grad in lam at the nodes, with step 1e-6 max(1, |lam|); when D is zero,
+    that is when grad does not read lam, the projection is skipped, and
+    R_lam = -c exactly.
 
     A Gram entry is sum_theta colat_a colat_b T[order_a, theta, order_b],
     where T[b, theta, a] = sum_phi L_b L_a w sums the weighted Hessian w
@@ -391,22 +389,12 @@ def residual_jacobian(
                 blocks[j, :, i, :] = blocks[i, :, j, :].T
     diag = np.arange(p * n)
     J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
-    return R, J
-
-
-def residual_lambda_derivative(
-    basis: GalerkinBasis,
-    nl: NonlinearitySpec,
-    sig,
-    coeffs: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    if not nl.lam_dependent:
-        return -np.asarray(coeffs, dtype=float)
-    h = 1e-6 * max(1.0, abs(lam))
-    rp = residual_coeffs(basis, nl, sig, coeffs, lam + h)
-    rm = residual_coeffs(basis, nl, sig, coeffs, lam - h)
-    return (rp - rm) / (2 * h)
+    step = 1e-6 * max(1.0, abs(lam))
+    D = (nl.grad(u, lam + step) - nl.grad(u, lam - step)) / (2 * step)
+    R_lam = -c.ravel()
+    if np.any(D):
+        R_lam -= basis.project(D).ravel()
+    return R, J, R_lam
 
 
 def gradient_check(
@@ -433,7 +421,7 @@ def gradient_check(
         raise ValueError("epsilon must lie in [1e-8, 1e-3]")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    r = residual(basis, nl, sig, state)
+    r = residual_coeffs(basis, nl, sig, state.coeffs, state.lam)
     total = r.size
     rng = np.random.default_rng(seed)
     count = min(n_samples, total)

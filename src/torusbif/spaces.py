@@ -135,9 +135,29 @@ class GenericTables:
     """Complex restricted-weight multiplicities per irreducible summand,
     supplied by the user for spaces without a built-in oracle.  Each row lists
     every weight of the summand with highest weight alpha, negatives included;
-    the complex dimension is the multiplicity total."""
+    the complex dimension is the multiplicity total.  Each alpha has one
+    row, and each weight of a row appears once, with multiplicity at least 1
+    and the rank of its alpha."""
 
     rows: tuple[TableRow, ...]
+
+    def __post_init__(self):
+        seen = set()
+        for alpha, weights in self.rows:
+            if alpha in seen:
+                raise ValueError(f"weight tables repeat alpha {alpha}")
+            seen.add(alpha)
+            mus = set()
+            for mu, mult in weights:
+                if mu in mus:
+                    raise ValueError(f"weight tables repeat mu {mu} at alpha {alpha}")
+                mus.add(mu)
+                if mult < 1:
+                    raise ValueError(f"weight tables need mult >= 1, got {mult} for mu {mu} at alpha {alpha}")
+                if mu.rank != alpha.rank:
+                    raise ValueError(
+                        f"weight tables give mu {mu} of rank {mu.rank} at alpha {alpha} of rank {alpha.rank}"
+                    )
 
     @cached_property
     def by_alpha(self) -> dict[RestrictedWeight, dict[RestrictedWeight, int]]:
@@ -229,6 +249,10 @@ class SymmetricSpaceData:
             raise ValueError("gram must be a rank x rank matrix")
         if len(rho) != r:
             raise ValueError("rho must have length rank")
+        if self.tables is not None:
+            for alpha, _ in self.tables.rows:
+                if alpha.rank != r:
+                    raise ValueError(f"weight tables give alpha {alpha} of rank {alpha.rank}, but gram has rank {r}")
         for i in range(r):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:

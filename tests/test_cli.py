@@ -282,6 +282,51 @@ def test_non_integer_generic_table_rejected(tmp_path, capsys, corrupt):
     assert out == ""
 
 
+def s2_tables():
+    # weight tables of the degree-0 and degree-1 harmonics on S^2
+    return {
+        "entries": [
+            {"alpha": [0], "weights": [{"mu": [0], "mult": 1}]},
+            {"alpha": [1], "weights": [{"mu": [m], "mult": 1} for m in (-1, 0, 1)]},
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "spoil, gram, rho, message",
+    [
+        (lambda t: t["entries"].append(t["entries"][1]), [[1]], ["1/2"], "repeat alpha (1)"),
+        (lambda t: t["entries"][1]["weights"].append({"mu": [0], "mult": 1}), [[1]], ["1/2"], "repeat mu (0) at"),
+        (lambda t: t["entries"][1]["weights"][1].update(mult=0), [[1]], ["1/2"], "need mult >= 1, got 0"),
+        (lambda t: t["entries"][1]["weights"][1].update(mult=-1), [[1]], ["1/2"], "need mult >= 1, got -1"),
+        (lambda t: t["entries"][1]["weights"][1].update(mu=[0, 1]), [[1]], ["1/2"], "mu (0,1) of rank 2 at"),
+        (lambda t: None, [[1, 0], [0, 1]], ["1/2", "1/2"], "alpha (0) of rank 1, but gram has rank 2"),
+    ],
+    ids=["repeated-alpha", "repeated-mu", "zero-mult", "negative-mult", "mu-rank", "table-rank"],
+)
+def test_inconsistent_generic_table_rejected(tmp_path, capsys, spoil, gram, rho, message):
+    tables = s2_tables()
+    spoil(tables)
+    space = {"kind": "generic", "gram": gram, "rho": rho, "tables": tables}
+    cfg = write_config(tmp_path, {"space": space, "cutoff": 2})
+    code, out, err = run(capsys, ["spectrum", "--config", cfg])
+    assert code == 2
+    assert err.startswith("error: bad space descriptor: weight tables")
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    code, stdout, err = run(capsys, ["spectrum", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert stdout == ""
+
+
 # -- branch -----------------------------------------------------------------------------
 
 
@@ -329,6 +374,14 @@ def test_unwritten_format_is_a_config_error(tmp_path, capsys, command, fmt, mess
     assert out == ""
     assert message in err
     assert not out_file.exists()
+
+
+def test_branch_to_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "K": 4}})
+    code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert out == ""
 
 
 def test_branch_default_format_is_csv(tmp_path, capsys):

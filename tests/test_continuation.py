@@ -15,7 +15,7 @@ from torusbif import (
     residual_coeffs,
 )
 from torusbif import continuation
-from test_galerkin import dense_jacobian
+from test_galerkin import analytic_lambda_column, dense_jacobian, lam_scaled_quartic
 
 BASIS = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -94,6 +94,57 @@ def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
     result = continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
     assert calls["jacobian"] > len(result.states)
     assert calls["evaluate"] == calls["jacobian"]
+
+
+@pytest.mark.parametrize("which", RUNS)
+def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeypatch, which):
+    # a spec states no lambda-dependence: residual_jacobian observes that grad
+    # does not read lambda and makes no projection beyond the residual's own
+    nl = NonlinearitySpec("plain-quartic", QUARTIC.value, QUARTIC.grad, QUARTIC.hess, grad_degree=3)
+    calls = {"evaluate": 0, "project": 0, "jacobian": 0}
+    originals = {
+        "evaluate": GalerkinBasis.evaluate,
+        "project": GalerkinBasis.project,
+        "jacobian": continuation.residual_jacobian,
+    }
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return originals[name](*args)
+
+        return wrapper
+
+    monkeypatch.setattr(GalerkinBasis, "evaluate", counted("evaluate"))
+    monkeypatch.setattr(GalerkinBasis, "project", counted("project"))
+    monkeypatch.setattr(continuation, "residual_jacobian", counted("jacobian"))
+    result = continue_branch(BASIS, nl, NEG, *RUNS[which])
+    assert calls["jacobian"] > len(result.states)
+    assert calls["evaluate"] == calls["project"] == calls["jacobian"]
+
+
+@pytest.mark.parametrize(
+    "crossing, restriction, count", [(2, "axisymmetric", 13), (0, None, 19)], ids=["axisymmetric", "full"]
+)
+def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypatch, crossing, restriction, count):
+    # h = (1 + lam/10) quartic: the central-difference column gives the same
+    # branch as the closed form -c - P(q(u))/10
+    nl = lam_scaled_quartic()
+    opts = ContinuationOptions(isotropy_restriction=restriction, target_norm=3.0)
+    observed = continue_branch(BASIS, nl, NEG, crossing, opts)
+    jacobian = continuation.residual_jacobian
+
+    def analytic(basis, nl, sig, coeffs, lam):
+        R, J, _ = jacobian(basis, nl, sig, coeffs, lam)
+        return R, J, analytic_lambda_column(basis, sig, coeffs)
+
+    monkeypatch.setattr(continuation, "residual_jacobian", analytic)
+    closed = continue_branch(BASIS, nl, NEG, crossing, opts)
+    assert observed.outcome == closed.outcome == "reached_target"
+    assert len(observed.states) == len(closed.states) == count
+    for got, want in zip(observed.states, closed.states):
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * np.max(np.abs(want.coeffs))
+        assert math.isclose(got.lam, want.lam, rel_tol=1e-10)
 
 
 def test_branch_reaches_target_without_returning(branch):
@@ -220,7 +271,6 @@ def test_newton_breakdown_raises_with_partial_branch():
         grad=bad_grad,
         hess=QUARTIC.hess,
         grad_degree=3,
-        lam_dependent=False,
     )
     opts = axisymmetric_opts(step=0.05)
     with pytest.raises(ContinuationError) as excinfo:

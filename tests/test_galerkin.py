@@ -15,14 +15,13 @@ from torusbif import (
     h1_norm,
     make_state,
     node_variance,
-    residual,
     residual_coeffs,
     rotate_coeffs,
     trivial_branch_crossings,
 )
 from torusbif import ContinuationOptions, continue_branch
 from torusbif import galerkin
-from torusbif.galerkin import residual_jacobian, residual_lambda_derivative
+from torusbif.galerkin import residual_jacobian
 
 BASIS = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -39,12 +38,14 @@ def mass_error(basis):
 
 
 def dense_jacobian(basis, nl, sig, coeffs, lam):
-    # reference: the residual, and the Gram blocks through the dense
-    # (modes, nodes) table, the formula the factored assembly replaced
+    # reference: the residual, the Gram blocks through the dense (modes, nodes)
+    # table, the formula the factored assembly replaced, and the lambda column
+    # -c - P(D) with D the central difference of grad in lambda
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
-    Hw = nl.hess(c @ basis.values, lam) * basis.weights
+    u = c @ basis.values
+    Hw = nl.hess(u, lam) * basis.weights
     J = np.empty((p * n, p * n))
     blocks = J.reshape(p, n, p, n)
     for i in range(p):
@@ -54,7 +55,10 @@ def dense_jacobian(basis, nl, sig, coeffs, lam):
                 blocks[j, :, i, :] = blocks[i, :, j, :].T
     diag = np.arange(p * n)
     J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
-    return residual_coeffs(basis, nl, sig, coeffs, lam), J
+    step = 1e-6 * max(1.0, abs(lam))
+    D = (nl.grad(u, lam + step) - nl.grad(u, lam - step)) / (2 * step)
+    R_lam = -c - (D * basis.weights) @ basis.values.T
+    return residual_coeffs(basis, nl, sig, coeffs, lam), J, R_lam.ravel()
 
 
 def with_orders(basis, orders):
@@ -197,10 +201,11 @@ def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     sig = SystemSignature(a)
     rng = np.random.default_rng(K + 100 * len(a))
     c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
-    R, J = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    R_ref, ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    R, J, R_lam = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    R_ref, ref, R_lam_ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(R, R_ref)
+    assert np.array_equal(R_lam, R_lam_ref)
     u = c @ basis.values
     assert np.max(np.abs(basis.evaluate(c) - u)) <= 1e-13 * np.max(np.abs(u))
     f = rng.standard_normal((len(a), basis.weights.size))
@@ -214,7 +219,7 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
     c = 0.3 * np.random.default_rng(23).standard_normal(basis.n_modes)
     tracemalloc.start()
     try:
-        R, J = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
+        R, J, _ = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,14 +262,14 @@ def test_quadrature_weights_sum_to_sphere_area():
 
 def test_trivial_branch_residual_vanishes():
     state = make_state(BASIS, np.zeros(BASIS.n_modes), 3.7)
-    assert np.max(np.abs(residual(BASIS, QUARTIC, NEG, state))) == 0.0
+    assert np.max(np.abs(residual_coeffs(BASIS, QUARTIC, NEG, state.coeffs, state.lam))) == 0.0
 
 
 def test_linear_single_mode_residual_at_crossing():
     c = np.zeros(BASIS.n_modes)
     c[BASIS.mode_index[(1, 0)]] = 0.8
     state = make_state(BASIS, c, 2.0)
-    assert np.max(np.abs(residual(BASIS, LINEAR, NEG, state))) == 0.0
+    assert np.max(np.abs(residual_coeffs(BASIS, LINEAR, NEG, state.coeffs, state.lam))) == 0.0
 
 
 def test_constant_mode_cubic_residual_matches_exact_integral():
@@ -273,7 +278,7 @@ def test_constant_mode_cubic_residual_matches_exact_integral():
     c = np.zeros(BASIS.n_modes)
     c[BASIS.mode_index[(0, 0)]] = eps
     state = make_state(BASIS, c, lam)
-    r = residual(BASIS, QUARTIC, NEG, state)
+    r = residual_coeffs(BASIS, QUARTIC, NEG, state.coeffs, state.lam)
     exact = -lam * eps + eps**3 / (4 * math.pi)
     assert abs(r[BASIS.mode_index[(0, 0)]] - exact) <= 1e-14
     others = np.delete(r, BASIS.mode_index[(0, 0)])
@@ -281,9 +286,8 @@ def test_constant_mode_cubic_residual_matches_exact_integral():
 
 
 def test_residual_rejects_wrong_length():
-    state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
     with pytest.raises(ValueError, match="wrong length"):
-        residual(BASIS, QUARTIC, SystemSignature((-1, -1)), state)
+        residual_coeffs(BASIS, QUARTIC, SystemSignature((-1, -1)), np.zeros(BASIS.n_modes), 1.0)
 
 
 def test_underresolved_quadrature_is_rejected():
@@ -301,7 +305,6 @@ def test_underresolved_quadrature_is_rejected():
         lambda u, lam: -np.sum(u * u, axis=0) ** 2 * u,
         hess,
         grad_degree=5,
-        lam_dependent=False,
     )
     with pytest.raises(ValueError, match="quadrature underresolved: exact to degree 32, residual needs 48"):
         residual_coeffs(BASIS, sextic, NEG, np.zeros(BASIS.n_modes), 1.0)
@@ -359,7 +362,7 @@ def test_jacobian_matches_central_differences(keep):
     sig = SystemSignature((1, -1))
     rng = np.random.default_rng(17)
     c = 0.5 * rng.standard_normal(2 * basis.n_modes)
-    R, J = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
+    R, J, _ = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
     ref = central_difference_jacobian(basis, QUARTIC, sig, c, 1.3)
     assert np.array_equal(R, residual_coeffs(basis, QUARTIC, sig, c, 1.3))
     assert J.shape == (c.size, c.size)
@@ -390,8 +393,8 @@ def test_gradient_check_validates_epsilon():
 
 def test_lambda_derivative_of_a_lambda_dependent_nonlinearity():
     # h(u, lam) = lam * quartic, so R = -(a k(k+1) + lam) c - lam P(q(u)) with
-    # q the quartic gradient, and dR/dlam = -c - P(q(u)); the derivative is
-    # taken by central differences since lam_dependent is left at its default
+    # q the quartic gradient, and dR/dlam = -c - P(q(u)); grad reads lambda,
+    # so the derivative is taken by central differences of grad
     scaled = NonlinearitySpec(
         "lam-quartic",
         lambda u, lam: lam * QUARTIC.value(u, lam),
@@ -399,16 +402,61 @@ def test_lambda_derivative_of_a_lambda_dependent_nonlinearity():
         lambda u, lam: lam * QUARTIC.hess(u, lam),
         grad_degree=3,
     )
-    assert scaled.lam_dependent
     rng = np.random.default_rng(13)
     sig = SystemSignature((1, -1))
     c = 0.5 * rng.standard_normal(2 * BASIS.n_modes)
     lam = 1.7
     projected = BASIS.project(QUARTIC.grad(BASIS.evaluate(c.reshape(2, -1)), lam)).ravel()
     want = -c - projected
-    got = residual_lambda_derivative(BASIS, scaled, sig, c, lam)
+    got = residual_jacobian(BASIS, scaled, sig, c, lam)[2]
     assert np.max(np.abs(projected)) > 0.1  # the nonlinear term is not negligible
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def lam_scaled_quartic():
+    # h(u, lam) = (1 + lam/10) * quartic: grad reads lambda, and dR/dlam is
+    # -c - P(q(u))/10 with q the quartic gradient
+    def scale(f):
+        return lambda u, lam: (1.0 + lam / 10.0) * f(u, lam)
+
+    return NonlinearitySpec(
+        "scaled-quartic", scale(QUARTIC.value), scale(QUARTIC.grad), scale(QUARTIC.hess), grad_degree=3
+    )
+
+
+def analytic_lambda_column(basis, sig, coeffs):
+    c = np.asarray(coeffs, dtype=float).reshape(len(sig.a), basis.n_modes)
+    return (-c - basis.project(QUARTIC.grad(basis.evaluate(c), 0.0)) / 10.0).ravel()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.7, -23.5])
+def test_lambda_column_matches_the_analytic_one(lam):
+    # grad is linear in lambda, so the central difference has no truncation
+    # error; its roundoff, about eps (1 + lam/10) / step of q, is near 1e-9 of
+    # the lambda term P(q)/10 (up to 6e-10 seen), so that term is held to 1e-8
+    sig = SystemSignature((1, -1))
+    c = 0.5 * np.random.default_rng(29).standard_normal(2 * BASIS.n_modes)
+    R, J, R_lam = residual_jacobian(BASIS, lam_scaled_quartic(), sig, c, lam)
+    want = analytic_lambda_column(BASIS, sig, c)
+    term = np.max(np.abs(want + c))
+    assert term > 0.01  # the nonlinear term is not negligible
+    assert np.max(np.abs(R_lam - want)) <= 1e-8 * term
+    assert np.array_equal(R, residual_coeffs(BASIS, lam_scaled_quartic(), sig, c, lam))
+
+
+def test_lambda_column_of_a_lambda_free_spec_is_minus_c_without_a_projection(monkeypatch):
+    calls = []
+    project = GalerkinBasis.project
+
+    def counted_project(basis, f):
+        calls.append(1)
+        return project(basis, f)
+
+    monkeypatch.setattr(GalerkinBasis, "project", counted_project)
+    c = 0.5 * np.random.default_rng(31).standard_normal(2 * BASIS.n_modes)
+    R_lam = residual_jacobian(BASIS, QUARTIC, SystemSignature((1, -1)), c, 1.3)[2]
+    assert np.array_equal(R_lam, -c)
+    assert len(calls) == 1  # the residual's own projection
 
 
 def test_gradient_check_requires_a_sample():
@@ -419,7 +467,6 @@ def test_gradient_check_requires_a_sample():
         lambda u, lam: 2.0 * QUARTIC.grad(u, lam),
         QUARTIC.hess,
         grad_degree=3,
-        lam_dependent=False,
     )
     rng = np.random.default_rng(5)
     state = make_state(BASIS, 0.5 * rng.standard_normal(BASIS.n_modes), 1.0)
