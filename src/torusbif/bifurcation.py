@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .euler_ring import UNIT, EulerRingElement, _combine, _element
-from .jsonio import bool_from_json, frac_from_json, frac_to_json, int_from_json
+from .jsonio import frac_to_json, int_from_json
 from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, spectrum_up_to
 from .weights import SubgroupId, canonicalize
 
@@ -97,14 +97,6 @@ class BifurcationLevel:
             "kernel_dim": self.kernel_dim,
             "index": {**self.index.to_json(), "truncated": self.level != 0},
         }
-
-    @classmethod
-    def from_json(cls, data) -> "BifurcationLevel":
-        return cls(
-            frac_from_json(data["level"]),
-            int_from_json(data["kernel_dim"]),
-            EulerRingElement.from_json(data["index"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -169,21 +161,6 @@ class UnboundednessCertificate:
             "unbounded": self.unbounded,
             "symmetry_breaking": self.symmetry_breaking,
         }
-
-    @classmethod
-    def from_json(cls, data) -> "UnboundednessCertificate":
-        witness = data.get("witness")
-        stated = {key: bool_from_json(data[key]) for key in ("symmetry_breaking", "unbounded")}
-        stated["conclusion"] = data["conclusion"]
-        cert = cls(
-            frac_from_json(data["level"]),
-            None if witness is None else SubgroupId.from_json(witness),
-            tuple((frac_from_json(e["level"]), int_from_json(e["coeff"])) for e in data["ledger"]),
-        )
-        for key, value in stated.items():
-            if value != getattr(cert, key):
-                raise ValueError(f"{key} {value!r} disagrees with the value derived from level, witness and ledger")
-        return cert
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ def require_cutoff(raw: dict) -> Fraction:
     return cutoff
 
 
+def _check_writable(out) -> None:
+    """Open ``out`` for appending, which truncates nothing, so that a path
+    that cannot be written fails before the computation instead of after it."""
+    if out:
+        try:
+            with open(out, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}")
+
+
 def _emit(text: str, out) -> None:
     if out:
         try:
@@ -124,12 +135,12 @@ def _levels(space, sig, cutoff) -> list:
 def _certify(space, sig, cutoff) -> Certification:
     done = Certification([], [], [])
     for level, cert in certify_levels(space, sig, cutoff):
-        if level == 0 and sig.p % 2 == 0:
-            done.skipped.append(level)
-        elif isinstance(cert, str):
-            done.failures.append((level, cert))
-        else:
+        if not isinstance(cert, str):
             done.certificates.append(cert)
+        elif level == 0:  # the zero level has a certificate or no claim, never a failure
+            done.skipped.append(level)
+        else:
+            done.failures.append((level, cert))
     return done
 
 
@@ -325,6 +336,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     known = {c.lam for c in trivial_branch_crossings(basis, sig, (crossing, crossing))}
     if crossing not in known:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
+    _check_writable(out)
     code = 0
     try:
         result = continue_branch(basis, nl, sig, crossing, opts)
@@ -367,6 +379,14 @@ def _domain_errors() -> tuple[type[Exception], ...]:
     return (ValueError,) if solver is None else (ValueError, solver.ContinuationError)
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: ``int``, refusing negative values as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusbif",
@@ -378,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default: stdout)")
     formats = sorted({fmt for entry in COMMANDS.values() for fmt in entry.renderers})
     parser.add_argument("--format", choices=formats, help="default: the command's first format")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="seed for sampled checks")
     return parser
 
 
@@ -390,6 +410,7 @@ def main(argv=None) -> int:
         if fmt not in formats:
             raise ConfigError(f"{args.command} writes {' or '.join(sorted(formats))}")
         if args.command == "selftest":
+            _check_writable(args.out)
             from . import selftest
 
             results = selftest.run_all(seed=args.seed)

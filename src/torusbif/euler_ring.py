@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .jsonio import bool_from_json, int_from_json
+from .jsonio import int_from_json
 from .weights import SubgroupId, _merge_sorted
 
 Codim1 = tuple[tuple[SubgroupId, int], ...]
@@ -181,14 +181,6 @@ class EulerRingElement:
             "unit": self.unit,
             "codim1": [{"H": h.canonical.to_json(), "c": c} for h, c in self.codim1],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "EulerRingElement":
-        """Read an element; the ``truncated`` key of older artifacts is
-        checked to be a boolean and otherwise ignored."""
-        bool_from_json(data.get("truncated", False))
-        codim1 = tuple((SubgroupId.from_json(e), e["c"]) for e in data.get("codim1", ()))
-        return cls(data["unit"], codim1)
 
 
 UNIT = EulerRingElement(1)

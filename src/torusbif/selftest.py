@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import spaces
 from .bifurcation import (
     SystemSignature,
+    _indices,
+    _sweep,
     bifurcation_levels,
     cancellation_impossible,
     witness_coefficient,
@@ -79,7 +80,6 @@ def criterion_01_spectrum_exactness(seed=0) -> CriterionResult:
     """Sphere spectra through the spectrum command match k(k+n-1) exactly."""
     from .cli import run_exact
 
-    spaces.clear_caches()
     t0 = time.perf_counter()
     ok = True
     checked = 0
@@ -137,31 +137,25 @@ def criterion_04_coefficient_formula(seed=0) -> CriterionResult:
     ok = True
     formula_checks = 0
     vanish_checks = 0
+    signatures = _signatures(5)
     for space in _sweep_spaces():
-        levels = spectrum_up_to(space, 30)
-        dims = [lv.real_dim for lv in levels]
-        higher_ids = [
-            [(canonicalize(a)) for j in range(i + 1, len(levels)) for a in levels[j].alphas]
-            for i in range(len(levels))
-        ]
-        for sig in _signatures(5):
-            indices = {bl.level: bl.index for bl in bifurcation_levels(space, sig, 30)}
-            for sign, n in ((1, sig.n_minus), (-1, sig.n_plus)):
-                if n == 0:
-                    continue
-                for i, lv in enumerate(levels):
-                    if lv.eigenvalue == 0:
-                        continue
-                    index = indices[sign * lv.eigenvalue]
-                    closed = witness_coefficient(n, sum(dims[: i + 1]) % 2)
-                    for alpha in lv.alphas:
-                        formula_checks += 1
-                        if index.coeff_at(canonicalize(alpha)) != closed:
-                            ok = False
-                    for h in higher_ids[i]:
-                        vanish_checks += 1
-                        if index.coeff_at(h) != 0:
-                            ok = False
+        splits = list(_sweep(space, 30))
+        # ids of the weights at nonzero levels; the zero level's weight is zero
+        ids = [canonicalize(a) for split in splits if split.v.eigenvalue for a in split.v.alphas]
+        dim = seen = 0  # real dimension through this level, ids through this level
+        for split in splits:
+            dim += split.v.real_dim
+            if split.v.eigenvalue == 0:
+                continue
+            seen += len(split.v.alphas)
+            own, higher = ids[seen - len(split.v.alphas) : seen], ids[seen:]
+            for sig in signatures:
+                for level, index in _indices(sig, split).items():
+                    closed = witness_coefficient(sig.n_minus if level > 0 else sig.n_plus, dim % 2)
+                    formula_checks += len(own)
+                    vanish_checks += len(higher)
+                    if any(index.coeff_at(h) != closed for h in own) or any(index.coeff_at(h) for h in higher):
+                        ok = False
     detail = f"{formula_checks} coefficient identities, {vanish_checks} vanishing checks"
     return _result(4, "coefficient-formula", t0, ok, detail, limit=30.0)
 

@@ -20,6 +20,7 @@ spherical harmonics; generic spaces read user-supplied weight tables instead.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -84,11 +85,6 @@ class TorusRepDecomposition:
             "mults": [{"H": h.canonical.to_json(), "mult": m} for h, m in self.mults],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "TorusRepDecomposition":
-        mults = tuple((SubgroupId.from_json(e), e["mult"]) for e in data.get("mults", ()))
-        return cls(data["k0"], mults)
-
 
 @dataclass(frozen=True)
 class SpectralLevel:
@@ -109,18 +105,6 @@ class SpectralLevel:
             "real_dim": self.real_dim,
             "decomposition": self.torus_decomp.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "SpectralLevel":
-        real_dim = int_from_json(data["real_dim"])
-        level = cls(
-            frac_from_json(data["eigenvalue"]),
-            tuple(RestrictedWeight.from_json(a) for a in data["alphas"]),
-            TorusRepDecomposition.from_json(data["decomposition"]),
-        )
-        if real_dim != level.real_dim:
-            raise ValueError(f"real_dim {real_dim} disagrees with the decomposition's dimension {level.real_dim}")
-        return level
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +332,16 @@ def _coordinate_bound(gram: Sequence[Sequence[Fraction]], cutoff: Fraction) -> t
     )
 
 
-@lru_cache(maxsize=None)
-def _spectrum_cached(space: SymmetricSpaceData, cutoff: Fraction) -> tuple[SpectralLevel, ...]:
-    import itertools
+def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ...]:
+    """All spectral levels with eigenvalue <= cutoff, sorted ascending.
 
+    Enumeration terminates because the Gram form is positive definite and rho
+    pairs nonnegatively with dominant weights, so (alpha, alpha) <= cutoff
+    bounds every coordinate.  Grouping is by exact rational equality.
+    """
+    cutoff = Fraction(cutoff)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     bounds = _coordinate_bound(space.gram, cutoff)
     by_eig: dict[Fraction, list[RestrictedWeight]] = {}
     for coords in itertools.product(*(range(b + 1) for b in bounds)):
@@ -370,19 +360,6 @@ def _spectrum_cached(space: SymmetricSpaceData, cutoff: Fraction) -> tuple[Spect
             )
         levels.append(SpectralLevel(lam, alphas, decomp))
     return tuple(levels)
-
-
-def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ...]:
-    """All spectral levels with eigenvalue <= cutoff, sorted ascending.
-
-    Enumeration terminates because the Gram form is positive definite and rho
-    pairs nonnegatively with dominant weights, so (alpha, alpha) <= cutoff
-    bounds every coordinate.  Grouping is by exact rational equality.
-    """
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return _spectrum_cached(space, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +479,3 @@ def alpha_decomposition(space: SymmetricSpaceData, alpha: RestrictedWeight) -> T
     """Torus decomposition of the single irreducible summand with highest
     weight alpha (one piece of a possibly degenerate level)."""
     return _decompose_alphas(space, (alpha,))
-
-
-def clear_caches() -> None:
-    """Reset the two caches, the spectrum per (space, cutoff) and the
-    weights of each sphere factor per degree, so a timing run starts cold."""
-    _spectrum_cached.cache_clear()
-    _factor_weights.cache_clear()

@@ -95,11 +95,6 @@ class SubgroupId:
     def to_json(self) -> dict:
         return {"H": self.canonical.to_json()}
 
-    @classmethod
-    def from_json(cls, data) -> "SubgroupId":
-        coords = data["H"] if isinstance(data, dict) else data
-        return cls(RestrictedWeight.from_json(coords))
-
 
 def _merge_sorted(a, s: int, b, t: int) -> tuple:
     """s*a + t*b for nonzero s, t and two sequences of (SubgroupId, nonzero

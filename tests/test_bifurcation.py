@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from torusbif import (
     UNIT,
-    BifurcationLevel,
     EulerRingElement,
     RestrictedWeight,
     SymmetricSpaceData,
@@ -27,7 +26,7 @@ from torusbif import (
     witness_coefficient,
 )
 from torusbif import bifurcation
-from torusbif.jsonio import frac_from_json, frac_to_json
+from torusbif.jsonio import frac_from_json
 from torusbif.spaces import SpectralLevel
 
 W = RestrictedWeight
@@ -396,27 +395,7 @@ def test_impossibility_identity():
                 assert cancellation_impossible(nm, np_, parity)
 
 
-# -- serialization -------------------------------------------------------------------------
-
-
-def test_bifurcation_level_json_round_trip():
-    for bl in bifurcation_levels(S2, sig(1, 2), 6):
-        assert BifurcationLevel.from_json(bl.to_json()) == bl
-
-
-def test_certificate_json_round_trip():
-    for level in (2, 0):
-        cert = cert_at(S2, sig(1, 2), level)
-        back = UnboundednessCertificate.from_json(cert.to_json())
-        assert back == cert
-
-
-@pytest.mark.parametrize("value", ["3", 3.9, True, None])
-def test_bifurcation_level_reader_is_strict(value):
-    data = bifurcation_levels(S2, sig(1, 2), 6)[0].to_json()
-    data["kernel_dim"] = value
-    with pytest.raises(ValueError, match="expected an integer"):
-        BifurcationLevel.from_json(data)
+# -- certificate records -------------------------------------------------------------------
 
 
 def test_certificate_stores_only_level_witness_and_ledger():
@@ -434,39 +413,6 @@ def test_certificate_stores_only_level_witness_and_ledger():
 
 
 @pytest.mark.parametrize(
-    "level, field, value",
-    [
-        (2, "unbounded", False),
-        (0, "unbounded", False),
-        (2, "symmetry_breaking", False),
-        (0, "symmetry_breaking", True),
-        (2, "conclusion", "anything"),
-        (0, "conclusion", "index(0) = 2*I != 0"),
-        (2, "conclusion", None),
-    ],
-)
-def test_certificate_reader_rejects_derived_keys_that_disagree(level, field, value):
-    data = cert_at(S2, sig(1, 2), level).to_json()
-    data[field] = value
-    with pytest.raises(ValueError, match=f"{field} .* disagrees"):
-        UnboundednessCertificate.from_json(data)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("unbounded", "false"), ("symmetry_breaking", "false"), ("unbounded", 0), ("symmetry_breaking", None), ("coeff", 2.5)],
-)
-def test_certificate_reader_is_strict(field, value):
-    data = cert_at(S2, sig(1, 2), 2).to_json()
-    if field == "coeff":
-        data["ledger"][0]["coeff"] = value
-    else:
-        data[field] = value
-    with pytest.raises(ValueError, match="expected an? (integer|boolean)"):
-        UnboundednessCertificate.from_json(data)
-
-
-@pytest.mark.parametrize(
     "level, witness, ledger, message",
     [
         (2, None, [(2, -1)], "witness exactly when its level is nonzero"),
@@ -478,20 +424,11 @@ def test_certificate_reader_is_strict(field, value):
         (0, None, [(0, 2), (2, -1)], r"every ledger level must be \+-0"),
         (-2, H1, [(-2, 1), (2, -1)], "witness coefficients cancel; certificate cannot be issued"),
     ],
-    ids=["no-witness", "witness-at-zero", "empty", "descending", "repeated", "off-level", "off-zero", "cancels"],
+    ids=[
+        f"constructor-{case}"
+        for case in ("no-witness", "witness-at-zero", "empty", "descending", "repeated", "off-level", "off-zero", "cancels")
+    ],
 )
-@pytest.mark.parametrize("reader", ["constructor", "from_json"])
-def test_certificate_contradicting_its_level_is_refused(reader, level, witness, ledger, message):
-    data = {
-        "level": frac_to_json(Fraction(level)),
-        "witness": None if witness is None else witness.canonical.to_json(),
-        "ledger": [{"level": frac_to_json(Fraction(lv)), "coeff": c} for lv, c in ledger],
-        "conclusion": "",
-        "unbounded": True,
-        "symmetry_breaking": level != 0,
-    }
+def test_certificate_contradicting_its_level_is_refused(level, witness, ledger, message):
     with pytest.raises(ValueError, match=message):
-        if reader == "constructor":
-            UnboundednessCertificate(Fraction(level), witness, tuple((Fraction(lv), c) for lv, c in ledger))
-        else:
-            UnboundednessCertificate.from_json(data)
+        UnboundednessCertificate(Fraction(level), witness, tuple((Fraction(lv), c) for lv, c in ledger))

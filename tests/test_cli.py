@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from torusbif import (
-    BifurcationLevel,
-    SpectralLevel,
-    UnboundednessCertificate,
+    SymmetricSpaceData,
+    SystemSignature,
+    bifurcation_levels,
+    certify_levels,
+    spectrum_up_to,
 )
 from torusbif.cli import main
 
@@ -49,7 +51,8 @@ def test_spectrum_product_json_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, ["spectrum", "--config", cfg, "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    levels = [SpectralLevel.from_json(lv) for lv in payload["levels"]]
+    levels = spectrum_up_to(SymmetricSpaceData.product_of_spheres([2, 2]), 4)
+    assert payload["levels"] == [lv.to_json() for lv in levels]
     assert [lv.eigenvalue for lv in levels] == [0, 2, 4]
     assert len(levels[1].alphas) == 2
 
@@ -87,7 +90,8 @@ def test_index_json_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, ["index", "--config", cfg, "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    levels = [BifurcationLevel.from_json(lv) for lv in payload["levels"]]
+    levels = bifurcation_levels(SymmetricSpaceData.sphere(2), SystemSignature((1, -1)), 6)
+    assert payload["levels"] == [lv.to_json() for lv in levels]
     assert [lv.level for lv in levels] == [-6, -2, 0, 2, 6]
 
 
@@ -110,7 +114,8 @@ def test_certify_single_negative_equation(tmp_path, capsys):
     code, out, _ = run(capsys, ["certify", "--config", cfg, "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    certs = [UnboundednessCertificate.from_json(c) for c in payload["certificates"]]
+    certs = [cert for _, cert in certify_levels(SymmetricSpaceData.sphere(2), SystemSignature((-1,)), 6)]
+    assert payload["certificates"] == [c.to_json() for c in certs]
     assert [c.level for c in certs] == [0, 2, 6]  # 0 included since p = 1 is odd
     assert payload["all_certified"]
     assert not payload["skipped"]
@@ -141,9 +146,9 @@ def test_certificates_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, ["certify", "--config", cfg, "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    for raw in payload["certificates"]:
-        cert = UnboundednessCertificate.from_json(raw)
-        assert cert.to_json() == raw
+    space = SymmetricSpaceData.product_of_spheres([2, 3])
+    certs = [cert for _, cert in certify_levels(space, SystemSignature((1, -1, -1)), 6)]
+    assert payload["certificates"] == [c.to_json() for c in certs]
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -327,6 +332,50 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
     assert stdout == ""
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the computation ran although --out cannot be written")
+
+
+def test_selftest_checks_out_before_running(tmp_path, capsys, monkeypatch):
+    from torusbif import selftest
+
+    monkeypatch.setattr(selftest, "run_all", _refuse)
+    code, out, err = run(capsys, ["selftest", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert out == ""
+
+
+def test_out_is_appended_to_by_the_check_not_truncated(tmp_path, capsys, monkeypatch):
+    from torusbif import selftest
+
+    out_file = tmp_path / "out.txt"
+    out_file.write_text("kept\n")
+
+    def run_all(seed):
+        assert out_file.read_text() == "kept\n"
+        return [selftest.criterion_05_impossibility(seed)]
+
+    monkeypatch.setattr(selftest, "run_all", run_all)
+    code, _, _ = run(capsys, ["selftest", "--out", str(out_file)])
+    assert code == 0
+    assert out_file.read_text().startswith("[PASS] criterion 05 impossibility-identity")
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [("-1", "expected a non-negative integer, got -1"), ("2.5", "invalid non_negative_int value: '2.5'")],
+)
+def test_seed_must_be_a_non_negative_integer(capsys, monkeypatch, seed, message):
+    from torusbif import selftest
+
+    monkeypatch.setattr(selftest, "run_all", _refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: {message}" in capsys.readouterr().err
+
+
 # -- branch -----------------------------------------------------------------------------
 
 
@@ -376,7 +425,10 @@ def test_unwritten_format_is_a_config_error(tmp_path, capsys, command, fmt, mess
     assert not out_file.exists()
 
 
-def test_branch_to_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+def test_branch_to_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from torusbif import continuation
+
+    monkeypatch.setattr(continuation, "continue_branch", _refuse)
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "K": 4}})
     code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2

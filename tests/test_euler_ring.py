@@ -196,35 +196,6 @@ def test_json_round_trip():
         "unit": -2,
         "codim1": [{"H": [0, 1], "c": -1}, {"H": [1, 0], "c": 3}],
     }
-    assert EulerRingElement.from_json(data) == x
-
-
-def test_json_without_flag_reads_untruncated():
-    back = EulerRingElement.from_json({"unit": 1, "codim1": [{"H": [1, 0], "c": 2}]})
-    assert back == el(1, ((H10, 2),))
-
-
-@pytest.mark.parametrize("flag", [True, False])
-def test_json_flag_of_older_artifacts_is_read_and_ignored(flag):
-    codim1 = [{"H": [1, 0], "c": 2}, {"H": [0, 1], "c": -1}]
-    with_flag = EulerRingElement.from_json({"unit": 1, "codim1": codim1, "truncated": flag})
-    assert with_flag == EulerRingElement.from_json({"unit": 1, "codim1": codim1})
-    assert with_flag == el(1, ((H10, 2), (H01, -1)))
-    assert "truncated" not in with_flag.to_json()
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("unit", 1.7), ("unit", "1"), ("unit", True), ("c", 2.9), ("c", None), ("truncated", "no"), ("truncated", 1)],
-)
-def test_json_reader_is_strict(field, value):
-    data = {"unit": 1, "codim1": [{"H": [1, 0], "c": 2}], "truncated": False}
-    if field == "c":
-        data["codim1"][0]["c"] = value
-    else:
-        data[field] = value
-    with pytest.raises(ValueError, match="expected an? (integer|boolean)"):
-        EulerRingElement.from_json(data)
 
 
 @pytest.mark.parametrize(
