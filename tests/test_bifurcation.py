@@ -398,6 +398,38 @@ def test_impossibility_identity():
 # -- certificate records -------------------------------------------------------------------
 
 
+def test_bifurcation_level_json_round_trip():
+    written = [bl.to_json() for bl in bifurcation_levels(S2, sig(1, 2), 6)]
+    assert json.loads(json.dumps(written)) == written
+    assert written[1] == {
+        "level": {"num": -2, "den": 1},
+        "kernel_dim": 3,
+        "index": {"unit": -2, "codim1": [{"H": [1], "c": -1}], "truncated": True},
+    }
+    assert [bl["index"]["truncated"] for bl in written] == [True, True, False, True, True]
+
+
+def test_certificate_json_round_trip():
+    written = cert_at(S2, sig(1, 2), 2).to_json()
+    assert json.loads(json.dumps(written)) == written
+    assert {k: v for k, v in written.items() if k != "conclusion"} == {
+        "level": {"num": 2, "den": 1},
+        "witness": [1],
+        "ledger": [{"level": {"num": -2, "den": 1}, "coeff": -1}, {"level": {"num": 2, "den": 1}, "coeff": -2}],
+        "unbounded": True,
+        "symmetry_breaking": True,
+    }
+    zero = cert_at(S2, sig(1, 2), 0)
+    assert zero.to_json() == {
+        "level": {"num": 0, "den": 1},
+        "witness": None,
+        "ledger": [{"level": {"num": 0, "den": 1}, "coeff": 2}],
+        "conclusion": zero.conclusion,
+        "unbounded": True,
+        "symmetry_breaking": False,
+    }
+
+
 def test_certificate_stores_only_level_witness_and_ledger():
     assert [f.name for f in dataclasses.fields(UnboundednessCertificate)] == ["level", "witness", "ledger"]
     cert = UnboundednessCertificate(Fraction(-2), H1, ((Fraction(-2), -1), (Fraction(2), -1)))

@@ -351,6 +351,18 @@ def test_spectrum_csv_shape():
     assert lines[3] == "6,1,(2),5,1,1,1"
 
 
+def test_spectral_level_json_round_trip():
+    written = [lv.to_json() for lv in spectrum_up_to(P22, 8)]
+    assert json.loads(json.dumps(written)) == written
+    assert written[1] == {
+        "eigenvalue": {"num": 2, "den": 1},
+        "alphas": [[0, 1], [1, 0]],
+        "real_dim": 6,
+        "decomposition": {"k0": 2, "mults": [{"H": [0, 1], "mult": 1}, {"H": [1, 0], "mult": 1}]},
+    }
+    assert [lv["real_dim"] for lv in written] == [1, 6, 9, 10, 30]
+
+
 def test_spectral_level_stores_no_dimension():
     assert [f.name for f in dataclasses.fields(SpectralLevel)] == ["eigenvalue", "alphas", "torus_decomp"]
     assert [lv.real_dim for lv in spectrum_up_to(S2, 12)] == [1, 3, 5, 7]
