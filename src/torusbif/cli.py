@@ -258,13 +258,17 @@ COMMANDS = {
 }
 
 
-def run_exact(command: str, raw: dict, base_dir, fmt: str) -> tuple[str, int]:
+def run_exact(command: str, raw: dict, base_dir, fmt: str, out=None) -> tuple[str, int]:
     """Run an exact command on a parsed config and render it in ``fmt``.
-    Returns the text and the exit code, 1 when certify has failures."""
+    Returns the text and the exit code, 1 when certify has failures.  An
+    ``out`` path that cannot be written is refused after the config is
+    parsed, so a config error leaves no file behind, and before the
+    computation, so an unwritable path costs no enumeration."""
     entry = COMMANDS[command]
     space = require_space(raw, base_dir)
     sig = require_signature(raw) if entry.signature else None
     cutoff = require_cutoff(raw)
+    _check_writable(out)
     run = Run(space, sig, cutoff, entry.compute(space, sig, cutoff))
     body = entry.renderers[fmt](run)
     code = 1 if isinstance(run.result, Certification) and run.result.failures else 0
@@ -420,7 +424,7 @@ def main(argv=None) -> int:
         raw, base_dir = load_config(args.config)
         if args.command == "branch":
             return cmd_branch(raw, base_dir, args.out)
-        text, code = run_exact(args.command, raw, base_dir, fmt)
+        text, code = run_exact(args.command, raw, base_dir, fmt, args.out)
         _emit(text, args.out)
         return code
     except ConfigError as exc:

@@ -10,6 +10,17 @@ subset of the modes (``axisymmetric`` keeps m = 0): the solver works in the
 restricted basis directly, and states are embedded into the full basis only
 when they are recorded.
 
+The kernel mode must have order m = 0, and the gradient must keep the m = 0
+modes invariant (checked once per run), so every iterate stays in the fixed
+space of the O(2) about the pole, where the Jacobian maps each signed order
+m to itself (``residual_jacobian`` returns one block per order).  Newton
+solves the m = 0 block bordered by the constraint row and the lambda column,
+and every other block on its own against its part of the residual; the
+entries of the border and of the lambda column outside m = 0 are zero in
+exact arithmetic and are dropped.  The tangent solves the bordered m = 0
+block alone, since every other block has a zero right-hand side.  No dense
+Jacobian is formed.
+
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, or when the branch re-enters a small
 neighbourhood of the trivial solution, which is flagged rather than treated as
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +110,26 @@ def _kept_modes(basis: GalerkinBasis, restriction: str | None) -> np.ndarray:
     return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 0])
 
 
+def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
+    """Refuse a nonlinearity whose gradient leaves the m = 0 subspace, seen at
+    one fixed-seed random state on the m = 0 modes of ``basis``.  The order
+    blocks of the Jacobian and the axisymmetric restriction both rest on that
+    invariance.  Non-finite gradients are left to the corrector.  The state
+    comes from the standard library's generator: importing numpy.random
+    would add several MB to the resident size of a run."""
+    m0 = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
+    rng = random.Random(0)
+    c = np.zeros((len(sig.a), basis.n_modes))
+    c[:, m0] = [[rng.gauss(0.0, 0.5) for _ in m0] for _ in sig.a]
+    g = basis.project(nl.grad(basis.evaluate(c), lam))
+    off = np.delete(g, m0, axis=1)
+    if off.size and np.max(np.abs(off)) > 1e-12 * np.max(np.abs(g)):
+        raise ValueError(
+            f"nonlinearity {nl.name!r} does not keep the m = 0 subspace invariant "
+            f"(order m != 0 part {np.max(np.abs(off)):.3g} of {np.max(np.abs(g)):.3g})"
+        )
+
+
 def continue_branch(
     basis: GalerkinBasis,
     nl: NonlinearitySpec,
@@ -108,9 +140,11 @@ def continue_branch(
     """Trace the branch bifurcating at a trivial-branch crossing.
 
     Raises ``ValueError`` when the crossing is not a singular value of the
-    trivial-branch linearization or when the restricted kernel is not
-    one-dimensional, and ``ContinuationError`` when the corrector cannot
-    converge even at the minimum step or the tangent solve fails.
+    trivial-branch linearization, when the restricted kernel is not
+    one-dimensional or its mode has m != 0, or when the nonlinearity does not
+    keep the m = 0 subspace invariant, and ``ContinuationError`` when the
+    corrector cannot converge even at the minimum step or the tangent solve
+    fails.
     """
     opts = opts or ContinuationOptions()
     lam0 = Fraction(crossing)
@@ -121,40 +155,53 @@ def continue_branch(
 
     keep = _kept_modes(basis, opts.isotropy_restriction)
     sub = basis if opts.isotropy_restriction is None else basis.restrict(keep)
-    kernel = [
-        comp * sub.n_modes + sub.mode_index[(k, m)]
-        for comp, k, m in crossings[lam0].modes
-        if (k, m) in sub.mode_index
-    ]
+    kernel = [(comp, k, m) for comp, k, m in crossings[lam0].modes if (k, m) in sub.mode_index]
     if len(kernel) != 1:
         raise ValueError(f"restricted kernel is {len(kernel)}-dimensional; apply isotropy restriction")
-    k_pos = kernel[0]
-    n_act = p * sub.n_modes
+    comp, k, m = kernel[0]
+    if m != 0:
+        raise ValueError(f"kernel mode (k, m) = ({k}, {m}) has m != 0; the solver needs an m = 0 kernel")
     lam0f = float(lam0)
+    _check_order_invariance(basis, nl, sig, lam0f)
+    k_pos = comp * sub.n_modes + sub.mode_index[(k, m)]
+    n_act = p * sub.n_modes
+    # positions of the m = 0 part of z = (x, lam): the m = 0 modes of every
+    # component, ordered as in the m = 0 block, then lambda
+    m0 = [i for i, mode in enumerate(sub.modes) if mode[1] == 0]
+    z0 = np.append((sub.n_modes * np.arange(p)[:, None] + m0).ravel(), n_act)
 
     def embed(x: np.ndarray) -> np.ndarray:
         full = np.zeros((p, basis.n_modes))
         full[:, keep] = x.reshape(p, sub.n_modes)
         return full.ravel()
 
+    def bordered(J_0, R_lam, row):
+        M = np.empty((z0.size, z0.size))
+        M[:-1, :-1] = J_0
+        M[:-1, -1] = R_lam[z0[:-1]]
+        M[-1] = row[z0]
+        return M
+
     def newton(x, lam, row, base, offset):
         """Solve R(x, lam) = 0 bordered by ``row . (z - base) = offset`` with
-        z = (x, lam).  Returns the corrected (x, lam) and the bordered matrix
-        evaluated there, or None in place of the matrix when the corrector
-        does not converge."""
-        M = np.zeros((n_act + 1, n_act + 1))
-        M[n_act, :] = row
+        z = (x, lam).  Returns the corrected (x, lam) and the m = 0 part of
+        the bordered matrix evaluated there, or None in place of the matrix
+        when the corrector does not converge."""
         for it in range(MAX_NEWTON_ITER + 1):
-            R, M[:n_act, :n_act], M[:n_act, n_act] = residual_jacobian(sub, nl, sig, x, lam)
+            R, blocks, R_lam = residual_jacobian(sub, nl, sig, x, lam)
             border = np.dot(row[:n_act], x - base[:n_act]) + row[n_act] * (lam - base[n_act]) - offset
-            F = np.concatenate([R, [border]])
+            F = np.append(R, border)
+            M = bordered(blocks.pop(0)[1], R_lam, row)
             nrm = float(np.max(np.abs(F)))
             if np.isfinite(nrm) and nrm < NEWTON_TOL:
                 return x, lam, M
             if it == MAX_NEWTON_ITER:
                 break
+            dz = np.empty(n_act + 1)
             try:
-                dz = np.linalg.solve(M, -F)
+                dz[z0] = np.linalg.solve(M, -F[z0])
+                for idx, J_b in blocks.values():
+                    dz[idx] = np.linalg.solve(J_b, -R[idx])
             except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(dz)):
@@ -164,18 +211,22 @@ def continue_branch(
         return x, lam, None
 
     def tangent_at(M, prev_t):
-        # M is Newton's bordered matrix at the converged point; the border row
-        # becomes the previous tangent so the new one keeps its orientation
-        M[n_act, :] = prev_t
-        rhs = np.zeros(n_act + 1)
-        rhs[n_act] = 1.0
+        # M is the m = 0 part of Newton's bordered matrix at the converged
+        # point; the border row becomes the previous tangent so the new one
+        # keeps its orientation.  The other orders have a zero right-hand
+        # side, so their part of the tangent is zero.
+        M[-1] = prev_t[z0]
+        rhs = np.zeros(z0.size)
+        rhs[-1] = 1.0
         try:
-            t = np.linalg.solve(M, rhs)
+            t0 = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
             raise ContinuationError("no tangent: the bordered matrix is singular", states) from None
-        nrm = float(np.linalg.norm(t))
+        nrm = float(np.linalg.norm(t0))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise ContinuationError(f"no tangent: the tangent solve gave norm {nrm}", states)
+        t = np.zeros(n_act + 1)
+        t[z0] = t0
         return t / nrm
 
     # branch switching: pin the kernel amplitude at the onset amplitude

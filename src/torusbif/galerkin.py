@@ -357,44 +357,51 @@ def residual_jacobian(
     sig,
     coeffs: np.ndarray,
     lam: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The residual R, its Jacobian J and its lam-derivative R_lam at
-    (coeffs, lam), from one transform of the state.  J is the diagonal linear
-    part minus the quadrature Gram blocks of the pointwise Hessian, which is
-    symmetric in (i, j).  R_lam = -c - P(D), where D is the central difference
-    of grad in lam at the nodes, with step 1e-6 max(1, |lam|); when D is zero,
-    that is when grad does not read lam, the projection is skipped, and
-    R_lam = -c exactly.
+) -> tuple[np.ndarray, dict, np.ndarray]:
+    """The residual R, the order blocks of its Jacobian and its
+    lam-derivative R_lam at (coeffs, lam), from one transform of the state.
 
-    A Gram entry is sum_theta colat_a colat_b T[order_a, theta, order_b],
-    where T[b, theta, a] = sum_phi L_b L_a w sums the weighted Hessian w
-    against each pair of longitude rows.  So T costs one batched product and
-    the rows of each order one product with the colatitude rows: O(n^2 n_theta)
-    per block, where a Gram through the dense table costs O(n^2 n_theta n_phi)."""
+    ``blocks`` maps each signed order m present in the basis to ``(idx, J_b)``:
+    ``idx`` lists the coefficient positions of order m in every component,
+    component by component, and ``J_b`` is the Jacobian restricted to them,
+    the diagonal linear part minus the quadrature Gram of the pointwise
+    Hessian.  Entries between different orders are not formed.  They vanish
+    when the Hessian at the state does not depend on longitude, which holds
+    on the m = 0 subspace for a nonlinearity that acts pointwise without
+    reading phi; the caller keeps its iterates there (see
+    ``continuation.continue_branch``).  R_lam = -c - P(D), where D is the
+    central difference of grad in lam at the nodes, with step
+    1e-6 max(1, |lam|); when D is zero, that is when grad does not read lam,
+    the projection is skipped, and R_lam = -c exactly.
+
+    A block sums the weighted Hessian against one longitude row twice, so it
+    needs only T[m, theta] = sum_phi L_m^2 w H, one product for all orders,
+    and then -(colat_m T[m]) colat_m^T per component pair: O(n_m^2 n_theta)
+    for the n_m modes of order m.  The blocks are exact at any state."""
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
     u = basis.evaluate(c)
     R = _residual_at(basis, nl, sig, c, u, lam)
     Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
-    colat, lon, pos, rows = basis._factors
-    J = np.empty((p * n, p * n))
-    blocks = J.reshape(p, n, p, n)  # a view: blocks[i, :, j, :] is block (i, j)
-    for i in range(p):
-        for j in range(i, p):
-            T = (lon[:, None, :] * Hw[i, j].reshape(colat.shape[1], -1)) @ lon.T  # (order, theta, order)
-            for b, r in enumerate(rows):
-                blocks[i, r, j, :] = -(colat[r] @ (T[b][:, pos] * colat.T))
-            if j > i:
-                blocks[j, :, i, :] = blocks[i, :, j, :].T
-    diag = np.arange(p * n)
-    J[diag, diag] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
+    colat, lon, _, rows = basis._factors
+    T = Hw.reshape(p, p, colat.shape[1], -1) @ (lon * lon).T  # (p, p, theta, order)
+    linear = (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
+    offsets = n * np.arange(p)[:, None]
+    blocks = {}
+    for b, r in enumerate(rows):
+        C = colat[r]
+        size = p * r.size
+        J_b = (-(C * T[:, :, None, :, b]) @ C.T).swapaxes(1, 2).reshape(size, size)
+        idx = (offsets + r).ravel()
+        J_b.flat[:: size + 1] -= linear[idx]
+        blocks[basis.modes[r[0]][1]] = (idx, J_b)
     step = 1e-6 * max(1.0, abs(lam))
     D = (nl.grad(u, lam + step) - nl.grad(u, lam - step)) / (2 * step)
     R_lam = -c.ravel()
     if np.any(D):
         R_lam -= basis.project(D).ravel()
-    return R, J, R_lam
+    return R, blocks, R_lam
 
 
 def gradient_check(

@@ -346,6 +346,37 @@ def test_selftest_checks_out_before_running(tmp_path, capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command, computation",
+    [
+        ("spectrum", "spectrum_up_to"),
+        ("decompose", "spectrum_up_to"),
+        ("index", "bifurcation_levels"),
+        ("certify", "certify_levels"),
+    ],
+)
+def test_exact_commands_check_out_before_computing(tmp_path, capsys, monkeypatch, command, computation):
+    from torusbif import cli
+
+    monkeypatch.setattr(cli, computation, _refuse)
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "a": [-1]})
+    code, out, err = run(capsys, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("drop", ["space", "cutoff"])
+def test_config_error_leaves_no_out_file(tmp_path, capsys, drop):
+    cfg = write_config(tmp_path, {key: value for key, value in SPHERE_CFG.items() if key != drop})
+    out_file = tmp_path / "fresh.json"
+    code, out, err = run(capsys, ["spectrum", "--config", cfg, "--format", "json", "--out", str(out_file)])
+    assert code == 2
+    assert f"needs a '{drop}'" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_out_is_appended_to_by_the_check_not_truncated(tmp_path, capsys, monkeypatch):
     from torusbif import selftest
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -62,22 +63,78 @@ def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
     assert math.isclose(result.states[-1].h1_norm, h1, rel_tol=1e-12)
 
 
+def dense_branch(crossing, opts):
+    # the solver before the order blocks, for p = 1 and a simple kernel: Newton
+    # and the tangent solve the dense bordered matrix of dense_jacobian, with
+    # every order coupled, under the same step control and stop rule
+    keep = continuation._kept_modes(BASIS, opts.isotropy_restriction)
+    sub = BASIS.restrict(keep)
+    n = sub.n_modes
+    (kernel,) = [i for i, (k, m) in enumerate(sub.modes) if m == 0 and k * (k + 1) == crossing]
+    e = np.eye(n + 1)
+
+    def newton(x, lam, row, base, offset):
+        M = np.empty((n + 1, n + 1))
+        M[n] = row
+        for _ in range(continuation.MAX_NEWTON_ITER + 1):
+            R, M[:n, :n], M[:n, n] = dense_jacobian(sub, QUARTIC, NEG, x, lam)
+            F = np.append(R, row @ (np.append(x, lam) - base) - offset)
+            if np.max(np.abs(F)) < continuation.NEWTON_TOL:
+                return x, lam, M
+            dz = np.linalg.solve(M, -F)
+            x, lam = x + dz[:n], lam + dz[n]
+        return x, lam, None
+
+    def tangent(M, prev):
+        M[n] = prev
+        t = np.linalg.solve(M, e[n])
+        return t / np.linalg.norm(t)
+
+    def state(x, lam):
+        full = np.zeros(BASIS.n_modes)
+        full[keep] = x
+        return full, lam, h1_norm(BASIS, full)
+
+    onset = continuation.ONSET_AMPLITUDE
+    x, lam, M = newton(onset * e[kernel, :n], float(crossing), e[kernel], np.zeros(n + 1), onset)
+    states = [state(x, lam)]
+    prev = np.append(x, lam)
+    t = tangent(M, np.append(x, lam - crossing) / np.linalg.norm(np.append(x, lam - crossing)))
+    h = min(max(opts.step, continuation.MIN_STEP), continuation.MAX_STEP)
+    while True:
+        if states[-1][2] >= opts.target_norm:
+            return states, "reached_target"
+        if states[-1][2] < onset / 10.0:
+            return states, "returned_to_trivial"
+        if len(states) >= opts.max_steps:
+            return states, "incomplete"
+        z = prev + h * t
+        x, lam, M = newton(z[:n], z[n], t, prev, h)
+        if M is None:
+            h /= 2.0
+            continue
+        states.append(state(x, lam))
+        t = tangent(M, t)
+        prev = np.append(x, lam)
+        h = min(h * 1.4, continuation.MAX_STEP)
+
+
 @pytest.mark.parametrize("which", RUNS)
-def test_branch_states_match_a_run_with_the_dense_jacobian(request, monkeypatch, which):
+def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
     factored = request.getfixturevalue(which)
-    monkeypatch.setattr(continuation, "residual_jacobian", dense_jacobian)
-    dense = continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
-    assert dense.outcome == factored.outcome
-    assert len(dense.states) == len(factored.states)
-    for got, want in zip(factored.states, dense.states):
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
-        assert math.isclose(got.lam, want.lam, rel_tol=1e-12)
+    dense, outcome = dense_branch(*RUNS[which])
+    assert outcome == factored.outcome
+    assert len(dense) == len(factored.states)
+    for got, (coeffs, lam, _) in zip(factored.states, dense):
+        assert np.max(np.abs(got.coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+        assert math.isclose(got.lam, lam, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("which", RUNS)
 def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
-    # residual_jacobian returns R and J from one evaluate, and the quartic does
-    # not read lambda, so each Newton iteration evaluates the state once
+    # residual_jacobian returns R and the blocks from one evaluate, and the
+    # quartic does not read lambda, so each Newton iteration evaluates the
+    # state once; the one more evaluate is the run's symmetry check
     calls = {"evaluate": 0, "jacobian": 0}
     evaluate, jacobian = GalerkinBasis.evaluate, continuation.residual_jacobian
 
@@ -93,13 +150,14 @@ def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
     monkeypatch.setattr(continuation, "residual_jacobian", counted_jacobian)
     result = continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
     assert calls["jacobian"] > len(result.states)
-    assert calls["evaluate"] == calls["jacobian"]
+    assert calls["evaluate"] == calls["jacobian"] + 1
 
 
 @pytest.mark.parametrize("which", RUNS)
 def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeypatch, which):
     # a spec states no lambda-dependence: residual_jacobian observes that grad
-    # does not read lambda and makes no projection beyond the residual's own
+    # does not read lambda and makes no projection beyond the residual's own;
+    # the one more pair is the run's symmetry check
     nl = NonlinearitySpec("plain-quartic", QUARTIC.value, QUARTIC.grad, QUARTIC.hess, grad_degree=3)
     calls = {"evaluate": 0, "project": 0, "jacobian": 0}
     originals = {
@@ -120,7 +178,7 @@ def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeyp
     monkeypatch.setattr(continuation, "residual_jacobian", counted("jacobian"))
     result = continue_branch(BASIS, nl, NEG, *RUNS[which])
     assert calls["jacobian"] > len(result.states)
-    assert calls["evaluate"] == calls["project"] == calls["jacobian"]
+    assert calls["evaluate"] == calls["project"] == calls["jacobian"] + 1
 
 
 @pytest.mark.parametrize(
@@ -135,8 +193,8 @@ def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypa
     jacobian = continuation.residual_jacobian
 
     def analytic(basis, nl, sig, coeffs, lam):
-        R, J, _ = jacobian(basis, nl, sig, coeffs, lam)
-        return R, J, analytic_lambda_column(basis, sig, coeffs)
+        R, blocks, _ = jacobian(basis, nl, sig, coeffs, lam)
+        return R, blocks, analytic_lambda_column(basis, sig, coeffs)
 
     monkeypatch.setattr(continuation, "residual_jacobian", analytic)
     closed = continue_branch(BASIS, nl, NEG, crossing, opts)
@@ -228,6 +286,69 @@ def test_multidimensional_kernel_requires_restriction():
         continue_branch(BASIS, QUARTIC, NEG, 2, ContinuationOptions())
     with pytest.raises(ValueError, match="apply isotropy restriction"):
         continue_branch(BASIS, QUARTIC, SystemSignature((-1, -1)), 2, axisymmetric_opts())
+
+
+def test_kernel_mode_of_nonzero_order_is_refused(monkeypatch):
+    # a restriction that kept the order m = 1 would leave the one-dimensional
+    # kernel Y_{1,1} at lambda = 2; the order blocks would mis-solve it
+    def keep_order_one(basis, restriction):
+        return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 1])
+
+    monkeypatch.setattr(continuation, "_kept_modes", keep_order_one)
+    with pytest.raises(ValueError, match=r"kernel mode \(k, m\) = \(1, 1\) has m != 0"):
+        continue_branch(BASIS, QUARTIC, NEG, 2, axisymmetric_opts())
+
+
+def phi_quartic():
+    # the quartic times 1 + cos(phi)/2: pointwise in u, but it reads longitude
+    bump = 1.0 + 0.5 * np.cos(BASIS.node_phi)
+    return NonlinearitySpec(
+        "phi-quartic",
+        lambda u, lam: bump * QUARTIC.value(u, lam),
+        lambda u, lam: bump * QUARTIC.grad(u, lam),
+        lambda u, lam: bump * QUARTIC.hess(u, lam),
+        grad_degree=3,
+    )
+
+
+@pytest.mark.parametrize("crossing, restriction", [(0, None), (2, "axisymmetric")], ids=["full", "axisymmetric"])
+def test_a_nonlinearity_that_reads_longitude_is_refused(crossing, restriction):
+    opts = ContinuationOptions(isotropy_restriction=restriction)
+    with pytest.raises(ValueError, match="nonlinearity 'phi-quartic' does not keep the m = 0 subspace invariant"):
+        continue_branch(BASIS, phi_quartic(), NEG, crossing, opts)
+
+
+@pytest.mark.parametrize(
+    "nl", [QUARTIC, NonlinearitySpec.zero(), lam_scaled_quartic()], ids=["quartic", "zero", "lam-scaled"]
+)
+def test_pointwise_nonlinearities_pass_the_symmetry_check(nl):
+    result = continue_branch(BASIS, nl, NEG, 0, ContinuationOptions(max_steps=1))
+    assert result.outcome == "incomplete" and len(result.states) == 1
+
+
+def test_unrestricted_K16_run_solves_only_order_blocks_and_is_pinned(tmp_path, capsys, monkeypatch):
+    # the branch-full benchmark config through the CLI: no linear solve is
+    # larger than the bordered m = 0 block, (K + 1) + 1 = 18; the order +-m
+    # blocks have K + 1 - |m| rows
+    from torusbif.cli import main
+
+    shapes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    config = tmp_path / "branch.json"
+    galerkin = {"K": 16, "nl": "quartic", "crossing": 0, "target_norm": 5}
+    config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
+    assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(shapes) == {(18, 18)} | {(n, n) for n in range(1, 17)}
+    assert summary["outcome"] == "reached_target" and summary["steps"] == 31
+    assert math.isclose(summary["final"]["lambda"], 2.0284526142497143, rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(summary["final"]["h1_norm"], 5.048790679393228, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_unknown_restriction_name():

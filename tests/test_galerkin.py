@@ -193,17 +193,29 @@ def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
     assert peak < 40e6
 
 
+def dense_blocks(J, blocks):
+    # the order blocks' positions partition the coordinates; return the dense
+    # matrix's entries at each block, in the order of ``blocks``
+    idx = np.concatenate([idx for idx, _ in blocks.values()])
+    assert np.array_equal(np.sort(idx), np.arange(J.shape[0]))
+    return [J[np.ix_(idx, idx)] for idx, _ in blocks.values()]
+
+
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
 @pytest.mark.parametrize("orders", [None, (0,), (0, 3, -3)], ids=["full", "m0", "m0+-3"])
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
+    # at any state the block of order m is the dense Jacobian's diagonal block
+    # there: both sum the longitude rows of m against themselves
     basis = with_orders(GalerkinBasis(K), orders)
     sig = SystemSignature(a)
     rng = np.random.default_rng(K + 100 * len(a))
     c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
-    R, J, R_lam = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    R, blocks, R_lam = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     R_ref, ref, R_lam_ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert sorted(blocks) == sorted({m for _, m in basis.modes})
+    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
+        assert np.max(np.abs(J_b - want)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(R, R_ref)
     assert np.array_equal(R_lam, R_lam_ref)
     u = c @ basis.values
@@ -213,17 +225,46 @@ def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     assert np.max(np.abs(basis.project(f) - proj)) <= 1e-13 * np.max(np.abs(proj))
 
 
+@pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
+@pytest.mark.parametrize("K", [0, 1, 8, 16])
+def test_order_blocks_are_the_whole_jacobian_on_the_m0_subspace(K, a):
+    # at a state supported on m = 0 the Hessian does not depend on longitude,
+    # so the dense Jacobian has nothing outside the order blocks
+    basis = GalerkinBasis(K)
+    sig = SystemSignature(a)
+    m0 = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
+    c = np.zeros((len(a), basis.n_modes))
+    c[:, m0] = 0.5 * np.random.default_rng(K + 100 * len(a)).standard_normal((len(a), len(m0)))
+    _, blocks, _ = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    _, ref, _ = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    scale = np.max(np.abs(ref))
+    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
+        assert np.max(np.abs(J_b - want)) <= 1e-12 * scale
+    off = ref.copy()
+    for idx, _ in blocks.values():
+        off[np.ix_(idx, idx)] = 0.0
+    assert np.max(np.abs(off)) <= 1e-13 * scale
+    for m in range(1, K + 1):  # Y_{k,m} and Y_{k,-m} differ by a rotation about the pole
+        J_plus, J_minus = blocks[m][1], blocks[-m][1]
+        assert np.max(np.abs(J_plus - J_minus)) <= 1e-12 * np.max(np.abs(J_plus))
+    fd = central_difference_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    for (_, J_b), want in zip(blocks.values(), dense_blocks(fd, blocks)):
+        assert np.max(np.abs(J_b - want)) <= 1e-8 * np.max(np.abs(fd))
+
+
 def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
-    # J alone is 9.5 MB; the dense table would be 73 MB
+    # one block per order, 65 of them, 24 thousand entries in all (190 kB);
+    # the dense J would be 9.5 MB and the dense table 73 MB
     basis = GalerkinBasis(32)
     c = 0.3 * np.random.default_rng(23).standard_normal(basis.n_modes)
     tracemalloc.start()
     try:
-        R, J, _ = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
+        R, blocks, _ = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert J.shape == (1089, 1089)
+    assert sorted(blocks) == list(range(-32, 33))
+    assert [J_b.shape for _, J_b in blocks.values()] == [(33 - abs(m),) * 2 for m in range(-32, 33)]
     assert peak < 30e6
     assert "values" not in vars(basis)
 
@@ -362,11 +403,11 @@ def test_jacobian_matches_central_differences(keep):
     sig = SystemSignature((1, -1))
     rng = np.random.default_rng(17)
     c = 0.5 * rng.standard_normal(2 * basis.n_modes)
-    R, J, _ = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
+    R, blocks, _ = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
     ref = central_difference_jacobian(basis, QUARTIC, sig, c, 1.3)
     assert np.array_equal(R, residual_coeffs(basis, QUARTIC, sig, c, 1.3))
-    assert J.shape == (c.size, c.size)
-    assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref))
+    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
+        assert np.max(np.abs(J_b - want)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_restricted_residual_is_the_kept_part_of_the_full_one():
@@ -436,7 +477,7 @@ def test_lambda_column_matches_the_analytic_one(lam):
     # the lambda term P(q)/10 (up to 6e-10 seen), so that term is held to 1e-8
     sig = SystemSignature((1, -1))
     c = 0.5 * np.random.default_rng(29).standard_normal(2 * BASIS.n_modes)
-    R, J, R_lam = residual_jacobian(BASIS, lam_scaled_quartic(), sig, c, lam)
+    R, _, R_lam = residual_jacobian(BASIS, lam_scaled_quartic(), sig, c, lam)
     want = analytic_lambda_column(BASIS, sig, c)
     term = np.max(np.abs(want + c))
     assert term > 0.01  # the nonlinear term is not negligible
