@@ -13,13 +13,15 @@ when they are recorded.
 The kernel mode must have order m = 0, and the gradient must keep the m = 0
 modes invariant (checked once per run), so every iterate stays in the fixed
 space of the O(2) about the pole, where the Jacobian maps each signed order
-m to itself (``residual_jacobian`` returns one block per order).  Newton
+m to itself.  The reflection phi -> -phi in that O(2) swaps the cos-type and
+sin-type modes of each order and fixes the iterate, so the blocks of m and
+-m are equal, and ``residual_jacobian`` returns one block per |m|.  Newton
 solves the m = 0 block bordered by the constraint row and the lambda column,
-and every other block on its own against its part of the residual; the
-entries of the border and of the lambda column outside m = 0 are zero in
-exact arithmetic and are dropped.  The tangent solves the bordered m = 0
-block alone, since every other block has a zero right-hand side.  No dense
-Jacobian is formed.
+and every other block once, against a two-column right-hand side that holds
+the residual parts of m and of -m; the entries of the border and of the
+lambda column outside m = 0 are zero in exact arithmetic and are dropped.
+The tangent solves the bordered m = 0 block alone, since every other block
+has a zero right-hand side.  No dense Jacobian is formed.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, or when the branch re-enters a small
@@ -200,7 +202,7 @@ def continue_branch(
             dz = np.empty(n_act + 1)
             try:
                 dz[z0] = np.linalg.solve(M, -F[z0])
-                for idx, J_b in blocks.values():
+                for idx, J_b in blocks.values():  # the columns of idx: order m, then -m when paired
                     dz[idx] = np.linalg.solve(J_b, -R[idx])
             except np.linalg.LinAlgError:
                 break

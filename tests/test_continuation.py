@@ -46,6 +46,16 @@ def constant_branch():
     return continue_branch(BASIS, QUARTIC, NEG, *RUNS["constant_branch"])
 
 
+# the branch-full benchmark config: unrestricted, K = 16, from lambda = 0 to norm 5
+FULL_K16 = (GalerkinBasis(16), 0, ContinuationOptions(target_norm=5))
+
+
+@pytest.fixture(scope="module")
+def full_K16_branch():
+    basis, crossing, opts = FULL_K16
+    return continue_branch(basis, QUARTIC, NEG, crossing, opts)
+
+
 # Trajectory pins: the exact state count and the end point of both K = 8
 # branches, so a change of step control or tangent shows up in tier-1.
 @pytest.mark.parametrize(
@@ -63,12 +73,12 @@ def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
     assert math.isclose(result.states[-1].h1_norm, h1, rel_tol=1e-12)
 
 
-def dense_branch(crossing, opts):
+def dense_branch(basis, crossing, opts):
     # the solver before the order blocks, for p = 1 and a simple kernel: Newton
     # and the tangent solve the dense bordered matrix of dense_jacobian, with
     # every order coupled, under the same step control and stop rule
-    keep = continuation._kept_modes(BASIS, opts.isotropy_restriction)
-    sub = BASIS.restrict(keep)
+    keep = continuation._kept_modes(basis, opts.isotropy_restriction)
+    sub = basis.restrict(keep)
     n = sub.n_modes
     (kernel,) = [i for i, (k, m) in enumerate(sub.modes) if m == 0 and k * (k + 1) == crossing]
     e = np.eye(n + 1)
@@ -91,9 +101,9 @@ def dense_branch(crossing, opts):
         return t / np.linalg.norm(t)
 
     def state(x, lam):
-        full = np.zeros(BASIS.n_modes)
+        full = np.zeros(basis.n_modes)
         full[keep] = x
-        return full, lam, h1_norm(BASIS, full)
+        return full, lam, h1_norm(basis, full)
 
     onset = continuation.ONSET_AMPLITUDE
     x, lam, M = newton(onset * e[kernel, :n], float(crossing), e[kernel], np.zeros(n + 1), onset)
@@ -119,10 +129,12 @@ def dense_branch(crossing, opts):
         h = min(h * 1.4, continuation.MAX_STEP)
 
 
-@pytest.mark.parametrize("which", RUNS)
+@pytest.mark.parametrize("which", [*RUNS, "full_K16_branch"])
 def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
+    # the full K = 16 run pairs each order m > 0 with -m in one block
     factored = request.getfixturevalue(which)
-    dense, outcome = dense_branch(*RUNS[which])
+    run = FULL_K16 if which == "full_K16_branch" else (BASIS, *RUNS[which])
+    dense, outcome = dense_branch(*run)
     assert outcome == factored.outcome
     assert len(dense) == len(factored.states)
     for got, (coeffs, lam, _) in zip(factored.states, dense):
@@ -328,24 +340,35 @@ def test_pointwise_nonlinearities_pass_the_symmetry_check(nl):
 
 def test_unrestricted_K16_run_solves_only_order_blocks_and_is_pinned(tmp_path, capsys, monkeypatch):
     # the branch-full benchmark config through the CLI: no linear solve is
-    # larger than the bordered m = 0 block, (K + 1) + 1 = 18; the order +-m
-    # blocks have K + 1 - |m| rows
+    # larger than the bordered m = 0 block, (K + 1) + 1 = 18; the orders m
+    # and -m share one block of K + 1 - m rows, solved once against both
+    # parts of the residual.  A Newton iteration makes 17 solves; the one
+    # solve after a converged Jacobian is the tangent's
     from torusbif.cli import main
 
-    shapes = []
-    solve = np.linalg.solve
+    solves = []  # the (matrix, right-hand side) shapes after each Jacobian
+    solve, jacobian = np.linalg.solve, continuation.residual_jacobian
 
-    def recorded(a, b):
-        shapes.append(a.shape)
+    def recorded_solve(a, b):
+        solves[-1].append((a.shape, b.shape))
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", recorded)
+    def recorded_jacobian(*args):
+        solves.append([])
+        return jacobian(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    monkeypatch.setattr(continuation, "residual_jacobian", recorded_jacobian)
     config = tmp_path / "branch.json"
     galerkin = {"K": 16, "nl": "quartic", "crossing": 0, "target_norm": 5}
     config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
     assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert set(shapes) == {(18, 18)} | {(n, n) for n in range(1, 17)}
+    bordered = ((18, 18), (18,))
+    iteration = [bordered] + [((n, n), (n, 2)) for n in range(16, 0, -1)]
+    assert len(solves) == 90
+    assert sum(after == iteration for after in solves) == 59
+    assert sum(after == [bordered] for after in solves) == 31
     assert summary["outcome"] == "reached_target" and summary["steps"] == 31
     assert math.isclose(summary["final"]["lambda"], 2.0284526142497143, rel_tol=0.0, abs_tol=1e-12)
     assert math.isclose(summary["final"]["h1_norm"], 5.048790679393228, rel_tol=0.0, abs_tol=1e-12)
@@ -400,13 +423,15 @@ def test_newton_breakdown_raises_with_partial_branch():
     assert excinfo.value.states  # the states traced before the breakdown
 
 
+@pytest.mark.parametrize("which", RUNS)
 @pytest.mark.parametrize("failure", ["nan", "singular"])
-def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure):
-    # only the tangent solve (unit right-hand side) fails; Newton's solves do not
+def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure, which):
+    # only the tangent solve (1-D unit right-hand side) fails; Newton's solves,
+    # the paired blocks' two-column ones among them, do not
     real = np.linalg.solve
 
     def solve(a, b):
-        if b[-1] == 1.0 and not np.any(b[:-1]):
+        if b.ndim == 1 and b[-1] == 1.0 and not np.any(b[:-1]):
             if failure == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
             return np.full_like(b, np.nan)
@@ -414,5 +439,5 @@ def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     with pytest.raises(ContinuationError, match="no tangent") as excinfo:
-        continue_branch(BASIS, QUARTIC, NEG, *RUNS["branch"])
+        continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
     assert excinfo.value.states  # the onset state, accepted before its tangent

@@ -111,8 +111,9 @@ def test_restricted_basis_keeps_the_chosen_modes():
     assert BASIS.n_modes == 81 and mass_error(sub) <= 1e-12
     # the factors of the parent basis are not inherited: the axisymmetric
     # basis holds the single order m = 0
-    colat, lon, pos, rows = sub._factors
-    assert lon.shape[0] == 1 and len(rows) == 1 and not np.any(pos)
+    colat, lon, slot, blocks = sub._factors
+    assert colat.shape[:2] == (1, 9) and lon.shape[0] == 1 and len(blocks) == 1
+    assert np.array_equal(slot, np.arange(9))
     assert np.array_equal(lon[0], np.ones(lon.shape[1]))
 
 
@@ -193,27 +194,33 @@ def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
     assert peak < 40e6
 
 
-def dense_blocks(J, blocks):
-    # the order blocks' positions partition the coordinates; return the dense
-    # matrix's entries at each block, in the order of ``blocks``
-    idx = np.concatenate([idx for idx, _ in blocks.values()])
+def dense_blocks(J, blocks, column=0):
+    # the positions of the order blocks and their twins partition the
+    # coordinates; return the dense matrix's entries at each block, in the
+    # order of ``blocks``: at the formed order (column 0) or at its twin
+    idx = np.concatenate([idx.ravel() for idx, _ in blocks.values()])
     assert np.array_equal(np.sort(idx), np.arange(J.shape[0]))
-    return [J[np.ix_(idx, idx)] for idx, _ in blocks.values()]
+    return [J[np.ix_(idx[:, column], idx[:, column])] for idx, _ in blocks.values()]
 
 
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
-@pytest.mark.parametrize("orders", [None, (0,), (0, 3, -3)], ids=["full", "m0", "m0+-3"])
+@pytest.mark.parametrize("orders", [None, (0,), (0, 3, -3), (0, 3)], ids=["full", "m0", "m0+-3", "m0+3"])
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     # at any state the block of order m is the dense Jacobian's diagonal block
-    # there: both sum the longitude rows of m against themselves
+    # there: both sum the longitude rows of m against themselves; one block is
+    # formed per |m|, and an order m > 0 whose twin -m is present carries the
+    # twin's positions in a second column
     basis = with_orders(GalerkinBasis(K), orders)
     sig = SystemSignature(a)
     rng = np.random.default_rng(K + 100 * len(a))
     c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
     R, blocks, R_lam = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     R_ref, ref, R_lam_ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    assert sorted(blocks) == sorted({m for _, m in basis.modes})
+    present = {m for _, m in basis.modes}
+    assert sorted(blocks) == sorted(m for m in present if m >= 0 or -m not in present)
+    for m, (idx, _) in blocks.items():
+        assert idx.shape[1] == (2 if m > 0 and -m in present else 1)
     for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
         assert np.max(np.abs(J_b - want)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(R, R_ref)
@@ -225,11 +232,26 @@ def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     assert np.max(np.abs(basis.project(f) - proj)) <= 1e-13 * np.max(np.abs(proj))
 
 
+def test_orders_of_different_degrees_keep_their_own_blocks():
+    # (3, 3) and (4, -3) are not each other's reflection, so neither block
+    # stands for the other
+    basis = GalerkinBasis(4)
+    sub = basis.restrict(sorted(basis.mode_index[km] for km in [(0, 0), (3, 3), (4, -3)]))
+    c = np.array([0.7, -0.4, 0.5])
+    _, blocks, _ = residual_jacobian(sub, QUARTIC, NEG, c, 1.3)
+    _, ref, _ = dense_jacobian(sub, QUARTIC, NEG, c, 1.3)
+    assert sorted(blocks) == [-3, 0, 3]
+    assert all(idx.shape == (1, 1) for idx, _ in blocks.values())
+    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
+        assert np.max(np.abs(J_b - want)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_order_blocks_are_the_whole_jacobian_on_the_m0_subspace(K, a):
     # at a state supported on m = 0 the Hessian does not depend on longitude,
-    # so the dense Jacobian has nothing outside the order blocks
+    # so the dense Jacobian has nothing outside the order blocks, and the
+    # reflection phi -> -phi makes the -m block equal to the +m block
     basis = GalerkinBasis(K)
     sig = SystemSignature(a)
     m0 = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
@@ -240,20 +262,21 @@ def test_order_blocks_are_the_whole_jacobian_on_the_m0_subspace(K, a):
     scale = np.max(np.abs(ref))
     for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
         assert np.max(np.abs(J_b - want)) <= 1e-12 * scale
+    assert sorted(blocks) == list(range(K + 1))
+    for (_, J_b), twin in zip(list(blocks.values())[1:], dense_blocks(ref, blocks, column=-1)[1:]):
+        assert np.max(np.abs(J_b - twin)) <= 1e-12 * np.max(np.abs(J_b))
     off = ref.copy()
     for idx, _ in blocks.values():
-        off[np.ix_(idx, idx)] = 0.0
+        for col in idx.T:
+            off[np.ix_(col, col)] = 0.0
     assert np.max(np.abs(off)) <= 1e-13 * scale
-    for m in range(1, K + 1):  # Y_{k,m} and Y_{k,-m} differ by a rotation about the pole
-        J_plus, J_minus = blocks[m][1], blocks[-m][1]
-        assert np.max(np.abs(J_plus - J_minus)) <= 1e-12 * np.max(np.abs(J_plus))
     fd = central_difference_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     for (_, J_b), want in zip(blocks.values(), dense_blocks(fd, blocks)):
         assert np.max(np.abs(J_b - want)) <= 1e-8 * np.max(np.abs(fd))
 
 
 def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
-    # one block per order, 65 of them, 24 thousand entries in all (190 kB);
+    # one block per |m|, 33 of them, 12.5 thousand entries in all (100 kB);
     # the dense J would be 9.5 MB and the dense table 73 MB
     basis = GalerkinBasis(32)
     c = 0.3 * np.random.default_rng(23).standard_normal(basis.n_modes)
@@ -263,8 +286,8 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(blocks) == list(range(-32, 33))
-    assert [J_b.shape for _, J_b in blocks.values()] == [(33 - abs(m),) * 2 for m in range(-32, 33)]
+    assert sorted(blocks) == list(range(33))
+    assert [J_b.shape for _, J_b in blocks.values()] == [(33 - m,) * 2 for m in range(33)]
     assert peak < 30e6
     assert "values" not in vars(basis)
 
@@ -555,6 +578,14 @@ def test_rotation_is_orthogonal_and_periodic():
     assert math.isclose(float(np.linalg.norm(rotated)), float(np.linalg.norm(c)), rel_tol=1e-13)
     back = rotate_coeffs(BASIS, rotated, -1.1)
     assert np.max(np.abs(back - c)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [3, -3])
+def test_rotation_refuses_a_basis_without_the_twin_order(order):
+    basis = with_orders(GalerkinBasis(4), (0, order))
+    missing = rf"lacks mode \(k, m\) = \(3, {-order}\), the twin of \(3, {order}\)"
+    with pytest.raises(ValueError, match=missing):
+        rotate_coeffs(basis, np.ones(basis.n_modes), 0.5)
 
 
 # -- nonlinearity contract ----------------------------------------------------------------
