@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, decompose, index, certify, branch, selftest.  Each
 writes the formats ``COMMANDS`` lists for it, the first by default.
-Flags: --config PATH, --out PATH, --format FMT, --seed N.
+Flags: --config PATH, --out PATH, --format FMT, --seed N (selftest only).
 Exit codes: 0 success, 1 domain failure (precondition or solver), 2 usage or
 config error.  Exact rationals serialize as {"num": p, "den": q}.
 """
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default: stdout)")
     formats = sorted({fmt for entry in COMMANDS.values() for fmt in entry.renderers})
     parser.add_argument("--format", choices=formats, help="default: the command's first format")
-    parser.add_argument("--seed", type=non_negative_int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=non_negative_int, help="seed for the selftest sweeps (default: 0)")
     return parser
 
 
@@ -414,13 +414,18 @@ def main(argv=None) -> int:
         if fmt not in formats:
             raise ConfigError(f"{args.command} writes {' or '.join(sorted(formats))}")
         if args.command == "selftest":
+            # a run never proceeds with an option it does not read
+            if args.config is not None:
+                raise ConfigError("selftest reads no --config")
             _check_writable(args.out)
             from . import selftest
 
-            results = selftest.run_all(seed=args.seed)
+            results = selftest.run_all(seed=args.seed or 0)
             text = "".join(selftest.format_result(r) for r in results)
             _emit(text, args.out)
             return 0 if all(r.passed for r in results) else 1
+        if args.seed is not None:
+            raise ConfigError(f"{args.command} reads no --seed")
         raw, base_dir = load_config(args.config)
         if args.command == "branch":
             return cmd_branch(raw, base_dir, args.out)

@@ -18,8 +18,7 @@ of the torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .jsonio import int_from_json
 from .weights import SubgroupId, _merge_sorted
@@ -32,19 +31,38 @@ def _check_ranks(a: Codim1, b: Codim1) -> None:
     parts are sorted by (rank, coords), so a part's first id has its lowest
     rank."""
     if a and b:
-        r, s = a[0][0].rank, b[0][0].rank
+        r, s = a[0][0].sort_key[0], b[0][0].sort_key[0]
         if r != s:
             raise ValueError(f"rank mismatch: {min(r, s)} vs {max(r, s)}")
 
 
+def _sort_key(hc):
+    return hc[0].sort_key
+
+
 def _normalize(codim1) -> Codim1:
+    """Sort the pairs once by subgroup key, then fold runs of one id (keeping
+    its first object) and drop zero sums in one pass."""
     items = codim1.items() if isinstance(codim1, dict) else codim1
-    acc: dict[SubgroupId, int] = {}
+    pairs = []
     for h, c in items:
         if not isinstance(h, SubgroupId):
             raise TypeError(f"codim1 keys must be SubgroupId, got {type(h).__name__}")
-        acc[h] = acc.get(h, 0) + int_from_json(c)
-    out = tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: hc[0].sort_key))
+        pairs.append((h, int_from_json(c)))
+    pairs.sort(key=_sort_key)
+    out = []
+    g = key = None
+    total = 0
+    for h, c in pairs:
+        if h.sort_key == key:
+            total += c
+            continue
+        if total:
+            out.append((g, total))
+        g, key, total = h, h.sort_key, c
+    if total:
+        out.append((g, total))
+    out = tuple(out)
     _check_ranks(out, out[-1:])  # lowest rank against highest
     return out
 
@@ -71,24 +89,29 @@ def _combine(a: Codim1, s: int, b: Codim1, t: int) -> Codim1:
 def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
     """An element from normalized data, built without re-validating it."""
     x = object.__new__(EulerRingElement)
-    x.__dict__.update(unit=unit, codim1=codim1)
+    _set_unit(x, unit)
+    _set_codim1(x, codim1)
+    _set_coeffs(x, None)
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EulerRingElement:
-    """Truncated element u*I + sum_mu c_mu * [T/H_mu]."""
+    """Truncated element u*I + sum_mu c_mu * [T/H_mu].
 
-    unit: int = 0
-    codim1: Codim1 = ()
+    Kept in slots: the unit coefficient, the codimension-one part as
+    (SubgroupId, nonzero coefficient) pairs sorted by ``sort_key``, and the
+    map from id to coefficient, built on the first ``coeff_at``.  Equality,
+    hash and repr read (unit, codim1) only."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "unit", int_from_json(self.unit))
-        object.__setattr__(self, "codim1", _normalize(self.codim1))
+    unit: int
+    codim1: Codim1
+    _coeffs: dict[SubgroupId, int] | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def codim1_map(self) -> dict[SubgroupId, int]:
-        return dict(self.codim1)
+    def __init__(self, unit: int = 0, codim1=()):
+        _set_unit(self, int_from_json(unit))
+        _set_codim1(self, _normalize(codim1))
+        _set_coeffs(self, None)
 
     @classmethod
     def generator(cls, h: SubgroupId) -> "EulerRingElement":
@@ -104,12 +127,14 @@ class EulerRingElement:
         (the unit coefficient)."""
         if h is None:
             return self.unit
-        return self.codim1_map.get(h, 0)
+        if self._coeffs is None:
+            _set_coeffs(self, dict(self.codim1))
+        return self._coeffs.get(h, 0)
 
     # -- module structure ----------------------------------------------------
 
     def __add__(self, other: "EulerRingElement") -> "EulerRingElement":
-        if not isinstance(other, EulerRingElement):
+        if other.__class__ is not EulerRingElement:
             return NotImplemented
         _check_ranks(self.codim1, other.codim1)
         return _element(self.unit + other.unit, _combine(self.codim1, 1, other.codim1, 1))
@@ -129,10 +154,8 @@ class EulerRingElement:
     # -- ring structure -----------------------------------------------------
 
     def __mul__(self, other) -> "EulerRingElement":
-        if isinstance(other, int):
-            return self.scaled(other)
-        if not isinstance(other, EulerRingElement):
-            return NotImplemented
+        if other.__class__ is not EulerRingElement:
+            return self.scaled(other) if isinstance(other, int) else NotImplemented
         a, b = self.codim1, other.codim1
         _check_ranks(a, b)
         # products of two codimension-one classes have no unit or
@@ -182,6 +205,12 @@ class EulerRingElement:
             "codim1": [{"H": h.canonical.to_json(), "c": c} for h, c in self.codim1],
         }
 
+
+# Writers of the three slots that bypass the frozen __setattr__; only
+# __init__, _element and the lazy coefficient map use them.
+_set_unit = EulerRingElement.unit.__set__
+_set_codim1 = EulerRingElement.codim1.__set__
+_set_coeffs = EulerRingElement._coeffs.__set__
 
 UNIT = EulerRingElement(1)
 ZERO = EulerRingElement(0)

@@ -100,25 +100,56 @@ def _merge_sorted(a, s: int, b, t: int) -> tuple:
     """s*a + t*b for nonzero s, t and two sequences of (SubgroupId, nonzero
     count) pairs sorted by ``sort_key`` with unique ids, merged in one pass.
     Counts that cancel are dropped, the result is sorted the same way, and an
-    id present on both sides keeps the object from ``a``."""
+    id present on both sides keeps the object from ``a``.  Either side may be
+    empty."""
+    # Each side holds its current pair and key.  "for ... break" reads the
+    # next pair of one side only; its "else" runs when that side is used up.
+    rest_a, rest_b = iter(a), iter(b)
+    for h, c in rest_a:
+        hk = h.sort_key
+        break
+    else:
+        return tuple((g, t * d) for g, d in b)
+    for g, d in rest_b:
+        gk = g.sort_key
+        break
+    else:
+        return tuple((h, s * c) for h, c in a)
     out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        (h, c), (g, d) = a[i], b[j]
-        if h.sort_key < g.sort_key:
-            out.append((h, s * c))
-            i += 1
-        elif g.sort_key < h.sort_key:
-            out.append((g, t * d))
-            j += 1
+    append = out.append
+    while True:
+        if hk < gk:
+            append((h, s * c))
+            for h, c in rest_a:
+                hk = h.sort_key
+                break
+            else:
+                append((g, t * d))
+                break
+        elif gk < hk:
+            append((g, t * d))
+            for g, d in rest_b:
+                gk = g.sort_key
+                break
+            else:
+                append((h, s * c))
+                break
         else:
             if s * c + t * d:
-                out.append((h, s * c + t * d))
-            i += 1
-            j += 1
-    out += [(h, s * c) for h, c in a[i:]]
-    out += [(g, t * d) for g, d in b[j:]]
+                append((h, s * c + t * d))
+            for h, c in rest_a:
+                hk = h.sort_key
+                break
+            else:
+                break
+            for g, d in rest_b:
+                gk = g.sort_key
+                break
+            else:
+                append((h, s * c))
+                break
+    out += [(h, s * c) for h, c in rest_a]
+    out += [(g, t * d) for g, d in rest_b]
     return tuple(out)
 
 

@@ -1,12 +1,15 @@
-"""Acceptance suite: one test per criterion, each printing its pass/fail line.
+"""Acceptance suite: one test per criterion, each printing its pass/fail line,
+plus pins on the cases criterion 07 draws and on the faults it must catch.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines, or ``torusbif selftest`` for the same sweeps outside pytest.
 """
 
+import hashlib
+
 import pytest
 
-from torusbif import selftest
+from torusbif import UNIT, EulerRingElement, RestrictedWeight, canonicalize, selftest
 
 # The case counts of the two slowest sweeps, pinned so that no speed-up can
 # shrink what they cover.
@@ -27,3 +30,86 @@ def test_criterion(criterion):
     assert result.passed, f"{result.slug}: {result.detail}"
     if result.slug in EXPECTED_DETAIL:
         assert result.detail == EXPECTED_DETAIL[result.slug]
+
+
+# SHA-256 of the reprs of the 10^4 cases criterion 07 checks, one per line,
+# as drawn before its ring arithmetic was made cheaper: a faster criterion
+# must check the very same cases.
+EULER_CASE_DIGESTS = {
+    0: "f1a84c3c09dcda22fa30989a32bf7671cff33b18260b78f25a80e767264b53cb",
+    1: "de30153f1d878e1315ad5766b64033fa29ee877c3a58bf7d43c6dfe6014cbf7b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EULER_CASE_DIGESTS))
+def test_euler_axiom_cases_are_pinned(seed):
+    text = "".join(repr(case) + "\n" for case in selftest._euler_cases(seed))
+    assert text.count("\n") == 10_000
+    assert hashlib.sha256(text.encode()).hexdigest() == EULER_CASE_DIGESTS[seed]
+
+
+# Faults for criterion 07, each a thin wrapper around a real method and each
+# built to break one law only, so that a criterion that stopped checking that
+# law would pass under it.  The two bilinear faults add omega(x, y) * [H_E],
+# with omega(x, y) = phi_0(x) phi_1(y) - phi_1(x) phi_0(y) and phi_k(x) the
+# sum of the codimension-one coefficients of x at ids whose k-th coordinate is
+# odd.  omega is alternating and vanishes on H_E, so x + (-x), x * x^(-1) and
+# products with UNIT are unchanged, and so is the associativity of the
+# product.
+H_E = canonicalize(RestrictedWeight((2, 0)))
+
+
+def _omega(x, y) -> int:
+    def phi(z, k):
+        return sum(c for h, c in z.codim1 if h.canonical.coords[k] % 2)
+
+    return phi(x, 0) * phi(y, 1) - phi(x, 1) * phi(y, 0)
+
+
+def _non_commutative(mul):
+    def faulty(x, y):
+        out = mul(x, y)
+        if y.__class__ is not EulerRingElement:
+            return out
+        return out + EulerRingElement(0, ((H_E, _omega(x, y)),))
+
+    return faulty
+
+
+def _non_associative(mul):
+    # the cases draw units from -9..9 and only (x*y)*z has a product on the
+    # left, so only that side of the associativity check drifts
+    def faulty(x, y):
+        out = mul(x, y)
+        return out + UNIT if abs(x.unit) > 9 else out
+
+    return faulty
+
+
+def _non_distributive(add):
+    def faulty(x, y):
+        return add(add(x, y), EulerRingElement(0, ((H_E, _omega(x, y)),)))
+
+    return faulty
+
+
+def _wrong_inverse(inverse):
+    def faulty(x):
+        return -inverse(x)
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "method, fault",
+    [
+        ("__mul__", _non_commutative),
+        ("__mul__", _non_associative),
+        ("__add__", _non_distributive),
+        ("inverse", _wrong_inverse),
+    ],
+    ids=["non-commutative", "non-associative", "non-distributive", "wrong-inverse"],
+)
+def test_euler_axioms_catch_a_broken_law(monkeypatch, method, fault):
+    monkeypatch.setattr(EulerRingElement, method, fault(getattr(EulerRingElement, method)))
+    assert not selftest.criterion_07_euler_axioms(seed=0).passed

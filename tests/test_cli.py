@@ -407,6 +407,45 @@ def test_seed_must_be_a_non_negative_integer(capsys, monkeypatch, seed, message)
     assert f"argument --seed: {message}" in capsys.readouterr().err
 
 
+def _unread_option(*args, **kwargs):
+    raise AssertionError("the command did work although it was given an option it does not read")
+
+
+def test_selftest_refuses_a_config_before_running(capsys, monkeypatch):
+    from torusbif import cli, selftest
+
+    monkeypatch.setattr(selftest, "run_all", _unread_option)
+    monkeypatch.setattr(cli, "load_config", _unread_option)
+    code, out, err = run(capsys, ["selftest", "--config", "any.json"])
+    assert (code, out, err) == (2, "", "error: selftest reads no --config\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "index", "certify", "branch"])
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_commands_without_sampling_refuse_a_seed(capsys, monkeypatch, command, seed):
+    from torusbif import cli
+
+    monkeypatch.setattr(cli, "load_config", _unread_option)
+    code, out, err = run(capsys, [command, "--config", "any.json", "--seed", seed])
+    assert (code, out, err) == (2, "", f"error: {command} reads no --seed\n")
+
+
+@pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "0"], 0), (["--seed", "3"], 3)])
+def test_selftest_seed_defaults_to_zero(capsys, monkeypatch, argv, seed):
+    from torusbif import selftest
+
+    seen = []
+
+    def run_all(seed):
+        seen.append(seed)
+        return [selftest.criterion_05_impossibility(seed)]
+
+    monkeypatch.setattr(selftest, "run_all", run_all)
+    code, _, _ = run(capsys, ["selftest", *argv])
+    assert code == 0
+    assert seen == [seed]
+
+
 # -- branch -----------------------------------------------------------------------------
 
 

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +143,82 @@ def test_coeff_at_lookup():
     assert x.coeff_at(None) == 3
     assert ZERO.coeff_at(H11) == 0
     assert el(1, ((H1, -2),)).coeff_at(H2) == 0
+
+
+# -- value semantics ------------------------------------------------------------
+
+X = el(-1, ((H10, 2), (H11, -3)))
+Y = el(3, ((H01, 1), (H11, 3)))
+
+BUILT = {
+    "constructor": lambda: el(2, {H11: 1, H10: -4}),
+    "mul": lambda: X * Y,
+    "add": lambda: X + Y,
+    "sub": lambda: X - Y,
+    "inverse": lambda: X.inverse(),
+    "pow": lambda: X**3,
+    "looked-up": lambda: _looked_up(X * Y),
+}
+
+
+def _looked_up(x):
+    x.coeff_at(H10)  # builds the coefficient map
+    return x
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+def test_elements_round_trip(build, round_trip):
+    x = build()
+    back = round_trip(x)
+    assert back == x and hash(back) == hash(x) and repr(back) == repr(x)
+    assert back.codim1 == x.codim1 and back.unit == x.unit
+    assert all(back.coeff_at(h) == x.coeff_at(h) for h in (None, H10, H01, H11, H1))
+
+
+@pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+@pytest.mark.parametrize("name", ["unit", "codim1"])
+def test_elements_are_frozen(build, name):
+    x = build()
+    before = (x.unit, x.codim1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(x, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(x, name)
+    assert (x.unit, x.codim1) == before
+
+
+def test_equal_elements_from_different_paths_are_one_key():
+    paths = [
+        el(-3, ((H11, -12), (H10, 6), (H01, -1))),
+        el(-3, {H10: 6, H11: -12, H01: -1}),
+        X * Y,
+        Y * X,
+        (-X) * (-Y),
+        X.scaled(3) + el(0, ((H01, -1), (H11, -3))),
+        X * Y * X.inverse() * X,
+    ]
+    assert repr(paths[0]) == (
+        "EulerRingElement(unit=-3, codim1=((SubgroupId(canonical=RestrictedWeight(coords=(0, 1))), -1), "
+        "(SubgroupId(canonical=RestrictedWeight(coords=(1, 0))), 6), "
+        "(SubgroupId(canonical=RestrictedWeight(coords=(1, 1))), -12)))"
+    )
+    assert all(p == paths[0] and hash(p) == hash(paths[0]) for p in paths)
+    assert hash(paths[0]) == hash((-3, ((H01, -1), (H10, 6), (H11, -12))))
+    table = {p: i for i, p in enumerate(paths)}
+    assert table == {paths[0]: len(paths) - 1}
+
+
+def test_coeff_at_on_arithmetic_results():
+    prod = X * Y  # -3 I - H01 + 6 H10 - 12 H11
+    assert [prod.coeff_at(h) for h in (None, H10, H01, H11)] == [-3, 6, -1, -12]
+    assert (X + Y).coeff_at(H11) == 0 and (X - Y).coeff_at(H11) == -6
+    assert (X**2).coeff_at(H10) == -4 and X.inverse().coeff_at(H11) == 3
+    assert (-prod).coeff_at(H10) == -6 and prod.coeff_at(H10) == 6
 
 
 # -- structural truncation soundness --------------------------------------------

@@ -4,9 +4,10 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from torusbif import RestrictedWeight, SubgroupId, canonicalize
+from torusbif.weights import _merge_sorted
 
 W = RestrictedWeight
 
@@ -107,3 +108,68 @@ def test_replace_recomputes_cached_data():
     assert h == canonicalize(W((1, 3)))
     assert hash(h) == hash(canonicalize(W((1, 3))))
     assert h.sort_key == (2, (1, 3))
+
+
+# -- the sorted merge behind ring sums and products and decomposition sums --------
+#
+# The reference accumulates in a dict, which keeps the first object of each id,
+# and sorts by key.  Each side canonicalizes its own ids, so an id on both
+# sides is two equal objects and the merge must keep the one from ``a``.
+
+MERGE_POOLS = [
+    [(1,), (2,), (3,), (5,)],
+    [(1, 0), (2, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, -2)],
+    [(1, 0, 0), (0, 1, -1), (0, 2, -2), (1, 1, 1), (2, -1, 0)],
+]
+SCALES = [-3, -2, -1, 1, 2, 3]
+
+
+def _ref_merge(a, s, b, t):
+    acc = {}
+    for h, c in a:
+        acc[h] = acc.get(h, 0) + s * c
+    for h, c in b:
+        acc[h] = acc.get(h, 0) + t * c
+    return tuple(sorted(((h, c) for h, c in acc.items() if c), key=lambda hc: hc[0].sort_key))
+
+
+def _side(coords, counts):
+    ids = sorted((canonicalize(W(c)) for c in coords), key=lambda h: h.sort_key)
+    return tuple(zip(ids, counts))
+
+
+def _assert_merge_matches_reference(a, s, b, t):
+    got, want = _merge_sorted(a, s, b, t), _ref_merge(a, s, b, t)
+    assert type(got) is tuple and got == want
+    assert all(g is h for (g, _), (h, _) in zip(got, want))
+
+
+@st.composite
+def merge_operands(draw):
+    pool = draw(st.sampled_from(MERGE_POOLS))
+
+    def side():
+        coords = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+        return _side(coords, draw(st.lists(st.sampled_from(SCALES), min_size=len(coords), max_size=len(coords))))
+
+    return side(), draw(st.sampled_from(SCALES)), side(), draw(st.sampled_from(SCALES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_operands())
+def test_merge_sorted_matches_dict_reference(operands):
+    _assert_merge_matches_reference(*operands)
+
+
+@pytest.mark.parametrize("pool", MERGE_POOLS, ids=["rank1", "rank2", "rank3"])
+@pytest.mark.parametrize("s", SCALES)
+def test_merge_sorted_edge_cases(pool, s):
+    a = _side(pool, [(-1) ** i * (i + 1) for i in range(len(pool))])
+    _assert_merge_matches_reference(a, s, (), 1)
+    _assert_merge_matches_reference((), 1, a, s)
+    assert _merge_sorted((), s, (), 1) == ()
+    twin = _side(pool, [c for _, c in a])  # equal ids, other objects
+    assert _merge_sorted(a, s, twin, -s) == ()  # every count cancels
+    both = _merge_sorted(a, s, twin, s)
+    assert both == tuple((h, 2 * s * c) for h, c in a)
+    assert all(g is h for (g, _), (h, _) in zip(both, a))
