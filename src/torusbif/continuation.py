@@ -6,22 +6,20 @@ is traced with a tangent predictor and a Newton corrector on the residual
 extended by the arclength constraint.  Kernels with symmetry-induced
 multiplicity are cut down by restricting to an isotropy subspace, which must
 leave a one-dimensional kernel at the chosen crossing.  A restriction is a
-subset of the modes (``axisymmetric`` keeps m = 0): the solver works in the
-restricted basis directly, and states are embedded into the full basis only
-when they are recorded.
+subset of the modes (``axisymmetric`` keeps m = 0, no restriction keeps them
+all); it only names the basis in which the kernel is counted.
 
 The kernel mode must have order m = 0, and the gradient must keep the m = 0
 modes invariant (checked once per run), so every iterate stays in the fixed
-space of the O(2) about the pole, where the Jacobian maps each signed order
-m to itself.  The reflection phi -> -phi in that O(2) swaps the cos-type and
-sin-type modes of each order and fixes the iterate, so the blocks of m and
--m are equal, and ``residual_jacobian`` returns one block per |m|.  Newton
-solves the m = 0 block bordered by the constraint row and the lambda column,
-and every other block once, against a two-column right-hand side that holds
-the residual parts of m and of -m; the entries of the border and of the
-lambda column outside m = 0 are zero in exact arithmetic and are dropped.
-The tangent solves the bordered m = 0 block alone, since every other block
-has a zero right-hand side.  No dense Jacobian is formed.
+space of the O(2) about the pole, which the m = 0 modes span.  A solution in
+that space solves the full system: its residual has no part of order m != 0.
+So the solver always works in the basis of the m = 0 modes, whatever the
+restriction, and embeds states into the full basis only when it records them.
+Newton solves the Jacobian on those modes bordered by the constraint row and
+the lambda column, one linear solve of p (K + 1) + 1 rows per iteration, and
+the tangent at an accepted state is one more solve of the same matrix.  The
+coefficients of order m != 0 are exactly zero, and no dense Jacobian is
+formed.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, or when the branch re-enters a small
@@ -106,20 +104,27 @@ class ContinuationError(RuntimeError):
         self.states = states
 
 
+def _fixed_modes(basis: GalerkinBasis) -> np.ndarray:
+    """The modes of order m = 0, which span the fixed space of the O(2)
+    about the pole."""
+    return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 0])
+
+
 def _kept_modes(basis: GalerkinBasis, restriction: str | None) -> np.ndarray:
     if restriction is None:
         return np.arange(basis.n_modes)
-    return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 0])
+    return _fixed_modes(basis)
 
 
 def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
     """Refuse a nonlinearity whose gradient leaves the m = 0 subspace, seen at
-    one fixed-seed random state on the m = 0 modes of ``basis``.  The order
-    blocks of the Jacobian and the axisymmetric restriction both rest on that
-    invariance.  Non-finite gradients are left to the corrector.  The state
-    comes from the standard library's generator: importing numpy.random
+    one fixed-seed random state on the m = 0 modes of ``basis``.  The solver
+    rests on that invariance: it solves on the m = 0 modes only, and a
+    solution there solves the full system only when the residual has no part
+    of order m != 0.  Non-finite gradients are left to the corrector.  The
+    state comes from the standard library's generator: importing numpy.random
     would add several MB to the resident size of a run."""
-    m0 = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
+    m0 = _fixed_modes(basis)
     rng = random.Random(0)
     c = np.zeros((len(sig.a), basis.n_modes))
     c[:, m0] = [[rng.gauss(0.0, 0.5) for _ in m0] for _ in sig.a]
@@ -155,9 +160,8 @@ def continue_branch(
     if lam0 not in crossings:
         raise ValueError(f"{crossing} is not a crossing of the trivial branch")
 
-    keep = _kept_modes(basis, opts.isotropy_restriction)
-    sub = basis if opts.isotropy_restriction is None else basis.restrict(keep)
-    kernel = [(comp, k, m) for comp, k, m in crossings[lam0].modes if (k, m) in sub.mode_index]
+    keep = {basis.modes[i] for i in _kept_modes(basis, opts.isotropy_restriction)}
+    kernel = [(comp, k, m) for comp, k, m in crossings[lam0].modes if (k, m) in keep]
     if len(kernel) != 1:
         raise ValueError(f"restricted kernel is {len(kernel)}-dimensional; apply isotropy restriction")
     comp, k, m = kernel[0]
@@ -165,45 +169,36 @@ def continue_branch(
         raise ValueError(f"kernel mode (k, m) = ({k}, {m}) has m != 0; the solver needs an m = 0 kernel")
     lam0f = float(lam0)
     _check_order_invariance(basis, nl, sig, lam0f)
+    fixed = _fixed_modes(basis)
+    sub = basis.restrict(fixed)
     k_pos = comp * sub.n_modes + sub.mode_index[(k, m)]
     n_act = p * sub.n_modes
-    # positions of the m = 0 part of z = (x, lam): the m = 0 modes of every
-    # component, ordered as in the m = 0 block, then lambda
-    m0 = [i for i, mode in enumerate(sub.modes) if mode[1] == 0]
-    z0 = np.append((sub.n_modes * np.arange(p)[:, None] + m0).ravel(), n_act)
 
     def embed(x: np.ndarray) -> np.ndarray:
         full = np.zeros((p, basis.n_modes))
-        full[:, keep] = x.reshape(p, sub.n_modes)
+        full[:, fixed] = x.reshape(p, sub.n_modes)
         return full.ravel()
-
-    def bordered(J_0, R_lam, row):
-        M = np.empty((z0.size, z0.size))
-        M[:-1, :-1] = J_0
-        M[:-1, -1] = R_lam[z0[:-1]]
-        M[-1] = row[z0]
-        return M
 
     def newton(x, lam, row, base, offset):
         """Solve R(x, lam) = 0 bordered by ``row . (z - base) = offset`` with
-        z = (x, lam).  Returns the corrected (x, lam) and the m = 0 part of
-        the bordered matrix evaluated there, or None in place of the matrix
-        when the corrector does not converge."""
+        z = (x, lam).  Returns the corrected (x, lam) and the bordered matrix
+        evaluated there, or None in place of the matrix when the corrector
+        does not converge."""
         for it in range(MAX_NEWTON_ITER + 1):
             R, blocks, R_lam = residual_jacobian(sub, nl, sig, x, lam)
             border = np.dot(row[:n_act], x - base[:n_act]) + row[n_act] * (lam - base[n_act]) - offset
             F = np.append(R, border)
-            M = bordered(blocks.pop(0)[1], R_lam, row)
+            M = np.empty((n_act + 1, n_act + 1))
+            M[:-1, :-1] = blocks[0][1]  # the one block of the m = 0 basis
+            M[:-1, -1] = R_lam
+            M[-1] = row
             nrm = float(np.max(np.abs(F)))
             if np.isfinite(nrm) and nrm < NEWTON_TOL:
                 return x, lam, M
             if it == MAX_NEWTON_ITER:
                 break
-            dz = np.empty(n_act + 1)
             try:
-                dz[z0] = np.linalg.solve(M, -F[z0])
-                for idx, J_b in blocks.values():  # the columns of idx: order m, then -m when paired
-                    dz[idx] = np.linalg.solve(J_b, -R[idx])
+                dz = np.linalg.solve(M, -F)
             except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(dz)):
@@ -213,22 +208,19 @@ def continue_branch(
         return x, lam, None
 
     def tangent_at(M, prev_t):
-        # M is the m = 0 part of Newton's bordered matrix at the converged
-        # point; the border row becomes the previous tangent so the new one
-        # keeps its orientation.  The other orders have a zero right-hand
-        # side, so their part of the tangent is zero.
-        M[-1] = prev_t[z0]
-        rhs = np.zeros(z0.size)
+        # M is Newton's bordered matrix at the converged point; the border
+        # row becomes the previous tangent so the new one keeps its
+        # orientation
+        M[-1] = prev_t
+        rhs = np.zeros(n_act + 1)
         rhs[-1] = 1.0
         try:
-            t0 = np.linalg.solve(M, rhs)
+            t = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
             raise ContinuationError("no tangent: the bordered matrix is singular", states) from None
-        nrm = float(np.linalg.norm(t0))
+        nrm = float(np.linalg.norm(t))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise ContinuationError(f"no tangent: the tangent solve gave norm {nrm}", states)
-        t = np.zeros(n_act + 1)
-        t[z0] = t0
         return t / nrm
 
     # branch switching: pin the kernel amplitude at the onset amplitude

@@ -398,12 +398,13 @@ def residual_jacobian(
     Entries between different orders are not formed.  They vanish when the
     Hessian at the state does not depend on longitude, which holds on the
     m = 0 subspace for a nonlinearity that acts pointwise without reading
-    phi; the caller keeps its iterates there (see
-    ``continuation.continue_branch``).  On that subspace the -m block also
-    equals the +m block in exact arithmetic: the reflection phi -> -phi
-    swaps the cos-type and sin-type modes of each order and fixes the
-    state, and on the equispaced longitude grid sum cos^2(m phi_j) =
-    sum sin^2(m phi_j) for 0 < m <= K.  Off that subspace the twin is not
+    phi.  ``continuation.continue_branch`` calls this on the basis of the
+    m = 0 modes, which has the one block m = 0; on a full basis, at a state
+    of that subspace, the blocks are the whole Jacobian, for its inertia.
+    On that subspace the -m block also equals the +m block in exact
+    arithmetic: the reflection phi -> -phi swaps the cos-type and sin-type
+    modes of each order and fixes the state, and on the equispaced
+    longitude grid sum cos^2(m phi_j) = sum sin^2(m phi_j) for 0 < m <= K.  Off that subspace the twin is not
     exact; each formed block is the Jacobian on ``idx[:, 0]`` at any state.
     R_lam = -c - P(D), where D is the central difference of grad in lam at
     the nodes, with step 1e-6 max(1, |lam|); when D is zero, that is when

@@ -74,9 +74,11 @@ def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
 
 
 def dense_branch(basis, crossing, opts):
-    # the solver before the order blocks, for p = 1 and a simple kernel: Newton
-    # and the tangent solve the dense bordered matrix of dense_jacobian, with
-    # every order coupled, under the same step control and stop rule
+    # an independent solver for p = 1 and a simple kernel: Newton and the
+    # tangent solve the dense bordered matrix of dense_jacobian on every kept
+    # mode (all of them when unrestricted), with every order coupled, under
+    # the same step control and stop rule; it checks that the solver's
+    # m = 0 solve gives the solution of the whole system
     keep = continuation._kept_modes(basis, opts.isotropy_restriction)
     sub = basis.restrict(keep)
     n = sub.n_modes
@@ -131,7 +133,8 @@ def dense_branch(basis, crossing, opts):
 
 @pytest.mark.parametrize("which", [*RUNS, "full_K16_branch"])
 def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
-    # the full K = 16 run pairs each order m > 0 with -m in one block
+    # the unrestricted runs solve on the m = 0 modes; the dense run solves
+    # on every mode
     factored = request.getfixturevalue(which)
     run = FULL_K16 if which == "full_K16_branch" else (BASIS, *RUNS[which])
     dense, outcome = dense_branch(*run)
@@ -302,7 +305,8 @@ def test_multidimensional_kernel_requires_restriction():
 
 def test_kernel_mode_of_nonzero_order_is_refused(monkeypatch):
     # a restriction that kept the order m = 1 would leave the one-dimensional
-    # kernel Y_{1,1} at lambda = 2; the order blocks would mis-solve it
+    # kernel Y_{1,1} at lambda = 2, which the solve on the m = 0 modes cannot
+    # trace
     def keep_order_one(basis, restriction):
         return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 1])
 
@@ -338,19 +342,19 @@ def test_pointwise_nonlinearities_pass_the_symmetry_check(nl):
     assert result.outcome == "incomplete" and len(result.states) == 1
 
 
-def test_unrestricted_K16_run_solves_only_order_blocks_and_is_pinned(tmp_path, capsys, monkeypatch):
-    # the branch-full benchmark config through the CLI: no linear solve is
-    # larger than the bordered m = 0 block, (K + 1) + 1 = 18; the orders m
-    # and -m share one block of K + 1 - m rows, solved once against both
-    # parts of the residual.  A Newton iteration makes 17 solves; the one
-    # solve after a converged Jacobian is the tangent's
+def test_unrestricted_K16_run_makes_one_bordered_solve_per_jacobian_and_is_pinned(tmp_path, capsys, monkeypatch):
+    # the branch-full benchmark config through the CLI: the solver works on
+    # the m = 0 modes whatever the restriction, so every Jacobian is followed
+    # by exactly one solve of the bordered system of (K + 1) + 1 = 18 rows,
+    # a Newton step or, after a converged Jacobian, the tangent (its
+    # right-hand side is the last unit vector)
     from torusbif.cli import main
 
-    solves = []  # the (matrix, right-hand side) shapes after each Jacobian
+    solves = []  # (matrix shape, right-hand side shape, is the tangent) after each Jacobian
     solve, jacobian = np.linalg.solve, continuation.residual_jacobian
 
     def recorded_solve(a, b):
-        solves[-1].append((a.shape, b.shape))
+        solves[-1].append((a.shape, b.shape, b[-1] == 1.0 and not np.any(b[:-1])))
         return solve(a, b)
 
     def recorded_jacobian(*args):
@@ -364,14 +368,24 @@ def test_unrestricted_K16_run_solves_only_order_blocks_and_is_pinned(tmp_path, c
     config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
     assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
     summary = json.loads(capsys.readouterr().out)
-    bordered = ((18, 18), (18,))
-    iteration = [bordered] + [((n, n), (n, 2)) for n in range(16, 0, -1)]
     assert len(solves) == 90
-    assert sum(after == iteration for after in solves) == 59
-    assert sum(after == [bordered] for after in solves) == 31
+    assert sum(after == [((18, 18), (18,), False)] for after in solves) == 59
+    assert sum(after == [((18, 18), (18,), True)] for after in solves) == 31
     assert summary["outcome"] == "reached_target" and summary["steps"] == 31
     assert math.isclose(summary["final"]["lambda"], 2.0284526142497143, rel_tol=0.0, abs_tol=1e-12)
     assert math.isclose(summary["final"]["h1_norm"], 5.048790679393228, rel_tol=0.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["constant_branch", "full_K16_branch"])
+def test_unrestricted_states_lie_in_the_m0_subspace_and_solve_the_full_system(request, which):
+    # the solver works on the m = 0 modes only: every other coefficient is
+    # exactly zero, and the state still solves the system on every mode
+    basis = FULL_K16[0] if which == "full_K16_branch" else BASIS
+    m_nonzero = [i for i, (k, m) in enumerate(basis.modes) if m != 0]
+    for st in request.getfixturevalue(which).states:
+        assert not np.any(st.coeffs[m_nonzero])
+        r = residual_coeffs(basis, QUARTIC, NEG, st.coeffs, st.lam)
+        assert np.max(np.abs(r)) <= continuation.NEWTON_TOL
 
 
 def test_unknown_restriction_name():
@@ -426,8 +440,7 @@ def test_newton_breakdown_raises_with_partial_branch():
 @pytest.mark.parametrize("which", RUNS)
 @pytest.mark.parametrize("failure", ["nan", "singular"])
 def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure, which):
-    # only the tangent solve (1-D unit right-hand side) fails; Newton's solves,
-    # the paired blocks' two-column ones among them, do not
+    # only the tangent solve (unit right-hand side) fails; Newton's do not
     real = np.linalg.solve
 
     def solve(a, b):
