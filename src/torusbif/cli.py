@@ -288,11 +288,15 @@ def run_exact(command: str, raw: dict, base_dir, fmt: str, out=None) -> tuple[st
 def branch_csv(basis, sig: SystemSignature, states) -> str:
     import numpy as np
 
+    from .continuation import NEWTON_TOL
+
+    # at most four coefficient columns, the largest of the final state, and
+    # none at roundoff level: a column must exceed NEWTON_TOL times the largest
     leading: list[int] = []
     if states:
         final = np.abs(np.asarray(states[-1].coeffs, dtype=float))
         order = np.argsort(-final, kind="stable")[:4]
-        leading = sorted(int(i) for i in order)
+        leading = sorted(int(i) for i in order if final[i] > NEWTON_TOL * final[order[0]])
     header = ["arclength", "lambda", "h1_norm"]
     for idx in leading:
         comp, mode = divmod(idx, basis.n_modes)

@@ -10,16 +10,16 @@ subset of the modes (``axisymmetric`` keeps m = 0, no restriction keeps them
 all); it only names the basis in which the kernel is counted.
 
 The kernel mode must have order m = 0, and the gradient must keep the m = 0
-modes invariant (checked once per run), so every iterate stays in the fixed
-space of the O(2) about the pole, which the m = 0 modes span.  A solution in
-that space solves the full system: its residual has no part of order m != 0.
-So the solver always works in the basis of the m = 0 modes, whatever the
-restriction, and embeds states into the full basis only when it records them.
-Newton solves the Jacobian on those modes bordered by the constraint row and
-the lambda column, one linear solve of p (K + 1) + 1 rows per iteration, and
-the tangent at an accepted state is one more solve of the same matrix.  The
-coefficients of order m != 0 are exactly zero, and no dense Jacobian is
-formed.
+modes invariant (checked once per run, on the m = 0 modes), so every iterate
+stays in the fixed space of the O(2) about the pole, which the m = 0 modes
+span.  A solution in that space solves the full system: its residual has no
+part of order m != 0.  So the solver always works in the basis of the m = 0
+modes, whatever the restriction, and embeds states into the full basis only
+when it records them; no transform is made on the full basis.  Newton
+solves the one-order Jacobian of those modes bordered by the constraint row
+and the lambda column, one linear solve of p (K + 1) + 1 rows per iteration,
+and the tangent at an accepted state is one more solve of the same matrix.
+The coefficients of order m != 0 are exactly zero.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, or when the branch re-enters a small
@@ -116,24 +116,26 @@ def _kept_modes(basis: GalerkinBasis, restriction: str | None) -> np.ndarray:
     return _fixed_modes(basis)
 
 
-def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
+def _check_order_invariance(sub: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
     """Refuse a nonlinearity whose gradient leaves the m = 0 subspace, seen at
-    one fixed-seed random state on the m = 0 modes of ``basis``.  The solver
-    rests on that invariance: it solves on the m = 0 modes only, and a
-    solution there solves the full system only when the residual has no part
-    of order m != 0.  Non-finite gradients are left to the corrector.  The
-    state comes from the standard library's generator: importing numpy.random
-    would add several MB to the resident size of a run."""
-    m0 = _fixed_modes(basis)
+    one fixed-seed random state of ``sub``, the basis of the m = 0 modes.
+    The solver rests on that invariance: it solves on the m = 0 modes only,
+    and a solution there solves the full system only when the residual has
+    no part of order m != 0.  The state is constant along each latitude ring
+    of the product grid, and its gradient must be too: a gradient constant
+    along each ring projects to zero on every order m != 0.  Non-finite
+    gradients are left to the corrector.  The state comes from the standard
+    library's generator: importing numpy.random would add several MB to the
+    resident size of a run."""
     rng = random.Random(0)
-    c = np.zeros((len(sig.a), basis.n_modes))
-    c[:, m0] = [[rng.gauss(0.0, 0.5) for _ in m0] for _ in sig.a]
-    g = basis.project(nl.grad(basis.evaluate(c), lam))
-    off = np.delete(g, m0, axis=1)
-    if off.size and np.max(np.abs(off)) > 1e-12 * np.max(np.abs(g)):
+    c = np.array([[rng.gauss(0.0, 0.5) for _ in sub.modes] for _ in sig.a])
+    g = nl.grad(sub.evaluate(c), lam)
+    rings = g.reshape(*g.shape[:-1], -1, sub.longitude.shape[1])  # (p, theta, phi)
+    off, scale = np.max(np.abs(rings - rings[..., :1])), np.max(np.abs(g))
+    if off > 1e-12 * scale:
         raise ValueError(
             f"nonlinearity {nl.name!r} does not keep the m = 0 subspace invariant "
-            f"(order m != 0 part {np.max(np.abs(off)):.3g} of {np.max(np.abs(g)):.3g})"
+            f"(variation along a latitude ring {off:.3g} of {scale:.3g})"
         )
 
 
@@ -168,9 +170,9 @@ def continue_branch(
     if m != 0:
         raise ValueError(f"kernel mode (k, m) = ({k}, {m}) has m != 0; the solver needs an m = 0 kernel")
     lam0f = float(lam0)
-    _check_order_invariance(basis, nl, sig, lam0f)
     fixed = _fixed_modes(basis)
     sub = basis.restrict(fixed)
+    _check_order_invariance(sub, nl, sig, lam0f)
     k_pos = comp * sub.n_modes + sub.mode_index[(k, m)]
     n_act = p * sub.n_modes
 
@@ -185,11 +187,11 @@ def continue_branch(
         evaluated there, or None in place of the matrix when the corrector
         does not converge."""
         for it in range(MAX_NEWTON_ITER + 1):
-            R, blocks, R_lam = residual_jacobian(sub, nl, sig, x, lam)
+            R, J, R_lam = residual_jacobian(sub, nl, sig, x, lam)
             border = np.dot(row[:n_act], x - base[:n_act]) + row[n_act] * (lam - base[n_act]) - offset
             F = np.append(R, border)
             M = np.empty((n_act + 1, n_act + 1))
-            M[:-1, :-1] = blocks[0][1]  # the one block of the m = 0 basis
+            M[:-1, :-1] = J
             M[:-1, -1] = R_lam
             M[-1] = row
             nrm = float(np.max(np.abs(F)))

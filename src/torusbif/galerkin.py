@@ -129,46 +129,31 @@ class GalerkinBasis:
 
     @cached_property
     def _factors(self):
-        """Index data of the factored transforms and of the Jacobian blocks,
-        for the modes of this basis.
-
-        ``blocks`` holds the modes of each Jacobian block, ascending in m:
-        ``rows[:, 0]`` are the modes of order m (by degree), and for m > 0
-        whose twin -m has the same degrees in this basis, ``rows[:, 1]`` are
-        those of -m, which the block serves too (see ``residual_jacobian``).
-        Every other order keeps a block of its own.  ``colat[b, j]`` is the
-        colatitude row ``legendre[|m|, k]`` of the j-th mode of the b-th
-        order: first the orders of ``blocks``, in their order, then the
-        twins.  The tensor is zero-padded to the widest order, so a
-        transform over every order is one batched product.  ``slot[mode]``
-        is the mode's flat position ``b * width + j`` in it and ``lon[b]``
-        the longitude row of order b."""
+        """Index data of the factored transforms, for the modes of this
+        basis.  ``colat[b, j]`` is the colatitude row ``legendre[|m|, k]`` of
+        the j-th mode of the b-th order present, the orders ascending and
+        the modes of each by degree; the tensor is zero-padded to the widest
+        order, so a transform over every order is one batched product.
+        ``lon[b]`` is the longitude row of order b, and ``slot[mode]`` the
+        mode's flat position ``b * width + j`` in the tensor."""
         degree = np.array([k for k, _ in self.modes])
         order = np.array([m for _, m in self.modes])
         rows = {m: np.flatnonzero(order == m) for m in sorted(set(order.tolist()))}
-        degrees = {m: degree[r].tolist() for m, r in rows.items()}
-        paired = [m for m in rows if m > 0 and degrees[m] == degrees.get(-m)]
-        formed = [m for m in rows if -m not in paired]
-        blocks = tuple(
-            np.stack((rows[m], rows[-m]), axis=1) if m in paired else rows[m][:, None] for m in formed
-        )
-        layout = formed + [-m for m in paired]
         width = max(r.size for r in rows.values())
-        colat = np.zeros((len(layout), width, self.legendre.shape[2]))
+        colat = np.zeros((len(rows), width, self.legendre.shape[2]))
         slot = np.empty(order.size, dtype=np.intp)
-        for b, m in enumerate(layout):
-            r = rows[m]
+        for b, (m, r) in enumerate(rows.items()):
             colat[b, : r.size] = self.legendre[abs(m), degree[r]]
             slot[r] = b * width + np.arange(r.size)
-        lon = self.longitude[np.array(layout) + self.max_degree]
-        return colat, lon, slot, blocks
+        lon = self.longitude[np.array(list(rows)) + self.max_degree]
+        return colat, lon, slot
 
     @cached_property
     def values(self) -> np.ndarray:
         """Dense table Y_{k,m}(node), one row per mode of this basis.  No
         computation reads it; it serves as a reference for the factored
         transforms."""
-        colat, lon, slot, _ = self._factors
+        colat, lon, slot = self._factors
         rows = colat.reshape(-1, colat.shape[2])[slot]
         return (rows[:, :, None] * lon[slot // colat.shape[1]][:, None, :]).reshape(self.n_modes, -1)
 
@@ -201,7 +186,7 @@ class GalerkinBasis:
         """Coefficients <f, Y_{k,m}> of nodal data, rows broadcast over modes:
         a sum over longitude for each order present, then over colatitude,
         every order in one batched product."""
-        colat, lon, slot, _ = self._factors
+        colat, lon, slot = self._factors
         f = np.asarray(node_values) * self.weights
         by_order = f.reshape(-1, colat.shape[2], lon.shape[1]) @ lon.T  # (row, theta, order)
         padded = by_order.transpose(2, 0, 1) @ colat.transpose(0, 2, 1)  # (order, row, width)
@@ -212,7 +197,7 @@ class GalerkinBasis:
         """Nodal values of sum c_{k,m} Y_{k,m}; accepts (..., n_modes).  A sum
         over degree within each order, every order in one batched product,
         then over order."""
-        colat, lon, slot, _ = self._factors
+        colat, lon, slot = self._factors
         c = np.asarray(coeffs_block)
         flat = c.reshape(-1, slot.size)
         padded = np.zeros((flat.shape[0], colat.shape[0] * colat.shape[1]))
@@ -382,67 +367,43 @@ def residual_jacobian(
     sig,
     coeffs: np.ndarray,
     lam: float,
-) -> tuple[np.ndarray, dict, np.ndarray]:
-    """The residual R, the order blocks of its Jacobian and its
-    lam-derivative R_lam at (coeffs, lam), from one transform of the state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual R, its Jacobian J and its lam-derivative R_lam at
+    (coeffs, lam), from one transform of the state.
 
-    ``blocks`` maps an order m to ``(idx, J_b)``, one entry per |m| present
-    in the basis: ``idx[:, 0]`` lists the coefficient positions of order m in
-    every component, component by component, and ``J_b`` is the Jacobian
-    restricted to them, the diagonal linear part minus the quadrature Gram of
-    the pointwise Hessian.  For m > 0 whose twin -m is in the basis with the
-    same degrees, ``idx[:, 1]`` lists the positions of -m, in the same order;
-    the -m block is not formed, and ``J_b`` stands for it.  An order whose
-    twin is absent has a one-column ``idx`` and its own block.
-
-    Entries between different orders are not formed.  They vanish when the
-    Hessian at the state does not depend on longitude, which holds on the
-    m = 0 subspace for a nonlinearity that acts pointwise without reading
-    phi.  ``continuation.continue_branch`` calls this on the basis of the
-    m = 0 modes, which has the one block m = 0; on a full basis, at a state
-    of that subspace, the blocks are the whole Jacobian, for its inertia.
-    On that subspace the -m block also equals the +m block in exact
-    arithmetic: the reflection phi -> -phi swaps the cos-type and sin-type
-    modes of each order and fixes the state, and on the equispaced
-    longitude grid sum cos^2(m phi_j) = sum sin^2(m phi_j) for 0 < m <= K.  Off that subspace the twin is not
-    exact; each formed block is the Jacobian on ``idx[:, 0]`` at any state.
+    The basis must hold a single order m, and ``ValueError`` names the orders
+    of any other basis.  J is the diagonal linear part minus the quadrature
+    Gram of the pointwise Hessian, coefficients ordered component by
+    component as in R.  The Gram sums the weighted Hessian against one
+    longitude row twice, so it needs only T[theta] = sum_phi L_m^2 w H, and
+    then -(colat_m T) colat_m^T per component pair: O(n_m^2 n_theta) for
+    the n_m modes of the basis.  ``continuation.continue_branch`` calls this
+    on the basis of the m = 0 modes.
     R_lam = -c - P(D), where D is the central difference of grad in lam at
     the nodes, with step 1e-6 max(1, |lam|); when D is zero, that is when
     grad does not read lam, the projection is skipped, and R_lam = -c
-    exactly.
-
-    A block sums the weighted Hessian against one longitude row twice, so it
-    needs only T[m, theta] = sum_phi L_m^2 w H, one product for the formed
-    orders, and then -(colat_m T[m]) colat_m^T per component pair: one
-    batched product over the formed orders, their colatitude rows padded to
-    the widest order, O(n_m^2 n_theta) for the n_m modes of order m."""
+    exactly."""
+    colat, lon, _ = basis._factors
+    if len(lon) != 1:
+        orders = sorted({m for _, m in basis.modes})
+        raise ValueError(f"residual_jacobian needs a basis of one order, got orders {orders}")
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
     u = basis.evaluate(c)
     R = _residual_at(basis, nl, sig, c, u, lam)
     Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
-    colat, lon, _, block_rows = basis._factors
-    C = colat[: len(block_rows)]  # (block, width, theta): the orders with a block come first
-    T = Hw.reshape(p, p, C.shape[2], -1) @ (lon[: len(block_rows)] ** 2).T  # (p, p, theta, block)
-    CT = C[:, None, None] * np.moveaxis(T, -1, 0)[:, :, :, None, :]  # (block, p, p, width, theta)
-    gram = CT @ C[:, None, None].swapaxes(-1, -2)  # (block, p, p, width, width)
-    linear = (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
-    offsets = n * np.arange(p)[:, None, None]
-    blocks = {}
-    for rows, G in zip(block_rows, gram):
-        n_b = rows.shape[0]
-        size = p * n_b
-        J_b = -G[:, :, :n_b, :n_b].swapaxes(1, 2).reshape(size, size)
-        idx = (offsets + rows).reshape(size, -1)
-        J_b.flat[:: size + 1] -= linear[idx[:, 0]]
-        blocks[basis.modes[rows[0, 0]][1]] = (idx, J_b)
+    C = colat[0]  # (n, theta), the colatitude rows of the one order
+    T = (Hw.reshape(p, p, C.shape[1], -1) @ (lon**2).T)[..., 0]  # (p, p, theta)
+    gram = (C * T[:, :, None, :]) @ C.T  # (p, p, n, n)
+    J = -gram.swapaxes(1, 2).reshape(p * n, p * n)
+    J.flat[:: p * n + 1] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
     step = 1e-6 * max(1.0, abs(lam))
     D = (nl.grad(u, lam + step) - nl.grad(u, lam - step)) / (2 * step)
     R_lam = -c.ravel()
     if np.any(D):
         R_lam -= basis.project(D).ravel()
-    return R, blocks, R_lam
+    return R, J, R_lam
 
 
 def gradient_check(

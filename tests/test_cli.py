@@ -476,6 +476,21 @@ def test_branch_run_writes_csv_and_summary(tmp_path, capsys):
     assert len(lines) == summary["steps"] + 1
 
 
+def test_branch_csv_has_no_roundoff_columns(tmp_path, capsys):
+    # the unrestricted K = 8 branch from lambda = 0 stays on the constant
+    # mode: every other final coefficient is 0.0 or roundoff (about 1e-18),
+    # so the CSV keeps the one column c[0;0,0]
+    galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8, "max_steps": 200}
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": galerkin})
+    out_csv = tmp_path / "branch.csv"
+    code, out, _ = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
+    assert code == 0
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "arclength,lambda,h1_norm,c[0;0,0]"
+    assert len(lines) == json.loads(out)["steps"] + 1
+    assert all(line.count(",") == 3 for line in lines[1:])
+
+
 @pytest.mark.parametrize(
     "command, fmt, message",
     [

@@ -147,7 +147,7 @@ def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
 
 @pytest.mark.parametrize("which", RUNS)
 def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
-    # residual_jacobian returns R and the blocks from one evaluate, and the
+    # residual_jacobian returns R and J from one evaluate, and the
     # quartic does not read lambda, so each Newton iteration evaluates the
     # state once; the one more evaluate is the run's symmetry check
     calls = {"evaluate": 0, "jacobian": 0}
@@ -172,7 +172,7 @@ def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
 def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeypatch, which):
     # a spec states no lambda-dependence: residual_jacobian observes that grad
     # does not read lambda and makes no projection beyond the residual's own;
-    # the one more pair is the run's symmetry check
+    # the one more evaluate is the run's symmetry check, which projects nothing
     nl = NonlinearitySpec("plain-quartic", QUARTIC.value, QUARTIC.grad, QUARTIC.hess, grad_degree=3)
     calls = {"evaluate": 0, "project": 0, "jacobian": 0}
     originals = {
@@ -193,7 +193,8 @@ def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeyp
     monkeypatch.setattr(continuation, "residual_jacobian", counted("jacobian"))
     result = continue_branch(BASIS, nl, NEG, *RUNS[which])
     assert calls["jacobian"] > len(result.states)
-    assert calls["evaluate"] == calls["project"] == calls["jacobian"] + 1
+    assert calls["project"] == calls["jacobian"]
+    assert calls["evaluate"] == calls["jacobian"] + 1
 
 
 @pytest.mark.parametrize(
@@ -208,8 +209,8 @@ def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypa
     jacobian = continuation.residual_jacobian
 
     def analytic(basis, nl, sig, coeffs, lam):
-        R, blocks, _ = jacobian(basis, nl, sig, coeffs, lam)
-        return R, blocks, analytic_lambda_column(basis, sig, coeffs)
+        R, J, _ = jacobian(basis, nl, sig, coeffs, lam)
+        return R, J, analytic_lambda_column(basis, sig, coeffs)
 
     monkeypatch.setattr(continuation, "residual_jacobian", analytic)
     closed = continue_branch(BASIS, nl, NEG, crossing, opts)

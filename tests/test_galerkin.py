@@ -111,8 +111,8 @@ def test_restricted_basis_keeps_the_chosen_modes():
     assert BASIS.n_modes == 81 and mass_error(sub) <= 1e-12
     # the factors of the parent basis are not inherited: the axisymmetric
     # basis holds the single order m = 0
-    colat, lon, slot, blocks = sub._factors
-    assert colat.shape[:2] == (1, 9) and lon.shape[0] == 1 and len(blocks) == 1
+    colat, lon, slot = sub._factors
+    assert colat.shape[:2] == (1, 9) and lon.shape[0] == 1
     assert np.array_equal(slot, np.arange(9))
     assert np.array_equal(lon[0], np.ones(lon.shape[1]))
 
@@ -194,37 +194,43 @@ def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
     assert peak < 40e6
 
 
-def dense_blocks(J, blocks, column=0):
-    # the positions of the order blocks and their twins partition the
-    # coordinates; return the dense matrix's entries at each block, in the
-    # order of ``blocks``: at the formed order (column 0) or at its twin
-    idx = np.concatenate([idx.ravel() for idx, _ in blocks.values()])
-    assert np.array_equal(np.sort(idx), np.arange(J.shape[0]))
-    return [J[np.ix_(idx[:, column], idx[:, column])] for idx, _ in blocks.values()]
+def order_rows(basis):
+    # the mode indices of each order of the basis, ascending in m
+    orders = sorted({m for _, m in basis.modes})
+    return {o: [i for i, (k, m) in enumerate(basis.modes) if m == o] for o in orders}
+
+
+# (3, 3) and (4, -3) are not each other's reflection: orders +-3 of different degrees
+MIXED_DEGREES = ((0, 0), (3, 3), (4, -3))
 
 
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
-@pytest.mark.parametrize("orders", [None, (0,), (0, 3, -3), (0, 3)], ids=["full", "m0", "m0+-3", "m0+3"])
+@pytest.mark.parametrize(
+    "orders",
+    [None, (0,), (0, 3, -3), (0, 3), MIXED_DEGREES],
+    ids=["full", "m0", "m0+-3", "m0+3", "mixed-degrees"],
+)
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
-    # at any state the block of order m is the dense Jacobian's diagonal block
-    # there: both sum the longitude rows of m against themselves; one block is
-    # formed per |m|, and an order m > 0 whose twin -m is present carries the
-    # twin's positions in a second column
-    basis = with_orders(GalerkinBasis(K), orders)
+    # the transforms on a basis of any orders match the dense table, and the
+    # Jacobian on the basis of each order present matches the dense one of
+    # that basis: both sum the longitude row of the order against itself
+    if orders == MIXED_DEGREES:
+        full = GalerkinBasis(K)
+        basis = full.restrict([full.mode_index[km] for km in orders if km in full.mode_index])
+    else:
+        basis = with_orders(GalerkinBasis(K), orders)
     sig = SystemSignature(a)
     rng = np.random.default_rng(K + 100 * len(a))
     c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
-    R, blocks, R_lam = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    R_ref, ref, R_lam_ref = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    present = {m for _, m in basis.modes}
-    assert sorted(blocks) == sorted(m for m in present if m >= 0 or -m not in present)
-    for m, (idx, _) in blocks.items():
-        assert idx.shape[1] == (2 if m > 0 and -m in present else 1)
-    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
-        assert np.max(np.abs(J_b - want)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(R, R_ref)
-    assert np.array_equal(R_lam, R_lam_ref)
+    for rows in order_rows(basis).values():
+        one = basis.restrict(rows)
+        x = c[:, rows].ravel()
+        R, J, R_lam = residual_jacobian(one, QUARTIC, sig, x, 1.3)
+        R_ref, ref, R_lam_ref = dense_jacobian(one, QUARTIC, sig, x, 1.3)
+        assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(R, R_ref)
+        assert np.array_equal(R_lam, R_lam_ref)
     u = c @ basis.values
     assert np.max(np.abs(basis.evaluate(c) - u)) <= 1e-13 * np.max(np.abs(u))
     f = rng.standard_normal((len(a), basis.weights.size))
@@ -232,71 +238,65 @@ def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     assert np.max(np.abs(basis.project(f) - proj)) <= 1e-13 * np.max(np.abs(proj))
 
 
-def test_orders_of_different_degrees_keep_their_own_blocks():
-    # (3, 3) and (4, -3) are not each other's reflection, so neither block
-    # stands for the other
-    basis = GalerkinBasis(4)
-    sub = basis.restrict(sorted(basis.mode_index[km] for km in [(0, 0), (3, 3), (4, -3)]))
-    c = np.array([0.7, -0.4, 0.5])
-    _, blocks, _ = residual_jacobian(sub, QUARTIC, NEG, c, 1.3)
-    _, ref, _ = dense_jacobian(sub, QUARTIC, NEG, c, 1.3)
-    assert sorted(blocks) == [-3, 0, 3]
-    assert all(idx.shape == (1, 1) for idx, _ in blocks.values())
-    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
-        assert np.max(np.abs(J_b - want)) <= 1e-12 * np.max(np.abs(ref))
+def test_jacobian_refuses_a_basis_of_more_than_one_order():
+    basis = GalerkinBasis(2)
+    with pytest.raises(ValueError, match=r"one order, got orders \[-2, -1, 0, 1, 2\]"):
+        residual_jacobian(basis, QUARTIC, NEG, np.zeros(basis.n_modes), 1.0)
 
 
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_order_blocks_are_the_whole_jacobian_on_the_m0_subspace(K, a):
     # at a state supported on m = 0 the Hessian does not depend on longitude,
-    # so the dense Jacobian has nothing outside the order blocks, and the
-    # reflection phi -> -phi makes the -m block equal to the +m block
+    # so the dense Jacobian has nothing outside the blocks of single orders,
+    # and the reflection phi -> -phi makes the -m block equal to the +m
+    # block; the m = 0 block is the Jacobian the solver assembles on the
+    # m = 0 modes
     basis = GalerkinBasis(K)
     sig = SystemSignature(a)
+    p, n = len(a), basis.n_modes
     m0 = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
-    c = np.zeros((len(a), basis.n_modes))
-    c[:, m0] = 0.5 * np.random.default_rng(K + 100 * len(a)).standard_normal((len(a), len(m0)))
-    _, blocks, _ = residual_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
+    c = np.zeros((p, n))
+    c[:, m0] = 0.5 * np.random.default_rng(K + 100 * len(a)).standard_normal((p, len(m0)))
     _, ref, _ = dense_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     scale = np.max(np.abs(ref))
-    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
-        assert np.max(np.abs(J_b - want)) <= 1e-12 * scale
-    assert sorted(blocks) == list(range(K + 1))
-    for (_, J_b), twin in zip(list(blocks.values())[1:], dense_blocks(ref, blocks, column=-1)[1:]):
-        assert np.max(np.abs(J_b - twin)) <= 1e-12 * np.max(np.abs(J_b))
+    idx = {m: (n * np.arange(p)[:, None] + rows).ravel() for m, rows in order_rows(basis).items()}
+    block = {m: ref[np.ix_(i, i)] for m, i in idx.items()}
+    for m in range(1, K + 1):
+        assert np.max(np.abs(block[m] - block[-m])) <= 1e-12 * np.max(np.abs(block[m]))
     off = ref.copy()
-    for idx, _ in blocks.values():
-        for col in idx.T:
-            off[np.ix_(col, col)] = 0.0
+    for i in idx.values():
+        off[np.ix_(i, i)] = 0.0
     assert np.max(np.abs(off)) <= 1e-13 * scale
+    _, J, _ = residual_jacobian(basis.restrict(m0), QUARTIC, sig, c[:, m0].ravel(), 1.3)
+    assert np.max(np.abs(J - block[0])) <= 1e-12 * scale
     fd = central_difference_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
-    for (_, J_b), want in zip(blocks.values(), dense_blocks(fd, blocks)):
-        assert np.max(np.abs(J_b - want)) <= 1e-8 * np.max(np.abs(fd))
+    assert np.max(np.abs(J - fd[np.ix_(idx[0], idx[0])])) <= 1e-8 * np.max(np.abs(fd))
 
 
 def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
-    # one block per |m|, 33 of them, 12.5 thousand entries in all (100 kB);
-    # the dense J would be 9.5 MB and the dense table 73 MB
+    # the Jacobian an unrestricted K = 32 run assembles, on the 33 m = 0
+    # modes: 1089 entries (9 kB); the dense J of every mode would be 9.5 MB
+    # and the dense table 73 MB
     basis = GalerkinBasis(32)
-    c = 0.3 * np.random.default_rng(23).standard_normal(basis.n_modes)
+    sub = basis.restrict([i for i, (k, m) in enumerate(basis.modes) if m == 0])
+    c = 0.3 * np.random.default_rng(23).standard_normal(sub.n_modes)
     tracemalloc.start()
     try:
-        R, blocks, _ = residual_jacobian(basis, QUARTIC, NEG, c, 1.0)
+        R, J, _ = residual_jacobian(sub, QUARTIC, NEG, c, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(blocks) == list(range(33))
-    assert [J_b.shape for _, J_b in blocks.values()] == [(33 - m,) * 2 for m in range(33)]
+    assert J.shape == (33, 33)
     assert peak < 30e6
-    assert "values" not in vars(basis)
+    assert "values" not in vars(basis) and "values" not in vars(sub)
 
 
 def test_unrestricted_branch_at_K16_never_forms_the_table():
     basis = GalerkinBasis(16)
     result = continue_branch(basis, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis)
+    assert "values" not in vars(basis) and "_factors" not in vars(basis)
 
 
 def test_harmonic_table_matches_legendre_formula():
@@ -418,19 +418,20 @@ def central_difference_jacobian(basis, nl, sig, coeffs, lam):
 
 
 M0 = [i for i, (k, m) in enumerate(BASIS.modes) if m == 0]
+M3 = [i for i, (k, m) in enumerate(BASIS.modes) if m == 3]
+M0_BASIS = BASIS.restrict(M0)
 
 
-@pytest.mark.parametrize("keep", [None, M0], ids=["full", "m0"])
+@pytest.mark.parametrize("keep", [M3, M0], ids=["m3", "m0"])
 def test_jacobian_matches_central_differences(keep):
-    basis = BASIS if keep is None else BASIS.restrict(keep)
+    basis = BASIS.restrict(keep)
     sig = SystemSignature((1, -1))
     rng = np.random.default_rng(17)
     c = 0.5 * rng.standard_normal(2 * basis.n_modes)
-    R, blocks, _ = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
+    R, J, _ = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
     ref = central_difference_jacobian(basis, QUARTIC, sig, c, 1.3)
     assert np.array_equal(R, residual_coeffs(basis, QUARTIC, sig, c, 1.3))
-    for (_, J_b), want in zip(blocks.values(), dense_blocks(ref, blocks)):
-        assert np.max(np.abs(J_b - want)) <= 1e-8 * np.max(np.abs(ref))
+    assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_restricted_residual_is_the_kept_part_of_the_full_one():
@@ -468,11 +469,11 @@ def test_lambda_derivative_of_a_lambda_dependent_nonlinearity():
     )
     rng = np.random.default_rng(13)
     sig = SystemSignature((1, -1))
-    c = 0.5 * rng.standard_normal(2 * BASIS.n_modes)
+    c = 0.5 * rng.standard_normal(2 * M0_BASIS.n_modes)
     lam = 1.7
-    projected = BASIS.project(QUARTIC.grad(BASIS.evaluate(c.reshape(2, -1)), lam)).ravel()
+    projected = M0_BASIS.project(QUARTIC.grad(M0_BASIS.evaluate(c.reshape(2, -1)), lam)).ravel()
     want = -c - projected
-    got = residual_jacobian(BASIS, scaled, sig, c, lam)[2]
+    got = residual_jacobian(M0_BASIS, scaled, sig, c, lam)[2]
     assert np.max(np.abs(projected)) > 0.1  # the nonlinear term is not negligible
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
@@ -499,13 +500,13 @@ def test_lambda_column_matches_the_analytic_one(lam):
     # error; its roundoff, about eps (1 + lam/10) / step of q, is near 1e-9 of
     # the lambda term P(q)/10 (up to 6e-10 seen), so that term is held to 1e-8
     sig = SystemSignature((1, -1))
-    c = 0.5 * np.random.default_rng(29).standard_normal(2 * BASIS.n_modes)
-    R, _, R_lam = residual_jacobian(BASIS, lam_scaled_quartic(), sig, c, lam)
-    want = analytic_lambda_column(BASIS, sig, c)
+    c = 0.5 * np.random.default_rng(29).standard_normal(2 * M0_BASIS.n_modes)
+    R, _, R_lam = residual_jacobian(M0_BASIS, lam_scaled_quartic(), sig, c, lam)
+    want = analytic_lambda_column(M0_BASIS, sig, c)
     term = np.max(np.abs(want + c))
     assert term > 0.01  # the nonlinear term is not negligible
     assert np.max(np.abs(R_lam - want)) <= 1e-8 * term
-    assert np.array_equal(R, residual_coeffs(BASIS, lam_scaled_quartic(), sig, c, lam))
+    assert np.array_equal(R, residual_coeffs(M0_BASIS, lam_scaled_quartic(), sig, c, lam))
 
 
 def test_lambda_column_of_a_lambda_free_spec_is_minus_c_without_a_projection(monkeypatch):
@@ -517,8 +518,8 @@ def test_lambda_column_of_a_lambda_free_spec_is_minus_c_without_a_projection(mon
         return project(basis, f)
 
     monkeypatch.setattr(GalerkinBasis, "project", counted_project)
-    c = 0.5 * np.random.default_rng(31).standard_normal(2 * BASIS.n_modes)
-    R_lam = residual_jacobian(BASIS, QUARTIC, SystemSignature((1, -1)), c, 1.3)[2]
+    c = 0.5 * np.random.default_rng(31).standard_normal(2 * M0_BASIS.n_modes)
+    R_lam = residual_jacobian(M0_BASIS, QUARTIC, SystemSignature((1, -1)), c, 1.3)[2]
     assert np.array_equal(R_lam, -c)
     assert len(calls) == 1  # the residual's own projection
 
