@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
-from .jsonio import canonical_dumps, frac_from_json, frac_to_json, int_from_json
+from .jsonio import canonical_dumps, frac_from_json, frac_to_json
 from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_up_to
 
 
@@ -301,7 +301,7 @@ def branch_csv(basis, sig: SystemSignature, states) -> str:
     for idx in leading:
         comp, mode = divmod(idx, basis.n_modes)
         k, m = basis.modes[mode]
-        header.append(f"c[{comp};{k},{m}]")
+        header.append(f"c[{comp};{k};{m}]")
     lines = [",".join(header)]
     for st in states:
         row = [repr(float(st.arclength)), repr(float(st.lam)), repr(float(st.h1_norm))]
@@ -327,9 +327,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if unknown:
         raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
     try:
-        K = int_from_json(block["K"])
-        if K < 0:
-            raise ValueError(f"K must be nonnegative, got {K}")
+        basis = GalerkinBasis(block["K"])
         crossing = frac_from_json(block["crossing"])
         opts = ContinuationOptions(**{key: block[key] for key in option_keys if key in block})
     except (KeyError, TypeError, ValueError) as exc:
@@ -340,7 +338,6 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if nl_name not in NONLINEARITIES:
         raise ConfigError(f"unknown nonlinearity {nl_name!r}; choose from {sorted(NONLINEARITIES)}")
     nl = NONLINEARITIES[nl_name]()
-    basis = GalerkinBasis(K)
     known = {c.lam for c in trivial_branch_crossings(basis, sig, (crossing, crossing))}
     if crossing not in known:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")

@@ -7,7 +7,7 @@ extended by the arclength constraint.  Kernels with symmetry-induced
 multiplicity are cut down by restricting to an isotropy subspace, which must
 leave a one-dimensional kernel at the chosen crossing.  A restriction is a
 subset of the modes (``axisymmetric`` keeps m = 0, no restriction keeps them
-all); it only names the basis in which the kernel is counted.
+all); it only picks the crossing's kernel modes that are counted.
 
 The kernel mode must have order m = 0, and the gradient must keep the m = 0
 modes invariant (checked once per run, on the m = 0 modes), so every iterate
@@ -110,12 +110,6 @@ def _fixed_modes(basis: GalerkinBasis) -> np.ndarray:
     return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 0])
 
 
-def _kept_modes(basis: GalerkinBasis, restriction: str | None) -> np.ndarray:
-    if restriction is None:
-        return np.arange(basis.n_modes)
-    return _fixed_modes(basis)
-
-
 def _check_order_invariance(sub: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
     """Refuse a nonlinearity whose gradient leaves the m = 0 subspace, seen at
     one fixed-seed random state of ``sub``, the basis of the m = 0 modes.
@@ -162,8 +156,9 @@ def continue_branch(
     if lam0 not in crossings:
         raise ValueError(f"{crossing} is not a crossing of the trivial branch")
 
-    keep = {basis.modes[i] for i in _kept_modes(basis, opts.isotropy_restriction)}
-    kernel = [(comp, k, m) for comp, k, m in crossings[lam0].modes if (k, m) in keep]
+    kernel = crossings[lam0].modes
+    if opts.isotropy_restriction == "axisymmetric":
+        kernel = [mode for mode in kernel if mode[2] == 0]
     if len(kernel) != 1:
         raise ValueError(f"restricted kernel is {len(kernel)}-dimensional; apply isotropy restriction")
     comp, k, m = kernel[0]

@@ -100,7 +100,7 @@ class GalerkinBasis:
     def __init__(self, max_degree: int):
         K = int_from_json(max_degree)
         if K < 0:
-            raise ValueError("max_degree must be nonnegative")
+            raise ValueError(f"max_degree must be nonnegative, got {K}")
         self.max_degree = K
         self.quad_degree = QUAD_MARGIN * K
         n_theta = self.quad_degree // 2 + 1
@@ -130,22 +130,18 @@ class GalerkinBasis:
     @cached_property
     def _factors(self):
         """Index data of the factored transforms, for the modes of this
-        basis.  ``colat[b, j]`` is the colatitude row ``legendre[|m|, k]`` of
-        the j-th mode of the b-th order present, the orders ascending and
-        the modes of each by degree; the tensor is zero-padded to the widest
-        order, so a transform over every order is one batched product.
-        ``lon[b]`` is the longitude row of order b, and ``slot[mode]`` the
-        mode's flat position ``b * width + j`` in the tensor."""
+        basis.  ``colat[b]`` is the Legendre table's block ``legendre[|m|]``
+        of the b-th order m present, the orders ascending; its rows k < |m|
+        are zero, so every block is K + 1 rows wide and a transform over every
+        order is one batched product.  ``lon[b]`` is the longitude row of
+        order b, and ``slot[mode]`` the mode's flat row ``b * (K + 1) + k`` in
+        ``colat``."""
         degree = np.array([k for k, _ in self.modes])
         order = np.array([m for _, m in self.modes])
-        rows = {m: np.flatnonzero(order == m) for m in sorted(set(order.tolist()))}
-        width = max(r.size for r in rows.values())
-        colat = np.zeros((len(rows), width, self.legendre.shape[2]))
-        slot = np.empty(order.size, dtype=np.intp)
-        for b, (m, r) in enumerate(rows.items()):
-            colat[b, : r.size] = self.legendre[abs(m), degree[r]]
-            slot[r] = b * width + np.arange(r.size)
-        lon = self.longitude[np.array(list(rows)) + self.max_degree]
+        orders = np.array(sorted(set(order.tolist())))
+        colat = self.legendre[np.abs(orders)]
+        lon = self.longitude[orders + self.max_degree]
+        slot = np.searchsorted(orders, order) * (self.max_degree + 1) + degree
         return colat, lon, slot
 
     @cached_property
@@ -322,6 +318,16 @@ def _check_resolution(basis: GalerkinBasis, nl: NonlinearitySpec) -> None:
         )
 
 
+def _coeff_blocks(basis: GalerkinBasis, sig, coeffs: np.ndarray) -> np.ndarray:
+    """The state as its (p, n_modes) coefficient blocks; refuses a vector
+    whose length is not p * n_modes."""
+    c = np.asarray(coeffs, dtype=float)
+    expected = len(sig.a) * basis.n_modes
+    if c.size != expected:
+        raise ValueError(f"coefficient vector has wrong length (expected {expected})")
+    return c.reshape(len(sig.a), basis.n_modes)
+
+
 def _residual_at(
     basis: GalerkinBasis, nl: NonlinearitySpec, sig, c: np.ndarray, u: np.ndarray, lam: float
 ) -> np.ndarray:
@@ -343,18 +349,14 @@ def residual_coeffs(
 ) -> np.ndarray:
     """Coefficient gradient of the discrete functional at (coeffs, lam); zero
     exactly at discrete critical points."""
-    c = np.asarray(coeffs, dtype=float)
-    expected = len(sig.a) * basis.n_modes
-    if c.size != expected:
-        raise ValueError(f"coefficient vector has wrong length (expected {expected})")
-    c = c.reshape(len(sig.a), basis.n_modes)
+    c = _coeff_blocks(basis, sig, coeffs)
     return _residual_at(basis, nl, sig, c, basis.evaluate(c), lam)
 
 
 def energy(basis: GalerkinBasis, nl: NonlinearitySpec, sig, coeffs: np.ndarray, lam: float) -> float:
     """Discrete functional whose coefficient gradient is the residual."""
     a = np.asarray(sig.a, dtype=float)
-    c = np.asarray(coeffs, dtype=float).reshape(a.size, basis.n_modes)
+    c = _coeff_blocks(basis, sig, coeffs)
     quad = -0.5 * np.sum(a[:, None] * basis.eigenvalues[None, :] * c**2)
     quad -= 0.5 * lam * np.sum(c**2)
     u = basis.evaluate(c)
@@ -376,24 +378,26 @@ def residual_jacobian(
     Gram of the pointwise Hessian, coefficients ordered component by
     component as in R.  The Gram sums the weighted Hessian against one
     longitude row twice, so it needs only T[theta] = sum_phi L_m^2 w H, and
-    then -(colat_m T) colat_m^T per component pair: O(n_m^2 n_theta) for
-    the n_m modes of the basis.  ``continuation.continue_branch`` calls this
-    on the basis of the m = 0 modes.
+    then -(C T) C^T per component pair, where C holds the colatitude rows of
+    the modes, read through ``slot`` as ``values`` reads them:
+    O(n^2 n_theta) for the n modes of the basis.
+    ``continuation.continue_branch`` calls this on the basis of the m = 0
+    modes.
     R_lam = -c - P(D), where D is the central difference of grad in lam at
     the nodes, with step 1e-6 max(1, |lam|); when D is zero, that is when
     grad does not read lam, the projection is skipped, and R_lam = -c
     exactly."""
-    colat, lon, _ = basis._factors
+    colat, lon, slot = basis._factors
     if len(lon) != 1:
         orders = sorted({m for _, m in basis.modes})
         raise ValueError(f"residual_jacobian needs a basis of one order, got orders {orders}")
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
-    c = np.asarray(coeffs, dtype=float).reshape(p, n)
+    c = _coeff_blocks(basis, sig, coeffs)
     u = basis.evaluate(c)
     R = _residual_at(basis, nl, sig, c, u, lam)
     Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
-    C = colat[0]  # (n, theta), the colatitude rows of the one order
+    C = colat.reshape(-1, colat.shape[2])[slot]  # (n, theta), the colatitude rows of the modes
     T = (Hw.reshape(p, p, C.shape[1], -1) @ (lon**2).T)[..., 0]  # (p, p, theta)
     gram = (C * T[:, :, None, :]) @ C.T  # (p, p, n, n)
     J = -gram.swapaxes(1, 2).reshape(p * n, p * n)

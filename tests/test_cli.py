@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -474,19 +475,23 @@ def test_branch_run_writes_csv_and_summary(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("arclength,lambda,h1_norm")
     assert len(lines) == summary["steps"] + 1
+    # every record parses to as many fields as the header names
+    header, *records = csv.reader(lines)
+    assert len(header) == 3 + 4
+    assert all(len(record) == len(header) for record in records)
 
 
 def test_branch_csv_has_no_roundoff_columns(tmp_path, capsys):
     # the unrestricted K = 8 branch from lambda = 0 stays on the constant
     # mode: every other final coefficient is 0.0 or roundoff (about 1e-18),
-    # so the CSV keeps the one column c[0;0,0]
+    # so the CSV keeps the one column c[0;0;0]
     galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8, "max_steps": 200}
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": galerkin})
     out_csv = tmp_path / "branch.csv"
     code, out, _ = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
     assert code == 0
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == "arclength,lambda,h1_norm,c[0;0,0]"
+    assert lines[0] == "arclength,lambda,h1_norm,c[0;0;0]"
     assert len(lines) == json.loads(out)["steps"] + 1
     assert all(line.count(",") == 3 for line in lines[1:])
 
@@ -556,6 +561,14 @@ def test_branch_non_integer_block_entry_rejected(tmp_path, capsys, key, value):
     code, out, err = run(capsys, ["branch", "--config", cfg])
     assert code == 2
     assert f"bad galerkin block: expected an integer, got {value!r}" in err
+    assert out == ""
+
+
+def test_branch_negative_K_is_refused_by_the_basis(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "K": -1}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert code == 2
+    assert "bad galerkin block: max_degree must be nonnegative, got -1" in err
     assert out == ""
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from torusbif import (
     ContinuationError,
     ContinuationOptions,
+    Crossing,
     GalerkinBasis,
     NonlinearitySpec,
     SystemSignature,
@@ -79,7 +81,7 @@ def dense_branch(basis, crossing, opts):
     # mode (all of them when unrestricted), with every order coupled, under
     # the same step control and stop rule; it checks that the solver's
     # m = 0 solve gives the solution of the whole system
-    keep = continuation._kept_modes(basis, opts.isotropy_restriction)
+    keep = [i for i, (k, m) in enumerate(basis.modes) if opts.isotropy_restriction is None or m == 0]
     sub = basis.restrict(keep)
     n = sub.n_modes
     (kernel,) = [i for i, (k, m) in enumerate(sub.modes) if m == 0 and k * (k + 1) == crossing]
@@ -305,15 +307,14 @@ def test_multidimensional_kernel_requires_restriction():
 
 
 def test_kernel_mode_of_nonzero_order_is_refused(monkeypatch):
-    # a restriction that kept the order m = 1 would leave the one-dimensional
-    # kernel Y_{1,1} at lambda = 2, which the solve on the m = 0 modes cannot
-    # trace
-    def keep_order_one(basis, restriction):
-        return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 1])
+    # a crossing whose one kernel mode is Y_{1,1} at lambda = 2 has a
+    # one-dimensional kernel that the solve on the m = 0 modes cannot trace
+    def order_one_crossing(basis, sig, window):
+        return (Crossing(Fraction(2), ((0, 1, 1),)),)
 
-    monkeypatch.setattr(continuation, "_kept_modes", keep_order_one)
+    monkeypatch.setattr(continuation, "trivial_branch_crossings", order_one_crossing)
     with pytest.raises(ValueError, match=r"kernel mode \(k, m\) = \(1, 1\) has m != 0"):
-        continue_branch(BASIS, QUARTIC, NEG, 2, axisymmetric_opts())
+        continue_branch(BASIS, QUARTIC, NEG, 2, ContinuationOptions())
 
 
 def phi_quartic():

@@ -202,20 +202,22 @@ def order_rows(basis):
 
 # (3, 3) and (4, -3) are not each other's reflection: orders +-3 of different degrees
 MIXED_DEGREES = ((0, 0), (3, 3), (4, -3))
+# order 3 without degree 4: its Jacobian rows are Legendre rows 3 and 5, not 3 and 4
+DEGREE_GAP = ((0, 0), (3, 3), (5, 3))
 
 
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
 @pytest.mark.parametrize(
     "orders",
-    [None, (0,), (0, 3, -3), (0, 3), MIXED_DEGREES],
-    ids=["full", "m0", "m0+-3", "m0+3", "mixed-degrees"],
+    [None, (0,), (0, 3, -3), (0, 3), MIXED_DEGREES, DEGREE_GAP],
+    ids=["full", "m0", "m0+-3", "m0+3", "mixed-degrees", "degree-gap"],
 )
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     # the transforms on a basis of any orders match the dense table, and the
     # Jacobian on the basis of each order present matches the dense one of
     # that basis: both sum the longitude row of the order against itself
-    if orders == MIXED_DEGREES:
+    if orders in (MIXED_DEGREES, DEGREE_GAP):
         full = GalerkinBasis(K)
         basis = full.restrict([full.mode_index[km] for km in orders if km in full.mode_index])
     else:
@@ -349,9 +351,14 @@ def test_constant_mode_cubic_residual_matches_exact_integral():
     assert np.max(np.abs(others)) <= 1e-14
 
 
-def test_residual_rejects_wrong_length():
-    with pytest.raises(ValueError, match="wrong length"):
-        residual_coeffs(BASIS, QUARTIC, SystemSignature((-1, -1)), np.zeros(BASIS.n_modes), 1.0)
+@pytest.mark.parametrize("fn", [residual_coeffs, residual_jacobian, energy], ids=lambda fn: fn.__name__)
+def test_residual_rejects_wrong_length(fn):
+    # one check for every function that takes a state; the Jacobian needs a
+    # basis of one order
+    basis = M0_BASIS if fn is residual_jacobian else BASIS
+    expected = 2 * basis.n_modes
+    with pytest.raises(ValueError, match=rf"wrong length \(expected {expected}\)"):
+        fn(basis, QUARTIC, SystemSignature((-1, -1)), np.zeros(basis.n_modes), 1.0)
 
 
 def test_underresolved_quadrature_is_rejected():
