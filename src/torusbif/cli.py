@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -83,13 +84,17 @@ def require_cutoff(raw: dict) -> Fraction:
 
 def _check_writable(out) -> None:
     """Open ``out`` for appending, which truncates nothing, so that a path
-    that cannot be written fails before the computation instead of after it."""
+    that cannot be written fails before the computation instead of after it;
+    a file this creates is removed again, so a refused run leaves none."""
     if out:
+        existed = os.path.lexists(out)
         try:
             with open(out, "a", encoding="utf-8"):
                 pass
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc}")
+        if not existed:
+            os.remove(out)
 
 
 def _emit(text: str, out) -> None:

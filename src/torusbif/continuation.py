@@ -115,16 +115,16 @@ def _check_order_invariance(sub: GalerkinBasis, nl: NonlinearitySpec, sig, lam: 
     one fixed-seed random state of ``sub``, the basis of the m = 0 modes.
     The solver rests on that invariance: it solves on the m = 0 modes only,
     and a solution there solves the full system only when the residual has
-    no part of order m != 0.  The state is constant along each latitude ring
-    of the product grid, and its gradient must be too: a gradient constant
-    along each ring projects to zero on every order m != 0.  Non-finite
-    gradients are left to the corrector.  The state comes from the standard
-    library's generator: importing numpy.random would add several MB to the
-    resident size of a run."""
+    no part of order m != 0.  The state's ring values are tiled over the
+    QUAD_MARGIN * K + 1 longitudes of the full grid, and the gradient there
+    must be constant along each ring, so it projects to zero on every order
+    m != 0.  Non-finite gradients are left to the corrector.  The state comes
+    from the standard library's generator: importing numpy.random would add
+    several MB to the resident size of a run."""
     rng = random.Random(0)
     c = np.array([[rng.gauss(0.0, 0.5) for _ in sub.modes] for _ in sig.a])
-    g = nl.grad(sub.evaluate(c), lam)
-    rings = g.reshape(*g.shape[:-1], -1, sub.longitude.shape[1])  # (p, theta, phi)
+    g = nl.grad(np.repeat(sub.evaluate(c), sub.quad_degree + 1, axis=-1), lam)
+    rings = g.reshape(*g.shape[:-1], -1, sub.quad_degree + 1)  # (p, theta, phi) of the full grid
     off, scale = np.max(np.abs(rings - rings[..., :1])), np.max(np.abs(g))
     if off > 1e-12 * scale:
         raise ValueError(

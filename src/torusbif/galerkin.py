@@ -3,8 +3,8 @@
 
 The basis is the real orthonormal spherical harmonics Y_{k,m}, k <= K,
 |m| <= k, with -Delta Y_{k,m} = k(k+1) Y_{k,m}.  Quadrature is a tensor rule,
-Gauss-Legendre in cos(theta) times a uniform longitude grid, built with enough
-nodes to integrate products of four basis functions exactly up to roundoff.
+Gauss-Legendre in cos(theta) times a uniform longitude grid sized to the
+largest order held, exact for products of four basis functions up to roundoff.
 
 For coefficients c_{i,k,m} of u = (u_1, ..., u_p) the discrete functional is
 
@@ -21,7 +21,6 @@ diagonal, so eigenvalue crossings are located exactly at lam = -a_i k(k+1).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +39,10 @@ def degree_eigenvalue(k: int) -> int:
     return k * (k + 1)
 
 
-def _legendre_table(K: int, x: np.ndarray) -> np.ndarray:
+def _legendre_table(K: int, M: int, x: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre functions laid out per order,
-    ``P[m, k, node] = Pbar_k^m(x[node])`` for 0 <= m <= k <= K and zero for
-    k < m, with the Condon-Shortley phase (-1)^m, so that
+    ``P[m, k, node] = Pbar_k^m(x[node])`` for m <= M, m <= k <= K and zero
+    for k < m, with the Condon-Shortley phase (-1)^m, so that
     Pbar_k^m(cos theta) exp(i m phi) is the orthonormal Y_k^m.
 
     Sectoral values come from Pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta)
@@ -51,31 +50,31 @@ def _legendre_table(K: int, x: np.ndarray) -> np.ndarray:
     three-term recurrence Pbar_k^m = a (x Pbar_{k-1}^m - b Pbar_{k-2}^m),
     a = sqrt((4k^2-1)/(k^2-m^2)), b = sqrt(((k-1)^2-m^2)/(4(k-1)^2-1))
     (Schaeffer 2013, section 2); no factorial ratio is formed, so nothing
-    overflows at high degree."""
-    P = np.zeros((K + 1, K + 1, x.size))
+    overflows at high degree.  Orders 0..M are the full table's first blocks."""
+    P = np.zeros((M + 1, K + 1, x.size))
     sin_theta = np.sqrt((1.0 - x) * (1.0 + x))
     P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, K + 1):
+    for m in range(1, M + 1):
         P[m, m] = -math.sqrt((2 * m + 1) / (2 * m)) * sin_theta * P[m - 1, m - 1]
-    m = np.arange(K)
+    m = np.arange(min(M + 1, K))
     P[m, m + 1] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[m, m]
     for k in range(2, K + 1):
-        m = np.arange(k - 1)[:, None]  # the orders with m <= k - 2
+        m = np.arange(min(k - 1, M + 1))[:, None]  # the orders with m <= k - 2
         a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
         b = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1) ** 2 - 1.0))
-        P[: k - 1, k] = a * (x * P[: k - 1, k - 1] - b * P[: k - 1, k - 2])
+        P[: m.size, k] = a * (x * P[: m.size, k - 1] - b * P[: m.size, k - 2])
     return P
 
 
 def _check_legendre_table(P: np.ndarray, wx: np.ndarray) -> None:
     """Refuse a table that is not orthonormal order by order on the
     Gauss-Legendre nodes: sum_x w_x P[m,k,x] P[m,j,x] = delta_kj / (2 pi) for
-    k, j >= m.  O(K^4), and the dense table is never formed."""
+    k, j >= m.  O(M K^3) for orders 0..M; the dense table is never formed."""
     if not np.all(np.isfinite(P)):
         raise ValueError("Legendre table has non-finite entries")
-    orders = P.shape[0]
+    orders, degrees = P.shape[:2]
     gram = (P * wx) @ P.transpose(0, 2, 1)  # (m, k, j)
-    want = np.eye(orders) * np.triu(np.ones((orders, orders)))[:, :, None] / (2.0 * math.pi)
+    want = np.eye(degrees) * np.triu(np.ones((orders, degrees)))[:, :, None] / (2.0 * math.pi)
     err = float(np.max(np.abs(gram - want)))
     if not err <= 1e-12:
         raise ValueError(f"Legendre table is not orthonormal per order (error {err:.3g})")
@@ -91,41 +90,42 @@ class GalerkinBasis:
 
     The basis keeps two small factors: ``legendre[m, k, i]``, the normalized
     Legendre function of degree k and order m at the i-th colatitude node,
-    and ``longitude[m + K, j]``, which is 1, sqrt(2) cos(m phi_j) or
-    sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and m < 0.  Mode Y_{k,m} is their
-    outer product.  The transforms and the Jacobian work from the factors;
-    the dense (n_modes, nodes) table ``values`` is formed only when read.
+    built and checked when first read, and ``longitude[m + M, j]``, which is
+    1, sqrt(2) cos(m phi_j) or sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and
+    m < 0 at the QUAD_MARGIN * M + 1 longitudes, M = max |m| over the modes
+    held (K here, less after ``restrict``).  Mode Y_{k,m} is their outer
+    product.  The transforms and the Jacobian work from the factors; the
+    dense (n_modes, nodes) table ``values`` is formed only when read.
     """
 
     def __init__(self, max_degree: int):
         K = int_from_json(max_degree)
         if K < 0:
             raise ValueError(f"max_degree must be nonnegative, got {K}")
-        self.max_degree = K
-        self.quad_degree = QUAD_MARGIN * K
-        n_theta = self.quad_degree // 2 + 1
-        n_phi = self.quad_degree + 1
+        self._build(K, tuple((k, m) for k in range(K + 1) for m in range(-k, k + 1)))
 
-        x, wx = np.polynomial.legendre.leggauss(n_theta)
+    def _build(self, K: int, modes: tuple[tuple[int, int], ...]) -> None:
+        """The mode data, quadrature and longitude rows of ``modes``."""
+        M = max(abs(m) for _, m in modes)
+        self.max_degree, self.quad_degree, self.modes = K, QUAD_MARGIN * K, modes
+        self.mode_index = {km: i for i, km in enumerate(modes)}
+        self.eigenvalues = np.array([degree_eigenvalue(k) for k, _ in modes], dtype=float)
+        self._gauss = np.polynomial.legendre.leggauss(self.quad_degree // 2 + 1)
+        n_phi = QUAD_MARGIN * M + 1
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        X, PHI = np.meshgrid(x, phi, indexing="ij")
-        self.node_x = X.ravel()              # cos(theta) at each node
-        self.node_phi = PHI.ravel()
-        W = np.repeat(wx, n_phi) * (2.0 * np.pi / n_phi)
-        self.weights = W
-
-        self.modes: tuple[tuple[int, int], ...] = tuple(
-            (k, m) for k in range(K + 1) for m in range(-k, k + 1)
-        )
-        self.mode_index = {km: i for i, km in enumerate(self.modes)}
-        self.eigenvalues = np.array([degree_eigenvalue(k) for k, _ in self.modes], dtype=float)
-
-        self.legendre = _legendre_table(K, x)
-        _check_legendre_table(self.legendre, wx)
-        order = np.arange(-K, K + 1)
+        self.weights = np.repeat(self._gauss[1], n_phi) * (2.0 * np.pi / n_phi)
+        order = np.arange(-M, M + 1)
         angle = np.abs(order)[:, None] * phi[None, :]
         self.longitude = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
-        self.longitude[K] = 1.0
+        self.longitude[M] = 1.0
+
+    @cached_property
+    def legendre(self) -> np.ndarray:
+        """``legendre[m, k, i]`` for orders 0..M, built and checked on first read."""
+        x, wx = self._gauss
+        P = _legendre_table(self.max_degree, self.longitude.shape[0] // 2, x)
+        _check_legendre_table(P, wx)
+        return P
 
     @cached_property
     def _factors(self):
@@ -140,7 +140,7 @@ class GalerkinBasis:
         order = np.array([m for _, m in self.modes])
         orders = np.array(sorted(set(order.tolist())))
         colat = self.legendre[np.abs(orders)]
-        lon = self.longitude[orders + self.max_degree]
+        lon = self.longitude[orders + self.longitude.shape[0] // 2]
         slot = np.searchsorted(orders, order) * (self.max_degree + 1) + degree
         return colat, lon, slot
 
@@ -154,21 +154,17 @@ class GalerkinBasis:
         return (rows[:, :, None] * lon[slot // colat.shape[1]][:, None, :]).reshape(self.n_modes, -1)
 
     def restrict(self, keep) -> "GalerkinBasis":
-        """The same quadrature on the modes ``keep`` (strictly increasing
-        indices into ``modes``): a smaller basis whose coefficient vectors
-        hold only the kept modes, and whose factors hold only their orders."""
+        """Degree K on the modes ``keep`` (strictly increasing indices into
+        ``modes``), with the quadrature and factors of their orders only: the
+        basis of the m = 0 modes has one node per latitude ring."""
         keep = np.asarray(keep)
         if keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iu":
             raise ValueError("keep must be a nonempty sequence of integer mode indices")
         keep = keep.astype(np.intp)  # so that differences of unsigned indices cannot wrap
         if keep[0] < 0 or keep[-1] >= self.n_modes or np.any(np.diff(keep) <= 0):
             raise ValueError(f"keep must be strictly increasing mode indices in [0, {self.n_modes})")
-        sub = copy.copy(self)
-        sub.modes = tuple(self.modes[i] for i in keep)
-        sub.mode_index = {km: i for i, km in enumerate(sub.modes)}
-        sub.eigenvalues = self.eigenvalues[keep]
-        for cached in ("_factors", "values"):  # rebuilt from the kept modes on first use
-            vars(sub).pop(cached, None)
+        sub = object.__new__(GalerkinBasis)
+        sub._build(self.max_degree, tuple(self.modes[i] for i in keep))
         return sub
 
     @property
@@ -379,10 +375,9 @@ def residual_jacobian(
     component as in R.  The Gram sums the weighted Hessian against one
     longitude row twice, so it needs only T[theta] = sum_phi L_m^2 w H, and
     then -(C T) C^T per component pair, where C holds the colatitude rows of
-    the modes, read through ``slot`` as ``values`` reads them:
-    O(n^2 n_theta) for the n modes of the basis.
+    the modes, read through ``slot``: O(n^2 n_theta) for the n modes.
     ``continuation.continue_branch`` calls this on the basis of the m = 0
-    modes.
+    modes, whose one node per ring makes the sum over phi a single term.
     R_lam = -c - P(D), where D is the central difference of grad in lam at
     the nodes, with step 1e-6 max(1, |lam|); when D is zero, that is when
     grad does not read lam, the projection is skipped, and R_lam = -c

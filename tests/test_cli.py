@@ -650,6 +650,34 @@ def test_branch_kernel_restriction_error_is_domain_failure(tmp_path, capsys):
     assert "apply isotropy restriction" in err
 
 
+def test_refused_branch_leaves_no_out_file_and_keeps_an_existing_one(tmp_path, capsys):
+    # --out is probed before the kernel is counted; a file the probe created
+    # is removed again, and an existing one keeps its bytes
+    block = {**BRANCH_CFG["galerkin"]}
+    del block["isotropy_restriction"]
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": block})
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"old rows\n")
+    for out_file in (fresh, kept):
+        code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(out_file)])
+        assert code == 1 and "apply isotropy restriction" in err and out == ""
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"old rows\n"
+
+
+def test_exact_command_failing_in_its_computation_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    from torusbif import cli
+
+    def failing(*args, **kwargs):
+        raise ValueError("no spectrum")
+
+    monkeypatch.setattr(cli, "spectrum_up_to", failing)
+    out_file = tmp_path / "fresh.json"
+    code, out, err = run(capsys, ["spectrum", "--config", write_config(tmp_path, SPHERE_CFG), "--out", str(out_file)])
+    assert (code, out, err) == (1, "", "error: no spectrum\n")
+    assert not out_file.exists()
+
+
 def test_module_entry_point(tmp_path):
     import os
     import subprocess

@@ -18,7 +18,7 @@ from torusbif import (
     residual_coeffs,
 )
 from torusbif import continuation
-from test_galerkin import analytic_lambda_column, dense_jacobian, lam_scaled_quartic
+from test_galerkin import analytic_lambda_column, dense_jacobian, lam_scaled_quartic, product_grid
 
 BASIS = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -319,7 +319,7 @@ def test_kernel_mode_of_nonzero_order_is_refused(monkeypatch):
 
 def phi_quartic():
     # the quartic times 1 + cos(phi)/2: pointwise in u, but it reads longitude
-    bump = 1.0 + 0.5 * np.cos(BASIS.node_phi)
+    bump = 1.0 + 0.5 * np.cos(product_grid(8)[1])
     return NonlinearitySpec(
         "phi-quartic",
         lambda u, lam: bump * QUARTIC.value(u, lam),
@@ -329,11 +329,17 @@ def phi_quartic():
     )
 
 
-@pytest.mark.parametrize("crossing, restriction", [(0, None), (2, "axisymmetric")], ids=["full", "axisymmetric"])
-def test_a_nonlinearity_that_reads_longitude_is_refused(crossing, restriction):
+@pytest.mark.parametrize(
+    "basis, crossing, restriction",
+    [(BASIS, 0, None), (BASIS, 2, "axisymmetric"), (BASIS.restrict(continuation._fixed_modes(BASIS)), 0, None)],
+    ids=["full", "axisymmetric", "restricted-caller"],
+)
+def test_a_nonlinearity_that_reads_longitude_is_refused(basis, crossing, restriction):
+    # the check tiles the state over the full grid's longitudes, which it
+    # counts from K, so a caller's basis of the m = 0 modes is checked too
     opts = ContinuationOptions(isotropy_restriction=restriction)
     with pytest.raises(ValueError, match="nonlinearity 'phi-quartic' does not keep the m = 0 subspace invariant"):
-        continue_branch(BASIS, phi_quartic(), NEG, crossing, opts)
+        continue_branch(basis, phi_quartic(), NEG, crossing, opts)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,15 @@ def dense_jacobian(basis, nl, sig, coeffs, lam):
     return residual_coeffs(basis, nl, sig, coeffs, lam), J, R_lam.ravel()
 
 
+def product_grid(K):
+    # the nodes (cos theta, phi) of the full basis's product rule, in its node
+    # order: colatitude major, longitude minor
+    n_theta, n_phi = galerkin.QUAD_MARGIN * K // 2 + 1, galerkin.QUAD_MARGIN * K + 1
+    x, _ = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    return np.repeat(x, n_phi), np.tile(phi, n_theta)
+
+
 def with_orders(basis, orders):
     if orders is None:
         return basis
@@ -105,9 +114,10 @@ def test_restricted_basis_keeps_the_chosen_modes():
     sub = BASIS.restrict(keep)
     assert sub.modes == tuple((k, 0) for k in range(9))
     assert sub.mode_index[(3, 0)] == 3
-    assert np.array_equal(sub.values, BASIS.values[keep])
+    # one node per latitude ring: each row is the full basis's row at phi = 0
+    assert np.array_equal(sub.values, BASIS.values[keep][:, :: BASIS.longitude.shape[1]])
     assert np.array_equal(sub.eigenvalues, BASIS.eigenvalues[keep])
-    assert sub.weights is BASIS.weights and sub.quad_degree == BASIS.quad_degree
+    assert sub.weights.size == 17 and sub.quad_degree == BASIS.quad_degree
     assert BASIS.n_modes == 81 and mass_error(sub) <= 1e-12
     # the factors of the parent basis are not inherited: the axisymmetric
     # basis holds the single order m = 0
@@ -139,7 +149,7 @@ def test_legendre_recurrence_matches_scipy(K):
     # the per-order table against scipy's normalized Legendre functions
     # (Condon-Shortley phase included), on the basis's own colatitude nodes
     x, _ = np.polynomial.legendre.leggauss(2 * K + 1)
-    got = galerkin._legendre_table(K, x)
+    got = galerkin._legendre_table(K, K, x)
     want = sph_legendre_p_all(K, K, np.arccos(x))[0][:, : K + 1].transpose(1, 0, 2)  # (m, k, node)
     assert got.shape == (K + 1, K + 1, x.size)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -155,18 +165,25 @@ def test_legendre_table_at_high_degree_is_finite_and_orthonormal():
     galerkin._check_legendre_table(basis.legendre, wx)
 
 
+@pytest.mark.parametrize("M", [0, 3, 24])
+def test_legendre_table_of_fewer_orders_is_the_leading_blocks_of_the_full_one(M):
+    x, _ = np.polynomial.legendre.leggauss(49)
+    assert np.array_equal(galerkin._legendre_table(24, M, x), galerkin._legendre_table(24, 24, x)[: M + 1])
+
+
 @pytest.mark.parametrize("bad", [1e-9, math.nan], ids=["perturbed", "nan"])
 def test_basis_refuses_a_bad_legendre_table(monkeypatch, bad):
     build = galerkin._legendre_table
 
-    def corrupted(K, x):
-        P = build(K, x)
+    def corrupted(K, M, x):
+        P = build(K, M, x)
         P[2, 5, 3] += bad
         return P
 
     monkeypatch.setattr(galerkin, "_legendre_table", corrupted)
+    basis = GalerkinBasis(8)  # the table is built and checked when first read
     with pytest.raises(ValueError, match="Legendre table"):
-        GalerkinBasis(8)
+        basis.evaluate(np.zeros(basis.n_modes))
 
 
 def test_dense_table_is_formed_on_first_use_only():
@@ -174,24 +191,36 @@ def test_dense_table_is_formed_on_first_use_only():
     assert "values" not in vars(basis)
     keep = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
     sub = basis.restrict(keep)
-    assert sub.values.shape == (7, basis.weights.size)
+    assert sub.values.shape == (7, 13)
     assert "values" not in vars(basis)
-    assert np.array_equal(sub.values, basis.values[keep])
+    assert np.array_equal(sub.values, basis.values[keep][:, :: basis.longitude.shape[1]])
 
 
-def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
-    # the full K = 40 table is 175 MB; the m = 0 rows are 4.3 MB
+def axisymmetric_branch_peak(K):
+    # the traced peak of an axisymmetric run from lambda = 2 to norm 1; it
+    # forms neither the dense table nor the Legendre table of the full basis
     tracemalloc.start()
     try:
-        basis = GalerkinBasis(40)
+        basis = GalerkinBasis(K)
         opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
         result = continue_branch(basis, QUARTIC, NEG, 2, opts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis)
-    assert peak < 40e6
+    assert "values" not in vars(basis) and "legendre" not in vars(basis)
+    return peak
+
+
+def test_axisymmetric_branch_at_K40_never_forms_the_full_table():
+    # the full K = 40 table is 175 MB and its Legendre table 1.1 MB; the
+    # m = 0 Legendre rows are 0.03 MB
+    assert axisymmetric_branch_peak(40) < 40e6
+
+
+def test_axisymmetric_branch_at_K128_stays_small():
+    # the full K = 128 Legendre table is 34 MB, and its check as much again
+    assert axisymmetric_branch_peak(128) < 30e6
 
 
 def order_rows(basis):
@@ -298,13 +327,14 @@ def test_unrestricted_branch_at_K16_never_forms_the_table():
     basis = GalerkinBasis(16)
     result = continue_branch(basis, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis) and "_factors" not in vars(basis)
+    assert "values" not in vars(basis) and "_factors" not in vars(basis) and "legendre" not in vars(basis)
 
 
 def test_harmonic_table_matches_legendre_formula():
     basis = GalerkinBasis(12)
+    x, phi = product_grid(12)
     for i, (k, m) in enumerate(basis.modes):
-        want = reference_harmonic(k, m, basis.node_x, basis.node_phi)
+        want = reference_harmonic(k, m, x, phi)
         assert np.max(np.abs(basis.values[i] - want)) <= 1e-12, (k, m)
 
 
@@ -441,20 +471,36 @@ def test_jacobian_matches_central_differences(keep):
     assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
-def test_restricted_residual_is_the_kept_part_of_the_full_one():
-    # a state supported on the m = 0 modes: the residual of the restricted
-    # coefficients equals the full residual at the kept entries
+def restricted_and_full_residual(keep, n_phi):
+    # a state supported on the kept modes: the residual of the restricted
+    # coefficients, on the restricted basis's own longitude grid of n_phi
+    # nodes, and the full residual of the same state
     sig = SystemSignature((1, -1))
-    sub = BASIS.restrict(M0)
+    sub = BASIS.restrict(keep)
+    assert sub.longitude.shape[1] == n_phi and mass_error(sub) <= 1e-12
     rng = np.random.default_rng(19)
     x = 0.5 * rng.standard_normal((2, sub.n_modes))
     full = np.zeros((2, BASIS.n_modes))
-    full[:, M0] = x
+    full[:, keep] = x
     got = residual_coeffs(sub, QUARTIC, sig, x.ravel(), 0.9).reshape(2, -1)
     want = residual_coeffs(BASIS, QUARTIC, sig, full.ravel(), 0.9).reshape(2, -1)
+    return got, want
+
+
+def test_restricted_residual_is_the_kept_part_of_the_full_one():
+    got, want = restricted_and_full_residual(M0, 1)
     assert np.max(np.abs(got - want[:, M0])) <= 1e-13 * np.max(np.abs(want))
     # and nothing leaks out of the subspace: the quartic keeps m = 0 invariant
     assert np.max(np.abs(np.delete(want, M0, axis=1))) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_restricted_residual_of_orders_0_and_3_is_the_kept_part_of_the_full_one():
+    # the basis of orders 0 and +-3 has 4 * 3 + 1 longitudes; the full
+    # residual of its state also has parts of orders +-6 and +-9, so only
+    # the kept part is compared
+    keep = [i for i, (k, m) in enumerate(BASIS.modes) if m in (0, 3, -3)]
+    got, want = restricted_and_full_residual(keep, 13)
+    assert np.max(np.abs(got - want[:, keep])) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gradient_check_validates_epsilon():
