@@ -332,7 +332,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if unknown:
         raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
     try:
-        basis = GalerkinBasis(block["K"])
+        basis = GalerkinBasis(block["K"], orders=[0])
         crossing = frac_from_json(block["crossing"])
         opts = ContinuationOptions(**{key: block[key] for key in option_keys if key in block})
     except (KeyError, TypeError, ValueError) as exc:

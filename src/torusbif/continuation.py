@@ -10,16 +10,17 @@ subset of the modes (``axisymmetric`` keeps m = 0, no restriction keeps them
 all); it only picks the crossing's kernel modes that are counted.
 
 The kernel mode must have order m = 0, and the gradient must keep the m = 0
-modes invariant (checked once per run, on the m = 0 modes), so every iterate
-stays in the fixed space of the O(2) about the pole, which the m = 0 modes
-span.  A solution in that space solves the full system: its residual has no
-part of order m != 0.  So the solver always works in the basis of the m = 0
-modes, whatever the restriction, and embeds states into the full basis only
-when it records them; no transform is made on the full basis.  Newton
-solves the one-order Jacobian of those modes bordered by the constraint row
-and the lambda column, one linear solve of p (K + 1) + 1 rows per iteration,
-and the tangent at an accepted state is one more solve of the same matrix.
-The coefficients of order m != 0 are exactly zero.
+modes invariant (checked once per run), so every iterate stays in the fixed
+space of the O(2) about the pole, which the m = 0 modes span.  A solution in
+that space solves the full system: its residual has no part of order m != 0.
+So the solver takes the basis of the m = 0 modes,
+``GalerkinBasis(K, orders=[0])``, whatever the restriction, and works and
+stores its states there: ``BranchState.coeffs`` holds p (K + 1)
+coefficients.  The kernel is still counted over every mode of the full
+problem, through ``Crossing.modes``.  Newton solves the one-order Jacobian
+of those modes bordered by the constraint row and the lambda column, one
+linear solve of p (K + 1) + 1 rows per iteration, and the tangent at an
+accepted state is one more solve of the same matrix.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, or when the branch re-enters a small
@@ -42,7 +43,6 @@ from .galerkin import (
     BranchState,
     GalerkinBasis,
     NonlinearitySpec,
-    h1_norm,
     make_state,
     residual_jacobian,
     trivial_branch_crossings,
@@ -104,15 +104,9 @@ class ContinuationError(RuntimeError):
         self.states = states
 
 
-def _fixed_modes(basis: GalerkinBasis) -> np.ndarray:
-    """The modes of order m = 0, which span the fixed space of the O(2)
-    about the pole."""
-    return np.array([i for i, (k, m) in enumerate(basis.modes) if m == 0])
-
-
-def _check_order_invariance(sub: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
+def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
     """Refuse a nonlinearity whose gradient leaves the m = 0 subspace, seen at
-    one fixed-seed random state of ``sub``, the basis of the m = 0 modes.
+    one fixed-seed random state of ``basis``, the basis of the m = 0 modes.
     The solver rests on that invariance: it solves on the m = 0 modes only,
     and a solution there solves the full system only when the residual has
     no part of order m != 0.  The state's ring values are tiled over the
@@ -122,9 +116,9 @@ def _check_order_invariance(sub: GalerkinBasis, nl: NonlinearitySpec, sig, lam: 
     from the standard library's generator: importing numpy.random would add
     several MB to the resident size of a run."""
     rng = random.Random(0)
-    c = np.array([[rng.gauss(0.0, 0.5) for _ in sub.modes] for _ in sig.a])
-    g = nl.grad(np.repeat(sub.evaluate(c), sub.quad_degree + 1, axis=-1), lam)
-    rings = g.reshape(*g.shape[:-1], -1, sub.quad_degree + 1)  # (p, theta, phi) of the full grid
+    c = np.array([[rng.gauss(0.0, 0.5) for _ in basis.modes] for _ in sig.a])
+    g = nl.grad(np.repeat(basis.evaluate(c), basis.quad_degree + 1, axis=-1), lam)
+    rings = g.reshape(*g.shape[:-1], -1, basis.quad_degree + 1)  # (p, theta, phi) of the full grid
     off, scale = np.max(np.abs(rings - rings[..., :1])), np.max(np.abs(g))
     if off > 1e-12 * scale:
         raise ValueError(
@@ -142,14 +136,19 @@ def continue_branch(
 ) -> BranchResult:
     """Trace the branch bifurcating at a trivial-branch crossing.
 
-    Raises ``ValueError`` when the crossing is not a singular value of the
-    trivial-branch linearization, when the restricted kernel is not
-    one-dimensional or its mode has m != 0, or when the nonlinearity does not
-    keep the m = 0 subspace invariant, and ``ContinuationError`` when the
-    corrector cannot converge even at the minimum step or the tangent solve
-    fails.
+    ``basis`` must be ``GalerkinBasis(K, orders=[0])``, the modes of order 0
+    and degree 0..K, and the states' coefficients are in that basis.
+
+    Raises ``ValueError`` when the basis is any other, when the crossing is
+    not a singular value of the trivial-branch linearization, when the
+    restricted kernel is not one-dimensional or its mode has m != 0, or when
+    the nonlinearity does not keep the m = 0 subspace invariant, and
+    ``ContinuationError`` when the corrector cannot converge even at the
+    minimum step or the tangent solve fails.
     """
     opts = opts or ContinuationOptions()
+    if basis.modes != tuple((k, 0) for k in range(basis.max_degree + 1)):
+        raise ValueError("continue_branch solves on the m = 0 modes: pass GalerkinBasis(K, orders=[0])")
     lam0 = Fraction(crossing)
     p = len(sig.a)
     crossings = {c.lam: c for c in trivial_branch_crossings(basis, sig, (lam0, lam0))}
@@ -165,16 +164,9 @@ def continue_branch(
     if m != 0:
         raise ValueError(f"kernel mode (k, m) = ({k}, {m}) has m != 0; the solver needs an m = 0 kernel")
     lam0f = float(lam0)
-    fixed = _fixed_modes(basis)
-    sub = basis.restrict(fixed)
-    _check_order_invariance(sub, nl, sig, lam0f)
-    k_pos = comp * sub.n_modes + sub.mode_index[(k, m)]
-    n_act = p * sub.n_modes
-
-    def embed(x: np.ndarray) -> np.ndarray:
-        full = np.zeros((p, basis.n_modes))
-        full[:, fixed] = x.reshape(p, sub.n_modes)
-        return full.ravel()
+    _check_order_invariance(basis, nl, sig, lam0f)
+    k_pos = comp * basis.n_modes + k
+    n_act = p * basis.n_modes
 
     def newton(x, lam, row, base, offset):
         """Solve R(x, lam) = 0 bordered by ``row . (z - base) = offset`` with
@@ -182,7 +174,7 @@ def continue_branch(
         evaluated there, or None in place of the matrix when the corrector
         does not converge."""
         for it in range(MAX_NEWTON_ITER + 1):
-            R, J, R_lam = residual_jacobian(sub, nl, sig, x, lam)
+            R, J, R_lam = residual_jacobian(basis, nl, sig, x, lam)
             border = np.dot(row[:n_act], x - base[:n_act]) + row[n_act] * (lam - base[n_act]) - offset
             F = np.append(R, border)
             M = np.empty((n_act + 1, n_act + 1))
@@ -230,7 +222,7 @@ def continue_branch(
         raise ContinuationError("failed to leave the trivial branch at the crossing", [])
 
     s_total = float(np.sqrt(np.dot(x, x) + (lam - lam0f) ** 2))
-    states = [make_state(basis, embed(x), lam, s_total)]
+    states = [make_state(basis, x, lam, s_total)]
     prev = np.concatenate([x, [lam]])
     first_dir = np.concatenate([x, [lam - lam0f]])
     first_dir /= np.linalg.norm(first_dir)
@@ -255,7 +247,7 @@ def continue_branch(
             continue
         z_new = np.concatenate([x, [lam]])
         s_total += float(np.linalg.norm(z_new - prev))
-        states.append(make_state(basis, embed(x), lam, s_total))
+        states.append(make_state(basis, x, lam, s_total))
         tangent = tangent_at(M, tangent)
         prev = z_new
         h = min(h * 1.4, MAX_STEP)

@@ -86,23 +86,32 @@ class GalerkinBasis:
     Parameters
     ----------
     max_degree : int
-        Largest harmonic degree K; the basis has (K+1)^2 modes.
+        Largest harmonic degree K.
+    orders : sequence of int, optional
+        The orders m held, a nonempty, strictly increasing run of integers in
+        [-K, K], each with every degree |m|..K.  ``None`` (the default) holds
+        every order, (K+1)^2 modes; ``orders=[0]`` is the K + 1 modes of
+        order 0, which span the fixed space of the O(2) about the pole.
 
     The basis keeps two small factors: ``legendre[m, k, i]``, the normalized
     Legendre function of degree k and order m at the i-th colatitude node,
     built and checked when first read, and ``longitude[m + M, j]``, which is
     1, sqrt(2) cos(m phi_j) or sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and
-    m < 0 at the QUAD_MARGIN * M + 1 longitudes, M = max |m| over the modes
-    held (K here, less after ``restrict``).  Mode Y_{k,m} is their outer
-    product.  The transforms and the Jacobian work from the factors; the
-    dense (n_modes, nodes) table ``values`` is formed only when read.
+    m < 0 at the QUAD_MARGIN * M + 1 longitudes, M = max |m| over the orders
+    held, so the basis of order 0 has one node per latitude ring.  Mode
+    Y_{k,m} is their outer product.  The transforms and the Jacobian work
+    from the factors; the dense (n_modes, nodes) table ``values`` is formed
+    only when read.
     """
 
-    def __init__(self, max_degree: int):
+    def __init__(self, max_degree: int, orders=None):
         K = int_from_json(max_degree)
         if K < 0:
             raise ValueError(f"max_degree must be nonnegative, got {K}")
-        self._build(K, tuple((k, m) for k in range(K + 1) for m in range(-k, k + 1)))
+        orders = [int_from_json(m) for m in (range(-K, K + 1) if orders is None else orders)]
+        if not orders or any(b <= a for a, b in zip(orders, orders[1:])) or max(map(abs, orders)) > K:
+            raise ValueError(f"orders must be a nonempty, strictly increasing run of integers in [{-K}, {K}]")
+        self._build(K, tuple((k, m) for k in range(K + 1) for m in orders if abs(m) <= k))
 
     def _build(self, K: int, modes: tuple[tuple[int, int], ...]) -> None:
         """The mode data, quadrature and longitude rows of ``modes``."""
@@ -152,20 +161,6 @@ class GalerkinBasis:
         colat, lon, slot = self._factors
         rows = colat.reshape(-1, colat.shape[2])[slot]
         return (rows[:, :, None] * lon[slot // colat.shape[1]][:, None, :]).reshape(self.n_modes, -1)
-
-    def restrict(self, keep) -> "GalerkinBasis":
-        """Degree K on the modes ``keep`` (strictly increasing indices into
-        ``modes``), with the quadrature and factors of their orders only: the
-        basis of the m = 0 modes has one node per latitude ring."""
-        keep = np.asarray(keep)
-        if keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iu":
-            raise ValueError("keep must be a nonempty sequence of integer mode indices")
-        keep = keep.astype(np.intp)  # so that differences of unsigned indices cannot wrap
-        if keep[0] < 0 or keep[-1] >= self.n_modes or np.any(np.diff(keep) <= 0):
-            raise ValueError(f"keep must be strictly increasing mode indices in [0, {self.n_modes})")
-        sub = object.__new__(GalerkinBasis)
-        sub._build(self.max_degree, tuple(self.modes[i] for i in keep))
-        return sub
 
     @property
     def n_modes(self) -> int:
@@ -293,8 +288,8 @@ class BranchState:
 def h1_norm(basis: GalerkinBasis, coeffs: np.ndarray) -> float:
     """Sobolev norm: squared coefficients weighted by (k(k+1) + 1)."""
     c = np.asarray(coeffs, dtype=float)
-    if c.size % basis.n_modes:
-        raise ValueError("coefficient vector length must be a multiple of the mode count")
+    if c.size == 0 or c.size % basis.n_modes:
+        raise ValueError("coefficient vector length must be a positive multiple of the mode count")
     blocks = c.reshape(-1, basis.n_modes)
     return float(np.sqrt(np.sum((basis.eigenvalues + 1.0) * blocks**2)))
 
@@ -422,12 +417,12 @@ def gradient_check(
     epsilon : float
         Central difference step, required in [1e-8, 1e-3].
     n_samples : int
-        Number of sampled coordinates, at least 1 (50 by default; capped at
-        the total coordinate count).
+        Number of sampled coordinates, an integer of at least 1 (50 by
+        default; capped at the total coordinate count).
     """
     if not (1e-8 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-8, 1e-3]")
-    if n_samples < 1:
+    if int_from_json(n_samples) < 1:
         raise ValueError("n_samples must be at least 1")
     r = residual_coeffs(basis, nl, sig, state.coeffs, state.lam)
     total = r.size
@@ -479,7 +474,10 @@ def trivial_branch_crossings(basis: GalerkinBasis, sig, window) -> tuple[Crossin
 def rotate_coeffs(basis: GalerkinBasis, coeffs: np.ndarray, angle: float) -> np.ndarray:
     """Coefficient action of the rotation u(theta, phi) -> u(theta, phi - angle):
     each ((k,m),(k,-m)) pair turns by m * angle.  Raises ``ValueError`` when
-    the basis holds a mode of order m != 0 without its twin of order -m."""
+    the basis holds a mode of order m != 0 without its twin of order -m, or
+    when the angle is not finite."""
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     for k, m in basis.modes:
         if m != 0 and (k, -m) not in basis.mode_index:
             raise ValueError(f"the basis lacks mode (k, m) = ({k}, {-m}), the twin of ({k}, {m})")

@@ -276,7 +276,7 @@ def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
 def criterion_10_branch_witness(seed=0) -> CriterionResult:
     """Axisymmetric branch from lambda = 2 grows to norm 1 and breaks symmetry."""
     t0 = time.perf_counter()
-    basis = GalerkinBasis(8)
+    basis = GalerkinBasis(8, orders=[0])
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((-1,))
     opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0, max_steps=500)

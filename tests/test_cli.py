@@ -706,7 +706,7 @@ def test_branch_solver_divergence_reports_partial_output(tmp_path, capsys, monke
     from torusbif.galerkin import GalerkinBasis, make_state
     import numpy as np
 
-    basis = GalerkinBasis(8)
+    basis = GalerkinBasis(8, orders=[0])
     partial = [make_state(basis, np.zeros(basis.n_modes), 2.0)]
 
     def explode(*args, **kwargs):

@@ -18,9 +18,12 @@ from torusbif import (
     residual_coeffs,
 )
 from torusbif import continuation
-from test_galerkin import analytic_lambda_column, dense_jacobian, lam_scaled_quartic, product_grid
+from test_galerkin import analytic_lambda_column, basis_on, dense_jacobian, lam_scaled_quartic, product_grid
 
-BASIS = GalerkinBasis(8)
+# the solver's basis, of the m = 0 modes, and the full basis the states are
+# checked on
+BASIS = GalerkinBasis(8, orders=[0])
+FULL = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
 NEG = SystemSignature((-1,))
 
@@ -29,6 +32,15 @@ def axisymmetric_opts(**kw):
     defaults = dict(isotropy_restriction="axisymmetric", target_norm=1.0, max_steps=500)
     defaults.update(kw)
     return ContinuationOptions(**defaults)
+
+
+def embed(full, coeffs):
+    # a state's m = 0 coefficients placed in the full basis, every other one 0.0
+    K = full.max_degree
+    c = np.asarray(coeffs, dtype=float).reshape(-1, K + 1)
+    out = np.zeros((c.shape[0], full.n_modes))
+    out[:, [full.mode_index[(k, 0)] for k in range(K + 1)]] = c
+    return out.ravel()
 
 
 # crossing and options of the two K = 8 fixtures
@@ -49,7 +61,7 @@ def constant_branch():
 
 
 # the branch-full benchmark config: unrestricted, K = 16, from lambda = 0 to norm 5
-FULL_K16 = (GalerkinBasis(16), 0, ContinuationOptions(target_norm=5))
+FULL_K16 = (GalerkinBasis(16, orders=[0]), 0, ContinuationOptions(target_norm=5))
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +92,10 @@ def dense_branch(basis, crossing, opts):
     # tangent solve the dense bordered matrix of dense_jacobian on every kept
     # mode (all of them when unrestricted), with every order coupled, under
     # the same step control and stop rule; it checks that the solver's
-    # m = 0 solve gives the solution of the whole system
-    keep = [i for i, (k, m) in enumerate(basis.modes) if opts.isotropy_restriction is None or m == 0]
-    sub = basis.restrict(keep)
+    # m = 0 solve gives the solution of the whole system.  States are full-
+    # basis coefficient vectors.
+    full = GalerkinBasis(basis.max_degree)
+    sub = full if opts.isotropy_restriction is None else basis
     n = sub.n_modes
     (kernel,) = [i for i, (k, m) in enumerate(sub.modes) if m == 0 and k * (k + 1) == crossing]
     e = np.eye(n + 1)
@@ -105,9 +118,8 @@ def dense_branch(basis, crossing, opts):
         return t / np.linalg.norm(t)
 
     def state(x, lam):
-        full = np.zeros(basis.n_modes)
-        full[keep] = x
-        return full, lam, h1_norm(basis, full)
+        c = x if sub is full else embed(full, x)
+        return c, lam, h1_norm(full, c)
 
     onset = continuation.ONSET_AMPLITUDE
     x, lam, M = newton(onset * e[kernel, :n], float(crossing), e[kernel], np.zeros(n + 1), onset)
@@ -140,10 +152,11 @@ def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
     factored = request.getfixturevalue(which)
     run = FULL_K16 if which == "full_K16_branch" else (BASIS, *RUNS[which])
     dense, outcome = dense_branch(*run)
+    full = GalerkinBasis(run[0].max_degree)
     assert outcome == factored.outcome
     assert len(dense) == len(factored.states)
     for got, (coeffs, lam, _) in zip(factored.states, dense):
-        assert np.max(np.abs(got.coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+        assert np.max(np.abs(embed(full, got.coeffs) - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
         assert math.isclose(got.lam, lam, rel_tol=1e-12)
 
 
@@ -231,28 +244,31 @@ def test_branch_reaches_target_without_returning(branch):
 
 def test_branch_states_are_solutions(branch):
     for st in branch.states:
-        r = residual_coeffs(BASIS, QUARTIC, NEG, st.coeffs, st.lam)
+        r = residual_coeffs(FULL, QUARTIC, NEG, embed(FULL, st.coeffs), st.lam)
         assert np.max(np.abs(r)) <= 1e-9
 
 
 def test_branch_states_stay_axisymmetric_and_nonconstant(branch):
-    m_nonzero = [i for i, (k, m) in enumerate(BASIS.modes) if m != 0]
+    # a state holds the coefficients of the m = 0 modes only
     for st in branch.states:
-        assert np.max(np.abs(st.coeffs[m_nonzero])) <= 1e-12
-        assert node_variance(BASIS, st.coeffs) > 1e-8 * st.h1_norm**2
+        assert st.coeffs.shape == (BASIS.n_modes,)
+        assert node_variance(FULL, embed(FULL, st.coeffs)) > 1e-8 * st.h1_norm**2
 
 
 def test_branch_norm_bookkeeping(branch):
+    # the norm over the K + 1 stored coefficients is the full-basis norm of
+    # the state up to the order of summation
     for st in branch.states:
         assert abs(st.h1_norm - h1_norm(BASIS, st.coeffs)) <= 1e-12
+        assert math.isclose(st.h1_norm, h1_norm(FULL, embed(FULL, st.coeffs)), rel_tol=4.4e-16)
 
 
 def test_branch_matches_one_mode_reduction(branch):
     # near onset lambda - 2 = gamma t^2 with gamma the quartic self-interaction
     # of the kernel mode, computed by quadrature
     kernel = BASIS.mode_index[(1, 0)]
-    y4 = BASIS.values[kernel] ** 4
-    gamma = BASIS.integrate(y4)
+    y4 = FULL.values[FULL.mode_index[(1, 0)]] ** 4
+    gamma = FULL.integrate(y4)
     assert math.isclose(gamma, 9 / (20 * math.pi), rel_tol=1e-12)
     checked = 0
     for st in branch.states:
@@ -330,16 +346,48 @@ def phi_quartic():
 
 
 @pytest.mark.parametrize(
-    "basis, crossing, restriction",
-    [(BASIS, 0, None), (BASIS, 2, "axisymmetric"), (BASIS.restrict(continuation._fixed_modes(BASIS)), 0, None)],
-    ids=["full", "axisymmetric", "restricted-caller"],
+    "crossing, restriction", [(0, None), (2, "axisymmetric")], ids=["full", "axisymmetric"]
 )
-def test_a_nonlinearity_that_reads_longitude_is_refused(basis, crossing, restriction):
-    # the check tiles the state over the full grid's longitudes, which it
-    # counts from K, so a caller's basis of the m = 0 modes is checked too
+def test_a_nonlinearity_that_reads_longitude_is_refused(crossing, restriction):
+    # the check tiles the state of the m = 0 basis over the full grid's
+    # longitudes, which it counts from K
     opts = ContinuationOptions(isotropy_restriction=restriction)
     with pytest.raises(ValueError, match="nonlinearity 'phi-quartic' does not keep the m = 0 subspace invariant"):
-        continue_branch(basis, phi_quartic(), NEG, crossing, opts)
+        continue_branch(BASIS, phi_quartic(), NEG, crossing, opts)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [FULL, GalerkinBasis(8, orders=[-1, 0, 1]), GalerkinBasis(8, orders=[1]), basis_on(8, BASIS.modes[:-1])],
+    ids=["full", "orders-1-0-1", "order-1", "m0-short-of-K"],
+)
+def test_a_basis_other_than_the_m0_modes_is_refused(basis):
+    with pytest.raises(ValueError, match=r"pass GalerkinBasis\(K, orders=\[0\]\)"):
+        continue_branch(basis, QUARTIC, NEG, 2, axisymmetric_opts())
+
+
+def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypatch):
+    # the CLI builds one basis, of the K + 1 modes of order 0, and
+    # continue_branch builds none
+    from torusbif.cli import main
+
+    built = []
+    build = GalerkinBasis._build
+
+    def recorded_build(basis, K, modes):
+        built.append((K, len(modes)))
+        return build(basis, K, modes)
+
+    monkeypatch.setattr(GalerkinBasis, "_build", recorded_build)
+    config = tmp_path / "branch.json"
+    galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8, "max_steps": 200}
+    config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
+    assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
+    assert built == [(8, 9)]
+    basis = GalerkinBasis(16, orders=[0])
+    built.clear()
+    continue_branch(basis, QUARTIC, NEG, *RUNS["branch"])
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -386,13 +434,14 @@ def test_unrestricted_K16_run_makes_one_bordered_solve_per_jacobian_and_is_pinne
 
 @pytest.mark.parametrize("which", ["constant_branch", "full_K16_branch"])
 def test_unrestricted_states_lie_in_the_m0_subspace_and_solve_the_full_system(request, which):
-    # the solver works on the m = 0 modes only: every other coefficient is
-    # exactly zero, and the state still solves the system on every mode
-    basis = FULL_K16[0] if which == "full_K16_branch" else BASIS
-    m_nonzero = [i for i, (k, m) in enumerate(basis.modes) if m != 0]
+    # the solver works on the m = 0 modes only and stores just their
+    # coefficients, and the state, with every other coefficient zero, still
+    # solves the system on every mode
+    K = FULL_K16[0].max_degree if which == "full_K16_branch" else 8
+    full = GalerkinBasis(K)
     for st in request.getfixturevalue(which).states:
-        assert not np.any(st.coeffs[m_nonzero])
-        r = residual_coeffs(basis, QUARTIC, NEG, st.coeffs, st.lam)
+        assert st.coeffs.shape == (K + 1,)
+        r = residual_coeffs(full, QUARTIC, NEG, embed(full, st.coeffs), st.lam)
         assert np.max(np.abs(r)) <= continuation.NEWTON_TOL
 
 

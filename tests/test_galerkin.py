@@ -70,10 +70,13 @@ def product_grid(K):
     return np.repeat(x, n_phi), np.tile(phi, n_theta)
 
 
-def with_orders(basis, orders):
-    if orders is None:
-        return basis
-    return basis.restrict([i for i, (k, m) in enumerate(basis.modes) if m in orders])
+def basis_on(K, modes):
+    # a basis of degree K on any modes, through the private builder, for the
+    # mode sets that no ``orders`` value gives (orders of different degrees,
+    # a degree gap) and for the one-order parts of such a basis
+    basis = object.__new__(GalerkinBasis)
+    basis._build(K, tuple(modes))
+    return basis
 
 
 @pytest.mark.parametrize("K", [0, 2, 4, 8, 24])
@@ -111,7 +114,7 @@ def test_basis_rejects_non_integers(kw):
 
 def test_restricted_basis_keeps_the_chosen_modes():
     keep = [i for i, (k, m) in enumerate(BASIS.modes) if m == 0]
-    sub = BASIS.restrict(keep)
+    sub = GalerkinBasis(8, orders=[0])
     assert sub.modes == tuple((k, 0) for k in range(9))
     assert sub.mode_index[(3, 0)] == 3
     # one node per latitude ring: each row is the full basis's row at phi = 0
@@ -128,20 +131,49 @@ def test_restricted_basis_keeps_the_chosen_modes():
 
 
 @pytest.mark.parametrize(
-    "keep",
-    [[-1, 3, 3], [4, 1], [2, 2], [0, 9], [], [0.0, 1.0], [True, False], [[0, 1]]],
+    "orders, message",
+    [
+        ([-3, 1, 1], "orders must be"),
+        ([1, 0], "orders must be"),
+        ([2, 2], "orders must be"),
+        ([0, 3], "orders must be"),
+        ([], "orders must be"),
+        ([0.0, 1.0], "expected an integer"),
+        ([True, False], "expected an integer"),
+        ([[0, 1]], "expected an integer"),
+    ],
     ids=["negative-repeated", "descending", "repeated", "past-end", "empty", "floats", "bools", "nested"],
 )
-def test_restrict_rejects_keep_that_is_not_an_increasing_run_of_mode_indices(keep):
-    basis = GalerkinBasis(2)
-    with pytest.raises(ValueError, match="keep must be"):
-        basis.restrict(keep)
+def test_basis_rejects_invalid_orders(orders, message):
+    with pytest.raises(ValueError, match=message):
+        GalerkinBasis(2, orders)
 
 
-def test_restrict_accepts_increasing_integer_indices():
-    basis = GalerkinBasis(2)
-    assert basis.restrict(np.array([0, 4, 8], dtype=np.uint8)).modes == ((0, 0), (2, -2), (2, 2))
-    assert basis.restrict(range(1, 4)).modes == ((1, -1), (1, 0), (1, 1))
+def test_basis_accepts_increasing_integer_orders():
+    assert GalerkinBasis(2, np.array([0, 2], dtype=np.uint8)).modes == ((0, 0), (1, 0), (2, 0), (2, 2))
+    assert GalerkinBasis(2, np.array([-2, 2], dtype=np.int8)).modes == ((2, -2), (2, 2))
+    assert GalerkinBasis(2, range(-1, 1)).modes == ((0, 0), (1, -1), (1, 0), (2, -1), (2, 0))
+    assert GalerkinBasis(2, None).modes == GalerkinBasis(2).modes == tuple(
+        (k, m) for k in range(3) for m in range(-k, k + 1)
+    )
+
+
+@pytest.mark.parametrize("K", [0, 8, 24])
+def test_basis_of_order_0_is_the_m0_modes_of_the_full_basis_bit_for_bit(K):
+    # the basis of order 0 equals the one built on the m = 0 modes picked
+    # from the full basis by index, in every array the solver reads
+    full = GalerkinBasis(K)
+    want = basis_on(K, [full.modes[i] for i, (k, m) in enumerate(full.modes) if m == 0])
+    got = GalerkinBasis(K, orders=[0])
+    assert got.modes == want.modes == tuple((k, 0) for k in range(K + 1))
+    assert got.n_modes == K + 1 and got.max_degree == K and got.quad_degree == want.quad_degree
+    rng = np.random.default_rng(K)
+    c = rng.standard_normal((2, K + 1))
+    f = rng.standard_normal((2, want.weights.size))
+    for name in ("weights", "longitude", "eigenvalues", "legendre"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.evaluate(c), want.evaluate(c))
+    assert np.array_equal(got.project(f), want.project(f))
 
 
 @pytest.mark.parametrize("K", [8, 24, 64])
@@ -190,7 +222,7 @@ def test_dense_table_is_formed_on_first_use_only():
     basis = GalerkinBasis(6)
     assert "values" not in vars(basis)
     keep = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
-    sub = basis.restrict(keep)
+    sub = GalerkinBasis(6, orders=[0])
     assert sub.values.shape == (7, 13)
     assert "values" not in vars(basis)
     assert np.array_equal(sub.values, basis.values[keep][:, :: basis.longitude.shape[1]])
@@ -198,17 +230,17 @@ def test_dense_table_is_formed_on_first_use_only():
 
 def axisymmetric_branch_peak(K):
     # the traced peak of an axisymmetric run from lambda = 2 to norm 1; it
-    # forms neither the dense table nor the Legendre table of the full basis
+    # forms no dense table and a Legendre table of order 0 only
     tracemalloc.start()
     try:
-        basis = GalerkinBasis(K)
+        basis = GalerkinBasis(K, orders=[0])
         opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
         result = continue_branch(basis, QUARTIC, NEG, 2, opts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis) and "legendre" not in vars(basis)
+    assert "values" not in vars(basis) and basis.legendre.shape == (1, K + 1, 2 * K + 1)
     return peak
 
 
@@ -238,7 +270,7 @@ DEGREE_GAP = ((0, 0), (3, 3), (5, 3))
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
 @pytest.mark.parametrize(
     "orders",
-    [None, (0,), (0, 3, -3), (0, 3), MIXED_DEGREES, DEGREE_GAP],
+    [None, (0,), (-3, 0, 3), (0, 3), MIXED_DEGREES, DEGREE_GAP],
     ids=["full", "m0", "m0+-3", "m0+3", "mixed-degrees", "degree-gap"],
 )
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
@@ -247,15 +279,14 @@ def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
     # Jacobian on the basis of each order present matches the dense one of
     # that basis: both sum the longitude row of the order against itself
     if orders in (MIXED_DEGREES, DEGREE_GAP):
-        full = GalerkinBasis(K)
-        basis = full.restrict([full.mode_index[km] for km in orders if km in full.mode_index])
+        basis = basis_on(K, [(k, m) for k, m in orders if k <= K])
     else:
-        basis = with_orders(GalerkinBasis(K), orders)
+        basis = GalerkinBasis(K, orders and [m for m in orders if abs(m) <= K])
     sig = SystemSignature(a)
     rng = np.random.default_rng(K + 100 * len(a))
     c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
     for rows in order_rows(basis).values():
-        one = basis.restrict(rows)
+        one = basis_on(K, [basis.modes[i] for i in rows])
         x = c[:, rows].ravel()
         R, J, R_lam = residual_jacobian(one, QUARTIC, sig, x, 1.3)
         R_ref, ref, R_lam_ref = dense_jacobian(one, QUARTIC, sig, x, 1.3)
@@ -299,7 +330,7 @@ def test_order_blocks_are_the_whole_jacobian_on_the_m0_subspace(K, a):
     for i in idx.values():
         off[np.ix_(i, i)] = 0.0
     assert np.max(np.abs(off)) <= 1e-13 * scale
-    _, J, _ = residual_jacobian(basis.restrict(m0), QUARTIC, sig, c[:, m0].ravel(), 1.3)
+    _, J, _ = residual_jacobian(GalerkinBasis(K, orders=[0]), QUARTIC, sig, c[:, m0].ravel(), 1.3)
     assert np.max(np.abs(J - block[0])) <= 1e-12 * scale
     fd = central_difference_jacobian(basis, QUARTIC, sig, c.ravel(), 1.3)
     assert np.max(np.abs(J - fd[np.ix_(idx[0], idx[0])])) <= 1e-8 * np.max(np.abs(fd))
@@ -309,8 +340,7 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
     # the Jacobian an unrestricted K = 32 run assembles, on the 33 m = 0
     # modes: 1089 entries (9 kB); the dense J of every mode would be 9.5 MB
     # and the dense table 73 MB
-    basis = GalerkinBasis(32)
-    sub = basis.restrict([i for i, (k, m) in enumerate(basis.modes) if m == 0])
+    sub = GalerkinBasis(32, orders=[0])
     c = 0.3 * np.random.default_rng(23).standard_normal(sub.n_modes)
     tracemalloc.start()
     try:
@@ -320,14 +350,14 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
         tracemalloc.stop()
     assert J.shape == (33, 33)
     assert peak < 30e6
-    assert "values" not in vars(basis) and "values" not in vars(sub)
+    assert "values" not in vars(sub)
 
 
 def test_unrestricted_branch_at_K16_never_forms_the_table():
-    basis = GalerkinBasis(16)
+    basis = GalerkinBasis(16, orders=[0])
     result = continue_branch(basis, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis) and "_factors" not in vars(basis) and "legendre" not in vars(basis)
+    assert "values" not in vars(basis) and basis.legendre.shape[0] == 1
 
 
 def test_harmonic_table_matches_legendre_formula():
@@ -419,6 +449,13 @@ def test_h1_norm_weights():
     assert math.isclose(h1_norm(BASIS, c), math.sqrt(7.0), rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("coeffs", [[], np.zeros(3), np.zeros(13)], ids=["empty", "short", "not-a-multiple"])
+def test_h1_norm_refuses_a_vector_that_is_not_whole_states(coeffs):
+    # an empty vector is no state, although 0 is a multiple of the mode count
+    with pytest.raises(ValueError, match="positive multiple of the mode count"):
+        h1_norm(GalerkinBasis(2), coeffs)
+
+
 # -- gradient consistency -----------------------------------------------------------
 
 
@@ -455,13 +492,12 @@ def central_difference_jacobian(basis, nl, sig, coeffs, lam):
 
 
 M0 = [i for i, (k, m) in enumerate(BASIS.modes) if m == 0]
-M3 = [i for i, (k, m) in enumerate(BASIS.modes) if m == 3]
-M0_BASIS = BASIS.restrict(M0)
+M0_BASIS = GalerkinBasis(8, orders=[0])
 
 
-@pytest.mark.parametrize("keep", [M3, M0], ids=["m3", "m0"])
-def test_jacobian_matches_central_differences(keep):
-    basis = BASIS.restrict(keep)
+@pytest.mark.parametrize("order", [3, 0], ids=["m3", "m0"])
+def test_jacobian_matches_central_differences(order):
+    basis = GalerkinBasis(8, orders=[order])
     sig = SystemSignature((1, -1))
     rng = np.random.default_rng(17)
     c = 0.5 * rng.standard_normal(2 * basis.n_modes)
@@ -471,12 +507,13 @@ def test_jacobian_matches_central_differences(keep):
     assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
-def restricted_and_full_residual(keep, n_phi):
-    # a state supported on the kept modes: the residual of the restricted
-    # coefficients, on the restricted basis's own longitude grid of n_phi
-    # nodes, and the full residual of the same state
+def restricted_and_full_residual(orders, n_phi):
+    # a state supported on the modes of the orders: the residual of the
+    # restricted coefficients, on the restricted basis's own longitude grid of
+    # n_phi nodes, and the full residual of the same state
     sig = SystemSignature((1, -1))
-    sub = BASIS.restrict(keep)
+    sub = GalerkinBasis(8, orders)
+    keep = [BASIS.mode_index[km] for km in sub.modes]
     assert sub.longitude.shape[1] == n_phi and mass_error(sub) <= 1e-12
     rng = np.random.default_rng(19)
     x = 0.5 * rng.standard_normal((2, sub.n_modes))
@@ -488,7 +525,7 @@ def restricted_and_full_residual(keep, n_phi):
 
 
 def test_restricted_residual_is_the_kept_part_of_the_full_one():
-    got, want = restricted_and_full_residual(M0, 1)
+    got, want = restricted_and_full_residual([0], 1)
     assert np.max(np.abs(got - want[:, M0])) <= 1e-13 * np.max(np.abs(want))
     # and nothing leaks out of the subspace: the quartic keeps m = 0 invariant
     assert np.max(np.abs(np.delete(want, M0, axis=1))) <= 1e-13 * np.max(np.abs(want))
@@ -499,7 +536,7 @@ def test_restricted_residual_of_orders_0_and_3_is_the_kept_part_of_the_full_one(
     # residual of its state also has parts of orders +-6 and +-9, so only
     # the kept part is compared
     keep = [i for i, (k, m) in enumerate(BASIS.modes) if m in (0, 3, -3)]
-    got, want = restricted_and_full_residual(keep, 13)
+    got, want = restricted_and_full_residual([-3, 0, 3], 13)
     assert np.max(np.abs(got - want[:, keep])) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -594,6 +631,13 @@ def test_gradient_check_requires_a_sample():
             gradient_check(BASIS, wrong, NEG, state, 1e-5, n_samples=n)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, "5"], ids=["bool", "float", "string"])
+def test_gradient_check_refuses_a_sample_count_that_is_not_an_integer(n):
+    state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
+    with pytest.raises(ValueError, match="expected an integer"):
+        gradient_check(BASIS, QUARTIC, NEG, state, 1e-5, n_samples=n)
+
+
 # -- crossings -----------------------------------------------------------------------
 
 
@@ -634,9 +678,15 @@ def test_rotation_is_orthogonal_and_periodic():
     assert np.max(np.abs(back - c)) <= 1e-12
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_rotation_refuses_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        rotate_coeffs(BASIS, np.ones(BASIS.n_modes), angle)
+
+
 @pytest.mark.parametrize("order", [3, -3])
 def test_rotation_refuses_a_basis_without_the_twin_order(order):
-    basis = with_orders(GalerkinBasis(4), (0, order))
+    basis = GalerkinBasis(4, sorted((0, order)))
     missing = rf"lacks mode \(k, m\) = \(3, {-order}\), the twin of \(3, {order}\)"
     with pytest.raises(ValueError, match=missing):
         rotate_coeffs(basis, np.ones(basis.n_modes), 0.5)
