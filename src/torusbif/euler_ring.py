@@ -21,19 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .jsonio import int_from_json
-from .weights import SubgroupId, _merge_sorted
+from .weights import SubgroupId, _check_ranks, _merge_sorted
 
 Codim1 = tuple[tuple[SubgroupId, int], ...]
-
-
-def _check_ranks(a: Codim1, b: Codim1) -> None:
-    """Raise unless the first ids of two normalized parts have one rank;
-    parts are sorted by (rank, coords), so a part's first id has its lowest
-    rank."""
-    if a and b:
-        r, s = a[0][0].sort_key[0], b[0][0].sort_key[0]
-        if r != s:
-            raise ValueError(f"rank mismatch: {min(r, s)} vs {max(r, s)}")
 
 
 def _sort_key(hc):
@@ -95,7 +85,7 @@ def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
     return x
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EulerRingElement:
     """Truncated element u*I + sum_mu c_mu * [T/H_mu].
 
@@ -106,7 +96,7 @@ class EulerRingElement:
 
     unit: int
     codim1: Codim1
-    _coeffs: dict[SubgroupId, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _coeffs: dict[SubgroupId, int] | None = field(default=None, init=False, repr=False)
 
     def __init__(self, unit: int = 0, codim1=()):
         _set_unit(self, int_from_json(unit))
@@ -116,6 +106,14 @@ class EulerRingElement:
     @classmethod
     def generator(cls, h: SubgroupId) -> "EulerRingElement":
         return cls(0, ((h, 1),))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not EulerRingElement:
+            return NotImplemented
+        return self.unit == other.unit and self.codim1 == other.codim1
+
+    def __hash__(self) -> int:
+        return hash((self.unit, self.codim1))
 
     # -- queries ------------------------------------------------------------
 
@@ -133,11 +131,21 @@ class EulerRingElement:
 
     # -- module structure ----------------------------------------------------
 
+    # __add__ and __mul__ carry criterion 07, so they write the three slots
+    # themselves instead of calling _element, and call _check_ranks only to
+    # raise, once the first ids differ in rank.
+
     def __add__(self, other: "EulerRingElement") -> "EulerRingElement":
         if other.__class__ is not EulerRingElement:
             return NotImplemented
-        _check_ranks(self.codim1, other.codim1)
-        return _element(self.unit + other.unit, _combine(self.codim1, 1, other.codim1, 1))
+        a, b = self.codim1, other.codim1
+        if a and b and a[0][0].sort_key[0] != b[0][0].sort_key[0]:
+            _check_ranks(a, b)
+        out = object.__new__(EulerRingElement)
+        _set_unit(out, self.unit + other.unit)
+        _set_codim1(out, _combine(a, 1, b, 1))
+        _set_coeffs(out, None)
+        return out
 
     def __neg__(self) -> "EulerRingElement":
         return _element(-self.unit, _scale(self.codim1, -1))
@@ -157,10 +165,16 @@ class EulerRingElement:
         if other.__class__ is not EulerRingElement:
             return self.scaled(other) if isinstance(other, int) else NotImplemented
         a, b = self.codim1, other.codim1
-        _check_ranks(a, b)
+        if a and b and a[0][0].sort_key[0] != b[0][0].sort_key[0]:
+            _check_ranks(a, b)
+        s, t = self.unit, other.unit
         # products of two codimension-one classes have no unit or
         # codimension-one part, so only the cross terms with the units remain
-        return _element(self.unit * other.unit, _combine(a, other.unit, b, self.unit))
+        out = object.__new__(EulerRingElement)
+        _set_unit(out, s * t)
+        _set_codim1(out, _combine(a, t, b, s))
+        _set_coeffs(out, None)
+        return out
 
     def __rmul__(self, other) -> "EulerRingElement":
         if isinstance(other, int):
@@ -207,7 +221,7 @@ class EulerRingElement:
 
 
 # Writers of the three slots that bypass the frozen __setattr__; only
-# __init__, _element and the lazy coefficient map use them.
+# __init__, _element, __add__, __mul__ and the lazy coefficient map use them.
 _set_unit = EulerRingElement.unit.__set__
 _set_codim1 = EulerRingElement.codim1.__set__
 _set_coeffs = EulerRingElement._coeffs.__set__

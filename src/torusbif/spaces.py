@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .jsonio import frac_from_json, frac_to_json, int_from_json
-from .weights import RestrictedWeight, SubgroupId, _merge_sorted
+from .weights import RestrictedWeight, SubgroupId, _check_ranks, _merge_sorted
 
 # ---------------------------------------------------------------------------
 # torus representation data
@@ -40,7 +40,7 @@ from .weights import RestrictedWeight, SubgroupId, _merge_sorted
 @dataclass(frozen=True)
 class TorusRepDecomposition:
     """Multiplicities of a real torus representation: k0 trivial lines plus
-    k_mu rotation planes for each canonical weight mu."""
+    k_mu rotation planes for each canonical weight mu, all of one rank."""
 
     k0: int
     mults: tuple[tuple[SubgroupId, int], ...]
@@ -54,6 +54,7 @@ class TorusRepDecomposition:
             raise ValueError("plane multiplicities must be positive")
         if len({h for h, _ in items}) != len(items):
             raise ValueError("duplicate weight id in decomposition")
+        _check_ranks(items, items[-1:])  # lowest rank against highest
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "mults", items)
 
@@ -74,7 +75,8 @@ class TorusRepDecomposition:
 
     def __add__(self, other: "TorusRepDecomposition") -> "TorusRepDecomposition":
         # both sides are validated, so the merge is sorted, positive and free
-        # of duplicates: it skips __post_init__
+        # of duplicates: it skips __post_init__ once the ranks agree
+        _check_ranks(self.mults, other.mults)
         out = object.__new__(TorusRepDecomposition)
         out.__dict__.update(k0=self.k0 + other.k0, mults=_merge_sorted(self.mults, 1, other.mults, 1))
         return out

@@ -96,6 +96,16 @@ class SubgroupId:
         return {"H": self.canonical.to_json()}
 
 
+def _check_ranks(a, b) -> None:
+    """Raise unless the first ids of two sequences of (SubgroupId, count)
+    pairs sorted by ``sort_key`` have one rank; ``sort_key`` leads with the
+    rank, so a sequence's first id has its lowest rank."""
+    if a and b:
+        r, s = a[0][0].sort_key[0], b[0][0].sort_key[0]
+        if r != s:
+            raise ValueError(f"rank mismatch: {min(r, s)} vs {max(r, s)}")
+
+
 def _merge_sorted(a, s: int, b, t: int) -> tuple:
     """s*a + t*b for nonzero s, t and two sequences of (SubgroupId, nonzero
     count) pairs sorted by ``sort_key`` with unique ids, merged in one pass.

@@ -48,6 +48,19 @@ def test_euler_axiom_cases_are_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == EULER_CASE_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(EULER_CASE_DIGESTS))
+def test_euler_axiom_cases_are_normalized(seed):
+    # the cases skip the public constructor; they must be what it would build
+    for x, y, z, u in selftest._euler_cases(seed):
+        assert u.codim1 is x.codim1
+        for e in (x, y, z, u):
+            public = EulerRingElement(e.unit, e.codim1[::-1])
+            assert e == public and repr(e) == repr(public)
+            keys = [h.sort_key for h, _ in e.codim1]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(c for _, c in e.codim1)
+
+
 # Faults for criterion 07, each a thin wrapper around a real method and each
 # built to break one law only, so that a criterion that stopped checking that
 # law would pass under it.  The two bilinear faults add omega(x, y) * [H_E],
@@ -55,7 +68,9 @@ def test_euler_axiom_cases_are_pinned(seed):
 # sum of the codimension-one coefficients of x at ids whose k-th coordinate is
 # odd.  omega is alternating and vanishes on H_E, so x + (-x), x * x^(-1) and
 # products with UNIT are unchanged, and so is the associativity of the
-# product.
+# product.  The two equality faults keep every law true, since each law is
+# checked with !=; only the criterion's negative control, x + UNIT == x,
+# can fail under them.
 H_E = canonicalize(RestrictedWeight((2, 0)))
 
 
@@ -100,6 +115,22 @@ def _wrong_inverse(inverse):
     return faulty
 
 
+def _always_equal(eq):
+    def faulty(x, y):
+        return True if y.__class__ is EulerRingElement else eq(x, y)
+
+    return faulty
+
+
+def _ignores_unit(eq):
+    def faulty(x, y):
+        if y.__class__ is not EulerRingElement:
+            return eq(x, y)
+        return eq(x - UNIT.scaled(x.unit), y - UNIT.scaled(y.unit))
+
+    return faulty
+
+
 @pytest.mark.parametrize(
     "method, fault",
     [
@@ -107,8 +138,10 @@ def _wrong_inverse(inverse):
         ("__mul__", _non_associative),
         ("__add__", _non_distributive),
         ("inverse", _wrong_inverse),
+        ("__eq__", _always_equal),
+        ("__eq__", _ignores_unit),
     ],
-    ids=["non-commutative", "non-associative", "non-distributive", "wrong-inverse"],
+    ids=["non-commutative", "non-associative", "non-distributive", "wrong-inverse", "always-equal", "ignores-unit"],
 )
 def test_euler_axioms_catch_a_broken_law(monkeypatch, method, fault):
     monkeypatch.setattr(EulerRingElement, method, fault(getattr(EulerRingElement, method)))

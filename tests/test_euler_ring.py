@@ -124,6 +124,23 @@ def test_sum_of_different_ranks_is_rejected():
     assert UNIT + EulerRingElement.generator(H1) == el(1, ((H1, 1),))
 
 
+UNITS = (0, 1, -1, 3)
+RING_OPS = {"mul": lambda a, b: a * b, "add": lambda a, b: a + b}
+
+
+@pytest.mark.parametrize("op", RING_OPS.values(), ids=RING_OPS.keys())
+@pytest.mark.parametrize("s", UNITS)
+@pytest.mark.parametrize("t", UNITS)
+def test_rank_check_holds_for_every_unit_pattern(op, s, t):
+    low, high = el(s, ((H1, 2),)), el(t, ((H10, -1), (H11, 4)))
+    for a, b in ((low, high), (high, low)):
+        with pytest.raises(ValueError, match=r"^rank mismatch: 1 vs 2$"):
+            op(a, b)
+        # an empty part has no rank to mismatch
+        op(a, el(b.unit))
+        op(el(a.unit), b)
+
+
 @pytest.mark.parametrize(
     "codim1",
     [((H1, 1), (H10, 1)), ((H11, 2), (H2, -1), (H01, 1)), {H10: 1, H1: 1}],
@@ -132,6 +149,26 @@ def test_sum_of_different_ranks_is_rejected():
 def test_constructor_rejects_ids_of_two_ranks(codim1):
     with pytest.raises(ValueError, match="rank mismatch: 1 vs 2"):
         el(1, codim1)
+
+
+@pytest.mark.parametrize(
+    "mults",
+    [((H1, 1), (H10, 2)), ((H11, 2), (H2, 1), (H01, 1)), ((H10, 1), (H1, 3))],
+    ids=["pair", "interleaved", "high-first"],
+)
+def test_decomposition_rejects_ids_of_two_ranks(mults):
+    with pytest.raises(ValueError, match=r"^rank mismatch: 1 vs 2$"):
+        TorusRepDecomposition(1, mults)
+
+
+def test_decomposition_sum_rejects_ids_of_two_ranks():
+    low, high = TorusRepDecomposition(0, ((H1, 1),)), TorusRepDecomposition(0, ((H10, 1),))
+    for a, b in ((low, high), (high, low)):
+        with pytest.raises(ValueError, match=r"^rank mismatch: 1 vs 2$"):
+            a + b
+    # an empty part has no rank to mismatch
+    assert (TorusRepDecomposition(2, ()) + low).mults == low.mults
+    assert (high + TorusRepDecomposition(2, ())).mults == high.mults
 
 
 # -- coefficient extraction -----------------------------------------------------
