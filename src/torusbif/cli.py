@@ -290,7 +290,7 @@ def run_exact(command: str, raw: dict, base_dir, fmt: str, out=None) -> tuple[st
 # ---------------------------------------------------------------------------
 
 
-def branch_csv(basis, sig: SystemSignature, states) -> str:
+def branch_csv(basis, states) -> str:
     import numpy as np
 
     from .continuation import NEWTON_TOL
@@ -366,7 +366,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
             "arclength": float(states[-1].arclength),
         },
     }
-    csv_text = branch_csv(basis, sig, states)
+    csv_text = branch_csv(basis, states)
     summary_text = canonical_dumps(summary)
     if out:
         _emit(csv_text, out)

@@ -17,8 +17,8 @@ So the solver takes the basis of the m = 0 modes,
 ``GalerkinBasis(K, orders=[0])``, whatever the restriction, and works and
 stores its states there: ``BranchState.coeffs`` holds p (K + 1)
 coefficients.  The kernel is still counted over every mode of the full
-problem, through ``Crossing.modes``.  Newton solves the one-order Jacobian
-of those modes bordered by the constraint row and the lambda column, one
+problem, through ``Crossing.modes``.  Newton solves the Jacobian of those
+modes bordered by the constraint row and the lambda column, one
 linear solve of p (K + 1) + 1 rows per iteration, and the tangent at an
 accepted state is one more solve of the same matrix.
 

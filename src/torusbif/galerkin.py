@@ -99,9 +99,9 @@ class GalerkinBasis:
     1, sqrt(2) cos(m phi_j) or sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and
     m < 0 at the QUAD_MARGIN * M + 1 longitudes, M = max |m| over the orders
     held, so the basis of order 0 has one node per latitude ring.  Mode
-    Y_{k,m} is their outer product.  The transforms and the Jacobian work
-    from the factors; the dense (n_modes, nodes) table ``values`` is formed
-    only when read.
+    Y_{k,m} is their outer product, a row of the dense (n_modes, nodes) table
+    ``values`` that the transforms and the Jacobian read; it is formed on
+    first use.
     """
 
     def __init__(self, max_degree: int, orders=None):
@@ -137,30 +137,14 @@ class GalerkinBasis:
         return P
 
     @cached_property
-    def _factors(self):
-        """Index data of the factored transforms, for the modes of this
-        basis.  ``colat[b]`` is the Legendre table's block ``legendre[|m|]``
-        of the b-th order m present, the orders ascending; its rows k < |m|
-        are zero, so every block is K + 1 rows wide and a transform over every
-        order is one batched product.  ``lon[b]`` is the longitude row of
-        order b, and ``slot[mode]`` the mode's flat row ``b * (K + 1) + k`` in
-        ``colat``."""
-        degree = np.array([k for k, _ in self.modes])
-        order = np.array([m for _, m in self.modes])
-        orders = np.array(sorted(set(order.tolist())))
-        colat = self.legendre[np.abs(orders)]
-        lon = self.longitude[orders + self.longitude.shape[0] // 2]
-        slot = np.searchsorted(orders, order) * (self.max_degree + 1) + degree
-        return colat, lon, slot
-
-    @cached_property
     def values(self) -> np.ndarray:
-        """Dense table Y_{k,m}(node), one row per mode of this basis.  No
-        computation reads it; it serves as a reference for the factored
-        transforms."""
-        colat, lon, slot = self._factors
-        rows = colat.reshape(-1, colat.shape[2])[slot]
-        return (rows[:, :, None] * lon[slot // colat.shape[1]][:, None, :]).reshape(self.n_modes, -1)
+        """Dense table Y_{k,m}(node), one row per mode of this basis, formed on
+        first read: row (k, m) is ``legendre[|m|, k]`` times ``longitude[m + M]``,
+        nodes colatitude major.  Every transform and the Jacobian read it."""
+        k, m = np.array(self.modes).T
+        rows = self.legendre[np.abs(m), k]
+        lon = self.longitude[m + self.longitude.shape[0] // 2]
+        return (rows[:, :, None] * lon[:, None, :]).reshape(self.n_modes, -1)
 
     @property
     def n_modes(self) -> int:
@@ -170,28 +154,12 @@ class GalerkinBasis:
         return float(np.dot(node_values, self.weights))
 
     def project(self, node_values: np.ndarray) -> np.ndarray:
-        """Coefficients <f, Y_{k,m}> of nodal data, rows broadcast over modes:
-        a sum over longitude for each order present, then over colatitude,
-        every order in one batched product."""
-        colat, lon, slot = self._factors
-        f = np.asarray(node_values) * self.weights
-        by_order = f.reshape(-1, colat.shape[2], lon.shape[1]) @ lon.T  # (row, theta, order)
-        padded = by_order.transpose(2, 0, 1) @ colat.transpose(0, 2, 1)  # (order, row, width)
-        out = padded.transpose(1, 0, 2).reshape(by_order.shape[0], -1)[:, slot]
-        return out.reshape(f.shape[:-1] + (slot.size,))
+        """Coefficients <f, Y_{k,m}> of nodal data, rows broadcast over modes."""
+        return (np.asarray(node_values) * self.weights) @ self.values.T
 
     def evaluate(self, coeffs_block: np.ndarray) -> np.ndarray:
-        """Nodal values of sum c_{k,m} Y_{k,m}; accepts (..., n_modes).  A sum
-        over degree within each order, every order in one batched product,
-        then over order."""
-        colat, lon, slot = self._factors
-        c = np.asarray(coeffs_block)
-        flat = c.reshape(-1, slot.size)
-        padded = np.zeros((flat.shape[0], colat.shape[0] * colat.shape[1]))
-        padded[:, slot] = flat
-        padded = padded.reshape(flat.shape[0], *colat.shape[:2]).transpose(1, 0, 2)  # (order, row, width)
-        by_order = padded @ colat  # (order, row, theta)
-        return (by_order.transpose(1, 2, 0) @ lon).reshape(c.shape[:-1] + (-1,))
+        """Nodal values of sum c_{k,m} Y_{k,m}; accepts (..., n_modes)."""
+        return np.asarray(coeffs_block) @ self.values
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +332,23 @@ def residual_jacobian(
     """The residual R, its Jacobian J and its lam-derivative R_lam at
     (coeffs, lam), from one transform of the state.
 
-    The basis must hold a single order m, and ``ValueError`` names the orders
-    of any other basis.  J is the diagonal linear part minus the quadrature
-    Gram of the pointwise Hessian, coefficients ordered component by
-    component as in R.  The Gram sums the weighted Hessian against one
-    longitude row twice, so it needs only T[theta] = sum_phi L_m^2 w H, and
-    then -(C T) C^T per component pair, where C holds the colatitude rows of
-    the modes, read through ``slot``: O(n^2 n_theta) for the n modes.
-    ``continuation.continue_branch`` calls this on the basis of the m = 0
-    modes, whose one node per ring makes the sum over phi a single term.
+    J is the diagonal linear part minus the quadrature Gram of the pointwise
+    Hessian, -(V * w H_ij) @ V^T per component pair with V the dense table
+    ``values``, coefficients ordered component by component as in R: O(n^2
+    nodes) for the n modes.  ``continuation.continue_branch`` calls this on
+    the basis of the m = 0 modes, whose table is its Legendre rows.
     R_lam = -c - P(D), where D is the central difference of grad in lam at
     the nodes, with step 1e-6 max(1, |lam|); when D is zero, that is when
     grad does not read lam, the projection is skipped, and R_lam = -c
     exactly."""
-    colat, lon, slot = basis._factors
-    if len(lon) != 1:
-        orders = sorted({m for _, m in basis.modes})
-        raise ValueError(f"residual_jacobian needs a basis of one order, got orders {orders}")
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = _coeff_blocks(basis, sig, coeffs)
     u = basis.evaluate(c)
     R = _residual_at(basis, nl, sig, c, u, lam)
     Hw = nl.hess(u, lam) * basis.weights  # (p, p, nodes), quadrature-weighted
-    C = colat.reshape(-1, colat.shape[2])[slot]  # (n, theta), the colatitude rows of the modes
-    T = (Hw.reshape(p, p, C.shape[1], -1) @ (lon**2).T)[..., 0]  # (p, p, theta)
-    gram = (C * T[:, :, None, :]) @ C.T  # (p, p, n, n)
+    V = basis.values
+    gram = (V * Hw[:, :, None, :]) @ V.T  # (p, p, n, n)
     J = -gram.swapaxes(1, 2).reshape(p * n, p * n)
     J.flat[:: p * n + 1] -= (a[:, None] * basis.eigenvalues[None, :] + lam).ravel()
     step = 1e-6 * max(1.0, abs(lam))

@@ -39,8 +39,9 @@ def mass_error(basis):
 
 def dense_jacobian(basis, nl, sig, coeffs, lam):
     # reference: the residual, the Gram blocks through the dense (modes, nodes)
-    # table, the formula the factored assembly replaced, and the lambda column
-    # -c - P(D) with D the central difference of grad in lambda
+    # table one component pair at a time, the lower blocks as transposes of
+    # the upper ones, and the lambda column -c - P(D) with D the central
+    # difference of grad in lambda
     a = np.asarray(sig.a, dtype=float)
     p, n = a.size, basis.n_modes
     c = np.asarray(coeffs, dtype=float).reshape(p, n)
@@ -61,10 +62,11 @@ def dense_jacobian(basis, nl, sig, coeffs, lam):
     return residual_coeffs(basis, nl, sig, coeffs, lam), J, R_lam.ravel()
 
 
-def product_grid(K):
-    # the nodes (cos theta, phi) of the full basis's product rule, in its node
-    # order: colatitude major, longitude minor
-    n_theta, n_phi = galerkin.QUAD_MARGIN * K // 2 + 1, galerkin.QUAD_MARGIN * K + 1
+def product_grid(K, M=None):
+    # the nodes (cos theta, phi) of the product rule of a degree-K basis whose
+    # largest |m| is M (K by default, the full basis), in its node order:
+    # colatitude major, longitude minor
+    n_theta, n_phi = galerkin.QUAD_MARGIN * K // 2 + 1, galerkin.QUAD_MARGIN * (K if M is None else M) + 1
     x, _ = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     return np.repeat(x, n_phi), np.tile(phi, n_theta)
@@ -122,12 +124,10 @@ def test_restricted_basis_keeps_the_chosen_modes():
     assert np.array_equal(sub.eigenvalues, BASIS.eigenvalues[keep])
     assert sub.weights.size == 17 and sub.quad_degree == BASIS.quad_degree
     assert BASIS.n_modes == 81 and mass_error(sub) <= 1e-12
-    # the factors of the parent basis are not inherited: the axisymmetric
-    # basis holds the single order m = 0
-    colat, lon, slot = sub._factors
-    assert colat.shape[:2] == (1, 9) and lon.shape[0] == 1
-    assert np.array_equal(slot, np.arange(9))
-    assert np.array_equal(lon[0], np.ones(lon.shape[1]))
+    # the axisymmetric basis holds the single order m = 0: one longitude, so
+    # its table is its Legendre block of order 0
+    assert np.array_equal(sub.longitude, np.ones((1, 1)))
+    assert np.array_equal(sub.values, sub.legendre[0])
 
 
 @pytest.mark.parametrize(
@@ -228,9 +228,16 @@ def test_dense_table_is_formed_on_first_use_only():
     assert np.array_equal(sub.values, basis.values[keep][:, :: basis.longitude.shape[1]])
 
 
+def only_m0_table(basis):
+    # the basis formed the (K + 1, 2K + 1) table of the m = 0 modes, one node
+    # per ring, and a Legendre table of order 0 only
+    K = basis.max_degree
+    return vars(basis)["values"].shape == (K + 1, 2 * K + 1) and basis.legendre.shape == (1, K + 1, 2 * K + 1)
+
+
 def axisymmetric_branch_peak(K):
-    # the traced peak of an axisymmetric run from lambda = 2 to norm 1; it
-    # forms no dense table and a Legendre table of order 0 only
+    # the traced peak of an axisymmetric run from lambda = 2 to norm 1; the
+    # only tables it forms are those of the m = 0 modes
     tracemalloc.start()
     try:
         basis = GalerkinBasis(K, orders=[0])
@@ -240,7 +247,7 @@ def axisymmetric_branch_peak(K):
     finally:
         tracemalloc.stop()
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis) and basis.legendre.shape == (1, K + 1, 2 * K + 1)
+    assert only_m0_table(basis)
     return peak
 
 
@@ -275,35 +282,23 @@ DEGREE_GAP = ((0, 0), (3, 3), (5, 3))
 )
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 def test_factored_transforms_and_jacobian_match_the_dense_table(K, orders, a):
-    # the transforms on a basis of any orders match the dense table, and the
-    # Jacobian on the basis of each order present matches the dense one of
-    # that basis: both sum the longitude row of the order against itself
+    # on a basis of any orders the table matches the Legendre formula on the
+    # basis's own grid, and the Jacobian of the whole basis matches the dense
+    # one assembled pair by pair
     if orders in (MIXED_DEGREES, DEGREE_GAP):
         basis = basis_on(K, [(k, m) for k, m in orders if k <= K])
     else:
         basis = GalerkinBasis(K, orders and [m for m in orders if abs(m) <= K])
+    x, phi = product_grid(K, max(abs(m) for _, m in basis.modes))
+    for i, (k, m) in enumerate(basis.modes):
+        assert np.max(np.abs(basis.values[i] - reference_harmonic(k, m, x, phi))) <= 1e-12, (k, m)
     sig = SystemSignature(a)
-    rng = np.random.default_rng(K + 100 * len(a))
-    c = 0.5 * rng.standard_normal((len(a), basis.n_modes))
-    for rows in order_rows(basis).values():
-        one = basis_on(K, [basis.modes[i] for i in rows])
-        x = c[:, rows].ravel()
-        R, J, R_lam = residual_jacobian(one, QUARTIC, sig, x, 1.3)
-        R_ref, ref, R_lam_ref = dense_jacobian(one, QUARTIC, sig, x, 1.3)
-        assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(R, R_ref)
-        assert np.array_equal(R_lam, R_lam_ref)
-    u = c @ basis.values
-    assert np.max(np.abs(basis.evaluate(c) - u)) <= 1e-13 * np.max(np.abs(u))
-    f = rng.standard_normal((len(a), basis.weights.size))
-    proj = (f * basis.weights) @ basis.values.T
-    assert np.max(np.abs(basis.project(f) - proj)) <= 1e-13 * np.max(np.abs(proj))
-
-
-def test_jacobian_refuses_a_basis_of_more_than_one_order():
-    basis = GalerkinBasis(2)
-    with pytest.raises(ValueError, match=r"one order, got orders \[-2, -1, 0, 1, 2\]"):
-        residual_jacobian(basis, QUARTIC, NEG, np.zeros(basis.n_modes), 1.0)
+    c = 0.5 * np.random.default_rng(K + 100 * len(a)).standard_normal(len(a) * basis.n_modes)
+    R, J, R_lam = residual_jacobian(basis, QUARTIC, sig, c, 1.3)
+    R_ref, ref, R_lam_ref = dense_jacobian(basis, QUARTIC, sig, c, 1.3)
+    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(R, R_ref)
+    assert np.array_equal(R_lam, R_lam_ref)
 
 
 @pytest.mark.parametrize("a", [(-1,), (1, -1)], ids=["p1", "p2"])
@@ -350,14 +345,14 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
         tracemalloc.stop()
     assert J.shape == (33, 33)
     assert peak < 30e6
-    assert "values" not in vars(sub)
+    assert only_m0_table(sub)
 
 
 def test_unrestricted_branch_at_K16_never_forms_the_table():
     basis = GalerkinBasis(16, orders=[0])
     result = continue_branch(basis, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
     assert result.outcome == "reached_target"
-    assert "values" not in vars(basis) and basis.legendre.shape[0] == 1
+    assert only_m0_table(basis)
 
 
 def test_harmonic_table_matches_legendre_formula():
@@ -413,12 +408,10 @@ def test_constant_mode_cubic_residual_matches_exact_integral():
 
 @pytest.mark.parametrize("fn", [residual_coeffs, residual_jacobian, energy], ids=lambda fn: fn.__name__)
 def test_residual_rejects_wrong_length(fn):
-    # one check for every function that takes a state; the Jacobian needs a
-    # basis of one order
-    basis = M0_BASIS if fn is residual_jacobian else BASIS
-    expected = 2 * basis.n_modes
+    # one check for every function that takes a state
+    expected = 2 * BASIS.n_modes
     with pytest.raises(ValueError, match=rf"wrong length \(expected {expected}\)"):
-        fn(basis, QUARTIC, SystemSignature((-1, -1)), np.zeros(basis.n_modes), 1.0)
+        fn(BASIS, QUARTIC, SystemSignature((-1, -1)), np.zeros(BASIS.n_modes), 1.0)
 
 
 def test_underresolved_quadrature_is_rejected():
@@ -495,9 +488,9 @@ M0 = [i for i, (k, m) in enumerate(BASIS.modes) if m == 0]
 M0_BASIS = GalerkinBasis(8, orders=[0])
 
 
-@pytest.mark.parametrize("order", [3, 0], ids=["m3", "m0"])
-def test_jacobian_matches_central_differences(order):
-    basis = GalerkinBasis(8, orders=[order])
+@pytest.mark.parametrize("K, orders", [(8, [3]), (8, [0]), (4, None)], ids=["m3", "m0", "full-K4"])
+def test_jacobian_matches_central_differences(K, orders):
+    basis = GalerkinBasis(K, orders)
     sig = SystemSignature((1, -1))
     rng = np.random.default_rng(17)
     c = 0.5 * rng.standard_normal(2 * basis.n_modes)
