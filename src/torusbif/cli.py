@@ -174,7 +174,8 @@ def _spectrum_csv(run: Run) -> list[str]:
     lines = [",".join(header)]
     for lv in run.result:
         row = [lv.eigenvalue.numerator, lv.eigenvalue.denominator, ";".join(str(a) for a in lv.alphas)]
-        row += [lv.real_dim, lv.torus_decomp.k0, *(lv.torus_decomp.multiplicity(h) for h in ids)]
+        mults = dict(lv.torus_decomp.mults)  # the columns span every id of the range
+        row += [lv.real_dim, lv.torus_decomp.k0, *(mults.get(h, 0) for h in ids)]
         lines.append(",".join(map(str, row)))
     return lines
 
@@ -290,11 +291,12 @@ def run_exact(command: str, raw: dict, base_dir, fmt: str, out=None) -> tuple[st
 # ---------------------------------------------------------------------------
 
 
-def branch_csv(basis, states) -> str:
+def branch_csv(result) -> str:
     import numpy as np
 
     from .continuation import NEWTON_TOL
 
+    basis, states = result.basis, result.states
     # at most four coefficient columns, the largest of the final state, and
     # none at roundoff level: a column must exceed NEWTON_TOL times the largest
     leading: list[int] = []
@@ -318,7 +320,7 @@ def branch_csv(basis, states) -> str:
 def cmd_branch(raw: dict, base_dir, out) -> int:
     # the numerical half (and numpy) loads only for this command
     from .continuation import ContinuationError, ContinuationOptions, continue_branch
-    from .galerkin import NONLINEARITIES, GalerkinBasis, trivial_branch_crossings
+    from .galerkin import NONLINEARITIES, trivial_branch_crossings
 
     space = require_space(raw, base_dir)
     if space.factors != (2,):
@@ -332,8 +334,8 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if unknown:
         raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
     try:
-        basis = GalerkinBasis(block["K"], orders=[0])
-        crossing = frac_from_json(block["crossing"])
+        K, crossing = block["K"], frac_from_json(block["crossing"])
+        known = {c.lam for c in trivial_branch_crossings(K, sig, (crossing, crossing))}
         opts = ContinuationOptions(**{key: block[key] for key in option_keys if key in block})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
@@ -343,19 +345,16 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if nl_name not in NONLINEARITIES:
         raise ConfigError(f"unknown nonlinearity {nl_name!r}; choose from {sorted(NONLINEARITIES)}")
     nl = NONLINEARITIES[nl_name]()
-    known = {c.lam for c in trivial_branch_crossings(basis, sig, (crossing, crossing))}
     if crossing not in known:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
     _check_writable(out)
-    code = 0
     try:
-        result = continue_branch(basis, nl, sig, crossing, opts)
-        states, outcome = result.states, result.outcome
+        result, code = continue_branch(K, nl, sig, crossing, opts), 0
     except ContinuationError as exc:
-        states, outcome = exc.states, "diverged"
-        code = 1
+        result, code = exc.result, 1
+    states = result.states
     summary = {
-        "outcome": outcome,
+        "outcome": result.outcome,
         "steps": len(states),
         "crossing": frac_to_json(crossing),
         "final": None
@@ -366,7 +365,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
             "arclength": float(states[-1].arclength),
         },
     }
-    csv_text = branch_csv(basis, states)
+    csv_text = branch_csv(result)
     summary_text = canonical_dumps(summary)
     if out:
         _emit(csv_text, out)

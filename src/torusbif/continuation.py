@@ -9,15 +9,15 @@ leave a one-dimensional kernel at the chosen crossing.  A restriction is a
 subset of the modes (``axisymmetric`` keeps m = 0, no restriction keeps them
 all); it only picks the crossing's kernel modes that are counted.
 
-The kernel mode must have order m = 0, and the gradient must keep the m = 0
-modes invariant (checked once per run), so every iterate stays in the fixed
-space of the O(2) about the pole, which the m = 0 modes span.  A solution in
-that space solves the full system: its residual has no part of order m != 0.
-So the solver takes the basis of the m = 0 modes,
-``GalerkinBasis(K, orders=[0])``, whatever the restriction, and works and
-stores its states there: ``BranchState.coeffs`` holds p (K + 1)
-coefficients.  The kernel is still counted over every mode of the full
-problem, through ``Crossing.modes``.  Newton solves the Jacobian of those
+A one-dimensional kernel is always an m = 0 mode (a crossing lists every
+order of each degree), and the gradient must keep the m = 0 modes invariant
+(checked once per run), so every iterate stays in the fixed space of the
+O(2) about the pole, which the m = 0 modes span.  A solution in that space
+solves the full system: its residual has no part of order m != 0.  So
+``continue_branch`` builds ``GalerkinBasis(K, orders=[0])`` itself, whatever
+the restriction, and returns it with the states, whose coefficients it
+holds, p (K + 1) per state.  The kernel is still counted over every mode of
+the full problem, through ``Crossing.modes``.  Newton solves the Jacobian of those
 modes bordered by the constraint row and the lambda column, one
 linear solve of p (K + 1) + 1 rows per iteration, and the tangent at an
 accepted state is one more solve of the same matrix.
@@ -91,17 +91,18 @@ class ContinuationOptions:
 
 @dataclass
 class BranchResult:
+    basis: GalerkinBasis  # the basis of the states' coefficients
     states: list[BranchState]
-    outcome: str  # reached_target | returned_to_trivial | incomplete
+    outcome: str  # reached_target | returned_to_trivial | incomplete | diverged
 
 
 class ContinuationError(RuntimeError):
     """Newton failure at the minimum step, or no tangent at an accepted
-    state; carries the partial branch."""
+    state; ``result`` is the partial branch, with outcome ``diverged``."""
 
-    def __init__(self, message: str, states: list[BranchState]):
+    def __init__(self, message: str, basis: GalerkinBasis, states: list[BranchState]):
         super().__init__(message)
-        self.states = states
+        self.result = BranchResult(basis, states, "diverged")
 
 
 def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
@@ -128,30 +129,27 @@ def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam
 
 
 def continue_branch(
-    basis: GalerkinBasis,
+    max_degree: int,
     nl: NonlinearitySpec,
     sig,
     crossing,
     opts: ContinuationOptions | None = None,
 ) -> BranchResult:
-    """Trace the branch bifurcating at a trivial-branch crossing.
+    """Trace the branch bifurcating at a trivial-branch crossing, in the
+    basis of the modes of order 0 and degree 0..``max_degree``, which the
+    result carries.
 
-    ``basis`` must be ``GalerkinBasis(K, orders=[0])``, the modes of order 0
-    and degree 0..K, and the states' coefficients are in that basis.
-
-    Raises ``ValueError`` when the basis is any other, when the crossing is
-    not a singular value of the trivial-branch linearization, when the
-    restricted kernel is not one-dimensional or its mode has m != 0, or when
+    Raises ``ValueError`` when ``max_degree`` is not a nonnegative integer,
+    when the crossing is not a singular value of the trivial-branch
+    linearization, when the restricted kernel is not one-dimensional, or when
     the nonlinearity does not keep the m = 0 subspace invariant, and
     ``ContinuationError`` when the corrector cannot converge even at the
     minimum step or the tangent solve fails.
     """
     opts = opts or ContinuationOptions()
-    if basis.modes != tuple((k, 0) for k in range(basis.max_degree + 1)):
-        raise ValueError("continue_branch solves on the m = 0 modes: pass GalerkinBasis(K, orders=[0])")
     lam0 = Fraction(crossing)
     p = len(sig.a)
-    crossings = {c.lam: c for c in trivial_branch_crossings(basis, sig, (lam0, lam0))}
+    crossings = {c.lam: c for c in trivial_branch_crossings(max_degree, sig, (lam0, lam0))}
     if lam0 not in crossings:
         raise ValueError(f"{crossing} is not a crossing of the trivial branch")
 
@@ -160,9 +158,8 @@ def continue_branch(
         kernel = [mode for mode in kernel if mode[2] == 0]
     if len(kernel) != 1:
         raise ValueError(f"restricted kernel is {len(kernel)}-dimensional; apply isotropy restriction")
-    comp, k, m = kernel[0]
-    if m != 0:
-        raise ValueError(f"kernel mode (k, m) = ({k}, {m}) has m != 0; the solver needs an m = 0 kernel")
+    comp, k, _ = kernel[0]
+    basis = GalerkinBasis(max_degree, orders=[0])
     lam0f = float(lam0)
     _check_order_invariance(basis, nl, sig, lam0f)
     k_pos = comp * basis.n_modes + k
@@ -206,10 +203,10 @@ def continue_branch(
         try:
             t = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
-            raise ContinuationError("no tangent: the bordered matrix is singular", states) from None
+            raise ContinuationError("no tangent: the bordered matrix is singular", basis, states) from None
         nrm = float(np.linalg.norm(t))
         if not np.isfinite(nrm) or nrm == 0.0:
-            raise ContinuationError(f"no tangent: the tangent solve gave norm {nrm}", states)
+            raise ContinuationError(f"no tangent: the tangent solve gave norm {nrm}", basis, states)
         return t / nrm
 
     # branch switching: pin the kernel amplitude at the onset amplitude
@@ -219,7 +216,7 @@ def continue_branch(
     x0[k_pos] = ONSET_AMPLITUDE
     x, lam, M = newton(x0, lam0f, unit_row, np.zeros(n_act + 1), ONSET_AMPLITUDE)
     if M is None:
-        raise ContinuationError("failed to leave the trivial branch at the crossing", [])
+        raise ContinuationError("failed to leave the trivial branch at the crossing", basis, [])
 
     s_total = float(np.sqrt(np.dot(x, x) + (lam - lam0f) ** 2))
     states = [make_state(basis, x, lam, s_total)]
@@ -232,17 +229,17 @@ def continue_branch(
     while True:
         norm = states[-1].h1_norm
         if norm >= opts.target_norm:
-            return BranchResult(states, "reached_target")
+            return BranchResult(basis, states, "reached_target")
         if norm < ONSET_AMPLITUDE / 10.0:
-            return BranchResult(states, "returned_to_trivial")
+            return BranchResult(basis, states, "returned_to_trivial")
         if len(states) >= opts.max_steps:
-            return BranchResult(states, "incomplete")
+            return BranchResult(basis, states, "incomplete")
 
         z_pred = prev + h * tangent
         x, lam, M = newton(z_pred[:n_act].copy(), float(z_pred[n_act]), tangent, prev, h)
         if M is None:
             if h <= MIN_STEP:
-                raise ContinuationError(f"Newton corrector failed at minimum step {MIN_STEP}", states)
+                raise ContinuationError(f"Newton corrector failed at minimum step {MIN_STEP}", basis, states)
             h = max(h / 2.0, MIN_STEP)
             continue
         z_new = np.concatenate([x, [lam]])

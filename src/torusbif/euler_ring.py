@@ -18,16 +18,12 @@ of the torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .jsonio import int_from_json
-from .weights import SubgroupId, _check_ranks, _merge_sorted
+from .weights import SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
 
 Codim1 = tuple[tuple[SubgroupId, int], ...]
-
-
-def _sort_key(hc):
-    return hc[0].sort_key
 
 
 def _normalize(codim1) -> Codim1:
@@ -39,7 +35,7 @@ def _normalize(codim1) -> Codim1:
         if not isinstance(h, SubgroupId):
             raise TypeError(f"codim1 keys must be SubgroupId, got {type(h).__name__}")
         pairs.append((h, int_from_json(c)))
-    pairs.sort(key=_sort_key)
+    pairs.sort(key=_pair_key)
     out = []
     g = key = None
     total = 0
@@ -81,7 +77,6 @@ def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
     x = object.__new__(EulerRingElement)
     _set_unit(x, unit)
     _set_codim1(x, codim1)
-    _set_coeffs(x, None)
     return x
 
 
@@ -89,19 +84,15 @@ def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
 class EulerRingElement:
     """Truncated element u*I + sum_mu c_mu * [T/H_mu].
 
-    Kept in slots: the unit coefficient, the codimension-one part as
-    (SubgroupId, nonzero coefficient) pairs sorted by ``sort_key``, and the
-    map from id to coefficient, built on the first ``coeff_at``.  Equality,
-    hash and repr read (unit, codim1) only."""
+    Kept in slots: the unit coefficient and the codimension-one part as
+    (SubgroupId, nonzero coefficient) pairs sorted by ``sort_key``."""
 
     unit: int
     codim1: Codim1
-    _coeffs: dict[SubgroupId, int] | None = field(default=None, init=False, repr=False)
 
     def __init__(self, unit: int = 0, codim1=()):
         _set_unit(self, int_from_json(unit))
         _set_codim1(self, _normalize(codim1))
-        _set_coeffs(self, None)
 
     @classmethod
     def generator(cls, h: SubgroupId) -> "EulerRingElement":
@@ -123,15 +114,11 @@ class EulerRingElement:
     def coeff_at(self, h: SubgroupId | None) -> int:
         """Coefficient of the class of H; ``None`` addresses the full torus
         (the unit coefficient)."""
-        if h is None:
-            return self.unit
-        if self._coeffs is None:
-            _set_coeffs(self, dict(self.codim1))
-        return self._coeffs.get(h, 0)
+        return self.unit if h is None else _count_at(self.codim1, h)
 
     # -- module structure ----------------------------------------------------
 
-    # __add__ and __mul__ carry criterion 07, so they write the three slots
+    # __add__ and __mul__ carry criterion 07, so they write the two slots
     # themselves instead of calling _element, and call _check_ranks only to
     # raise, once the first ids differ in rank.
 
@@ -144,7 +131,6 @@ class EulerRingElement:
         out = object.__new__(EulerRingElement)
         _set_unit(out, self.unit + other.unit)
         _set_codim1(out, _combine(a, 1, b, 1))
-        _set_coeffs(out, None)
         return out
 
     def __neg__(self) -> "EulerRingElement":
@@ -173,7 +159,6 @@ class EulerRingElement:
         out = object.__new__(EulerRingElement)
         _set_unit(out, s * t)
         _set_codim1(out, _combine(a, t, b, s))
-        _set_coeffs(out, None)
         return out
 
     def __rmul__(self, other) -> "EulerRingElement":
@@ -220,11 +205,10 @@ class EulerRingElement:
         }
 
 
-# Writers of the three slots that bypass the frozen __setattr__; only
-# __init__, _element, __add__, __mul__ and the lazy coefficient map use them.
+# Writers of the two slots that bypass the frozen __setattr__; only
+# __init__, _element, __add__ and __mul__ use them.
 _set_unit = EulerRingElement.unit.__set__
 _set_codim1 = EulerRingElement.codim1.__set__
-_set_coeffs = EulerRingElement._coeffs.__set__
 
 UNIT = EulerRingElement(1)
 ZERO = EulerRingElement(0)

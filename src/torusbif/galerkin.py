@@ -39,6 +39,14 @@ def degree_eigenvalue(k: int) -> int:
     return k * (k + 1)
 
 
+def _max_degree(max_degree) -> int:
+    """The largest harmonic degree K, an integer of at least 0."""
+    K = int_from_json(max_degree)
+    if K < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {K}")
+    return K
+
+
 def _legendre_table(K: int, M: int, x: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre functions laid out per order,
     ``P[m, k, node] = Pbar_k^m(x[node])`` for m <= M, m <= k <= K and zero
@@ -90,8 +98,8 @@ class GalerkinBasis:
     orders : sequence of int, optional
         The orders m held, a nonempty, strictly increasing run of integers in
         [-K, K], each with every degree |m|..K.  ``None`` (the default) holds
-        every order, (K+1)^2 modes; ``orders=[0]`` is the K + 1 modes of
-        order 0, which span the fixed space of the O(2) about the pole.
+        every order, (K+1)^2 modes; order 0 alone is the K + 1 modes that
+        span the fixed space of the O(2) about the pole.
 
     The basis keeps two small factors: ``legendre[m, k, i]``, the normalized
     Legendre function of degree k and order m at the i-th colatitude node,
@@ -105,9 +113,7 @@ class GalerkinBasis:
     """
 
     def __init__(self, max_degree: int, orders=None):
-        K = int_from_json(max_degree)
-        if K < 0:
-            raise ValueError(f"max_degree must be nonnegative, got {K}")
+        K = _max_degree(max_degree)
         orders = [int_from_json(m) for m in (range(-K, K + 1) if orders is None else orders)]
         if not orders or any(b <= a for a, b in zip(orders, orders[1:])) or max(map(abs, orders)) > K:
             raise ValueError(f"orders must be a nonempty, strictly increasing run of integers in [{-K}, {K}]")
@@ -414,16 +420,18 @@ class Crossing:
     modes: tuple[tuple[int, int, int], ...]  # (component, degree, order)
 
 
-def trivial_branch_crossings(basis: GalerkinBasis, sig, window) -> tuple[Crossing, ...]:
-    """Exact crossing values lam = -a_i k(k+1) inside the closed window, with
-    the kernel modes at each; no tolerance enters since the linearization is
-    diagonal in this basis."""
+def trivial_branch_crossings(max_degree: int, sig, window) -> tuple[Crossing, ...]:
+    """Exact crossing values lam = -a_i k(k+1), k <= max_degree, inside the
+    closed window, with the kernel modes at each, every order of each degree;
+    no tolerance enters since the linearization is diagonal in the harmonic
+    basis."""
+    K = _max_degree(max_degree)
     lo, hi = (Fraction(window[0]), Fraction(window[1]))
     if lo > hi:
         raise ValueError("window must be ordered")
     found: dict[Fraction, list[tuple[int, int, int]]] = {}
     for i, ai in enumerate(sig.a):
-        for k in range(basis.max_degree + 1):
+        for k in range(K + 1):
             lam = Fraction(-ai * degree_eigenvalue(k))
             if lo <= lam <= hi:
                 found.setdefault(lam, []).extend((i, k, m) for m in range(-k, k + 1))

@@ -278,12 +278,11 @@ def criterion_08_gradient_check(seed=0) -> CriterionResult:
 def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
     """Galerkin crossings equal the candidate bifurcation levels exactly."""
     t0 = time.perf_counter()
-    basis = GalerkinBasis(8)
     space = SymmetricSpaceData.sphere(2)
     cutoff = Fraction(30)
     ok = True
     for sig in _signatures(3):
-        crossings = [c.lam for c in trivial_branch_crossings(basis, sig, (-cutoff, cutoff))]
+        crossings = [c.lam for c in trivial_branch_crossings(8, sig, (-cutoff, cutoff))]
         levels = [bl.level for bl in bifurcation_levels(space, sig, cutoff)]
         if crossings != levels:
             ok = False
@@ -293,15 +292,14 @@ def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
 def criterion_10_branch_witness(seed=0) -> CriterionResult:
     """Axisymmetric branch from lambda = 2 grows to norm 1 and breaks symmetry."""
     t0 = time.perf_counter()
-    basis = GalerkinBasis(8, orders=[0])
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((-1,))
     opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0, max_steps=500)
-    result = continue_branch(basis, nl, sig, 2, opts)
+    result = continue_branch(8, nl, sig, 2, opts)
     ok = result.outcome == "reached_target" and len(result.states) <= 500
     ok = ok and all(st.h1_norm >= ONSET_AMPLITUDE / 10.0 for st in result.states)
     ok = ok and all(
-        node_variance(basis, st.coeffs) > 1e-8 * st.h1_norm**2 for st in result.states
+        node_variance(result.basis, st.coeffs) > 1e-8 * st.h1_norm**2 for st in result.states
     )
     detail = f"{result.outcome} in {len(result.states)} steps, final norm {result.states[-1].h1_norm:.3f}"
     return _result(10, "branch-witness", t0, ok, detail, limit=60.0)

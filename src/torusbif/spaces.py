@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .jsonio import frac_from_json, frac_to_json, int_from_json
-from .weights import RestrictedWeight, SubgroupId, _check_ranks, _merge_sorted
+from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
 
 # ---------------------------------------------------------------------------
 # torus representation data
@@ -49,7 +49,7 @@ class TorusRepDecomposition:
         k0 = int_from_json(self.k0)
         if k0 < 0:
             raise ValueError("k0 must be nonnegative")
-        items = tuple(sorted(((h, int_from_json(m)) for h, m in self.mults), key=lambda hm: hm[0].sort_key))
+        items = tuple(sorted(((h, int_from_json(m)) for h, m in self.mults), key=_pair_key))
         if any(m <= 0 for _, m in items):
             raise ValueError("plane multiplicities must be positive")
         if len({h for h, _ in items}) != len(items):
@@ -62,12 +62,8 @@ class TorusRepDecomposition:
     def from_dict(cls, k0: int, mults: dict[SubgroupId, int]) -> "TorusRepDecomposition":
         return cls(k0, tuple((h, m) for h, m in mults.items() if m != 0))
 
-    @cached_property
-    def mults_map(self) -> dict[SubgroupId, int]:
-        return dict(self.mults)
-
     def multiplicity(self, h: SubgroupId) -> int:
-        return self.mults_map.get(h, 0)
+        return _count_at(self.mults, h)
 
     @property
     def total_dim(self) -> int:

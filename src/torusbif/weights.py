@@ -14,6 +14,7 @@ H_{2mu}, so identifiers are never reduced by content.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .jsonio import int_from_json
@@ -104,6 +105,17 @@ def _check_ranks(a, b) -> None:
         r, s = a[0][0].sort_key[0], b[0][0].sort_key[0]
         if r != s:
             raise ValueError(f"rank mismatch: {min(r, s)} vs {max(r, s)}")
+
+
+def _pair_key(pair):
+    return pair[0].sort_key
+
+
+def _count_at(pairs, h: SubgroupId) -> int:
+    """The count of ``h`` in a sequence of (SubgroupId, count) pairs sorted by
+    ``sort_key`` with unique ids, 0 when ``h`` is absent."""
+    i = bisect_left(pairs, h.sort_key, key=_pair_key)
+    return pairs[i][1] if i < len(pairs) and pairs[i][0].sort_key == h.sort_key else 0
 
 
 def _merge_sorted(a, s: int, b, t: int) -> tuple:

@@ -1,0 +1,38 @@
+"""The benchmark's own correctness checks, run once in-process on the seed-0
+commands of the exact and branch workloads, so that a change which breaks a
+workload's command or output fails here, before a benchmark run.  The
+benchmark's files are only read."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from torusbif.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _workloads()
+
+
+@pytest.mark.parametrize("name", ["exact-levels", "branch-axisym", "branch-full"])
+def test_workload_commands_pass_the_benchmark_check(tmp_path, capsys, name):
+    reference = workloads.load_reference()[name]
+    for n, command in enumerate(workloads.WORKLOADS[name].commands(0)):
+        config, out = tmp_path / f"{n}.config.json", tmp_path / f"{n}.out"
+        config.write_text(json.dumps(command.config), encoding="utf-8")
+        code = main([*command.args, "--config", str(config), "--out", str(out)])
+        output = workloads.Output(code, capsys.readouterr().out.encode(), out.read_bytes())
+        error = workloads.check(command, output, reference.get(command.kind, {}))
+        assert error is None, f"{command.kind}: {error}"

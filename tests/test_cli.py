@@ -710,7 +710,7 @@ def test_branch_solver_divergence_reports_partial_output(tmp_path, capsys, monke
     partial = [make_state(basis, np.zeros(basis.n_modes), 2.0)]
 
     def explode(*args, **kwargs):
-        raise ContinuationError("corrector failed", partial)
+        raise ContinuationError("corrector failed", basis, partial)
 
     monkeypatch.setattr(continuation, "continue_branch", explode)
     cfg = write_config(tmp_path, BRANCH_CFG)
@@ -728,7 +728,7 @@ def test_escaping_solver_error_is_domain_failure(tmp_path, capsys, monkeypatch):
     from torusbif.continuation import ContinuationError
 
     def explode(*args, **kwargs):
-        raise ContinuationError("corrector failed", [])
+        raise ContinuationError("corrector failed", None, [])
 
     monkeypatch.setattr(cli, "cmd_branch", explode)
     code, _, err = run(capsys, ["branch", "--config", write_config(tmp_path, BRANCH_CFG)])

@@ -1,6 +1,6 @@
+import itertools
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import pytest
 from torusbif import (
     ContinuationError,
     ContinuationOptions,
-    Crossing,
     GalerkinBasis,
     NonlinearitySpec,
     SystemSignature,
@@ -16,12 +15,13 @@ from torusbif import (
     h1_norm,
     node_variance,
     residual_coeffs,
+    trivial_branch_crossings,
 )
 from torusbif import continuation
-from test_galerkin import analytic_lambda_column, basis_on, dense_jacobian, lam_scaled_quartic, product_grid
+from test_galerkin import analytic_lambda_column, dense_jacobian, lam_scaled_quartic, product_grid
 
-# the solver's basis, of the m = 0 modes, and the full basis the states are
-# checked on
+# the basis the solver builds at K = 8, of the m = 0 modes, and the full
+# basis the states are checked on
 BASIS = GalerkinBasis(8, orders=[0])
 FULL = GalerkinBasis(8)
 QUARTIC = NonlinearitySpec.quartic()
@@ -52,22 +52,22 @@ RUNS = {
 
 @pytest.fixture(scope="module")
 def branch():
-    return continue_branch(BASIS, QUARTIC, NEG, *RUNS["branch"])
+    return continue_branch(8, QUARTIC, NEG, *RUNS["branch"])
 
 
 @pytest.fixture(scope="module")
 def constant_branch():
-    return continue_branch(BASIS, QUARTIC, NEG, *RUNS["constant_branch"])
+    return continue_branch(8, QUARTIC, NEG, *RUNS["constant_branch"])
 
 
 # the branch-full benchmark config: unrestricted, K = 16, from lambda = 0 to norm 5
-FULL_K16 = (GalerkinBasis(16, orders=[0]), 0, ContinuationOptions(target_norm=5))
+FULL_K16 = (16, 0, ContinuationOptions(target_norm=5))
 
 
 @pytest.fixture(scope="module")
 def full_K16_branch():
-    basis, crossing, opts = FULL_K16
-    return continue_branch(basis, QUARTIC, NEG, crossing, opts)
+    K, crossing, opts = FULL_K16
+    return continue_branch(K, QUARTIC, NEG, crossing, opts)
 
 
 # Trajectory pins: the exact state count and the end point of both K = 8
@@ -87,15 +87,15 @@ def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
     assert math.isclose(result.states[-1].h1_norm, h1, rel_tol=1e-12)
 
 
-def dense_branch(basis, crossing, opts):
+def dense_branch(K, crossing, opts):
     # an independent solver for p = 1 and a simple kernel: Newton and the
     # tangent solve the dense bordered matrix of dense_jacobian on every kept
     # mode (all of them when unrestricted), with every order coupled, under
     # the same step control and stop rule; it checks that the solver's
     # m = 0 solve gives the solution of the whole system.  States are full-
     # basis coefficient vectors.
-    full = GalerkinBasis(basis.max_degree)
-    sub = full if opts.isotropy_restriction is None else basis
+    full = GalerkinBasis(K)
+    sub = full if opts.isotropy_restriction is None else GalerkinBasis(K, orders=[0])
     n = sub.n_modes
     (kernel,) = [i for i, (k, m) in enumerate(sub.modes) if m == 0 and k * (k + 1) == crossing]
     e = np.eye(n + 1)
@@ -150,9 +150,9 @@ def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
     # the unrestricted runs solve on the m = 0 modes; the dense run solves
     # on every mode
     factored = request.getfixturevalue(which)
-    run = FULL_K16 if which == "full_K16_branch" else (BASIS, *RUNS[which])
+    run = FULL_K16 if which == "full_K16_branch" else (8, *RUNS[which])
     dense, outcome = dense_branch(*run)
-    full = GalerkinBasis(run[0].max_degree)
+    full = GalerkinBasis(run[0])
     assert outcome == factored.outcome
     assert len(dense) == len(factored.states)
     for got, (coeffs, lam, _) in zip(factored.states, dense):
@@ -178,7 +178,7 @@ def test_newton_transforms_the_state_once_per_iteration(monkeypatch, which):
 
     monkeypatch.setattr(GalerkinBasis, "evaluate", counted_evaluate)
     monkeypatch.setattr(continuation, "residual_jacobian", counted_jacobian)
-    result = continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
+    result = continue_branch(8, QUARTIC, NEG, *RUNS[which])
     assert calls["jacobian"] > len(result.states)
     assert calls["evaluate"] == calls["jacobian"] + 1
 
@@ -206,7 +206,7 @@ def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeyp
     monkeypatch.setattr(GalerkinBasis, "evaluate", counted("evaluate"))
     monkeypatch.setattr(GalerkinBasis, "project", counted("project"))
     monkeypatch.setattr(continuation, "residual_jacobian", counted("jacobian"))
-    result = continue_branch(BASIS, nl, NEG, *RUNS[which])
+    result = continue_branch(8, nl, NEG, *RUNS[which])
     assert calls["jacobian"] > len(result.states)
     assert calls["project"] == calls["jacobian"]
     assert calls["evaluate"] == calls["jacobian"] + 1
@@ -220,7 +220,7 @@ def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypa
     # branch as the closed form -c - P(q(u))/10
     nl = lam_scaled_quartic()
     opts = ContinuationOptions(isotropy_restriction=restriction, target_norm=3.0)
-    observed = continue_branch(BASIS, nl, NEG, crossing, opts)
+    observed = continue_branch(8, nl, NEG, crossing, opts)
     jacobian = continuation.residual_jacobian
 
     def analytic(basis, nl, sig, coeffs, lam):
@@ -228,7 +228,7 @@ def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypa
         return R, J, analytic_lambda_column(basis, sig, coeffs)
 
     monkeypatch.setattr(continuation, "residual_jacobian", analytic)
-    closed = continue_branch(BASIS, nl, NEG, crossing, opts)
+    closed = continue_branch(8, nl, NEG, crossing, opts)
     assert observed.outcome == closed.outcome == "reached_target"
     assert len(observed.states) == len(closed.states) == count
     for got, want in zip(observed.states, closed.states):
@@ -298,39 +298,41 @@ def test_constant_branch_from_zero_crossing(constant_branch):
 
 def test_immediate_stop_when_target_below_onset():
     opts = axisymmetric_opts(target_norm=1e-4)
-    result = continue_branch(BASIS, QUARTIC, NEG, 2, opts)
+    result = continue_branch(8, QUARTIC, NEG, 2, opts)
     assert result.outcome == "reached_target"
     assert len(result.states) == 1
 
 
 def test_budget_exhaustion_is_flagged_incomplete():
     opts = axisymmetric_opts(max_steps=1)
-    result = continue_branch(BASIS, QUARTIC, NEG, 2, opts)
+    result = continue_branch(8, QUARTIC, NEG, 2, opts)
     assert result.outcome == "incomplete"
     assert len(result.states) == 1
 
 
 def test_rejects_non_crossing():
     with pytest.raises(ValueError, match="not a crossing"):
-        continue_branch(BASIS, QUARTIC, NEG, 3, axisymmetric_opts())
+        continue_branch(8, QUARTIC, NEG, 3, axisymmetric_opts())
 
 
 def test_multidimensional_kernel_requires_restriction():
     with pytest.raises(ValueError, match="apply isotropy restriction"):
-        continue_branch(BASIS, QUARTIC, NEG, 2, ContinuationOptions())
+        continue_branch(8, QUARTIC, NEG, 2, ContinuationOptions())
     with pytest.raises(ValueError, match="apply isotropy restriction"):
-        continue_branch(BASIS, QUARTIC, SystemSignature((-1, -1)), 2, axisymmetric_opts())
+        continue_branch(8, QUARTIC, SystemSignature((-1, -1)), 2, axisymmetric_opts())
 
 
-def test_kernel_mode_of_nonzero_order_is_refused(monkeypatch):
-    # a crossing whose one kernel mode is Y_{1,1} at lambda = 2 has a
-    # one-dimensional kernel that the solve on the m = 0 modes cannot trace
-    def order_one_crossing(basis, sig, window):
-        return (Crossing(Fraction(2), ((0, 1, 1),)),)
-
-    monkeypatch.setattr(continuation, "trivial_branch_crossings", order_one_crossing)
-    with pytest.raises(ValueError, match=r"kernel mode \(k, m\) = \(1, 1\) has m != 0"):
-        continue_branch(BASIS, QUARTIC, NEG, 2, ContinuationOptions())
+def test_a_one_dimensional_kernel_is_an_m0_mode():
+    # a crossing lists every order of each (component, degree) it holds, so
+    # an unrestricted kernel is one-dimensional only at some (i, 0, 0), and
+    # the axisymmetric filter keeps m = 0 modes only: the solver, which works
+    # on the m = 0 modes, never meets a kernel mode of order m != 0
+    for a in (a for p in (1, 2, 3) for a in itertools.product((1, -1), repeat=p)):
+        for c in trivial_branch_crossings(8, SystemSignature(a), (-60, 60)):
+            held = sorted({(i, k) for i, k, _ in c.modes})
+            assert c.modes == tuple((i, k, m) for i, k in held for m in range(-k, k + 1))
+            if len(c.modes) == 1:
+                assert c.modes[0][1:] == (0, 0)
 
 
 def phi_quartic():
@@ -353,48 +355,50 @@ def test_a_nonlinearity_that_reads_longitude_is_refused(crossing, restriction):
     # longitudes, which it counts from K
     opts = ContinuationOptions(isotropy_restriction=restriction)
     with pytest.raises(ValueError, match="nonlinearity 'phi-quartic' does not keep the m = 0 subspace invariant"):
-        continue_branch(BASIS, phi_quartic(), NEG, crossing, opts)
-
-
-@pytest.mark.parametrize(
-    "basis",
-    [FULL, GalerkinBasis(8, orders=[-1, 0, 1]), GalerkinBasis(8, orders=[1]), basis_on(8, BASIS.modes[:-1])],
-    ids=["full", "orders-1-0-1", "order-1", "m0-short-of-K"],
-)
-def test_a_basis_other_than_the_m0_modes_is_refused(basis):
-    with pytest.raises(ValueError, match=r"pass GalerkinBasis\(K, orders=\[0\]\)"):
-        continue_branch(basis, QUARTIC, NEG, 2, axisymmetric_opts())
+        continue_branch(8, phi_quartic(), NEG, crossing, opts)
 
 
 def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypatch):
-    # the CLI builds one basis, of the K + 1 modes of order 0, and
-    # continue_branch builds none
+    # continue_branch builds one basis, of the K + 1 modes of order 0, and
+    # neither the CLI nor criterion 10 builds one itself
+    from torusbif import selftest
     from torusbif.cli import main
 
-    built = []
-    build = GalerkinBasis._build
+    built, inside = [], []
+    build, solve = GalerkinBasis._build, continuation.continue_branch
 
     def recorded_build(basis, K, modes):
         built.append((K, len(modes)))
         return build(basis, K, modes)
 
+    def recorded_solve(*args):
+        before = len(built)
+        result = solve(*args)
+        inside.extend(built[before:])
+        return result
+
     monkeypatch.setattr(GalerkinBasis, "_build", recorded_build)
+    monkeypatch.setattr(continuation, "continue_branch", recorded_solve)
+    monkeypatch.setattr(selftest, "continue_branch", recorded_solve)
     config = tmp_path / "branch.json"
     galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8, "max_steps": 200}
     config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
     assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
-    assert built == [(8, 9)]
-    basis = GalerkinBasis(16, orders=[0])
+    assert built == inside == [(8, 9)]
     built.clear()
-    continue_branch(basis, QUARTIC, NEG, *RUNS["branch"])
-    assert built == []
+    inside.clear()
+    assert selftest.criterion_10_branch_witness().passed
+    assert built == inside == [(8, 9)]
+    built.clear()
+    result = solve(16, QUARTIC, NEG, *RUNS["branch"])
+    assert built == [(16, 17)] and result.basis.modes == tuple((k, 0) for k in range(17))
 
 
 @pytest.mark.parametrize(
     "nl", [QUARTIC, NonlinearitySpec.zero(), lam_scaled_quartic()], ids=["quartic", "zero", "lam-scaled"]
 )
 def test_pointwise_nonlinearities_pass_the_symmetry_check(nl):
-    result = continue_branch(BASIS, nl, NEG, 0, ContinuationOptions(max_steps=1))
+    result = continue_branch(8, nl, NEG, 0, ContinuationOptions(max_steps=1))
     assert result.outcome == "incomplete" and len(result.states) == 1
 
 
@@ -437,7 +441,7 @@ def test_unrestricted_states_lie_in_the_m0_subspace_and_solve_the_full_system(re
     # the solver works on the m = 0 modes only and stores just their
     # coefficients, and the state, with every other coefficient zero, still
     # solves the system on every mode
-    K = FULL_K16[0].max_degree if which == "full_K16_branch" else 8
+    K = FULL_K16[0] if which == "full_K16_branch" else 8
     full = GalerkinBasis(K)
     for st in request.getfixturevalue(which).states:
         assert st.coeffs.shape == (K + 1,)
@@ -447,7 +451,7 @@ def test_unrestricted_states_lie_in_the_m0_subspace_and_solve_the_full_system(re
 
 def test_unknown_restriction_name():
     with pytest.raises(ValueError, match="unknown isotropy restriction"):
-        continue_branch(BASIS, QUARTIC, NEG, 2, axisymmetric_opts(isotropy_restriction="octahedral"))
+        continue_branch(8, QUARTIC, NEG, 2, axisymmetric_opts(isotropy_restriction="octahedral"))
 
 
 @pytest.mark.parametrize(
@@ -489,9 +493,10 @@ def test_newton_breakdown_raises_with_partial_branch():
     )
     opts = axisymmetric_opts(step=0.05)
     with pytest.raises(ContinuationError) as excinfo:
-        continue_branch(BASIS, nl, NEG, 2, opts)
-    assert isinstance(excinfo.value.states, list)
-    assert excinfo.value.states  # the states traced before the breakdown
+        continue_branch(8, nl, NEG, 2, opts)
+    result = excinfo.value.result
+    assert result.outcome == "diverged" and result.basis.modes == BASIS.modes
+    assert result.states  # the states traced before the breakdown
 
 
 @pytest.mark.parametrize("which", RUNS)
@@ -509,5 +514,5 @@ def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure, which)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     with pytest.raises(ContinuationError, match="no tangent") as excinfo:
-        continue_branch(BASIS, QUARTIC, NEG, *RUNS[which])
-    assert excinfo.value.states  # the onset state, accepted before its tangent
+        continue_branch(8, QUARTIC, NEG, *RUNS[which])
+    assert excinfo.value.result.states  # the onset state, accepted before its tangent

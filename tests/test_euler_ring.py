@@ -180,6 +180,8 @@ def test_coeff_at_lookup():
     assert x.coeff_at(None) == 3
     assert ZERO.coeff_at(H11) == 0
     assert el(1, ((H1, -2),)).coeff_at(H2) == 0
+    # absent ids before, after and among the present ones, and one of another rank
+    assert [el(-1, ((H10, 2), (H11, -3))).coeff_at(h) for h in (H1, H01, H10, H11)] == [0, 0, 2, -3]
 
 
 # -- value semantics ------------------------------------------------------------
@@ -199,7 +201,7 @@ BUILT = {
 
 
 def _looked_up(x):
-    x.coeff_at(H10)  # builds the coefficient map
+    x.coeff_at(H10)
     return x
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -240,14 +241,13 @@ def axisymmetric_branch_peak(K):
     # only tables it forms are those of the m = 0 modes
     tracemalloc.start()
     try:
-        basis = GalerkinBasis(K, orders=[0])
         opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
-        result = continue_branch(basis, QUARTIC, NEG, 2, opts)
+        result = continue_branch(K, QUARTIC, NEG, 2, opts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.outcome == "reached_target"
-    assert only_m0_table(basis)
+    assert only_m0_table(result.basis)
     return peak
 
 
@@ -349,10 +349,9 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
 
 
 def test_unrestricted_branch_at_K16_never_forms_the_table():
-    basis = GalerkinBasis(16, orders=[0])
-    result = continue_branch(basis, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
+    result = continue_branch(16, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
     assert result.outcome == "reached_target"
-    assert only_m0_table(basis)
+    assert only_m0_table(result.basis)
 
 
 def test_harmonic_table_matches_legendre_formula():
@@ -635,19 +634,27 @@ def test_gradient_check_refuses_a_sample_count_that_is_not_an_integer(n):
 
 
 def test_crossings_negative_laplacian():
-    got = trivial_branch_crossings(BASIS, NEG, (0, 7))
+    got = trivial_branch_crossings(8, NEG, (0, 7))
     assert [c.lam for c in got] == [0, 2, 6]
     assert [len(c.modes) for c in got] == [1, 3, 5]
 
 
 def test_crossings_positive_laplacian():
-    got = trivial_branch_crossings(BASIS, SystemSignature((1,)), (-7, 0))
+    got = trivial_branch_crossings(8, SystemSignature((1,)), (-7, 0))
     assert [c.lam for c in got] == [-6, -2, 0]
 
 
 def test_crossing_kernel_counts_two_equations():
-    got = {c.lam: c for c in trivial_branch_crossings(BASIS, SystemSignature((-1, -1)), (2, 2))}
+    got = {c.lam: c for c in trivial_branch_crossings(8, SystemSignature((-1, -1)), (2, 2))}
     assert len(got[2].modes) == 6  # two copies of the three-dimensional eigenspace
+
+
+@pytest.mark.parametrize("K", [-1, True, 2.5], ids=["negative", "bool", "float"])
+def test_crossings_refuse_a_bad_degree_as_the_basis_does(K):
+    with pytest.raises(ValueError) as refused:
+        GalerkinBasis(K)
+    with pytest.raises(ValueError, match="^" + re.escape(str(refused.value)) + "$"):
+        trivial_branch_crossings(K, NEG, (0, 7))
 
 
 # -- equivariance ----------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_sphere_level_decomposition():
     levels = {lv.eigenvalue: lv for lv in spectrum_up_to(S2, 6)}
     dec = levels[Fraction(6)].torus_decomp
     assert dec.k0 == 1
-    assert dec.mults_map == {canonicalize(W((1,))): 1, canonicalize(W((2,))): 1}
+    assert dict(dec.mults) == {canonicalize(W((1,))): 1, canonicalize(W((2,))): 1}
     dec0 = levels[Fraction(0)].torus_decomp
     assert dec0.k0 == 1 and dec0.mults == ()
 
@@ -166,7 +166,7 @@ def test_product_level_decomposition():
     levels = {lv.eigenvalue: lv for lv in spectrum_up_to(P22, 4)}
     dec = levels[Fraction(2)].torus_decomp
     assert dec.k0 == 2
-    assert dec.mults_map == {canonicalize(W((1, 0))): 1, canonicalize(W((0, 1))): 1}
+    assert dict(dec.mults) == {canonicalize(W((1, 0))): 1, canonicalize(W((0, 1))): 1}
 
 
 def test_dimension_consistency_and_parity():
