@@ -33,8 +33,9 @@ what forces any bounded return to the trivial branch into a contradiction.
 
 Each level needs only V and W, so one ascending sweep with a running sum for W
 serves a whole range: bifurcation_levels and certify_levels enumerate the
-spectrum once, hold one eigenvalue's data at a time and compute each index
-once; a certificate reads the indices at +-lambda of its own eigenvalue.
+spectrum once, hold one eigenvalue's W and W + V at a time (every V stays in
+the enumerated tuple until the pass ends) and compute each index once; a
+certificate reads the indices at +-lambda of its own eigenvalue.
 witness_coefficient is the one copy of the closed form.
 """
 

@@ -10,6 +10,8 @@ config error.  Exact rationals serialize as {"num": p, "den": q}.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -165,19 +167,27 @@ def _spectrum_pretty(run: Run) -> list[str]:
     return lines
 
 
-def _spectrum_csv(run: Run) -> list[str]:
+def _csv_text(rows) -> str:
+    """Rows as CSV: a field holding a comma (a rank >= 2 weight, alpha or
+    subgroup id) is double-quoted, every other field is written as is."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _spectrum_csv(run: Run) -> list[list]:
     """Exact eigenvalue, weights, dimension, k0, and one multiplicity column
     per weight id appearing anywhere in the range."""
     ids = sorted({h for lv in run.result for h, _ in lv.torus_decomp.mults}, key=lambda h: h.sort_key)
     header = ["eigenvalue_num", "eigenvalue_den", "alphas", "real_dim", "k0"]
     header += [f"k{h.canonical}" for h in ids]
-    lines = [",".join(header)]
+    rows = [header]
     for lv in run.result:
         row = [lv.eigenvalue.numerator, lv.eigenvalue.denominator, ";".join(str(a) for a in lv.alphas)]
         mults = dict(lv.torus_decomp.mults)  # the columns span every id of the range
         row += [lv.real_dim, lv.torus_decomp.k0, *(mults.get(h, 0) for h in ids)]
-        lines.append(",".join(map(str, row)))
-    return lines
+        rows.append(row)
+    return rows
 
 
 def _decompose_pretty(run: Run) -> list[str]:
@@ -204,10 +214,10 @@ def _index_pretty(run: Run) -> list[str]:
     return lines
 
 
-def _index_csv(run: Run) -> list[str]:
-    lines = ["level_num,level_den,kernel_dim,index"]
-    lines += [f"{bl.level.numerator},{bl.level.denominator},{bl.kernel_dim},{bl.index}" for bl in run.result]
-    return lines
+def _index_csv(run: Run) -> list[list]:
+    rows = [["level_num", "level_den", "kernel_dim", "index"]]
+    rows += [[bl.level.numerator, bl.level.denominator, bl.kernel_dim, bl.index] for bl in run.result]
+    return rows
 
 
 def _certify_pretty(run: Run) -> list[str]:
@@ -231,21 +241,21 @@ def _certify_json(run: Run) -> dict:
     }
 
 
-def _certify_csv(run: Run) -> list[str]:
-    lines = ["level_num,level_den,witness,ledger,unbounded,symmetry_breaking"]
+def _certify_csv(run: Run) -> list[list]:
+    rows = [["level_num", "level_den", "witness", "ledger", "unbounded", "symmetry_breaking"]]
     for c in run.result.certificates:
         ledger = ";".join(f"{lv}:{co}" for lv, co in c.ledger)
-        witness = str(c.witness) if c.witness is not None else "-"
-        row = [c.level.numerator, c.level.denominator, witness, ledger, c.unbounded, c.symmetry_breaking]
-        lines.append(",".join(map(str, row)))
-    return lines
+        witness = c.witness if c.witness is not None else "-"
+        rows.append([c.level.numerator, c.level.denominator, witness, ledger, c.unbounded, c.symmetry_breaking])
+    return rows
 
 
 class Command(NamedTuple):
     """A subcommand's renderers by format, the first being its default.  An
     exact command also names its computation and whether it reads a
-    signature; a renderer returns the JSON body under the shared header, or
-    the text lines.  branch and selftest write their own output."""
+    signature; a renderer returns the JSON body under the shared header, the
+    CSV rows, or the text lines.  branch and selftest write their own
+    output."""
 
     renderers: dict
     compute: Callable | None = None
@@ -278,7 +288,9 @@ def run_exact(command: str, raw: dict, base_dir, fmt: str, out=None) -> tuple[st
     run = Run(space, sig, cutoff, entry.compute(space, sig, cutoff))
     body = entry.renderers[fmt](run)
     code = 1 if isinstance(run.result, Certification) and run.result.failures else 0
-    if fmt != "json":
+    if fmt == "csv":
+        return _csv_text(body), code
+    if fmt == "pretty":
         return "\n".join(body) + "\n", code
     header = {"space": str(space), "cutoff": frac_to_json(cutoff)}
     if sig is not None:
@@ -309,12 +321,9 @@ def branch_csv(result) -> str:
         comp, mode = divmod(idx, basis.n_modes)
         k, m = basis.modes[mode]
         header.append(f"c[{comp};{k};{m}]")
-    lines = [",".join(header)]
-    for st in states:
-        row = [repr(float(st.arclength)), repr(float(st.lam)), repr(float(st.h1_norm))]
-        row += [repr(float(st.coeffs[idx])) for idx in leading]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [header]
+    rows += [[float(x) for x in (st.arclength, st.lam, st.h1_norm, *st.coeffs[leading])] for st in states]
+    return _csv_text(rows)
 
 
 def cmd_branch(raw: dict, base_dir, out) -> int:

@@ -114,8 +114,8 @@ def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam
     QUAD_MARGIN * K + 1 longitudes of the full grid, and the gradient there
     must be constant along each ring, so it projects to zero on every order
     m != 0.  Non-finite gradients are left to the corrector.  The state comes
-    from the standard library's generator: importing numpy.random would add
-    several MB to the resident size of a run."""
+    from the standard library's generator: importing numpy's random module
+    would add several MB to the resident size of a run."""
     rng = random.Random(0)
     c = np.array([[rng.gauss(0.0, 0.5) for _ in basis.modes] for _ in sig.a])
     g = nl.grad(np.repeat(basis.evaluate(c), basis.quad_degree + 1, axis=-1), lam)

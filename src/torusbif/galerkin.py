@@ -22,6 +22,7 @@ diagonal, so eigenvalue crossings are located exactly at lam = -a_i k(k+1).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +33,8 @@ import numpy as np
 from .jsonio import int_from_json
 
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
+GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
+GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
 
 
 def degree_eigenvalue(k: int) -> int:
@@ -365,43 +368,21 @@ def residual_jacobian(
     return R, J, R_lam
 
 
-def gradient_check(
-    basis: GalerkinBasis,
-    nl: NonlinearitySpec,
-    sig,
-    state: BranchState,
-    epsilon: float,
-    n_samples: int = 50,
-    seed: int = 0,
-) -> float:
+def gradient_check(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: BranchState, seed: int = 0) -> float:
     """Largest relative mismatch between central finite differences of the
-    discrete functional and the residual, over a random coordinate sample.
-
-    Parameters
-    ----------
-    epsilon : float
-        Central difference step, required in [1e-8, 1e-3].
-    n_samples : int
-        Number of sampled coordinates, an integer of at least 1 (50 by
-        default; capped at the total coordinate count).
-    """
-    if not (1e-8 <= epsilon <= 1e-3):
-        raise ValueError("epsilon must lie in [1e-8, 1e-3]")
-    if int_from_json(n_samples) < 1:
-        raise ValueError("n_samples must be at least 1")
+    discrete functional, of step GRADIENT_STEP, and the residual, over
+    GRADIENT_SAMPLES coordinates (at most all of them) drawn by
+    ``random.Random(seed)``."""
     r = residual_coeffs(basis, nl, sig, state.coeffs, state.lam)
-    total = r.size
-    rng = np.random.default_rng(seed)
-    count = min(n_samples, total)
-    sample = rng.choice(total, size=count, replace=False)
+    sample = random.Random(seed).sample(range(r.size), min(GRADIENT_SAMPLES, r.size))
     worst = 0.0
     base = np.asarray(state.coeffs, dtype=float)
     for idx in sample:
         cp = base.copy()
-        cp[idx] += epsilon
+        cp[idx] += GRADIENT_STEP
         cm = base.copy()
-        cm[idx] -= epsilon
-        fd = (energy(basis, nl, sig, cp, state.lam) - energy(basis, nl, sig, cm, state.lam)) / (2 * epsilon)
+        cm[idx] -= GRADIENT_STEP
+        fd = (energy(basis, nl, sig, cp, state.lam) - energy(basis, nl, sig, cm, state.lam)) / (2 * GRADIENT_STEP)
         err = abs(fd - r[idx]) / max(1.0, abs(r[idx]))
         worst = max(worst, err)
     return worst

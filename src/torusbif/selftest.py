@@ -9,8 +9,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bifurcation import (
     SystemSignature,
     _indices,
@@ -268,9 +266,9 @@ def criterion_08_gradient_check(seed=0) -> CriterionResult:
     basis = GalerkinBasis(8)
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((1, -1))
-    rng = np.random.default_rng(seed)
-    state = make_state(basis, 0.5 * rng.standard_normal(2 * basis.n_modes), 1.3)
-    err = gradient_check(basis, nl, sig, state, epsilon=1e-5, n_samples=50, seed=seed)
+    rng = random.Random(seed)
+    state = make_state(basis, [rng.gauss(0.0, 0.5) for _ in range(2 * basis.n_modes)], 1.3)
+    err = gradient_check(basis, nl, sig, state, seed=seed)
     ok = err <= 1e-6
     return _result(8, "galerkin-gradient", t0, ok, f"max relative FD error {err:.2e}", limit=10.0)
 

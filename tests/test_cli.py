@@ -741,12 +741,21 @@ import json, sys
 from torusbif.cli import main
 
 exact, branch, out, result = sys.argv[1:]
+
+
+def loaded():
+    return sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy") if m in sys.modules)
+
+seen = {}
 for command in ("spectrum", "index", "certify"):
     assert main([command, "--config", exact, "--format", "json", "--out", out]) == 0, command
-after_exact = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+seen["exact"] = loaded()
 assert main(["branch", "--config", branch, "--out", out]) == 0
+seen["branch"] = loaded()
+assert main(["selftest", "--out", out]) == 0
+seen["selftest"] = loaded()
 with open(result, "w") as fh:
-    json.dump([after_exact, "numpy" in sys.modules, "scipy" in sys.modules, "numpy.ma" in sys.modules], fh)
+    json.dump(seen, fh)
 """
 
 
@@ -769,10 +778,12 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    after_exact, numpy_loaded, scipy_loaded, masked_loaded = json.loads((tmp_path / "result").read_text())
-    assert after_exact == []
-    assert numpy_loaded and not scipy_loaded
-    assert not masked_loaded  # np.unique, for one, imports numpy.ma
+    seen = json.loads((tmp_path / "result").read_text())
+    assert seen["exact"] == []
+    # no scipy, and no numpy.ma (np.unique, for one, imports it) or
+    # numpy.random (several MB of resident size)
+    assert seen["branch"] == ["numpy"]
+    assert seen["selftest"] == ["numpy"]
 
 
 def test_every_public_name_resolves():

@@ -10,7 +10,9 @@ from torusbif import (
     ContinuationOptions,
     GalerkinBasis,
     NonlinearitySpec,
+    SymmetricSpaceData,
     SystemSignature,
+    bifurcation_levels,
     continue_branch,
     h1_norm,
     node_variance,
@@ -326,13 +328,19 @@ def test_a_one_dimensional_kernel_is_an_m0_mode():
     # a crossing lists every order of each (component, degree) it holds, so
     # an unrestricted kernel is one-dimensional only at some (i, 0, 0), and
     # the axisymmetric filter keeps m = 0 modes only: the solver, which works
-    # on the m = 0 modes, never meets a kernel mode of order m != 0
+    # on the m = 0 modes, never meets a kernel mode of order m != 0.  The
+    # kernel dimension at each crossing is the exact half's at that level
+    sphere = SymmetricSpaceData.sphere(2)
     for a in (a for p in (1, 2, 3) for a in itertools.product((1, -1), repeat=p)):
-        for c in trivial_branch_crossings(8, SystemSignature(a), (-60, 60)):
+        sig = SystemSignature(a)
+        crossings = trivial_branch_crossings(8, sig, (-60, 60))
+        for c in crossings:
             held = sorted({(i, k) for i, k, _ in c.modes})
             assert c.modes == tuple((i, k, m) for i, k in held for m in range(-k, k + 1))
             if len(c.modes) == 1:
                 assert c.modes[0][1:] == (0, 0)
+        exact = [(bl.level, bl.kernel_dim) for bl in bifurcation_levels(sphere, sig, 60)]
+        assert [(c.lam, len(c.modes)) for c in crossings] == exact
 
 
 def phi_quartic():

@@ -455,19 +455,19 @@ def test_gradient_check_quartic():
     rng = np.random.default_rng(7)
     sig = SystemSignature((1, -1))
     state = make_state(BASIS, 0.5 * rng.standard_normal(2 * BASIS.n_modes), 1.3)
-    assert gradient_check(BASIS, QUARTIC, sig, state, 1e-5) <= 1e-6
+    assert gradient_check(BASIS, QUARTIC, sig, state) <= 1e-6
 
 
 def test_gradient_check_zero_state():
     state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
-    assert gradient_check(BASIS, QUARTIC, NEG, state, 1e-5) <= 1e-12
+    assert gradient_check(BASIS, QUARTIC, NEG, state) <= 1e-12
 
 
 def test_gradient_check_linear_functional_is_exact():
     # central differences of a quadratic are exact; only roundoff remains
     rng = np.random.default_rng(11)
     state = make_state(BASIS, 0.2 * rng.standard_normal(BASIS.n_modes), 0.7)
-    assert gradient_check(BASIS, LINEAR, NEG, state, 1e-5) <= 1e-8
+    assert gradient_check(BASIS, LINEAR, NEG, state) <= 1e-8
 
 
 def central_difference_jacobian(basis, nl, sig, coeffs, lam):
@@ -530,12 +530,6 @@ def test_restricted_residual_of_orders_0_and_3_is_the_kept_part_of_the_full_one(
     keep = [i for i, (k, m) in enumerate(BASIS.modes) if m in (0, 3, -3)]
     got, want = restricted_and_full_residual([-3, 0, 3], 13)
     assert np.max(np.abs(got - want[:, keep])) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_gradient_check_validates_epsilon():
-    state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
-    with pytest.raises(ValueError):
-        gradient_check(BASIS, QUARTIC, NEG, state, 1e-2)
 
 
 def test_lambda_derivative_of_a_lambda_dependent_nonlinearity():
@@ -617,17 +611,7 @@ def test_gradient_check_requires_a_sample():
     )
     rng = np.random.default_rng(5)
     state = make_state(BASIS, 0.5 * rng.standard_normal(BASIS.n_modes), 1.0)
-    assert gradient_check(BASIS, wrong, NEG, state, 1e-5, n_samples=5) > 0.1
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="n_samples must be at least 1"):
-            gradient_check(BASIS, wrong, NEG, state, 1e-5, n_samples=n)
-
-
-@pytest.mark.parametrize("n", [True, 2.5, "5"], ids=["bool", "float", "string"])
-def test_gradient_check_refuses_a_sample_count_that_is_not_an_integer(n):
-    state = make_state(BASIS, np.zeros(BASIS.n_modes), 1.0)
-    with pytest.raises(ValueError, match="expected an integer"):
-        gradient_check(BASIS, QUARTIC, NEG, state, 1e-5, n_samples=n)
+    assert gradient_check(BASIS, wrong, NEG, state) > 0.1
 
 
 # -- crossings -----------------------------------------------------------------------

@@ -15,8 +15,14 @@ and format is pinned on every config.
 The fifth config, (S^2)^3 with three equations, adds the eleven digests of a
 rank-3 space, recorded before the range functions were changed to hold one
 eigenvalue at a time and the per-alpha weight maps lost their cache.
+
+The twelve CSV digests of the four rank >= 2 configs were re-recorded when
+the CSV writer began to double-quote a field holding a comma: before that,
+weight ids such as ``H[0,1]`` split their rows into extra fields.  Every
+other digest is unchanged by that fix.
 """
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -40,6 +46,20 @@ def test_exact_output_matches_golden_digest(tmp_path, case):
     code = main([case["command"], "--config", str(cfg), "--format", case["format"], "--out", str(out)])
     assert code == case["exit"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("config", GOLDEN["configs"])
+def test_every_csv_row_is_as_wide_as_its_header(tmp_path, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(GOLDEN["configs"][config]))
+    for command, entry in COMMANDS.items():
+        if entry.compute is None or "csv" not in entry.renderers:
+            continue
+        out = tmp_path / f"{command}.csv"
+        main([command, "--config", str(cfg), "--format", "csv", "--out", str(out)])
+        header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+        assert rows, command
+        assert [len(row) for row in rows] == [len(header)] * len(rows), command
 
 
 def test_every_exact_format_has_a_digest_on_every_config():
