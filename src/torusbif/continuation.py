@@ -47,18 +47,20 @@ from .galerkin import (
     residual_jacobian,
     trivial_branch_crossings,
 )
-from .jsonio import int_from_json
 
 ISOTROPY_RESTRICTIONS = ("axisymmetric",)
 
 # Fixed solver constants: the kernel amplitude pinned at branch switching (a
 # state below a tenth of it counts as back on the trivial branch), the Newton
-# residual tolerance and iteration cap, and the bounds of the adaptive step.
+# residual tolerance and iteration cap, the first arclength step and the
+# bounds of the adaptive step, and the budget of accepted states.
 ONSET_AMPLITUDE = 1e-3
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 25
+INITIAL_STEP = 0.05
 MIN_STEP = 1e-6
 MAX_STEP = 0.2
+MAX_STEPS = 500
 
 
 def _positive_real(name: str, x) -> float:
@@ -69,22 +71,15 @@ def _positive_real(name: str, x) -> float:
 
 @dataclass(frozen=True)
 class ContinuationOptions:
-    """Step, budget and stopping rule of a continuation run.  The values are
-    checked here, and the options are frozen so the check holds for the whole
-    run: a nan step would halve forever without ever reaching ``MIN_STEP``."""
+    """Norm target and isotropy restriction of a continuation run.  The
+    values are checked here, and the options are frozen so the check holds
+    for the whole run."""
 
-    step: float = 0.05
-    max_steps: int = 500
     target_norm: float = 1.0
     isotropy_restriction: str | None = None
 
     def __post_init__(self):
-        for name in ("step", "target_norm"):
-            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
-        max_steps = int_from_json(self.max_steps)
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "target_norm", _positive_real("target_norm", self.target_norm))
         if self.isotropy_restriction is not None and self.isotropy_restriction not in ISOTROPY_RESTRICTIONS:
             raise ValueError(f"unknown isotropy restriction {self.isotropy_restriction!r}")
 
@@ -225,14 +220,14 @@ def continue_branch(
     first_dir /= np.linalg.norm(first_dir)
     tangent = tangent_at(M, first_dir)
 
-    h = min(max(opts.step, MIN_STEP), MAX_STEP)
+    h = INITIAL_STEP
     while True:
         norm = states[-1].h1_norm
         if norm >= opts.target_norm:
             return BranchResult(basis, states, "reached_target")
         if norm < ONSET_AMPLITUDE / 10.0:
             return BranchResult(basis, states, "returned_to_trivial")
-        if len(states) >= opts.max_steps:
+        if len(states) >= MAX_STEPS:
             return BranchResult(basis, states, "incomplete")
 
         z_pred = prev + h * tangent

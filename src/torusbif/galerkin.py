@@ -183,10 +183,10 @@ class NonlinearitySpec:
     ``value`` maps node values u of shape (p, nodes) to h(u) of shape (nodes,);
     ``grad`` returns d_u h of shape (p, nodes) and ``hess`` the second
     derivative of shape (p, p, nodes), which the Newton corrector's Jacobian
-    is assembled from.  ``grad_degree`` is the polynomial degree of grad in u
-    when known, used to confirm the quadrature resolves the projected
-    residual.  All three may read lam; the solver observes whether grad does
-    (see ``residual_jacobian``).  The gradient must vanish to second order at
+    is assembled from.  ``grad_degree`` is the polynomial degree of grad in u,
+    used to confirm the quadrature resolves the projected residual.  All
+    three may read lam; the solver observes whether grad does (see
+    ``residual_jacobian``).  The gradient must vanish to second order at
     u = 0 so the trivial branch persists.
     """
 
@@ -194,7 +194,7 @@ class NonlinearitySpec:
     value: Callable[[np.ndarray, float], np.ndarray]
     grad: Callable[[np.ndarray, float], np.ndarray]
     hess: Callable[[np.ndarray, float], np.ndarray]
-    grad_degree: int | None = None
+    grad_degree: int
 
     @classmethod
     def quartic(cls) -> "NonlinearitySpec":
@@ -277,8 +277,6 @@ def make_state(basis: GalerkinBasis, coeffs: np.ndarray, lam: float, arclength: 
 
 
 def _check_resolution(basis: GalerkinBasis, nl: NonlinearitySpec) -> None:
-    if nl.grad_degree is None:
-        return
     needed = (nl.grad_degree + 1) * basis.max_degree
     if basis.quad_degree < needed:
         raise ValueError(

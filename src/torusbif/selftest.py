@@ -292,7 +292,7 @@ def criterion_10_branch_witness(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((-1,))
-    opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0, max_steps=500)
+    opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
     result = continue_branch(8, nl, sig, 2, opts)
     ok = result.outcome == "reached_target" and len(result.states) <= 500
     ok = ok and all(st.h1_norm >= ONSET_AMPLITUDE / 10.0 for st in result.states)

@@ -351,11 +351,14 @@ def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ..
     for lam in sorted(by_eig):
         alphas = tuple(sorted(by_eig[lam], key=lambda a: a.coords))
         decomp = _decompose_alphas(space, alphas)
-        real_dim = sum(_alpha_complex_dim(space, a) for a in alphas)
-        if decomp.total_dim != real_dim:
-            raise ValueError(
-                f"decomposition dimension {decomp.total_dim} != eigenspace dimension {real_dim} at lambda={lam}"
-            )
+        if space.factors is not None:
+            # sphere factors count the dimension a second, independent way;
+            # a table's only count is the sum of its own multiplicities
+            real_dim = sum(math.prod(map(harmonic_dim, space.factors, a.coords)) for a in alphas)
+            if decomp.total_dim != real_dim:
+                raise ValueError(
+                    f"decomposition dimension {decomp.total_dim} != eigenspace dimension {real_dim} at lambda={lam}"
+                )
         levels.append(SpectralLevel(lam, alphas, decomp))
     return tuple(levels)
 
@@ -442,12 +445,6 @@ def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Ite
     if entry is None:
         raise ValueError(f"weight tables required: no entry for alpha {alpha}")
     return sorted((mu.coords, m) for mu, m in entry.items())
-
-
-def _alpha_complex_dim(space: SymmetricSpaceData, alpha: RestrictedWeight) -> int:
-    if space.factors is not None:
-        return math.prod(harmonic_dim(n, k) for n, k in zip(space.factors, alpha.coords))
-    return sum(m for _, m in _alpha_weight_map(space, alpha))
 
 
 def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> TorusRepDecomposition:

@@ -458,7 +458,6 @@ BRANCH_CFG = {
         "nl": "quartic",
         "crossing": 2,
         "target_norm": 1.0,
-        "max_steps": 500,
         "isotropy_restriction": "axisymmetric",
     },
 }
@@ -485,7 +484,7 @@ def test_branch_csv_has_no_roundoff_columns(tmp_path, capsys):
     # the unrestricted K = 8 branch from lambda = 0 stays on the constant
     # mode: every other final coefficient is 0.0 or roundoff (about 1e-18),
     # so the CSV keeps the one column c[0;0;0]
-    galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8, "max_steps": 200}
+    galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8}
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": galerkin})
     out_csv = tmp_path / "branch.csv"
     code, out, _ = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
@@ -544,8 +543,11 @@ def test_branch_rejects_non_crossing(tmp_path, capsys):
     assert "not a crossing" in err
 
 
-def test_branch_budget_of_one_step(tmp_path, capsys):
-    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "max_steps": 1}})
+def test_branch_budget_of_one_step(tmp_path, capsys, monkeypatch):
+    from torusbif import continuation
+
+    monkeypatch.setattr(continuation, "MAX_STEPS", 1)
+    cfg = write_config(tmp_path, BRANCH_CFG)
     out_csv = tmp_path / "branch.csv"
     code, out, _ = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
     assert code == 0
@@ -555,7 +557,7 @@ def test_branch_budget_of_one_step(tmp_path, capsys):
     assert len(out_csv.read_text().strip().splitlines()) == 2
 
 
-@pytest.mark.parametrize("key, value", [("K", 8.9), ("max_steps", 1.7), ("max_steps", True)])
+@pytest.mark.parametrize("key, value", [("K", 8.9), ("K", True), ("K", "8")])
 def test_branch_non_integer_block_entry_rejected(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], key: value}})
     code, out, err = run(capsys, ["branch", "--config", cfg])
@@ -575,17 +577,15 @@ def test_branch_negative_K_is_refused_by_the_basis(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("step", "nan"),
-        ("step", float("nan")),  # written as the JSON literal NaN
-        ("step", "abc"),
-        ("step", 0),
+        ("target_norm", "nan"),
+        ("target_norm", float("nan")),  # written as the JSON literal NaN
+        ("target_norm", "abc"),
+        ("target_norm", 0),
         ("target_norm", True),
         ("target_norm", -1.0),
         ("isotropy_restriction", "bogus"),
         ("nl", ["quartic"]),
         ("K", -3),
-        ("max_steps", 0),
-        ("max_steps", -4),
     ],
 )
 def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):
@@ -602,19 +602,23 @@ def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):
         ({"min_step": 1e-3}, True, "bad galerkin block: unknown key 'min_step'"),
         ({"newton_tol": 1e-8}, True, "bad galerkin block: unknown key 'newton_tol'"),
         ({"stepp": 0.1}, True, "bad galerkin block: unknown key 'stepp'"),
+        ({"step": 0.05}, True, "bad galerkin block: unknown key 'step'"),
+        ({"max_steps": 500}, True, "bad galerkin block: unknown key 'max_steps'"),
         ({"a": [-1]}, True, "bad galerkin block: unknown key 'a'"),
         ({"a": [-1]}, False, "config needs a signature 'a'"),
     ],
-    ids=["min_step", "newton_tol", "typo", "signature-in-block", "signature-only-in-block"],
+    ids=["min_step", "newton_tol", "typo", "step", "max_steps", "signature-in-block", "signature-only-in-block"],
 )
 def test_branch_galerkin_block_accepts_only_its_keys(tmp_path, capsys, extra, top_level_a, message):
     config = {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], **extra}}
     if not top_level_a:
         del config["a"]
-    code, out, err = run(capsys, ["branch", "--config", write_config(tmp_path, config)])
+    out_csv = tmp_path / "branch.csv"
+    code, out, err = run(capsys, ["branch", "--config", write_config(tmp_path, config), "--out", str(out_csv)])
     assert code == 2
     assert message in err
     assert out == ""
+    assert not out_csv.exists()
 
 
 def test_branch_zero_denominator_crossing_rejected(tmp_path, capsys):

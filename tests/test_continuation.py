@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ NEG = SystemSignature((-1,))
 
 
 def axisymmetric_opts(**kw):
-    defaults = dict(isotropy_restriction="axisymmetric", target_norm=1.0, max_steps=500)
+    defaults = dict(isotropy_restriction="axisymmetric", target_norm=1.0)
     defaults.update(kw)
     return ContinuationOptions(**defaults)
 
@@ -48,7 +49,7 @@ def embed(full, coeffs):
 # crossing and options of the two K = 8 fixtures
 RUNS = {
     "branch": (2, axisymmetric_opts()),
-    "constant_branch": (0, ContinuationOptions(target_norm=0.8, max_steps=200)),
+    "constant_branch": (0, ContinuationOptions(target_norm=0.8)),
 }
 
 
@@ -128,13 +129,13 @@ def dense_branch(K, crossing, opts):
     states = [state(x, lam)]
     prev = np.append(x, lam)
     t = tangent(M, np.append(x, lam - crossing) / np.linalg.norm(np.append(x, lam - crossing)))
-    h = min(max(opts.step, continuation.MIN_STEP), continuation.MAX_STEP)
+    h = continuation.INITIAL_STEP
     while True:
         if states[-1][2] >= opts.target_norm:
             return states, "reached_target"
         if states[-1][2] < onset / 10.0:
             return states, "returned_to_trivial"
-        if len(states) >= opts.max_steps:
+        if len(states) >= continuation.MAX_STEPS:
             return states, "incomplete"
         z = prev + h * t
         x, lam, M = newton(z[:n], z[n], t, prev, h)
@@ -305,9 +306,9 @@ def test_immediate_stop_when_target_below_onset():
     assert len(result.states) == 1
 
 
-def test_budget_exhaustion_is_flagged_incomplete():
-    opts = axisymmetric_opts(max_steps=1)
-    result = continue_branch(8, QUARTIC, NEG, 2, opts)
+def test_budget_exhaustion_is_flagged_incomplete(monkeypatch):
+    monkeypatch.setattr(continuation, "MAX_STEPS", 1)
+    result = continue_branch(8, QUARTIC, NEG, 2, axisymmetric_opts())
     assert result.outcome == "incomplete"
     assert len(result.states) == 1
 
@@ -389,7 +390,7 @@ def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypa
     monkeypatch.setattr(continuation, "continue_branch", recorded_solve)
     monkeypatch.setattr(selftest, "continue_branch", recorded_solve)
     config = tmp_path / "branch.json"
-    galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8, "max_steps": 200}
+    galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8}
     config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
     assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
     assert built == inside == [(8, 9)]
@@ -405,8 +406,9 @@ def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize(
     "nl", [QUARTIC, NonlinearitySpec.zero(), lam_scaled_quartic()], ids=["quartic", "zero", "lam-scaled"]
 )
-def test_pointwise_nonlinearities_pass_the_symmetry_check(nl):
-    result = continue_branch(8, nl, NEG, 0, ContinuationOptions(max_steps=1))
+def test_pointwise_nonlinearities_pass_the_symmetry_check(monkeypatch, nl):
+    monkeypatch.setattr(continuation, "MAX_STEPS", 1)
+    result = continue_branch(8, nl, NEG, 0, ContinuationOptions())
     assert result.outcome == "incomplete" and len(result.states) == 1
 
 
@@ -465,14 +467,14 @@ def test_unknown_restriction_name():
 @pytest.mark.parametrize(
     "kw",
     [
-        {"step": float("nan")},
-        {"step": float("inf")},
-        {"step": "0.05"},
-        {"step": True},
+        {"target_norm": float("nan")},
+        {"target_norm": float("inf")},
+        {"target_norm": "0.05"},
+        {"target_norm": True},
         {"target_norm": 0.0},
-        {"max_steps": 0},
-        {"max_steps": -4},
-        {"max_steps": 2.5},
+        {"target_norm": -4.0},
+        {"target_norm": float("-inf")},
+        {"target_norm": None},
     ],
 )
 def test_options_reject_bad_step_control(kw):
@@ -480,10 +482,16 @@ def test_options_reject_bad_step_control(kw):
         ContinuationOptions(**kw)
 
 
+def test_options_hold_only_the_settings_a_run_varies():
+    # the first step and the step budget are the constants INITIAL_STEP and
+    # MAX_STEPS, not options
+    assert [f.name for f in dataclasses.fields(ContinuationOptions)] == ["target_norm", "isotropy_restriction"]
+
+
 def test_options_cannot_be_changed_after_validation():
     opts = axisymmetric_opts()
     with pytest.raises(AttributeError):
-        opts.step = float("nan")
+        opts.target_norm = float("nan")
 
 
 def test_newton_breakdown_raises_with_partial_branch():
@@ -499,9 +507,8 @@ def test_newton_breakdown_raises_with_partial_branch():
         hess=QUARTIC.hess,
         grad_degree=3,
     )
-    opts = axisymmetric_opts(step=0.05)
     with pytest.raises(ContinuationError) as excinfo:
-        continue_branch(8, nl, NEG, 2, opts)
+        continue_branch(8, nl, NEG, 2, axisymmetric_opts())
     result = excinfo.value.result
     assert result.outcome == "diverged" and result.basis.modes == BASIS.modes
     assert result.states  # the states traced before the breakdown

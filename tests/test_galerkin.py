@@ -433,6 +433,11 @@ def test_underresolved_quadrature_is_rejected():
         residual_coeffs(BASIS, sextic, NEG, np.zeros(BASIS.n_modes), 1.0)
 
 
+def test_a_spec_must_state_its_gradient_degree():
+    with pytest.raises(TypeError, match="grad_degree"):
+        NonlinearitySpec("quartic", QUARTIC.value, QUARTIC.grad, QUARTIC.hess)
+
+
 def test_h1_norm_weights():
     c = np.zeros(BASIS.n_modes)
     c[BASIS.mode_index[(0, 0)]] = 2.0

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +321,36 @@ def test_generic_tables_must_be_conjugation_symmetric():
     space = SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=tables)
     with pytest.raises(ValueError, match="conjugation-symmetric"):
         spectrum_up_to(space, 2)
+
+
+def test_spectrum_builds_one_weight_map_per_alpha(monkeypatch):
+    # a table's only dimension count is the sum of its multiplicities, which
+    # the decomposition already holds, so the spectrum reads each summand's
+    # weights once
+    from torusbif import spaces
+
+    config = json.loads((Path(__file__).parent / "golden_cli.json").read_text())["configs"]["generic-rank2"]
+    space = load_space(config["space"], base_dir=None)
+    built, weight_map = [], spaces._alpha_weight_map
+
+    def counted(space, alpha):
+        built.append(alpha)
+        return weight_map(space, alpha)
+
+    monkeypatch.setattr(spaces, "_alpha_weight_map", counted)
+    alphas = [a for lv in spectrum_up_to(space, config["cutoff"]) for a in lv.alphas]
+    assert len(alphas) == 3
+    assert built == alphas
+
+
+def test_sphere_dimension_cross_check_fires(monkeypatch):
+    # sphere factors count each level's dimension twice, by the harmonic
+    # dimensions and by the torus decomposition, and the two must agree
+    from torusbif import spaces
+
+    monkeypatch.setattr(spaces, "harmonic_dim", lambda n, k: harmonic_dim(n, k) + 1)
+    with pytest.raises(ValueError, match="decomposition dimension 1 != eigenspace dimension 2 at lambda=0"):
+        spectrum_up_to(SymmetricSpaceData.sphere(2), 6)
 
 
 def test_released_spectrum_leaves_no_weight_maps():
