@@ -48,7 +48,7 @@ _LAZY = {
         ),
         "galerkin",
     ),
-    **dict.fromkeys(("BranchResult", "ContinuationError", "ContinuationOptions", "continue_branch"), "continuation"),
+    **dict.fromkeys(("BranchResult", "ContinuationOptions", "continue_branch"), "continuation"),
 }
 
 
@@ -90,20 +90,5 @@ __all__ = [
     "cancellation_impossible",
     "certify_levels",
     "witness_coefficient",
-    "BranchState",
-    "Crossing",
-    "GalerkinBasis",
-    "NonlinearitySpec",
-    "energy",
-    "gradient_check",
-    "h1_norm",
-    "make_state",
-    "node_variance",
-    "residual_coeffs",
-    "rotate_coeffs",
-    "trivial_branch_crossings",
-    "BranchResult",
-    "ContinuationError",
-    "ContinuationOptions",
-    "continue_branch",
+    *_LAZY,
 ]

@@ -3,8 +3,9 @@
 Subcommands: spectrum, decompose, index, certify, branch, selftest.  Each
 writes the formats ``COMMANDS`` lists for it, the first by default.
 Flags: --config PATH, --out PATH, --format FMT, --seed N (selftest only).
-Exit codes: 0 success, 1 domain failure (precondition or solver), 2 usage or
-config error.  Exact rationals serialize as {"num": p, "den": q}.
+Exit codes: 0 success, 1 domain failure (a refused input, or a branch that
+diverged), 2 usage or config error.  Exact rationals serialize as
+{"num": p, "den": q}.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ def branch_csv(result) -> str:
 
 def cmd_branch(raw: dict, base_dir, out) -> int:
     # the numerical half (and numpy) loads only for this command
-    from .continuation import ContinuationError, ContinuationOptions, continue_branch
+    from .continuation import ContinuationOptions, continue_branch
     from .galerkin import NONLINEARITIES, trivial_branch_crossings
 
     space = require_space(raw, base_dir)
@@ -357,10 +358,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if crossing not in known:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
     _check_writable(out)
-    try:
-        result, code = continue_branch(K, nl, sig, crossing, opts), 0
-    except ContinuationError as exc:
-        result, code = exc.result, 1
+    result = continue_branch(K, nl, sig, crossing, opts)
     states = result.states
     summary = {
         "outcome": result.outcome,
@@ -382,19 +380,15 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     else:
         sys.stdout.write(csv_text)
         sys.stderr.write(summary_text)
-    return code
+    if result.outcome == "diverged":
+        print(f"error: {result.reason}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """ValueError, plus ContinuationError once the solver is loaded; it can
-    only have been raised if it was, so the exact commands never import it."""
-    solver = sys.modules.get(f"{__package__}.continuation")
-    return (ValueError,) if solver is None else (ValueError, solver.ContinuationError)
 
 
 def non_negative_int(text: str) -> int:
@@ -449,7 +443,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _domain_errors() as exc:  # evaluated only when an exception reaches it
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

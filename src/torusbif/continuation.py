@@ -23,10 +23,12 @@ linear solve of p (K + 1) + 1 rows per iteration, and the tangent at an
 accepted state is one more solve of the same matrix.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
-witness), when the step budget runs out, or when the branch re-enters a small
+witness), when the step budget runs out, when the branch re-enters a small
 neighbourhood of the trivial solution, which is flagged rather than treated as
-success.  Reaching a norm target is a finite proxy only; unboundedness itself
-is not a finitely checkable property.
+success, or when it diverges: the corrector fails at the minimum step or at
+branch switching, or the tangent solve fails.  Every stop returns the states
+traced so far with its outcome.  Reaching a norm target is a finite proxy
+only; unboundedness itself is not a finitely checkable property.
 """
 
 from __future__ import annotations
@@ -89,15 +91,7 @@ class BranchResult:
     basis: GalerkinBasis  # the basis of the states' coefficients
     states: list[BranchState]
     outcome: str  # reached_target | returned_to_trivial | incomplete | diverged
-
-
-class ContinuationError(RuntimeError):
-    """Newton failure at the minimum step, or no tangent at an accepted
-    state; ``result`` is the partial branch, with outcome ``diverged``."""
-
-    def __init__(self, message: str, basis: GalerkinBasis, states: list[BranchState]):
-        super().__init__(message)
-        self.result = BranchResult(basis, states, "diverged")
+    reason: str | None = None  # why the trace diverged; set exactly then
 
 
 def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:
@@ -137,9 +131,10 @@ def continue_branch(
     Raises ``ValueError`` when ``max_degree`` is not a nonnegative integer,
     when the crossing is not a singular value of the trivial-branch
     linearization, when the restricted kernel is not one-dimensional, or when
-    the nonlinearity does not keep the m = 0 subspace invariant, and
-    ``ContinuationError`` when the corrector cannot converge even at the
-    minimum step or the tangent solve fails.
+    the nonlinearity does not keep the m = 0 subspace invariant.  A trace
+    that diverges (the corrector cannot converge at branch switching or even
+    at the minimum step, or the tangent solve fails) returns the states so
+    far with outcome ``diverged`` and the ``reason``.
     """
     opts = opts or ContinuationOptions()
     lam0 = Fraction(crossing)
@@ -189,20 +184,20 @@ def continue_branch(
         return x, lam, None
 
     def tangent_at(M, prev_t):
-        # M is Newton's bordered matrix at the converged point; the border
-        # row becomes the previous tangent so the new one keeps its
-        # orientation
+        """The unit tangent and None, or None and the reason there is none.
+        M is Newton's bordered matrix at the converged point; the border row
+        becomes the previous tangent so the new one keeps its orientation."""
         M[-1] = prev_t
         rhs = np.zeros(n_act + 1)
         rhs[-1] = 1.0
         try:
             t = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
-            raise ContinuationError("no tangent: the bordered matrix is singular", basis, states) from None
+            return None, "no tangent: the bordered matrix is singular"
         nrm = float(np.linalg.norm(t))
         if not np.isfinite(nrm) or nrm == 0.0:
-            raise ContinuationError(f"no tangent: the tangent solve gave norm {nrm}", basis, states)
-        return t / nrm
+            return None, f"no tangent: the tangent solve gave norm {nrm}"
+        return t / nrm, None
 
     # branch switching: pin the kernel amplitude at the onset amplitude
     unit_row = np.zeros(n_act + 1)
@@ -211,17 +206,19 @@ def continue_branch(
     x0[k_pos] = ONSET_AMPLITUDE
     x, lam, M = newton(x0, lam0f, unit_row, np.zeros(n_act + 1), ONSET_AMPLITUDE)
     if M is None:
-        raise ContinuationError("failed to leave the trivial branch at the crossing", basis, [])
+        return BranchResult(basis, [], "diverged", "failed to leave the trivial branch at the crossing")
 
     s_total = float(np.sqrt(np.dot(x, x) + (lam - lam0f) ** 2))
     states = [make_state(basis, x, lam, s_total)]
     prev = np.concatenate([x, [lam]])
     first_dir = np.concatenate([x, [lam - lam0f]])
     first_dir /= np.linalg.norm(first_dir)
-    tangent = tangent_at(M, first_dir)
+    tangent, reason = tangent_at(M, first_dir)
 
     h = INITIAL_STEP
     while True:
+        if reason is not None:
+            return BranchResult(basis, states, "diverged", reason)
         norm = states[-1].h1_norm
         if norm >= opts.target_norm:
             return BranchResult(basis, states, "reached_target")
@@ -234,12 +231,12 @@ def continue_branch(
         x, lam, M = newton(z_pred[:n_act].copy(), float(z_pred[n_act]), tangent, prev, h)
         if M is None:
             if h <= MIN_STEP:
-                raise ContinuationError(f"Newton corrector failed at minimum step {MIN_STEP}", basis, states)
+                reason = f"Newton corrector failed at minimum step {MIN_STEP}"
             h = max(h / 2.0, MIN_STEP)
             continue
         z_new = np.concatenate([x, [lam]])
         s_total += float(np.linalg.norm(z_new - prev))
         states.append(make_state(basis, x, lam, s_total))
-        tangent = tangent_at(M, tangent)
+        tangent, reason = tangent_at(M, tangent)
         prev = z_new
         h = min(h * 1.4, MAX_STEP)

@@ -299,7 +299,11 @@ def criterion_10_branch_witness(seed=0) -> CriterionResult:
     ok = ok and all(
         node_variance(result.basis, st.coeffs) > 1e-8 * st.h1_norm**2 for st in result.states
     )
-    detail = f"{result.outcome} in {len(result.states)} steps, final norm {result.states[-1].h1_norm:.3f}"
+    detail = f"{result.outcome} in {len(result.states)} steps"
+    if result.states:
+        detail += f", final norm {result.states[-1].h1_norm:.3f}"
+    if result.reason:
+        detail += f": {result.reason}"
     return _result(10, "branch-witness", t0, ok, detail, limit=60.0)
 
 

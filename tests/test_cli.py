@@ -706,38 +706,82 @@ def test_module_entry_point(tmp_path):
 
 def test_branch_solver_divergence_reports_partial_output(tmp_path, capsys, monkeypatch):
     import torusbif.continuation as continuation
-    from torusbif.continuation import ContinuationError
+    from torusbif.continuation import BranchResult
     from torusbif.galerkin import GalerkinBasis, make_state
     import numpy as np
 
     basis = GalerkinBasis(8, orders=[0])
     partial = [make_state(basis, np.zeros(basis.n_modes), 2.0)]
 
-    def explode(*args, **kwargs):
-        raise ContinuationError("corrector failed", basis, partial)
+    def diverge(*args, **kwargs):
+        return BranchResult(basis, partial, "diverged", "corrector failed")
 
-    monkeypatch.setattr(continuation, "continue_branch", explode)
+    monkeypatch.setattr(continuation, "continue_branch", diverge)
     cfg = write_config(tmp_path, BRANCH_CFG)
     out_csv = tmp_path / "branch.csv"
-    code, out, _ = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
-    assert code == 1
+    code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
+    assert (code, err) == (1, "error: corrector failed\n")
     summary = json.loads(out)
     assert summary["outcome"] == "diverged"
     assert summary["steps"] == 1
     assert len(out_csv.read_text().strip().splitlines()) == 2
 
 
-def test_escaping_solver_error_is_domain_failure(tmp_path, capsys, monkeypatch):
-    import torusbif.cli as cli
-    from torusbif.continuation import ContinuationError
+def _quartic_with_nan(where):
+    """The quartic nonlinearity with its gradient NaN wherever ``where(u)``."""
+    import numpy as np
+    from torusbif.galerkin import NonlinearitySpec
 
-    def explode(*args, **kwargs):
-        raise ContinuationError("corrector failed", None, [])
+    quartic = NonlinearitySpec.quartic()
 
-    monkeypatch.setattr(cli, "cmd_branch", explode)
-    code, _, err = run(capsys, ["branch", "--config", write_config(tmp_path, BRANCH_CFG)])
-    assert code == 1
-    assert "corrector failed" in err
+    def grad(u, lam):
+        out = quartic.grad(u, lam)
+        out[where(u)] = np.nan
+        return out
+
+    return lambda: NonlinearitySpec("quartic", quartic.value, grad, quartic.hess, quartic.grad_degree)
+
+
+@pytest.mark.parametrize(
+    "where, reason",
+    [
+        (lambda u: abs(u) > 0.02, "Newton corrector failed at minimum step 1e-06"),
+        (lambda u: u == u, "failed to leave the trivial branch at the crossing"),
+    ],
+    ids=["nan-above-0.02", "nan-everywhere"],
+)
+def test_diverged_branch_run_says_why(tmp_path, capsys, monkeypatch, where, reason):
+    # the solver runs unmocked on a gradient that turns NaN; the run exits 1,
+    # names the reason and still writes the partial branch
+    from torusbif import galerkin
+
+    monkeypatch.setitem(galerkin.NONLINEARITIES, "quartic", _quartic_with_nan(where))
+    cfg, out_csv = write_config(tmp_path, BRANCH_CFG), tmp_path / "branch.csv"
+    code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
+    assert (code, err) == (1, f"error: {reason}\n")
+    summary = json.loads(out)
+    rows = out_csv.read_text().splitlines()
+    assert summary["outcome"] == "diverged"
+    assert len(rows) == summary["steps"] + 1
+    if summary["steps"] == 0:
+        assert summary["final"] is None and rows == ["arclength,lambda,h1_norm"]
+
+
+def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monkeypatch):
+    from torusbif import selftest
+    from torusbif.continuation import BranchResult
+
+    def diverge(*args):
+        return BranchResult(None, [], "diverged", "failed to leave the trivial branch at the crossing")
+
+    monkeypatch.setattr(selftest, "continue_branch", diverge)
+    code, out, _ = run(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 10
+    assert all(line.startswith("[PASS]") for line in lines[:9])
+    assert lines[9].startswith(
+        "[FAIL] criterion 10 branch-witness: diverged in 0 steps: failed to leave the trivial branch at the crossing ("
+    )
 
 
 IMPORT_PROBE = """

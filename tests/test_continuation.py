@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from torusbif import (
-    ContinuationError,
     ContinuationOptions,
     GalerkinBasis,
     NonlinearitySpec,
@@ -302,14 +301,14 @@ def test_constant_branch_from_zero_crossing(constant_branch):
 def test_immediate_stop_when_target_below_onset():
     opts = axisymmetric_opts(target_norm=1e-4)
     result = continue_branch(8, QUARTIC, NEG, 2, opts)
-    assert result.outcome == "reached_target"
+    assert (result.outcome, result.reason) == ("reached_target", None)
     assert len(result.states) == 1
 
 
 def test_budget_exhaustion_is_flagged_incomplete(monkeypatch):
     monkeypatch.setattr(continuation, "MAX_STEPS", 1)
     result = continue_branch(8, QUARTIC, NEG, 2, axisymmetric_opts())
-    assert result.outcome == "incomplete"
+    assert (result.outcome, result.reason) == ("incomplete", None)
     assert len(result.states) == 1
 
 
@@ -507,10 +506,9 @@ def test_newton_breakdown_raises_with_partial_branch():
         hess=QUARTIC.hess,
         grad_degree=3,
     )
-    with pytest.raises(ContinuationError) as excinfo:
-        continue_branch(8, nl, NEG, 2, axisymmetric_opts())
-    result = excinfo.value.result
+    result = continue_branch(8, nl, NEG, 2, axisymmetric_opts())
     assert result.outcome == "diverged" and result.basis.modes == BASIS.modes
+    assert result.reason == f"Newton corrector failed at minimum step {continuation.MIN_STEP}"
     assert result.states  # the states traced before the breakdown
 
 
@@ -528,6 +526,6 @@ def test_tangent_failure_raises_with_partial_branch(monkeypatch, failure, which)
         return real(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    with pytest.raises(ContinuationError, match="no tangent") as excinfo:
-        continue_branch(8, QUARTIC, NEG, *RUNS[which])
-    assert excinfo.value.result.states  # the onset state, accepted before its tangent
+    result = continue_branch(8, QUARTIC, NEG, *RUNS[which])
+    assert result.outcome == "diverged" and result.reason.startswith("no tangent")
+    assert len(result.states) == 1  # the onset state, accepted before its tangent
