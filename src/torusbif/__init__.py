@@ -48,7 +48,7 @@ _LAZY = {
         ),
         "galerkin",
     ),
-    **dict.fromkeys(("BranchResult", "ContinuationOptions", "continue_branch"), "continuation"),
+    **dict.fromkeys(("BranchResult", "continue_branch"), "continuation"),
 }
 
 

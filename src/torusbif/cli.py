@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -329,7 +328,7 @@ def branch_csv(result) -> str:
 
 def cmd_branch(raw: dict, base_dir, out) -> int:
     # the numerical half (and numpy) loads only for this command
-    from .continuation import ContinuationOptions, continue_branch
+    from .continuation import _positive_real, continue_branch
     from .galerkin import NONLINEARITIES, trivial_branch_crossings
 
     space = require_space(raw, base_dir)
@@ -339,14 +338,17 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     block = raw.get("galerkin")
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'galerkin' block for branch runs")
-    option_keys = [f.name for f in fields(ContinuationOptions)]
-    unknown = sorted(set(block) - {"K", "crossing", "nl", *option_keys})
+    unknown = sorted(set(block) - {"K", "crossing", "nl", "target_norm", "isotropy_restriction"})
     if unknown:
         raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
     try:
         K, crossing = block["K"], frac_from_json(block["crossing"])
         known = {c.lam for c in trivial_branch_crossings(K, sig, (crossing, crossing))}
-        opts = ContinuationOptions(**{key: block[key] for key in option_keys if key in block})
+        target_norm = _positive_real("target_norm", block.get("target_norm", 1.0))
+        # the solver always works on the axisymmetric (m = 0) modes; the key may say so
+        restriction = block.get("isotropy_restriction", "axisymmetric")
+        if restriction != "axisymmetric":
+            raise ValueError(f"isotropy_restriction must be 'axisymmetric', got {restriction!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")
@@ -358,7 +360,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     if crossing not in known:
         raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
     _check_writable(out)
-    result = continue_branch(K, nl, sig, crossing, opts)
+    result = continue_branch(K, nl, sig, crossing, target_norm)
     states = result.states
     summary = {
         "outcome": result.outcome,

@@ -3,24 +3,21 @@
 Branch switching pins the kernel coordinate at a small onset amplitude and
 solves for the remaining coordinates and the parameter; afterwards the branch
 is traced with a tangent predictor and a Newton corrector on the residual
-extended by the arclength constraint.  Kernels with symmetry-induced
-multiplicity are cut down by restricting to an isotropy subspace, which must
-leave a one-dimensional kernel at the chosen crossing.  A restriction is a
-subset of the modes (``axisymmetric`` keeps m = 0, no restriction keeps them
-all); it only picks the crossing's kernel modes that are counted.
+extended by the arclength constraint.
 
-A one-dimensional kernel is always an m = 0 mode (a crossing lists every
-order of each degree), and the gradient must keep the m = 0 modes invariant
-(checked once per run), so every iterate stays in the fixed space of the
-O(2) about the pole, which the m = 0 modes span.  A solution in that space
-solves the full system: its residual has no part of order m != 0.  So
-``continue_branch`` builds ``GalerkinBasis(K, orders=[0])`` itself, whatever
-the restriction, and returns it with the states, whose coefficients it
-holds, p (K + 1) per state.  The kernel is still counted over every mode of
-the full problem, through ``Crossing.modes``.  Newton solves the Jacobian of those
-modes bordered by the constraint row and the lambda column, one
-linear solve of p (K + 1) + 1 rows per iteration, and the tangent at an
-accepted state is one more solve of the same matrix.
+The solver works in the fixed space of the O(2) about the pole, which the
+m = 0 modes span.  There a degree-k harmonic of one component contributes the
+single mode Y_{k,0}, so the kernel at a crossing is one-dimensional exactly
+when one component reaches that level; a level two components share is
+refused.  The gradient must keep the m = 0 modes invariant (checked once per
+run), so every iterate stays in that space, and a solution there solves the
+full system: its residual has no part of order m != 0.  This is the branch
+the equivariant branching lemma gives at a crossing.  ``continue_branch``
+builds ``GalerkinBasis(K, orders=[0])`` itself and returns it with the
+states, whose coefficients it holds, p (K + 1) per state.  Newton solves the
+Jacobian of those modes bordered by the constraint row and the lambda
+column, one linear solve of p (K + 1) + 1 rows per iteration, and the
+tangent at an accepted state is one more solve of the same matrix.
 
 The trace stops when the Sobolev norm reaches the target (the norm-growth
 witness), when the step budget runs out, when the branch re-enters a small
@@ -50,8 +47,6 @@ from .galerkin import (
     trivial_branch_crossings,
 )
 
-ISOTROPY_RESTRICTIONS = ("axisymmetric",)
-
 # Fixed solver constants: the kernel amplitude pinned at branch switching (a
 # state below a tenth of it counts as back on the trivial branch), the Newton
 # residual tolerance and iteration cap, the first arclength step and the
@@ -69,21 +64,6 @@ def _positive_real(name: str, x) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
         raise ValueError(f"{name} must be a finite positive number, got {x!r}")
     return float(x)
-
-
-@dataclass(frozen=True)
-class ContinuationOptions:
-    """Norm target and isotropy restriction of a continuation run.  The
-    values are checked here, and the options are frozen so the check holds
-    for the whole run."""
-
-    target_norm: float = 1.0
-    isotropy_restriction: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "target_norm", _positive_real("target_norm", self.target_norm))
-        if self.isotropy_restriction is not None and self.isotropy_restriction not in ISOTROPY_RESTRICTIONS:
-            raise ValueError(f"unknown isotropy restriction {self.isotropy_restriction!r}")
 
 
 @dataclass
@@ -122,33 +102,36 @@ def continue_branch(
     nl: NonlinearitySpec,
     sig,
     crossing,
-    opts: ContinuationOptions | None = None,
+    target_norm: float = 1.0,
 ) -> BranchResult:
     """Trace the branch bifurcating at a trivial-branch crossing, in the
     basis of the modes of order 0 and degree 0..``max_degree``, which the
     result carries.
 
     Raises ``ValueError`` when ``max_degree`` is not a nonnegative integer,
-    when the crossing is not a singular value of the trivial-branch
-    linearization, when the restricted kernel is not one-dimensional, or when
-    the nonlinearity does not keep the m = 0 subspace invariant.  A trace
+    when ``target_norm`` is not a finite positive number, when the crossing
+    is not a singular value of the trivial-branch linearization, when two
+    components share it (the m = 0 kernel is then not one-dimensional), or
+    when the nonlinearity does not keep the m = 0 subspace invariant.  A trace
     that diverges (the corrector cannot converge at branch switching or even
     at the minimum step, or the tangent solve fails) returns the states so
     far with outcome ``diverged`` and the ``reason``.
     """
-    opts = opts or ContinuationOptions()
+    target_norm = _positive_real("target_norm", target_norm)
     lam0 = Fraction(crossing)
     p = len(sig.a)
     crossings = {c.lam: c for c in trivial_branch_crossings(max_degree, sig, (lam0, lam0))}
     if lam0 not in crossings:
         raise ValueError(f"{crossing} is not a crossing of the trivial branch")
 
-    kernel = crossings[lam0].modes
-    if opts.isotropy_restriction == "axisymmetric":
-        kernel = [mode for mode in kernel if mode[2] == 0]
-    if len(kernel) != 1:
-        raise ValueError(f"restricted kernel is {len(kernel)}-dimensional; apply isotropy restriction")
-    comp, k, _ = kernel[0]
+    pairs = crossings[lam0].pairs
+    if len(pairs) > 1:
+        *rest, last = (str(i) for i, _ in pairs)
+        raise ValueError(
+            f"components {', '.join(rest)} and {last} share the crossing {lam0}: "
+            f"the m = 0 kernel is {len(pairs)}-dimensional"
+        )
+    ((comp, k),) = pairs
     basis = GalerkinBasis(max_degree, orders=[0])
     lam0f = float(lam0)
     _check_order_invariance(basis, nl, sig, lam0f)
@@ -220,7 +203,7 @@ def continue_branch(
         if reason is not None:
             return BranchResult(basis, states, "diverged", reason)
         norm = states[-1].h1_norm
-        if norm >= opts.target_norm:
+        if norm >= target_norm:
             return BranchResult(basis, states, "reached_target")
         if norm < ONSET_AMPLITUDE / 10.0:
             return BranchResult(basis, states, "returned_to_trivial")

@@ -17,7 +17,7 @@ from .bifurcation import (
     cancellation_impossible,
     witness_coefficient,
 )
-from .continuation import ONSET_AMPLITUDE, ContinuationOptions, continue_branch
+from .continuation import ONSET_AMPLITUDE, continue_branch
 from .euler_ring import UNIT, ZERO, _element
 from .galerkin import (
     GalerkinBasis,
@@ -292,8 +292,7 @@ def criterion_10_branch_witness(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((-1,))
-    opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
-    result = continue_branch(8, nl, sig, 2, opts)
+    result = continue_branch(8, nl, sig, 2, target_norm=1.0)
     ok = result.outcome == "reached_target" and len(result.states) <= 500
     ok = ok and all(st.h1_norm >= ONSET_AMPLITUDE / 10.0 for st in result.states)
     ok = ok and all(

@@ -318,6 +318,11 @@ def eigenvalue_of(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Fractio
     return space.inner(coords, coords) + 2 * space.inner(coords, space.rho)
 
 
+# The most candidate weights, the points of the box of _coordinate_bound,
+# that one spectrum enumerates; a larger box is refused before it is walked.
+LATTICE_LIMIT = 10**6
+
+
 def _coordinate_bound(gram: Sequence[Sequence[Fraction]], cutoff: Fraction) -> tuple[int, ...]:
     """Exact box bound on dominant coordinates with (alpha, alpha) <= cutoff:
     alpha_i^2 <= (alpha, alpha) (G^-1)_ii by Cauchy-Schwarz, with (G^-1)_ii the
@@ -335,12 +340,21 @@ def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ..
 
     Enumeration terminates because the Gram form is positive definite and rho
     pairs nonnegatively with dominant weights, so (alpha, alpha) <= cutoff
-    bounds every coordinate.  Grouping is by exact rational equality.
+    bounds every coordinate; a box of more than ``LATTICE_LIMIT`` points is
+    refused with ``ValueError`` before it is walked.  Grouping is by exact
+    rational equality.
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     bounds = _coordinate_bound(space.gram, cutoff)
+    count = math.prod(b + 1 for b in bounds)
+    if count > LATTICE_LIMIT:
+        count_text = str(count) if count.bit_length() < 64 else f"about 10^{math.log10(count):.1f}"
+        raise ValueError(
+            f"the cutoff spans a lattice box of {count_text} candidate weights, "
+            f"more than LATTICE_LIMIT = {LATTICE_LIMIT}"
+        )
     by_eig: dict[Fraction, list[RestrictedWeight]] = {}
     for coords in itertools.product(*(range(b + 1) for b in bounds)):
         alpha = RestrictedWeight(coords)

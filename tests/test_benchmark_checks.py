@@ -3,6 +3,7 @@ commands of every workload, so that a change which breaks a workload's
 command or output fails here, before a benchmark run.  The benchmark's files
 are only read."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -39,3 +40,20 @@ def test_workload_commands_pass_the_benchmark_check(tmp_path, capsys, name):
         output = workloads.Output(code, capsys.readouterr().out.encode(), out.read_bytes())
         error = workloads.check(command, output, reference.get(command.kind, {}))
         assert error is None, f"{command.kind}: {error}"
+
+
+def test_selfcheck_tiny_branch_config_runs(tmp_path, capsys):
+    # the branch config of perfbench/selfcheck.py, which states
+    # isotropy_restriction; the script imports the harness by bare module
+    # names and sets process-wide flags, so the config is read from its
+    # source, not imported
+    tree = ast.parse((PERFBENCH / "selfcheck.py").read_text(encoding="utf-8"))
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TINY_BRANCH" for t in node.targets)
+    ]
+    config = tmp_path / "tiny_branch.json"
+    config.write_text(json.dumps(ast.literal_eval(value)), encoding="utf-8")
+    assert main(["branch", "--config", str(config), "--out", str(tmp_path / "branch.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "reached_target"

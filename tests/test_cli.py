@@ -586,6 +586,12 @@ def test_branch_negative_K_is_refused_by_the_basis(tmp_path, capsys):
         ("isotropy_restriction", "bogus"),
         ("nl", ["quartic"]),
         ("K", -3),
+        ("target_norm", float("inf")),  # the JSON literal Infinity
+        ("target_norm", float("-inf")),
+        ("target_norm", "0.05"),
+        ("target_norm", 0.0),
+        ("target_norm", None),
+        ("isotropy_restriction", None),
     ],
 )
 def test_branch_bad_continuation_option_rejected(tmp_path, capsys, key, value):
@@ -645,28 +651,70 @@ def test_branch_accepts_any_descriptor_of_the_two_sphere(tmp_path, capsys):
     assert runs[1] == runs[0]
 
 
+SHARED_LEVEL = "error: components 0 and 1 share the crossing 2: the m = 0 kernel is 2-dimensional\n"
+
+
 def test_branch_kernel_restriction_error_is_domain_failure(tmp_path, capsys):
+    # two components at one level leave a two-dimensional kernel even on the
+    # m = 0 modes
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "a": [-1, -1]})
+    assert run(capsys, ["branch", "--config", cfg]) == (1, "", SHARED_LEVEL)
+
+
+def test_branch_without_a_stated_restriction_writes_the_axisymmetric_bytes(tmp_path, capsys):
+    # the solver always works on the m = 0 modes, so leaving the key out
+    # runs the same branch, also at a crossing of degree 1
     block = {**BRANCH_CFG["galerkin"]}
     del block["isotropy_restriction"]
-    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": block})
-    code, _, err = run(capsys, ["branch", "--config", cfg])
-    assert code == 1
-    assert "apply isotropy restriction" in err
+    stated = run(capsys, ["branch", "--config", write_config(tmp_path, BRANCH_CFG, "stated.json")])
+    absent = run(capsys, ["branch", "--config", write_config(tmp_path, {**BRANCH_CFG, "galerkin": block})])
+    assert stated[0] == 0 and '"outcome": "reached_target"' in stated[2]
+    assert absent == stated
 
 
 def test_refused_branch_leaves_no_out_file_and_keeps_an_existing_one(tmp_path, capsys):
     # --out is probed before the kernel is counted; a file the probe created
     # is removed again, and an existing one keeps its bytes
-    block = {**BRANCH_CFG["galerkin"]}
-    del block["isotropy_restriction"]
-    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": block})
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "a": [-1, -1]})
     fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
     kept.write_bytes(b"old rows\n")
     for out_file in (fresh, kept):
         code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(out_file)])
-        assert code == 1 and "apply isotropy restriction" in err and out == ""
+        assert (code, out, err) == (1, "", SHARED_LEVEL)
     assert not fresh.exists()
     assert kept.read_bytes() == b"old rows\n"
+
+
+@pytest.mark.parametrize(
+    "space, cutoff, count",
+    [
+        (SPHERE_CFG["space"], "1e400", "about 10^200.0"),  # once an OverflowError traceback
+        (SPHERE_CFG["space"], {"num": 10**22, "den": 1}, "100000000001"),  # once a MemoryError traceback
+        (
+            {"kind": "generic", "gram": [["1e-30"]], "rho": ["1/2"], "tables": {"entries": []}},
+            3,
+            "1732050807568878",
+        ),
+    ],
+    ids=["1e400", "1e22", "tiny-gram"],
+)
+@pytest.mark.parametrize("command", ["spectrum", "index", "certify"])
+def test_a_cutoff_past_the_lattice_limit_is_refused_before_enumeration(tmp_path, capsys, space, cutoff, count, command):
+    import time
+    import tracemalloc
+
+    cfg = write_config(tmp_path, {"space": space, "a": [-1], "cutoff": cutoff})
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [command, "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    refusal = f"the cutoff spans a lattice box of {count} candidate weights, more than LATTICE_LIMIT = 1000000"
+    assert err == f"error: {refusal}\n"
+    assert peak < 1e6 and time.perf_counter() - started < 1.0
 
 
 def test_exact_command_failing_in_its_computation_leaves_no_out_file(tmp_path, capsys, monkeypatch):
@@ -771,7 +819,7 @@ def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monke
     from torusbif import selftest
     from torusbif.continuation import BranchResult
 
-    def diverge(*args):
+    def diverge(*args, **kwargs):
         return BranchResult(None, [], "diverged", "failed to leave the trivial branch at the crossing")
 
     monkeypatch.setattr(selftest, "continue_branch", diverge)

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from torusbif import (
-    ContinuationOptions,
     GalerkinBasis,
     NonlinearitySpec,
     SymmetricSpaceData,
@@ -30,12 +29,6 @@ QUARTIC = NonlinearitySpec.quartic()
 NEG = SystemSignature((-1,))
 
 
-def axisymmetric_opts(**kw):
-    defaults = dict(isotropy_restriction="axisymmetric", target_norm=1.0)
-    defaults.update(kw)
-    return ContinuationOptions(**defaults)
-
-
 def embed(full, coeffs):
     # a state's m = 0 coefficients placed in the full basis, every other one 0.0
     K = full.max_degree
@@ -45,10 +38,10 @@ def embed(full, coeffs):
     return out.ravel()
 
 
-# crossing and options of the two K = 8 fixtures
+# crossing and target norm of the two K = 8 fixtures
 RUNS = {
-    "branch": (2, axisymmetric_opts()),
-    "constant_branch": (0, ContinuationOptions(target_norm=0.8)),
+    "branch": (2, 1.0),
+    "constant_branch": (0, 0.8),
 }
 
 
@@ -62,14 +55,15 @@ def constant_branch():
     return continue_branch(8, QUARTIC, NEG, *RUNS["constant_branch"])
 
 
-# the branch-full benchmark config: unrestricted, K = 16, from lambda = 0 to norm 5
-FULL_K16 = (16, 0, ContinuationOptions(target_norm=5))
+# the branch-full benchmark config: no restriction stated, K = 16, from
+# lambda = 0 to norm 5
+FULL_K16 = (16, 0, 5)
 
 
 @pytest.fixture(scope="module")
 def full_K16_branch():
-    K, crossing, opts = FULL_K16
-    return continue_branch(K, QUARTIC, NEG, crossing, opts)
+    K, crossing, target_norm = FULL_K16
+    return continue_branch(K, QUARTIC, NEG, crossing, target_norm)
 
 
 # Trajectory pins: the exact state count and the end point of both K = 8
@@ -89,15 +83,15 @@ def test_branch_trajectory_is_pinned(request, which, count, lam, h1):
     assert math.isclose(result.states[-1].h1_norm, h1, rel_tol=1e-12)
 
 
-def dense_branch(K, crossing, opts):
+def dense_branch(K, crossing, target_norm, every_mode):
     # an independent solver for p = 1 and a simple kernel: Newton and the
-    # tangent solve the dense bordered matrix of dense_jacobian on every kept
-    # mode (all of them when unrestricted), with every order coupled, under
-    # the same step control and stop rule; it checks that the solver's
-    # m = 0 solve gives the solution of the whole system.  States are full-
-    # basis coefficient vectors.
+    # tangent solve the dense bordered matrix of dense_jacobian on every
+    # mode, with every order coupled, when every_mode is set (else on the
+    # m = 0 modes), under the same step control and stop rule; it checks
+    # that the solver's m = 0 solve gives the solution of the whole system.
+    # States are full-basis coefficient vectors.
     full = GalerkinBasis(K)
-    sub = full if opts.isotropy_restriction is None else GalerkinBasis(K, orders=[0])
+    sub = full if every_mode else GalerkinBasis(K, orders=[0])
     n = sub.n_modes
     (kernel,) = [i for i, (k, m) in enumerate(sub.modes) if m == 0 and k * (k + 1) == crossing]
     e = np.eye(n + 1)
@@ -130,7 +124,7 @@ def dense_branch(K, crossing, opts):
     t = tangent(M, np.append(x, lam - crossing) / np.linalg.norm(np.append(x, lam - crossing)))
     h = continuation.INITIAL_STEP
     while True:
-        if states[-1][2] >= opts.target_norm:
+        if states[-1][2] >= target_norm:
             return states, "reached_target"
         if states[-1][2] < onset / 10.0:
             return states, "returned_to_trivial"
@@ -149,11 +143,11 @@ def dense_branch(K, crossing, opts):
 
 @pytest.mark.parametrize("which", [*RUNS, "full_K16_branch"])
 def test_branch_states_match_a_run_with_the_dense_jacobian(request, which):
-    # the unrestricted runs solve on the m = 0 modes; the dense run solves
-    # on every mode
+    # the solver works on the m = 0 modes; the dense run solves on every
+    # mode from the degree-0 crossings, and on the m = 0 modes from lambda = 2
     factored = request.getfixturevalue(which)
     run = FULL_K16 if which == "full_K16_branch" else (8, *RUNS[which])
-    dense, outcome = dense_branch(*run)
+    dense, outcome = dense_branch(*run, every_mode=run[1] == 0)
     full = GalerkinBasis(run[0])
     assert outcome == factored.outcome
     assert len(dense) == len(factored.states)
@@ -214,15 +208,12 @@ def test_a_spec_of_four_callables_makes_one_transform_pair_per_iteration(monkeyp
     assert calls["evaluate"] == calls["jacobian"] + 1
 
 
-@pytest.mark.parametrize(
-    "crossing, restriction, count", [(2, "axisymmetric", 13), (0, None, 19)], ids=["axisymmetric", "full"]
-)
-def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypatch, crossing, restriction, count):
+@pytest.mark.parametrize("crossing, count", [(2, 13), (0, 19)], ids=["axisymmetric", "full"])
+def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypatch, crossing, count):
     # h = (1 + lam/10) quartic: the central-difference column gives the same
     # branch as the closed form -c - P(q(u))/10
     nl = lam_scaled_quartic()
-    opts = ContinuationOptions(isotropy_restriction=restriction, target_norm=3.0)
-    observed = continue_branch(8, nl, NEG, crossing, opts)
+    observed = continue_branch(8, nl, NEG, crossing, 3.0)
     jacobian = continuation.residual_jacobian
 
     def analytic(basis, nl, sig, coeffs, lam):
@@ -230,7 +221,7 @@ def test_lambda_dependent_branch_matches_a_run_with_the_analytic_column(monkeypa
         return R, J, analytic_lambda_column(basis, sig, coeffs)
 
     monkeypatch.setattr(continuation, "residual_jacobian", analytic)
-    closed = continue_branch(8, nl, NEG, crossing, opts)
+    closed = continue_branch(8, nl, NEG, crossing, 3.0)
     assert observed.outcome == closed.outcome == "reached_target"
     assert len(observed.states) == len(closed.states) == count
     for got, want in zip(observed.states, closed.states):
@@ -299,48 +290,49 @@ def test_constant_branch_from_zero_crossing(constant_branch):
 
 
 def test_immediate_stop_when_target_below_onset():
-    opts = axisymmetric_opts(target_norm=1e-4)
-    result = continue_branch(8, QUARTIC, NEG, 2, opts)
+    result = continue_branch(8, QUARTIC, NEG, 2, target_norm=1e-4)
     assert (result.outcome, result.reason) == ("reached_target", None)
     assert len(result.states) == 1
 
 
 def test_budget_exhaustion_is_flagged_incomplete(monkeypatch):
     monkeypatch.setattr(continuation, "MAX_STEPS", 1)
-    result = continue_branch(8, QUARTIC, NEG, 2, axisymmetric_opts())
+    result = continue_branch(8, QUARTIC, NEG, 2)
     assert (result.outcome, result.reason) == ("incomplete", None)
     assert len(result.states) == 1
 
 
 def test_rejects_non_crossing():
     with pytest.raises(ValueError, match="not a crossing"):
-        continue_branch(8, QUARTIC, NEG, 3, axisymmetric_opts())
+        continue_branch(8, QUARTIC, NEG, 3)
 
 
-def test_multidimensional_kernel_requires_restriction():
-    with pytest.raises(ValueError, match="apply isotropy restriction"):
-        continue_branch(8, QUARTIC, NEG, 2, ContinuationOptions())
-    with pytest.raises(ValueError, match="apply isotropy restriction"):
-        continue_branch(8, QUARTIC, SystemSignature((-1, -1)), 2, axisymmetric_opts())
+def test_a_level_two_components_share_is_refused():
+    # each component holds one m = 0 mode of the shared degree, so the
+    # kernel on the m = 0 modes is as wide as the number of components
+    for a, named in [((-1, -1), "0 and 1"), ((-1, 1, -1), "0 and 2"), ((-1, -1, -1), "0, 1 and 2")]:
+        shared = f"^components {named} share the crossing 2: the m = 0 kernel is {a.count(-1)}-dimensional$"
+        with pytest.raises(ValueError, match=shared):
+            continue_branch(8, QUARTIC, SystemSignature(a), 2)
 
 
 def test_a_one_dimensional_kernel_is_an_m0_mode():
-    # a crossing lists every order of each (component, degree) it holds, so
-    # an unrestricted kernel is one-dimensional only at some (i, 0, 0), and
-    # the axisymmetric filter keeps m = 0 modes only: the solver, which works
-    # on the m = 0 modes, never meets a kernel mode of order m != 0.  The
-    # kernel dimension at each crossing is the exact half's at that level
+    # a crossing holds one (component, degree) pair per component that
+    # reaches it, and its kernel every order of each: one-dimensional only
+    # at a pair (i, 0), whose one mode has order 0.  The kernel dimension at
+    # each crossing is the exact half's at that level
     sphere = SymmetricSpaceData.sphere(2)
     for a in (a for p in (1, 2, 3) for a in itertools.product((1, -1), repeat=p)):
         sig = SystemSignature(a)
         crossings = trivial_branch_crossings(8, sig, (-60, 60))
         for c in crossings:
-            held = sorted({(i, k) for i, k, _ in c.modes})
-            assert c.modes == tuple((i, k, m) for i, k in held for m in range(-k, k + 1))
-            if len(c.modes) == 1:
-                assert c.modes[0][1:] == (0, 0)
+            assert c.pairs == tuple(sorted(c.pairs))
+            assert [i for i, _ in c.pairs] == sorted({i for i, _ in c.pairs})  # one degree per component
+            assert all(-a[i] * k * (k + 1) == c.lam for i, k in c.pairs)
+            if c.kernel_dim == 1:
+                assert [k for _, k in c.pairs] == [0]
         exact = [(bl.level, bl.kernel_dim) for bl in bifurcation_levels(sphere, sig, 60)]
-        assert [(c.lam, len(c.modes)) for c in crossings] == exact
+        assert [(c.lam, c.kernel_dim) for c in crossings] == exact
 
 
 def phi_quartic():
@@ -355,15 +347,12 @@ def phi_quartic():
     )
 
 
-@pytest.mark.parametrize(
-    "crossing, restriction", [(0, None), (2, "axisymmetric")], ids=["full", "axisymmetric"]
-)
-def test_a_nonlinearity_that_reads_longitude_is_refused(crossing, restriction):
+@pytest.mark.parametrize("crossing", [0, 2], ids=["full", "axisymmetric"])
+def test_a_nonlinearity_that_reads_longitude_is_refused(crossing):
     # the check tiles the state of the m = 0 basis over the full grid's
     # longitudes, which it counts from K
-    opts = ContinuationOptions(isotropy_restriction=restriction)
     with pytest.raises(ValueError, match="nonlinearity 'phi-quartic' does not keep the m = 0 subspace invariant"):
-        continue_branch(8, phi_quartic(), NEG, crossing, opts)
+        continue_branch(8, phi_quartic(), NEG, crossing)
 
 
 def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypatch):
@@ -379,9 +368,9 @@ def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypa
         built.append((K, len(modes)))
         return build(basis, K, modes)
 
-    def recorded_solve(*args):
+    def recorded_solve(*args, **kwargs):
         before = len(built)
-        result = solve(*args)
+        result = solve(*args, **kwargs)
         inside.extend(built[before:])
         return result
 
@@ -407,13 +396,13 @@ def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypa
 )
 def test_pointwise_nonlinearities_pass_the_symmetry_check(monkeypatch, nl):
     monkeypatch.setattr(continuation, "MAX_STEPS", 1)
-    result = continue_branch(8, nl, NEG, 0, ContinuationOptions())
+    result = continue_branch(8, nl, NEG, 0)
     assert result.outcome == "incomplete" and len(result.states) == 1
 
 
 def test_unrestricted_K16_run_makes_one_bordered_solve_per_jacobian_and_is_pinned(tmp_path, capsys, monkeypatch):
     # the branch-full benchmark config through the CLI: the solver works on
-    # the m = 0 modes whatever the restriction, so every Jacobian is followed
+    # the m = 0 modes, so every Jacobian is followed
     # by exactly one solve of the bordered system of (K + 1) + 1 = 18 rows,
     # a Newton step or, after a converged Jacobian, the tangent (its
     # right-hand side is the last unit vector)
@@ -458,11 +447,6 @@ def test_unrestricted_states_lie_in_the_m0_subspace_and_solve_the_full_system(re
         assert np.max(np.abs(r)) <= continuation.NEWTON_TOL
 
 
-def test_unknown_restriction_name():
-    with pytest.raises(ValueError, match="unknown isotropy restriction"):
-        continue_branch(8, QUARTIC, NEG, 2, axisymmetric_opts(isotropy_restriction="octahedral"))
-
-
 @pytest.mark.parametrize(
     "kw",
     [
@@ -474,23 +458,21 @@ def test_unknown_restriction_name():
         {"target_norm": -4.0},
         {"target_norm": float("-inf")},
         {"target_norm": None},
+        {"target_norm": "abc"},
+        {"target_norm": 0},
+        {"target_norm": -1.0},
     ],
 )
 def test_options_reject_bad_step_control(kw):
-    with pytest.raises(ValueError):
-        ContinuationOptions(**kw)
+    with pytest.raises(ValueError, match="target_norm must be a finite positive number"):
+        continue_branch(8, QUARTIC, NEG, 2, **kw)
 
 
 def test_options_hold_only_the_settings_a_run_varies():
     # the first step and the step budget are the constants INITIAL_STEP and
-    # MAX_STEPS, not options
-    assert [f.name for f in dataclasses.fields(ContinuationOptions)] == ["target_norm", "isotropy_restriction"]
-
-
-def test_options_cannot_be_changed_after_validation():
-    opts = axisymmetric_opts()
-    with pytest.raises(AttributeError):
-        opts.target_norm = float("nan")
+    # MAX_STEPS, and the subspace is always the m = 0 modes: the norm target
+    # is the one setting besides the problem and the crossing
+    assert list(inspect.signature(continue_branch).parameters) == ["max_degree", "nl", "sig", "crossing", "target_norm"]
 
 
 def test_newton_breakdown_raises_with_partial_branch():
@@ -506,7 +488,7 @@ def test_newton_breakdown_raises_with_partial_branch():
         hess=QUARTIC.hess,
         grad_degree=3,
     )
-    result = continue_branch(8, nl, NEG, 2, axisymmetric_opts())
+    result = continue_branch(8, nl, NEG, 2)
     assert result.outcome == "diverged" and result.basis.modes == BASIS.modes
     assert result.reason == f"Newton corrector failed at minimum step {continuation.MIN_STEP}"
     assert result.states  # the states traced before the breakdown

@@ -20,7 +20,7 @@ from torusbif import (
     rotate_coeffs,
     trivial_branch_crossings,
 )
-from torusbif import ContinuationOptions, continue_branch
+from torusbif import continue_branch
 from torusbif import galerkin
 from torusbif.galerkin import residual_jacobian
 
@@ -198,6 +198,23 @@ def test_legendre_table_at_high_degree_is_finite_and_orthonormal():
     galerkin._check_legendre_table(basis.legendre, wx)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 49, 513])
+def test_gauss_legendre_rule_refines_numpys(n):
+    # the refined nodes are numpy's to roundoff, and the rule integrates
+    # P_0 .. P_{2n-1} to 1e-14 (numpy's own weights miss by 5.6e-14 at n = 513)
+    x, w = galerkin._gauss_legendre(n)
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
+    moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
+    assert np.max(np.abs(moments - 2.0 * (np.arange(2 * n) == 0))) <= 1e-14
+
+
+@pytest.mark.parametrize("K", [448, 512, 1024])
+def test_m0_legendre_table_is_orthonormal_at_high_degree(K):
+    # the table is checked to 1e-12 when first read; with numpy's leggauss
+    # weights it missed that bound here (5.84e-12 at K = 512)
+    assert GalerkinBasis(K, orders=[0]).legendre.shape == (1, K + 1, 2 * K + 1)
+
+
 @pytest.mark.parametrize("M", [0, 3, 24])
 def test_legendre_table_of_fewer_orders_is_the_leading_blocks_of_the_full_one(M):
     x, _ = np.polynomial.legendre.leggauss(49)
@@ -241,8 +258,7 @@ def axisymmetric_branch_peak(K):
     # only tables it forms are those of the m = 0 modes
     tracemalloc.start()
     try:
-        opts = ContinuationOptions(isotropy_restriction="axisymmetric", target_norm=1.0)
-        result = continue_branch(K, QUARTIC, NEG, 2, opts)
+        result = continue_branch(K, QUARTIC, NEG, 2, target_norm=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,7 +365,7 @@ def test_unrestricted_jacobian_at_K32_stays_small_and_forms_no_table():
 
 
 def test_unrestricted_branch_at_K16_never_forms_the_table():
-    result = continue_branch(16, QUARTIC, NEG, 0, ContinuationOptions(target_norm=1.0))
+    result = continue_branch(16, QUARTIC, NEG, 0, target_norm=1.0)
     assert result.outcome == "reached_target"
     assert only_m0_table(result.basis)
 
@@ -625,7 +641,8 @@ def test_gradient_check_requires_a_sample():
 def test_crossings_negative_laplacian():
     got = trivial_branch_crossings(8, NEG, (0, 7))
     assert [c.lam for c in got] == [0, 2, 6]
-    assert [len(c.modes) for c in got] == [1, 3, 5]
+    assert [c.pairs for c in got] == [((0, 0),), ((0, 1),), ((0, 2),)]
+    assert [c.kernel_dim for c in got] == [1, 3, 5]
 
 
 def test_crossings_positive_laplacian():
@@ -635,7 +652,8 @@ def test_crossings_positive_laplacian():
 
 def test_crossing_kernel_counts_two_equations():
     got = {c.lam: c for c in trivial_branch_crossings(8, SystemSignature((-1, -1)), (2, 2))}
-    assert len(got[2].modes) == 6  # two copies of the three-dimensional eigenspace
+    assert got[2].pairs == ((0, 1), (1, 1))
+    assert got[2].kernel_dim == 6  # two copies of the three-dimensional eigenspace
 
 
 @pytest.mark.parametrize("K", [-1, True, 2.5], ids=["negative", "bool", "float"])

@@ -20,6 +20,7 @@ from torusbif import (
     sphere_weight_multiplicity,
 )
 from torusbif.cli import run_exact
+from torusbif import spaces
 from torusbif.spaces import _coordinate_bound
 
 W = RestrictedWeight
@@ -87,6 +88,18 @@ def test_coordinate_bound_is_exact_and_safe(gram, cutoff):
             continue
         norm = sum(coords[i] * gram[i][j] * coords[j] for i in range(len(gram)) for j in range(len(gram)))
         assert norm > cutoff
+
+
+@pytest.mark.parametrize("space, cutoff, count", [(S2, 80, 9), (P22, 80, 81), (P22, 81, 100)])
+def test_lattice_limit_refuses_a_larger_box_only(monkeypatch, space, cutoff, count):
+    # the box of _coordinate_bound holds prod(b_i + 1) points; exactly
+    # LATTICE_LIMIT of them are enumerated, one more is refused
+    monkeypatch.setattr(spaces, "LATTICE_LIMIT", count)
+    assert spectrum_up_to(space, cutoff)
+    monkeypatch.setattr(spaces, "LATTICE_LIMIT", count - 1)
+    refusal = f"lattice box of {count} candidate weights, more than LATTICE_LIMIT = {count - 1}$"
+    with pytest.raises(ValueError, match=refusal):
+        spectrum_up_to(space, cutoff)
 
 
 def test_coordinate_bound_on_identity_gram():
