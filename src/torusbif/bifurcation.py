@@ -31,12 +31,17 @@ vanishes at every strictly lower level; a certificate records these
 coefficients and the integer identity that rules out cancellation, which is
 what forces any bounded return to the trivial branch into a contradiction.
 
-Each level needs only V and W, so one ascending sweep with a running sum for W
-serves a whole range: bifurcation_levels and certify_levels enumerate the
-spectrum once, hold one eigenvalue's W and W + V at a time (every V stays in
-the enumerated tuple until the pass ends) and compute each index once; a
-certificate reads the indices at +-lambda of its own eigenvalue.
-witness_coefficient is the one copy of the closed form.
+Each level needs only V and W, so one ascending pass over the spectrum
+serves a whole range, and each range enumerates the dominant weights once.
+bifurcation_levels decomposes every level (spectrum_up_to), keeps a running
+sum for W, holds one eigenvalue's W and W + V at a time (every V stays in the
+enumerated tuple until the pass ends) and computes each index once.
+certify_levels builds no decomposition: a certificate reads only d_V, the
+trivial multiplicities k0 of V and W, and the multiplicity of its witness in
+V and W, and it sums those over the eigenvalue's summands and the lower ones,
+one weight multiplicity per summand.  It forms each ledger coefficient by
+the same expansion as the index and checks it against witness_coefficient,
+the one copy of the closed form.
 """
 
 from __future__ import annotations
@@ -47,8 +52,16 @@ from typing import Iterator, NamedTuple
 
 from .euler_ring import UNIT, EulerRingElement, _combine, _element
 from .jsonio import frac_to_json, int_from_json
-from .spaces import SpectralLevel, SymmetricSpaceData, TorusRepDecomposition, spectrum_up_to
-from .weights import SubgroupId, canonicalize
+from .spaces import (
+    SpectralLevel,
+    SymmetricSpaceData,
+    TorusRepDecomposition,
+    _eigenvalue_groups,
+    _level_weights,
+    _weight_count,
+    spectrum_up_to,
+)
+from .weights import RestrictedWeight, SubgroupId, canonicalize
 
 
 @dataclass(frozen=True)
@@ -170,23 +183,20 @@ class UnboundednessCertificate:
 
 
 class _Split(NamedTuple):
-    """Eigenspace V at one eigenvalue, span W of all lower ones, W + V, and
-    the parity of dim W + dim V."""
+    """Eigenspace V at one eigenvalue, span W of all lower ones, and W + V."""
 
     v: SpectralLevel
     w: TorusRepDecomposition
     wv: TorusRepDecomposition
-    dim_parity: int
 
 
 def _sweep(space: SymmetricSpaceData, cutoff) -> Iterator[_Split]:
     """Splits at every eigenvalue up to the cutoff from one enumeration."""
     w = TorusRepDecomposition(0, ())
-    d_w = 0
     for v in spectrum_up_to(space, cutoff):
         wv = w + v.torus_decomp
-        yield _Split(v, w, wv, (d_w + v.real_dim) % 2)
-        w, d_w = wv, d_w + v.real_dim
+        yield _Split(v, w, wv)
+        w = wv
 
 
 def _equations_at(sig: SystemSignature, level: Fraction) -> int:
@@ -203,15 +213,23 @@ def witness_coefficient(n: int, dim_parity: int) -> int:
     return (-1) ** ((dim_parity % 2) * n + 1) * n
 
 
+def _expansion(sig: SystemSignature, level: Fraction, k0_x: int, k0_v: int) -> tuple[int, int, int]:
+    """(u, t_x, t_v) with index(level) = u I + t_x k_X + t_v k_V at a nonzero
+    candidate level: the expansion in the module docstring, given k0 of X
+    (W above zero, W + V below) and of V."""
+    s, n = (1, sig.n_minus) if level > 0 else (-1, sig.n_plus)
+    u_x, u_v = (-1) ** (k0_x * n), (-1) ** (k0_v * n)
+    return u_x * (u_v - 1), -n * u_x * s * (u_v - 1), -n * u_x * u_v
+
+
 def _index(sig: SystemSignature, level: Fraction, split: _Split) -> EulerRingElement:
     """Index across a candidate level by the expansion in the module
     docstring; the zero level does not read the split."""
     if level == 0:
         return UNIT.scaled((-1) ** sig.n_minus - (-1) ** sig.n_plus)
-    s, n = (1, sig.n_minus) if level > 0 else (-1, sig.n_plus)
-    x, v = split.w if s == 1 else split.wv, split.v.torus_decomp
-    u_x, u_v = (-1) ** (x.k0 * n), (-1) ** (v.k0 * n)
-    return _element(u_x * (u_v - 1), _combine(x.mults, -n * u_x * s * (u_v - 1), v.mults, -n * u_x * u_v))
+    x, v = split.w if level > 0 else split.wv, split.v.torus_decomp
+    unit, t_x, t_v = _expansion(sig, level, x.k0, v.k0)
+    return _element(unit, _combine(x.mults, t_x, v.mults, t_v))
 
 
 def _indices(sig: SystemSignature, split: _Split) -> dict[Fraction, EulerRingElement]:
@@ -245,27 +263,26 @@ def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
 
 
 def _certificate(
-    sig: SystemSignature, level: Fraction, split: _Split, indices: dict[Fraction, EulerRingElement]
+    sig: SystemSignature, level: Fraction, witness: SubgroupId | None, coeffs: dict[Fraction, int], dim_parity: int
 ) -> UnboundednessCertificate:
-    """Certificate at a candidate level from the indices at the candidate
-    levels of its eigenvalue, or ValueError with the reason there is none."""
+    """Certificate at a candidate level from the witness coefficients at the
+    candidate levels of its eigenvalue (the unit coefficient at level zero),
+    or ValueError with the reason there is none."""
     if level == 0:
         if sig.p % 2 == 0:
             raise ValueError("no bifurcation guaranteed at this level: p is even")
-        return UnboundednessCertificate(Fraction(0), None, ((Fraction(0), indices[level].unit),))
+        return UnboundednessCertificate(Fraction(0), None, ((Fraction(0), coeffs[level]),))
 
-    witness = canonicalize(split.v.alphas[0])
     ledger = []
-    for lv in sorted(indices):
-        coeff = indices[lv].coeff_at(witness)
-        expected = witness_coefficient(_equations_at(sig, lv), split.dim_parity)
-        if coeff != expected:
+    for lv in sorted(coeffs):
+        expected = witness_coefficient(_equations_at(sig, lv), dim_parity)
+        if coeffs[lv] != expected:
             raise ValueError(
-                f"index coefficient {coeff} at {witness} disagrees with closed form {expected}"
+                f"index coefficient {coeffs[lv]} at {witness} disagrees with closed form {expected}"
             )
-        ledger.append((lv, coeff))
+        ledger.append((lv, coeffs[lv]))
 
-    if not cancellation_impossible(sig.n_minus, sig.n_plus, split.dim_parity):
+    if not cancellation_impossible(sig.n_minus, sig.n_plus, dim_parity):
         raise ValueError("cancellation identity failed; certificate cannot be issued")
     return UnboundednessCertificate(level, witness, tuple(ledger))
 
@@ -281,13 +298,41 @@ def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> t
     Zero level (p odd): index(0) = +-2I is already nonzero, and a bounded
     continuum through zero would pass through some nonzero level whose own
     certificate applies.
+
+    The witness coefficients come from weight multiplicities of the
+    summands, not from decompositions; weight tables are still refused at
+    a level where they are not conjugation-symmetric.
     """
+    zero = (0,) * space.rank
     out = []
-    for split in _sweep(space, cutoff):
-        indices = _indices(sig, split)
-        for level in indices:
+    lower: list[RestrictedWeight] = []  # the alphas of W
+    d_w = k0_w = 0
+    for lam, alphas in _eigenvalue_groups(space, cutoff):
+        if space.tables is not None:
+            _level_weights(space, alphas)  # a table is checked for a real V at every level
+        d_v = sum(_weight_count(space, a) for a in alphas)
+        k0_v = sum(_weight_count(space, a, zero) for a in alphas)
+        dim_parity = (d_w + d_v) % 2
+        levels = [lv for lv in {lam, -lam} if _equations_at(sig, lv)]
+        if lam == 0:
+            witness, coeffs = None, {lam: _index(sig, lam, None).unit}
+        else:
+            # the witness coefficient by _index's expansion, from the witness
+            # multiplicities in W and V
+            witness = canonicalize(alphas[0])
+            mu = witness.canonical.coords
+            k_w = sum(_weight_count(space, a, mu) for a in lower)
+            k_v = sum(_weight_count(space, a, mu) for a in alphas)
+            coeffs = {}
+            for lv in levels:
+                k0_x, k_x = (k0_w, k_w) if lv > 0 else (k0_w + k0_v, k_w + k_v)
+                _, t_x, t_v = _expansion(sig, lv, k0_x, k0_v)
+                coeffs[lv] = t_x * k_x + t_v * k_v
+        for level in levels:
             try:
-                out.append((level, _certificate(sig, level, split, indices)))
+                out.append((level, _certificate(sig, level, witness, coeffs, dim_parity)))
             except ValueError as exc:
                 out.append((level, str(exc)))
+        lower += alphas
+        d_w, k0_w = d_w + d_v, k0_w + k0_v
     return tuple(sorted(out, key=lambda lc: lc[0]))

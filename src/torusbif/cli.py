@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
-from .jsonio import canonical_dumps, frac_from_json, frac_to_json
+from .jsonio import _echo, canonical_dumps, frac_from_json, frac_to_json
 from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_up_to
 
 
@@ -55,7 +55,7 @@ def require_space(raw: dict, base_dir) -> SymmetricSpaceData:
     if "space" not in raw:
         raise ConfigError("config needs a 'space' descriptor")
     if not isinstance(raw["space"], dict):
-        raise ConfigError(f"bad space descriptor: expected a JSON object, got {raw['space']!r}")
+        raise ConfigError(f"bad space descriptor: expected a JSON object, got {_echo(repr(raw['space']))}")
     try:
         return load_space(raw["space"], base_dir)
     except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -348,17 +348,17 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
         # the solver always works on the axisymmetric (m = 0) modes; the key may say so
         restriction = block.get("isotropy_restriction", "axisymmetric")
         if restriction != "axisymmetric":
-            raise ValueError(f"isotropy_restriction must be 'axisymmetric', got {restriction!r}")
+            raise ValueError(f"isotropy_restriction must be 'axisymmetric', got {_echo(repr(restriction))}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")
     if not isinstance(nl_name, str):
-        raise ConfigError(f"bad galerkin block: 'nl' must be a string, got {nl_name!r}")
+        raise ConfigError(f"bad galerkin block: 'nl' must be a string, got {_echo(repr(nl_name))}")
     if nl_name not in NONLINEARITIES:
-        raise ConfigError(f"unknown nonlinearity {nl_name!r}; choose from {sorted(NONLINEARITIES)}")
+        raise ConfigError(f"unknown nonlinearity {_echo(repr(nl_name))}; choose from {sorted(NONLINEARITIES)}")
     nl = NONLINEARITIES[nl_name]()
     if crossing not in known:
-        raise ConfigError(f"{crossing} is not a crossing of the trivial branch")
+        raise ConfigError(f"{_echo(str(crossing))} is not a crossing of the trivial branch")
     _check_writable(out)
     result = continue_branch(K, nl, sig, crossing, target_norm)
     states = result.states

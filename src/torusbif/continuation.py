@@ -46,6 +46,7 @@ from .galerkin import (
     residual_jacobian,
     trivial_branch_crossings,
 )
+from .jsonio import _echo
 
 # Fixed solver constants: the kernel amplitude pinned at branch switching (a
 # state below a tenth of it counts as back on the trivial branch), the Newton
@@ -62,7 +63,7 @@ MAX_STEPS = 500
 
 def _positive_real(name: str, x) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {x!r}")
+        raise ValueError(f"{name} must be a finite positive number, got {_echo(repr(x))}")
     return float(x)
 
 

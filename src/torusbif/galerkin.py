@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jsonio import int_from_json
+from .jsonio import _echo, int_from_json
 
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
 GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
@@ -46,7 +46,7 @@ def _max_degree(max_degree) -> int:
     """The largest harmonic degree K, an integer of at least 0."""
     K = int_from_json(max_degree)
     if K < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {K}")
+        raise ValueError(f"max_degree must be nonnegative, got {_echo(str(K))}")
     return K
 
 

@@ -5,10 +5,39 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 
+# The largest decimal exponent a rational string may state, Python's own
+# limit on the digits of an int converted from text (default_max_str_digits):
+# past it, Fraction would spend unbounded time building 10**exponent.
+MAX_EXPONENT = 4300
+
+# The most characters of a refused value that an error message repeats.
+ECHO_WIDTH = 60
+
+
+def _echo(text: str) -> str:
+    """``text`` as an error message repeats it: whole up to ECHO_WIDTH
+    characters, else its head and its length."""
+    if len(text) <= ECHO_WIDTH:
+        return text
+    return f"{text[:ECHO_WIDTH]}... ({len(text)} characters)"
+
 
 def frac_to_json(x) -> dict:
     f = Fraction(x)
     return {"num": f.numerator, "den": f.denominator}
+
+
+def _frac_from_text(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent past MAX_EXPONENT in
+    magnitude before the power of ten is built."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"the decimal exponent of {_echo(repr(text))} exceeds {MAX_EXPONENT} in magnitude")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {_echo(repr(text))}") from None
 
 
 def frac_from_json(data) -> Fraction:
@@ -22,10 +51,10 @@ def frac_from_json(data) -> Fraction:
         if isinstance(data, dict):
             return Fraction(int_from_json(data["num"]), int_from_json(data["den"]))
         if isinstance(data, str):
-            return Fraction(data)
+            return _frac_from_text(data)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {data!r}") from None
-    raise ValueError(f"expected a rational (int, 'p/q', or {{num,den}}), got {data!r}")
+        raise ValueError(f"zero denominator in {_echo(repr(data))}") from None
+    raise ValueError(f"expected a rational (int, 'p/q', or {{num,den}}), got {_echo(repr(data))}")
 
 
 def int_from_json(data) -> int:
@@ -34,12 +63,68 @@ def int_from_json(data) -> int:
     if type(data) is int:  # the common case, ahead of the slower ABC check
         return data
     if isinstance(data, bool) or not isinstance(data, numbers.Integral):
-        raise ValueError(f"expected an integer, got {data!r}")
+        raise ValueError(f"expected an integer, got {_echo(repr(data))}")
     return int(data)
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    import json
+    """Deterministic JSON text, sorted keys, two-space indent and a trailing
+    newline: the bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\\n"``, emitted directly, because the
+    standard library encodes an indented document in pure Python.
 
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    It emits only what the documents hold: dicts with ``str`` keys, lists and
+    tuples of values, and values of exactly the types str, int, bool, None and
+    float.  Anything else raises ``TypeError``, and a NaN or infinite float
+    ``ValueError``."""
+    from json.encoder import encode_basestring_ascii as quote  # the C encoder
+
+    parts: list[str] = []
+    append = parts.append
+
+    def emit(x, pad: str) -> None:
+        cls = type(x)
+        if cls is dict or cls is list or cls is tuple:
+            if not x:
+                append("{}" if cls is dict else "[]")
+                return
+            inner = pad + "  "
+            sep = ",\n" + inner
+            if cls is dict:
+                head = "{\n" + inner
+                for k in sorted(x):  # a key that is not a str raises TypeError here or in quote
+                    v = x[k]
+                    if type(v) is int:  # ints inline: most of the values of the documents
+                        append(f"{head}{quote(k)}: {int.__repr__(v)}")
+                    else:
+                        append(f"{head}{quote(k)}: ")
+                        emit(v, inner)
+                    head = sep
+                append(f"\n{pad}}}")
+            else:
+                head = "[\n" + inner
+                for v in x:
+                    if type(v) is int:
+                        append(head + int.__repr__(v))
+                    else:
+                        append(head)
+                        emit(v, inner)
+                    head = sep
+                append(f"\n{pad}]")
+        elif cls is int:
+            append(int.__repr__(x))
+        elif cls is str:
+            append(quote(x))
+        elif x is None or cls is bool:
+            append("null" if x is None else "true" if x else "false")
+        elif cls is float:
+            text = float.__repr__(x)
+            if text in ("nan", "inf", "-inf"):
+                raise ValueError(f"out of range float value {text} is not JSON compliant")
+            append(text)
+        else:
+            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+    emit(obj, "")
+    append("\n")
+    return "".join(parts)

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonio import frac_from_json, frac_to_json, int_from_json
+from .jsonio import _echo, frac_from_json, frac_to_json, int_from_json
 from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ class GenericTables:
                     raise ValueError(f"weight tables repeat mu {mu} at alpha {alpha}")
                 mus.add(mu)
                 if mult < 1:
-                    raise ValueError(f"weight tables need mult >= 1, got {mult} for mu {mu} at alpha {alpha}")
+                    raise ValueError(f"weight tables need mult >= 1, got {_echo(str(mult))} for mu {mu} at alpha {alpha}")
                 if mu.rank != alpha.rank:
                     raise ValueError(
                         f"weight tables give mu {mu} of rank {mu.rank} at alpha {alpha} of rank {alpha.rank}"
@@ -243,9 +243,18 @@ class SymmetricSpaceData:
             if _minor_det(gram, range(size)) <= 0:
                 raise ValueError("gram must be positive definite")
         # (alpha_i, rho) >= 0 keeps the spectrum enumeration bound valid
-        for i in range(r):
-            if sum(gram[i][j] * rho[j] for j in range(r)) < 0:
-                raise ValueError("rho must pair nonnegatively with every simple root")
+        pairings = [sum(gram[i][j] * rho[j] for j in range(r)) for i in range(r)]
+        if any(x < 0 for x in pairings):
+            raise ValueError("rho must pair nonnegatively with every simple root")
+        # the eigenvalue form over one common denominator: den * lambda_alpha
+        # = alpha . (den G) alpha + alpha . (2 den G rho), all integers
+        den = math.lcm(*(x.denominator for row in gram for x in row), *((2 * x).denominator for x in pairings))
+        scaled = (
+            den,
+            tuple(tuple(int(x * den) for x in row) for row in gram),
+            tuple(int(2 * x * den) for x in pairings),
+        )
+        object.__setattr__(self, "_integer_form", scaled)
 
     # -- presets --------------------------------------------------------------
 
@@ -263,15 +272,6 @@ class SymmetricSpaceData:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    # -- exact inner product ---------------------------------------------------
-
-    def inner(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return sum(
-            Fraction(x[i]) * self.gram[i][j] * Fraction(y[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
 
     def __str__(self) -> str:
         if self.factors is not None:
@@ -300,7 +300,7 @@ def load_space(descriptor: dict, base_dir=None) -> SymmetricSpaceData:
         else:
             tables = GenericTables.from_json(tables)
         return SymmetricSpaceData(gram, rho, tables=tables)
-    raise ValueError(f"unknown space kind {kind!r}")
+    raise ValueError(f"unknown space kind {_echo(repr(kind))}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +314,10 @@ def eigenvalue_of(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Fractio
         raise ValueError(f"rank mismatch: weight has rank {alpha.rank}, space {space.rank}")
     if not alpha.is_dominant():
         raise ValueError("alpha not dominant")
-    coords = [Fraction(c) for c in alpha.coords]
-    return space.inner(coords, coords) + 2 * space.inner(coords, space.rho)
+    den, gram, linear = space._integer_form
+    coords = alpha.coords
+    scaled = sum(c * (sum(g * a for g, a in zip(row, coords)) + b) for c, row, b in zip(coords, gram, linear))
+    return Fraction(scaled, den)
 
 
 # The most candidate weights, the points of the box of _coordinate_bound,
@@ -335,15 +337,12 @@ def _coordinate_bound(gram: Sequence[Sequence[Fraction]], cutoff: Fraction) -> t
     )
 
 
-def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ...]:
-    """All spectral levels with eigenvalue <= cutoff, sorted ascending.
-
-    Enumeration terminates because the Gram form is positive definite and rho
-    pairs nonnegatively with dominant weights, so (alpha, alpha) <= cutoff
-    bounds every coordinate; a box of more than ``LATTICE_LIMIT`` points is
-    refused with ``ValueError`` before it is walked.  Grouping is by exact
-    rational equality.
-    """
+def _eigenvalue_groups(space: SymmetricSpaceData, cutoff) -> list[tuple[Fraction, tuple[RestrictedWeight, ...]]]:
+    """The dominant weights with eigenvalue <= cutoff, grouped by exact
+    eigenvalue: (eigenvalue, alphas) pairs, ascending, each group's alphas in
+    coordinate order.  One call of ``eigenvalue_of`` per box point; a box of
+    more than ``LATTICE_LIMIT`` points is refused with ``ValueError`` before
+    it is walked."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -356,14 +355,26 @@ def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ..
             f"more than LATTICE_LIMIT = {LATTICE_LIMIT}"
         )
     by_eig: dict[Fraction, list[RestrictedWeight]] = {}
+    # the box is walked in coordinate order, so each group comes out sorted
     for coords in itertools.product(*(range(b + 1) for b in bounds)):
         alpha = RestrictedWeight(coords)
         lam = eigenvalue_of(space, alpha)
         if lam <= cutoff:
             by_eig.setdefault(lam, []).append(alpha)
+    return [(lam, tuple(by_eig[lam])) for lam in sorted(by_eig)]
+
+
+def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ...]:
+    """All spectral levels with eigenvalue <= cutoff, sorted ascending.
+
+    Enumeration terminates because the Gram form is positive definite and rho
+    pairs nonnegatively with dominant weights, so (alpha, alpha) <= cutoff
+    bounds every coordinate; a box of more than ``LATTICE_LIMIT`` points is
+    refused with ``ValueError`` before it is walked.  Grouping is by exact
+    rational equality.
+    """
     levels = []
-    for lam in sorted(by_eig):
-        alphas = tuple(sorted(by_eig[lam], key=lambda a: a.coords))
+    for lam, alphas in _eigenvalue_groups(space, cutoff):
         decomp = _decompose_alphas(space, alphas)
         if space.factors is not None:
             # sphere factors count the dimension a second, independent way;
@@ -432,13 +443,16 @@ def sphere_weight_multiplicity(n: int, k: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _factor_weights(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    out = []
+def _factor_weights(n: int, k: int) -> dict[int, int]:
+    """Rotation weight m -> its multiplicity in the degree-k harmonics on
+    S^n, for the m of nonzero multiplicity in ascending order.  Shared
+    between callers: read it, never change it."""
+    out = {}
     for m in range(-k, k + 1):
         mult = sphere_weight_multiplicity(n, k, m)
         if mult:
-            out.append((m, mult))
-    return tuple(out)
+            out[m] = mult
+    return out
 
 
 def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Iterable[tuple[tuple[int, ...], int]]:
@@ -450,38 +464,65 @@ def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Ite
         for n, k in zip(space.factors, alpha.coords):
             nxt: dict[tuple[int, ...], int] = {}
             for prefix, mult in acc.items():
-                for m, fm in _factor_weights(n, k):
+                for m, fm in _factor_weights(n, k).items():
                     key = prefix + (m,)
                     nxt[key] = nxt.get(key, 0) + mult * fm
             acc = nxt
         return acc.items()
+    return sorted((mu.coords, m) for mu, m in _table_row(space, alpha).items())
+
+
+def _table_row(space: SymmetricSpaceData, alpha: RestrictedWeight) -> dict[RestrictedWeight, int]:
     entry = space.tables.by_alpha.get(alpha)
     if entry is None:
         raise ValueError(f"weight tables required: no entry for alpha {alpha}")
-    return sorted((mu.coords, m) for mu, m in entry.items())
+    return entry
 
 
-def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> TorusRepDecomposition:
+def _weight_count(space: SymmetricSpaceData, alpha: RestrictedWeight, mu: tuple[int, ...] | None = None) -> int:
+    """The complex multiplicity of the weight ``mu`` (coordinates) in the
+    irreducible summand with highest weight alpha, or with ``mu`` None the sum
+    of all its multiplicities, its complex dimension: a product over sphere
+    factors, or a lookup in the table row."""
+    if space.factors is not None:
+        count = 1
+        for i, (n, k) in enumerate(zip(space.factors, alpha.coords)):
+            per_m = _factor_weights(n, k)
+            count *= sum(per_m.values()) if mu is None else per_m.get(mu[i], 0)
+            if not count:
+                break
+        return count
+    row = _table_row(space, alpha)
+    return sum(row.values()) if mu is None else row.get(RestrictedWeight(mu), 0)
+
+
+def _level_weights(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> dict[tuple[int, ...], int]:
+    """Complex weight multiplicities summed over the summands alphas, refused
+    with ``ValueError`` unless they are those of a real representation."""
     weights: dict[tuple[int, ...], int] = {}
     for alpha in alphas:
         for coords, mult in _alpha_weight_map(space, alpha):
             weights[coords] = weights.get(coords, 0) + mult
-    zero = tuple([0] * space.rank)
-    k0 = weights.get(zero, 0)
-    mults: dict[SubgroupId, int] = {}
     for coords, mult in weights.items():
-        if coords == zero:
-            continue
         if weights.get(tuple(-c for c in coords), 0) != mult:
             raise ValueError(
                 f"weight multiplicities are not conjugation-symmetric at {coords}: "
                 "not the complexification of a real representation"
             )
-        # one id per pair {mu, -mu}, built from its sign-canonical member;
-        # coordinates are unique keys, so each id is set once
-        if next(c for c in coords if c) > 0:
-            mults[SubgroupId(RestrictedWeight(coords))] = mult
-    return TorusRepDecomposition.from_dict(k0, mults)
+    return weights
+
+
+def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> TorusRepDecomposition:
+    weights = _level_weights(space, alphas)
+    zero = tuple([0] * space.rank)
+    # one id per pair {mu, -mu}, built from its sign-canonical member;
+    # coordinates are unique keys, so each id is set once
+    mults = {
+        SubgroupId(RestrictedWeight(coords)): mult
+        for coords, mult in weights.items()
+        if coords != zero and next(c for c in coords if c) > 0
+    }
+    return TorusRepDecomposition.from_dict(weights.get(zero, 0), mults)
 
 
 def alpha_decomposition(space: SymmetricSpaceData, alpha: RestrictedWeight) -> TorusRepDecomposition:

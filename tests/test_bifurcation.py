@@ -162,7 +162,7 @@ def test_index_matches_ring_path(vw, n, s, other):
     v, w = vw
     assume(n + other > 0)
     signature = sig(other, n) if s > 0 else sig(n, other)
-    split = bifurcation._Split(SpectralLevel(Fraction(1), (), v), w, w + v, (w.total_dim + v.total_dim) % 2)
+    split = bifurcation._Split(SpectralLevel(Fraction(1), (), v), w, w + v)
     if s > 0:
         ring = neg_identity_degree(w) ** n * (neg_identity_degree(v) ** n - UNIT)
     else:
@@ -332,10 +332,13 @@ def test_no_return_set_has_zero_index_sum(space, a, cutoff, n_sets):
 
 
 def test_one_enumeration_per_range(monkeypatch):
+    # bifurcation_levels enumerates through spectrum_up_to, certify_levels
+    # directly; each range walks the lattice box once
     import torusbif.bifurcation as bif
+    import torusbif.spaces as spaces
 
     calls = []
-    real = bif.spectrum_up_to
+    real = spaces._eigenvalue_groups
 
     def counted(space, cutoff):
         calls.append(cutoff)
@@ -348,24 +351,38 @@ def test_one_enumeration_per_range(monkeypatch):
         indexed.append(level)
         return real_index(s, level, split)
 
-    monkeypatch.setattr(bif, "spectrum_up_to", counted)
+    expanded = []
+    real_expansion = bif._expansion
+
+    def counted_expansion(s, level, k0_x, k0_v):
+        expanded.append(level)
+        return real_expansion(s, level, k0_x, k0_v)
+
+    monkeypatch.setattr(spaces, "_eigenvalue_groups", counted)
+    monkeypatch.setattr(bif, "_eigenvalue_groups", counted)
     monkeypatch.setattr(bif, "_index", counted_index)
+    monkeypatch.setattr(bif, "_expansion", counted_expansion)
     levels = bifurcation_levels(P22, sig(1, 2), 30)
     assert len(levels) > 10
     assert calls == [30]
-    # one index per candidate level, certificates included
+    # one index per candidate level, and one expansion per nonzero one
     assert sorted(indexed) == [bl.level for bl in levels]
+    nonzero = [bl.level for bl in levels if bl.level]
+    assert sorted(expanded) == nonzero
     calls.clear()
-    indexed.clear()
+    expanded.clear()
     certs = certify_levels(P22, sig(1, 2), 30)
     assert calls == [30]
-    assert sorted(indexed) == [lv for lv, _ in certs] == [bl.level for bl in levels]
+    assert [lv for lv, _ in certs] == [bl.level for bl in levels]
+    # certificates form each witness coefficient once per nonzero level
+    assert sorted(expanded) == nonzero
 
 
-@pytest.mark.parametrize("range_function", [bifurcation_levels, certify_levels])
+@pytest.mark.parametrize("range_function", [bifurcation_levels])
 def test_range_functions_hold_one_eigenvalue_at_a_time(monkeypatch, range_function):
     # every split's W is watched from the sweep; while any index is computed,
-    # at most two of them (the current eigenvalue's and the previous one's) live
+    # at most two of them (the current eigenvalue's and the previous one's)
+    # live.  certify_levels builds no W at all (the test below).
     import torusbif.bifurcation as bif
 
     watched = []
@@ -386,6 +403,58 @@ def test_range_functions_hold_one_eigenvalue_at_a_time(monkeypatch, range_functi
     range_function(P22, sig(1, 2), 30)
     assert len(watched) > 10
     assert 1 <= max(alive) <= 2
+
+
+def test_certify_builds_no_torus_decomposition(monkeypatch):
+    # a certificate reads d_V, k0 and the witness multiplicities from the
+    # summands' weights; no decomposition is built or summed, through the
+    # library or the CLI, for the sphere products and the generic tables of
+    # the golden outputs
+    from torusbif import cli
+
+    built = []
+    real_init, real_add = TorusRepDecomposition.__post_init__, TorusRepDecomposition.__add__
+
+    def counted_init(self):
+        built.append("init")
+        real_init(self)
+
+    def counted_add(self, other):
+        built.append("add")
+        return real_add(self, other)
+
+    monkeypatch.setattr(TorusRepDecomposition, "__post_init__", counted_init)
+    monkeypatch.setattr(TorusRepDecomposition, "__add__", counted_add)
+    for config in GOLDEN_CONFIGS.values():
+        run = (load_space(config["space"]), SystemSignature(config["a"]), frac_from_json(config["cutoff"]))
+        assert certify_levels(*run)
+        text, code = cli.run_exact("certify", config, None, "json")
+        assert code == 0 and '"all_certified": true' in text
+    assert built == []
+    bifurcation_levels(P22, sig(1, 2), 6)  # the index still decomposes every level
+    assert "init" in built and "add" in built
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 24),
+)
+def test_certificates_agree_with_the_indices(factors, n_plus, n_minus, cutoff):
+    # each ledger coefficient, formed from multiplicities, is the witness
+    # coefficient of the index that bifurcation_levels builds in the ring
+    assume(n_plus + n_minus > 0)
+    space, s = SymmetricSpaceData.product_of_spheres(factors), sig(n_plus, n_minus)
+    indices = {bl.level: bl.index for bl in bifurcation_levels(space, s, cutoff)}
+    certs = certify_levels(space, s, cutoff)
+    assert [lv for lv, _ in certs] == sorted(indices)
+    for level, cert in certs:
+        if level == 0:
+            continue
+        assert isinstance(cert, UnboundednessCertificate), cert
+        assert cert.ledger == tuple((lv, indices[lv].coeff_at(cert.witness)) for lv in sorted({level, -level} & set(indices)))
 
 
 def test_impossibility_identity():

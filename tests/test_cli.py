@@ -717,6 +717,45 @@ def test_a_cutoff_past_the_lattice_limit_is_refused_before_enumeration(tmp_path,
     assert peak < 1e6 and time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("exponent", ["1000000", "+1000000", "-1000000", "10000000", "-10000000"])
+@pytest.mark.parametrize("command", ["spectrum", "index", "certify"])
+def test_a_huge_decimal_exponent_is_refused_before_the_rational_is_built(tmp_path, capsys, exponent, command):
+    # "1e1000000" once took seconds in Fraction and the coordinate bound, and
+    # "1e10000000" ran past a minute; both signs are refused as config errors
+    import time
+
+    text = f"1e{exponent}"
+    refusal = f"the decimal exponent of {text!r} exceeds 4300 in magnitude"
+    configs = [
+        ({"space": SPHERE_CFG["space"], "a": [-1], "cutoff": text}, f"bad cutoff: {refusal}"),
+        (
+            {"space": {"kind": "generic", "gram": [[text]], "rho": ["1/2"], "tables": {"entries": []}}, "a": [-1], "cutoff": 3},
+            f"bad space descriptor: {refusal}",
+        ),
+    ]
+    for config, message in configs:
+        started = time.perf_counter()
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - started < 1.0
+
+
+def test_a_long_refused_value_is_echoed_cut(tmp_path, capsys):
+    # a crossing of 400 digits is named by its first 60 and its length
+    crossing = int("9" * 400)
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "crossing": crossing}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == f"error: {'9' * 60}... (400 characters) is not a crossing of the trivial branch\n"
+    # a short value keeps its whole message
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "crossing": 3}})
+    assert run(capsys, ["branch", "--config", cfg]) == (2, "", "error: 3 is not a crossing of the trivial branch\n")
+    cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": "x" * 400})
+    code, out, err = run(capsys, ["spectrum", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad cutoff: Invalid literal for Fraction: '{'x' * 59}... (402 characters)\n"
+
+
 def test_exact_command_failing_in_its_computation_leaves_no_out_file(tmp_path, capsys, monkeypatch):
     from torusbif import cli
 

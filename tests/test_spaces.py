@@ -12,7 +12,9 @@ from torusbif import (
     RestrictedWeight,
     SpectralLevel,
     SymmetricSpaceData,
+    SystemSignature,
     canonicalize,
+    certify_levels,
     eigenvalue_of,
     harmonic_dim,
     load_space,
@@ -326,14 +328,29 @@ def test_generic_space_with_rational_gram_groups_fractional_eigenvalues():
     assert top.torus_decomp.k0 == 2
 
 
-def test_generic_tables_must_be_conjugation_symmetric():
+def asymmetric_tables_space():
+    """A rank-1 table space whose level 2 has weight 1 but not weight -1."""
     tables = GenericTables.from_json(
         {"entries": [{"alpha": [0], "weights": [{"mu": [0], "mult": 1}]},
                      {"alpha": [1], "weights": [{"mu": [1], "mult": 1}, {"mu": [0], "mult": 1}]}]}
     )
-    space = SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=tables)
+    return SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=tables)
+
+
+def test_generic_tables_must_be_conjugation_symmetric():
     with pytest.raises(ValueError, match="conjugation-symmetric"):
-        spectrum_up_to(space, 2)
+        spectrum_up_to(asymmetric_tables_space(), 2)
+
+
+def test_certify_refuses_tables_that_are_not_conjugation_symmetric():
+    # certify reads a few multiplicities per level, not the decomposition,
+    # and still refuses a table that is not symmetric at a level it certifies
+    space = asymmetric_tables_space()
+    for a in [(1,), (-1,), (1, -1)]:
+        with pytest.raises(ValueError, match="not conjugation-symmetric at \\(1,\\)"):
+            certify_levels(space, SystemSignature(a), 2)
+    # below the asymmetric level the table is certified as usual
+    assert [lv for lv, _ in certify_levels(space, SystemSignature((-1,)), 1)] == [0]
 
 
 def test_spectrum_builds_one_weight_map_per_alpha(monkeypatch):
