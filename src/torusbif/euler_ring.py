@@ -60,7 +60,7 @@ def _normalize(codim1) -> Codim1:
 def _scale(a: Codim1, s: int) -> Codim1:
     if s == 1:
         return a
-    return tuple((h, s * c) for h, c in a) if s else ()
+    return tuple([(h, s * c) for h, c in a]) if s else ()
 
 
 def _combine(a: Codim1, s: int, b: Codim1, t: int) -> Codim1:
@@ -119,8 +119,9 @@ class EulerRingElement:
     # -- module structure ----------------------------------------------------
 
     # __add__ and __mul__ carry criterion 07, so they write the two slots
-    # themselves instead of calling _element, and call _check_ranks only to
-    # raise, once the first ids differ in rank.
+    # themselves instead of calling _element, call _check_ranks only to
+    # raise, once the first ids differ in rank, and call _merge_sorted
+    # directly when both parts are nonempty and both scales nonzero.
 
     def __add__(self, other: "EulerRingElement") -> "EulerRingElement":
         if other.__class__ is not EulerRingElement:
@@ -130,7 +131,7 @@ class EulerRingElement:
             _check_ranks(a, b)
         out = object.__new__(EulerRingElement)
         _set_unit(out, self.unit + other.unit)
-        _set_codim1(out, _combine(a, 1, b, 1))
+        _set_codim1(out, _merge_sorted(a, 1, b, 1) if a and b else a or b)
         return out
 
     def __neg__(self) -> "EulerRingElement":
@@ -158,7 +159,7 @@ class EulerRingElement:
         # codimension-one part, so only the cross terms with the units remain
         out = object.__new__(EulerRingElement)
         _set_unit(out, s * t)
-        _set_codim1(out, _combine(a, t, b, s))
+        _set_codim1(out, _merge_sorted(a, t, b, s) if a and b and s and t else _combine(a, t, b, s))
         return out
 
     def __rmul__(self, other) -> "EulerRingElement":

@@ -35,6 +35,9 @@ from .jsonio import _echo, int_from_json
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
 GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
 GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
+# The largest degree K a basis is built for: leggauss's (2K+1)^2 companion
+# matrix is 134 MB at K = 2048, so a larger K is refused before any work.
+MAX_DEGREE = 2048
 
 
 def degree_eigenvalue(k: int) -> int:
@@ -43,10 +46,12 @@ def degree_eigenvalue(k: int) -> int:
 
 
 def _max_degree(max_degree) -> int:
-    """The largest harmonic degree K, an integer of at least 0."""
+    """The largest harmonic degree K, an integer in 0..MAX_DEGREE."""
     K = int_from_json(max_degree)
     if K < 0:
         raise ValueError(f"max_degree must be nonnegative, got {_echo(str(K))}")
+    if K > MAX_DEGREE:
+        raise ValueError(f"max_degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {_echo(str(K))}")
     return K
 
 

@@ -5,9 +5,12 @@ and the acceptance test module both run these."""
 from __future__ import annotations
 
 import random
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .bifurcation import (
     SystemSignature,
@@ -191,19 +194,35 @@ def criterion_06_zero_level(seed=0) -> CriterionResult:
 EULER_CASES = 10_000
 
 
+_WORDS = 1024  # Mersenne Twister outputs read per getrandbits call
+
+
+def _words(rng: random.Random):
+    """The 32-bit outputs of ``rng`` in order, read ``_WORDS`` at a time:
+    ``getrandbits(32 * w)`` is w outputs as little-endian words."""
+    while True:
+        chunk = array("I", rng.getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little"))
+        if sys.byteorder == "big":
+            chunk.byteswap()
+        yield chunk
+
+
 def _euler_cases(seed):
     """The cases of criterion 07: (x, y, z, u) with u a unit-led element on
     the codimension-one part of x, all drawn from ``random.Random(seed)``.
 
-    Each of x, y, z draws a support of 0..8 ids from a pool of 12, one
-    coefficient in -9..9 per id, then its unit in -9..9.  ``randrange(9)``
-    and ``randrange(19) - 9`` make the same ``_randbelow`` calls as
-    ``randint(0, 8)`` and ``randint(-9, 9)``, so they read the same stream
-    on a shorter path; ``sample`` reads only the pool's size, so sampling
-    the ids' ranks in the pool's order draws the same supports.  The drawn
-    pairs are sorted by rank and their zeros dropped, which is the
-    normalized part the public constructor would build, so the elements
-    are built from it directly."""
+    After a pool of 12 ids, each of x, y, z draws a support of 0..8 ids
+    from the pool as ``sample(pool, randint(0, 8))``, one coefficient in
+    -9..9 per id, then its unit, each as ``randint(-9, 9)``; u's unit is
+    ``choice((1, -1))``.  These calls are read here straight off the
+    generator's 32-bit outputs: each reduces to ``_randbelow(n)`` (``sample``
+    of 12 takes its pool path, ``_randbelow(12 - i)`` for its i-th pick),
+    which takes the top ``n.bit_length()`` bits of the next output and
+    draws again while they are >= n, and that is what ``below(n)`` does to
+    one shared stream of outputs.  So the cases are the very ones those
+    calls draw.  The drawn pairs are placed by the id's rank in the sorted
+    pool and their zeros dropped, which is the normalized part the public
+    constructor would build, so the elements are built from it directly."""
     rng = random.Random(seed)
     pool = []
     seen = set()
@@ -217,18 +236,33 @@ def _euler_cases(seed):
             pool.append(h)
     ranked = sorted(pool, key=lambda h: h.sort_key)
     ranks = [ranked.index(h) for h in pool]
-    sample, draw = rng.sample, rng.randrange
+    # pairs[r][c]: the pair of rank r with coefficient c - 9, None for zero
+    pairs = [[(h, c - 9) if c != 9 else None for c in range(19)] for h in ranked]
+    words = chain.from_iterable(_words(rng))
+
+    def below(n):
+        return filter(n.__gt__, map((32 - n.bit_length()).__rrshift__, words))
+
+    size, coeff, sign = below(9), below(19), below(2)
+    pick = {n: below(n) for n in range(5, 13)}  # sample's i-th pick, i < 8, is below(12 - i)
 
     def element():
-        support = sample(ranks, draw(9))
-        pairs = sorted(zip(support, [draw(19) - 9 for _ in support]))
-        return _element(draw(19) - 9, tuple((ranked[r], c) for r, c in pairs if c))
+        left = ranks.copy()  # sample's pool: the ranks not yet drawn come first
+        support = []
+        for n in range(12, 12 - next(size), -1):
+            j = next(pick[n])
+            support.append(left[j])
+            left[j] = left[n - 1]
+        slots = [None] * 12
+        for r, c in zip(support, coeff):  # zip stops at support's end, before coeff
+            slots[r] = pairs[r][c]
+        return _element(next(coeff) - 9, tuple(filter(None, slots)))
 
     for _ in range(EULER_CASES):
         x = element()
         y = element()
         z = element()
-        yield x, y, z, _element(rng.choice((1, -1)), x.codim1)
+        yield x, y, z, _element(1 - 2 * next(sign), x.codim1)
 
 
 def criterion_07_euler_axioms(seed=0) -> CriterionResult:

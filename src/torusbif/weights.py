@@ -123,55 +123,47 @@ def _merge_sorted(a, s: int, b, t: int) -> tuple:
     count) pairs sorted by ``sort_key`` with unique ids, merged in one pass.
     Counts that cancel are dropped, the result is sorted the same way, and an
     id present on both sides keeps the object from ``a``.  Either side may be
-    empty."""
-    # Each side holds its current pair and key.  "for ... break" reads the
-    # next pair of one side only; its "else" runs when that side is used up.
-    rest_a, rest_b = iter(a), iter(b)
-    for h, c in rest_a:
-        hk = h.sort_key
-        break
-    else:
-        return tuple((g, t * d) for g, d in b)
-    for g, d in rest_b:
-        gk = g.sort_key
-        break
-    else:
-        return tuple((h, s * c) for h, c in a)
+    empty, and a side scaled by 1 passes its pairs through as they are."""
+    na, nb = len(a), len(b)
+    if not na:
+        return tuple(b) if t == 1 else tuple([(g, t * d) for g, d in b])
+    if not nb:
+        return tuple(a) if s == 1 else tuple([(h, s * c) for h, c in a])
     out = []
     append = out.append
+    i = j = 0
+    p, q = a[0], b[0]
+    hk, gk = p[0].sort_key, q[0].sort_key
     while True:
         if hk < gk:
-            append((h, s * c))
-            for h, c in rest_a:
-                hk = h.sort_key
+            append(p if s == 1 else (p[0], s * p[1]))
+            i += 1
+            if i == na:
                 break
-            else:
-                append((g, t * d))
-                break
+            p = a[i]
+            hk = p[0].sort_key
         elif gk < hk:
-            append((g, t * d))
-            for g, d in rest_b:
-                gk = g.sort_key
+            append(q if t == 1 else (q[0], t * q[1]))
+            j += 1
+            if j == nb:
                 break
-            else:
-                append((h, s * c))
-                break
+            q = b[j]
+            gk = q[0].sort_key
         else:
-            if s * c + t * d:
-                append((h, s * c + t * d))
-            for h, c in rest_a:
-                hk = h.sort_key
+            c = s * p[1] + t * q[1]
+            if c:
+                append((p[0], c))
+            i += 1
+            j += 1
+            if i == na or j == nb:
                 break
-            else:
-                break
-            for g, d in rest_b:
-                gk = g.sort_key
-                break
-            else:
-                append((h, s * c))
-                break
-    out += [(h, s * c) for h, c in rest_a]
-    out += [(g, t * d) for g, d in rest_b]
+            p, q = a[i], b[j]
+            hk, gk = p[0].sort_key, q[0].sort_key
+    # one side is used up; the other's rest follows, scaled
+    if i < na:
+        out += a[i:] if s == 1 else [(h, s * c) for h, c in a[i:]]
+    if j < nb:
+        out += b[j:] if t == 1 else [(g, t * d) for g, d in b[j:]]
     return tuple(out)
 
 

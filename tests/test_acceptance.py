@@ -6,10 +6,12 @@ lines, or ``torusbif selftest`` for the same sweeps outside pytest.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from torusbif import UNIT, EulerRingElement, RestrictedWeight, canonicalize, selftest
+from torusbif.euler_ring import _element
 
 # The case counts of the two slowest sweeps, pinned so that no speed-up can
 # shrink what they cover.
@@ -46,6 +48,67 @@ def test_euler_axiom_cases_are_pinned(seed):
     text = "".join(repr(case) + "\n" for case in selftest._euler_cases(seed))
     assert text.count("\n") == 10_000
     assert hashlib.sha256(text.encode()).hexdigest() == EULER_CASE_DIGESTS[seed]
+
+
+def _reference_euler_cases(seed):
+    """Criterion 07's cases drawn through ``randint``, ``sample`` and
+    ``choice``, as the criterion drew them before it read the generator's
+    outputs itself: ``randrange(9)`` and ``randrange(19) - 9`` are
+    ``randint(0, 8)`` and ``randint(-9, 9)``, and sampling the ids' ranks in
+    the pool's order draws the same supports as sampling the ids."""
+    rng = random.Random(seed)
+    pool = []
+    seen = set()
+    while len(pool) < 12:
+        coords = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if coords == (0, 0):
+            continue
+        h = canonicalize(RestrictedWeight(coords))
+        if h not in seen:
+            seen.add(h)
+            pool.append(h)
+    ranked = sorted(pool, key=lambda h: h.sort_key)
+    ranks = [ranked.index(h) for h in pool]
+    sample, draw = rng.sample, rng.randrange
+
+    def element():
+        support = sample(ranks, draw(9))
+        pairs = sorted(zip(support, [draw(19) - 9 for _ in support]))
+        return _element(draw(19) - 9, tuple((ranked[r], c) for r, c in pairs if c))
+
+    for _ in range(selftest.EULER_CASES):
+        x = element()
+        y = element()
+        z = element()
+        yield x, y, z, _element(rng.choice((1, -1)), x.codim1)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_euler_axiom_cases_are_the_random_module_draws(seed):
+    # seeds past the pinned ones: the cases read off the generator's outputs
+    # are the ones randint, sample and choice draw, case for case
+    assert list(selftest._euler_cases(seed)) == list(_reference_euler_cases(seed))
+
+
+def test_euler_axioms_make_one_product_and_sum_per_law_and_case(monkeypatch):
+    # the counts perfbench's trace reports as euler_ring.mul_calls (100000)
+    # and the sums beside them: the criterion checks, and times, this much
+    # ring arithmetic and no less
+    calls = {"__mul__": 0, "__add__": 0}
+
+    def counted(name):
+        method = getattr(EulerRingElement, name)
+
+        def wrapper(x, y):
+            calls[name] += 1
+            return method(x, y)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(EulerRingElement, name, counted(name))
+    assert selftest.criterion_07_euler_axioms(seed=0).passed
+    assert calls == {"__mul__": 100_000, "__add__": 50_000}
 
 
 @pytest.mark.parametrize("seed", sorted(EULER_CASE_DIGESTS))

@@ -574,6 +574,33 @@ def test_branch_negative_K_is_refused_by_the_basis(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("K", [None, 10**5, 10**6], ids=["MAX_DEGREE+1", "1e5", "1e6"])
+def test_a_K_past_max_degree_is_refused_before_any_work(tmp_path, capsys, K):
+    # K = 10**5 once ended in a numpy _ArrayMemoryError from leggauss's
+    # 298 GiB companion matrix, and K = 10**6 was refused only after 3 s of
+    # listing crossings
+    import time
+    import tracemalloc
+
+    from torusbif import continuation  # noqa: F401  (numpy loads outside the measured window)
+    from torusbif.galerkin import MAX_DEGREE
+
+    K = MAX_DEGREE + 1 if K is None else K
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "K": K}})
+    out_csv = tmp_path / "branch.csv"
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["branch", "--config", cfg, "--out", str(out_csv)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: bad galerkin block: max_degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {K}\n"
+    assert peak < 1e6 and time.perf_counter() - started < 1.0
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -695,8 +722,13 @@ def test_refused_branch_leaves_no_out_file_and_keeps_an_existing_one(tmp_path, c
             3,
             "1732050807568878",
         ),
+        (  # once an OverflowError traceback
+            {"kind": "generic", "gram": [[1, 0], [0, 1]], "rho": ["1/2", "1/2"], "tables": {"entries": []}},
+            "1e300",
+            "about 10^300.0",
+        ),
     ],
-    ids=["1e400", "1e22", "tiny-gram"],
+    ids=["1e400", "1e22", "tiny-gram", "rank2-1e300"],
 )
 @pytest.mark.parametrize("command", ["spectrum", "index", "certify"])
 def test_a_cutoff_past_the_lattice_limit_is_refused_before_enumeration(tmp_path, capsys, space, cutoff, count, command):
