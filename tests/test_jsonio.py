@@ -61,7 +61,11 @@ def test_canonical_dumps_refuses_non_finite_floats(value):
             canonical_dumps(doc)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"bytes", object(), 1j], ids=repr)
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, b"bytes", object(), 1j],
+    ids=["Fraction(1, 2)", "{1, 2}", "b'bytes'", "object()", "1j"],
+)
 def test_canonical_dumps_refuses_unknown_types(value):
     for doc in (value, [value], {"a": value}):
         with pytest.raises(TypeError, match="is not JSON serializable"):
