@@ -46,10 +46,10 @@ the one copy of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+from ._record import Record, _set
 from .euler_ring import UNIT, EulerRingElement, _combine, _element
 from .jsonio import frac_to_json, int_from_json
 from .spaces import (
@@ -64,19 +64,19 @@ from .spaces import (
 from .weights import RestrictedWeight, SubgroupId, canonicalize
 
 
-@dataclass(frozen=True)
-class SystemSignature:
+class SystemSignature(Record):
     """Ordered Laplacian signs (a_1, ..., a_p) of the system."""
 
     a: tuple[int, ...]
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self):
-        a = tuple(int_from_json(x) for x in self.a)
+    def __init__(self, a):
+        a = tuple(int_from_json(x) for x in a)
         if not a:
             raise ValueError("signature must be nonempty")
         if any(x not in (-1, 1) for x in a):
             raise ValueError("signature entries must be +1 or -1")
-        object.__setattr__(self, "a", a)
+        _set(self, "a", a)
 
     @classmethod
     def from_counts(cls, n_plus: int, n_minus: int) -> "SystemSignature":
@@ -95,8 +95,7 @@ class SystemSignature:
         return sum(1 for x in self.a if x == -1)
 
 
-@dataclass(frozen=True)
-class BifurcationLevel:
+class BifurcationLevel(Record):
     """Candidate level with its kernel dimension and index.  The JSON form
     marks the index ``truncated`` at nonzero levels, where codimension-two
     classes were discarded; index(0) is a multiple of the unit."""
@@ -104,6 +103,12 @@ class BifurcationLevel:
     level: Fraction
     kernel_dim: int
     index: EulerRingElement
+    __slots__ = _fields = ("level", "kernel_dim", "index")
+
+    def __init__(self, level, kernel_dim, index):
+        _set(self, "level", level)
+        _set(self, "kernel_dim", kernel_dim)
+        _set(self, "index", index)
 
     def to_json(self) -> dict:
         return {
@@ -113,8 +118,7 @@ class BifurcationLevel:
         }
 
 
-@dataclass(frozen=True)
-class UnboundednessCertificate:
+class UnboundednessCertificate(Record):
     """Coefficient ledger showing that the continuum from a level cannot close
     up on the trivial branch, hence is unbounded.
 
@@ -130,10 +134,14 @@ class UnboundednessCertificate:
     level: Fraction
     witness: SubgroupId | None
     ledger: tuple[tuple[Fraction, int], ...]
+    __slots__ = _fields = ("level", "witness", "ledger")
 
     unbounded = True  # what every issued certificate shows
 
-    def __post_init__(self):
+    def __init__(self, level, witness, ledger):
+        _set(self, "level", level)
+        _set(self, "witness", witness)
+        _set(self, "ledger", ledger)
         if (self.witness is None) != (self.level == 0):
             raise ValueError("a certificate has a witness exactly when its level is nonzero")
         levels = [lv for lv, _ in self.ledger]

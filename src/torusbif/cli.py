@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
 from .jsonio import _echo, canonical_dumps, frac_from_json, frac_to_json
-from .spaces import SymmetricSpaceData, alpha_decomposition, load_space, spectrum_up_to
+from .spaces import SymmetricSpaceData, load_space, spectrum_up_to, summand_decompositions
 
 
 class ConfigError(Exception):
@@ -135,6 +135,10 @@ def _spectrum(space, sig, cutoff) -> list:
     return spectrum_up_to(space, cutoff)
 
 
+def _summands(space, sig, cutoff) -> list:
+    return summand_decompositions(space, cutoff)
+
+
 def _levels(space, sig, cutoff) -> list:
     return bifurcation_levels(space, sig, cutoff)
 
@@ -192,20 +196,19 @@ def _spectrum_csv(run: Run) -> list[list]:
 
 def _decompose_pretty(run: Run) -> list[str]:
     lines = [f"torus decompositions for {run.space} up to {run.cutoff}"]
-    for lv in run.result:
+    for lv, decs in run.result:
         lines.append(f"  lambda = {lv.eigenvalue} (dim {lv.real_dim})")
-        for a in lv.alphas:
-            dec = alpha_decomposition(run.space, a)
+        for a, dec in zip(lv.alphas, decs):
             mults = " ".join(f"{h}:{m}" for h, m in dec.mults) or "-"
             lines.append(f"    alpha {a}: k0 = {dec.k0}  planes = {mults}")
     return lines
 
 
 def _decompose_json(run: Run) -> dict:
-    def per_alpha(a):
-        return {"alpha": a.to_json(), "decomposition": alpha_decomposition(run.space, a).to_json()}
+    def per_alpha(lv, decs):
+        return [{"alpha": a.to_json(), "decomposition": dec.to_json()} for a, dec in zip(lv.alphas, decs)]
 
-    return {"levels": [{**lv.to_json(), "per_alpha": [per_alpha(a) for a in lv.alphas]} for lv in run.result]}
+    return {"levels": [{**lv.to_json(), "per_alpha": per_alpha(lv, decs)} for lv, decs in run.result]}
 
 
 def _index_pretty(run: Run) -> list[str]:
@@ -264,7 +267,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "spectrum": Command({"pretty": _spectrum_pretty, "json": _levels_json, "csv": _spectrum_csv}, _spectrum),
-    "decompose": Command({"pretty": _decompose_pretty, "json": _decompose_json}, _spectrum),
+    "decompose": Command({"pretty": _decompose_pretty, "json": _decompose_json}, _summands),
     "index": Command({"pretty": _index_pretty, "json": _levels_json, "csv": _index_csv}, _levels, signature=True),
     "certify": Command(
         {"pretty": _certify_pretty, "json": _certify_json, "csv": _certify_csv}, _certify, signature=True

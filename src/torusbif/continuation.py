@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import Record, _set
 from .galerkin import (
     BranchState,
     GalerkinBasis,
@@ -67,12 +67,18 @@ def _positive_real(name: str, x) -> float:
     return float(x)
 
 
-@dataclass
-class BranchResult:
+class BranchResult(Record):
     basis: GalerkinBasis  # the basis of the states' coefficients
     states: list[BranchState]
     outcome: str  # reached_target | returned_to_trivial | incomplete | diverged
-    reason: str | None = None  # why the trace diverged; set exactly then
+    reason: str | None  # why the trace diverged; set exactly then
+    __slots__ = _fields = ("basis", "states", "outcome", "reason")
+
+    def __init__(self, basis, states, outcome, reason=None):
+        _set(self, "basis", basis)
+        _set(self, "states", states)
+        _set(self, "outcome", outcome)
+        _set(self, "reason", reason)
 
 
 def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:

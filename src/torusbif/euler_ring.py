@@ -18,8 +18,7 @@ of the torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .jsonio import int_from_json
 from .weights import SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
 
@@ -75,13 +74,12 @@ def _combine(a: Codim1, s: int, b: Codim1, t: int) -> Codim1:
 def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
     """An element from normalized data, built without re-validating it."""
     x = object.__new__(EulerRingElement)
-    _set_unit(x, unit)
-    _set_codim1(x, codim1)
+    _set(x, "unit", unit)
+    _set(x, "codim1", codim1)
     return x
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class EulerRingElement:
+class EulerRingElement(Record):
     """Truncated element u*I + sum_mu c_mu * [T/H_mu].
 
     Kept in slots: the unit coefficient and the codimension-one part as
@@ -89,10 +87,11 @@ class EulerRingElement:
 
     unit: int
     codim1: Codim1
+    __slots__ = _fields = ("unit", "codim1")
 
     def __init__(self, unit: int = 0, codim1=()):
-        _set_unit(self, int_from_json(unit))
-        _set_codim1(self, _normalize(codim1))
+        _set(self, "unit", int_from_json(unit))
+        _set(self, "codim1", _normalize(codim1))
 
     @classmethod
     def generator(cls, h: SubgroupId) -> "EulerRingElement":
@@ -130,8 +129,8 @@ class EulerRingElement:
         if a and b and a[0][0].sort_key[0] != b[0][0].sort_key[0]:
             _check_ranks(a, b)
         out = object.__new__(EulerRingElement)
-        _set_unit(out, self.unit + other.unit)
-        _set_codim1(out, _merge_sorted(a, 1, b, 1) if a and b else a or b)
+        _set(out, "unit", self.unit + other.unit)
+        _set(out, "codim1", _merge_sorted(a, 1, b, 1) if a and b else a or b)
         return out
 
     def __neg__(self) -> "EulerRingElement":
@@ -158,8 +157,8 @@ class EulerRingElement:
         # products of two codimension-one classes have no unit or
         # codimension-one part, so only the cross terms with the units remain
         out = object.__new__(EulerRingElement)
-        _set_unit(out, s * t)
-        _set_codim1(out, _merge_sorted(a, t, b, s) if a and b and s and t else _combine(a, t, b, s))
+        _set(out, "unit", s * t)
+        _set(out, "codim1", _merge_sorted(a, t, b, s) if a and b and s and t else _combine(a, t, b, s))
         return out
 
     def __rmul__(self, other) -> "EulerRingElement":
@@ -205,11 +204,6 @@ class EulerRingElement:
             "codim1": [{"H": h.canonical.to_json(), "c": c} for h, c in self.codim1],
         }
 
-
-# Writers of the two slots that bypass the frozen __setattr__; only
-# __init__, _element, __add__ and __mul__ use them.
-_set_unit = EulerRingElement.unit.__set__
-_set_codim1 = EulerRingElement.codim1.__set__
 
 UNIT = EulerRingElement(1)
 ZERO = EulerRingElement(0)

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record, _set
 from .jsonio import _echo, int_from_json
 
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
@@ -199,8 +199,7 @@ class GalerkinBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonlinearitySpec:
+class NonlinearitySpec(Record):
     """Lower-order term h(u, lam) of the potential, given pointwise.
 
     ``value`` maps node values u of shape (p, nodes) to h(u) of shape (nodes,);
@@ -218,6 +217,14 @@ class NonlinearitySpec:
     grad: Callable[[np.ndarray, float], np.ndarray]
     hess: Callable[[np.ndarray, float], np.ndarray]
     grad_degree: int
+    __slots__ = _fields = ("name", "value", "grad", "hess", "grad_degree")
+
+    def __init__(self, name, value, grad, hess, grad_degree):
+        _set(self, "name", name)
+        _set(self, "value", value)
+        _set(self, "grad", grad)
+        _set(self, "hess", hess)
+        _set(self, "grad_degree", grad_degree)
 
     @classmethod
     def quartic(cls) -> "NonlinearitySpec":
@@ -275,14 +282,20 @@ NONLINEARITIES = {"quartic": NonlinearitySpec.quartic, "zero": NonlinearitySpec.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BranchState:
+class BranchState(Record):
     """Galerkin coordinates of one point on a solution branch."""
 
     coeffs: np.ndarray
     lam: float
     arclength: float
     h1_norm: float
+    __slots__ = _fields = ("coeffs", "lam", "arclength", "h1_norm")
+
+    def __init__(self, coeffs, lam, arclength, h1_norm):
+        _set(self, "coeffs", coeffs)
+        _set(self, "lam", lam)
+        _set(self, "arclength", arclength)
+        _set(self, "h1_norm", h1_norm)
 
 
 def h1_norm(basis: GalerkinBasis, coeffs: np.ndarray) -> float:
@@ -414,13 +427,17 @@ def gradient_check(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: Branc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """Parameter value where the trivial-branch linearization is singular,
     with the (component, degree) pairs whose harmonics span the kernel."""
 
     lam: Fraction
     pairs: tuple[tuple[int, int], ...]  # (component, degree), ascending
+    __slots__ = _fields = ("lam", "pairs")
+
+    def __init__(self, lam, pairs):
+        _set(self, "lam", lam)
+        _set(self, "pairs", pairs)
 
     @property
     def kernel_dim(self) -> int:

@@ -8,10 +8,10 @@ import random
 import sys
 import time
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from ._record import Record, _set
 from .bifurcation import (
     SystemSignature,
     _indices,
@@ -34,13 +34,20 @@ from .spaces import SymmetricSpaceData, spectrum_up_to
 from .weights import RestrictedWeight, canonicalize
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     slug: str
     passed: bool
     detail: str
     elapsed: float
+    __slots__ = _fields = ("number", "slug", "passed", "detail", "elapsed")
+
+    def __init__(self, number, slug, passed, detail, elapsed):
+        _set(self, "number", number)
+        _set(self, "slug", slug)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
+        _set(self, "elapsed", elapsed)
 
 
 def format_result(r: CriterionResult) -> str:

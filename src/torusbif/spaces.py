@@ -23,12 +23,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._record import Record, _set
 from .jsonio import _echo, frac_from_json, frac_to_json, int_from_json
 from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
 
@@ -37,26 +37,26 @@ from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _mer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusRepDecomposition:
+class TorusRepDecomposition(Record):
     """Multiplicities of a real torus representation: k0 trivial lines plus
     k_mu rotation planes for each canonical weight mu, all of one rank."""
 
     k0: int
     mults: tuple[tuple[SubgroupId, int], ...]
+    __slots__ = _fields = ("k0", "mults")
 
-    def __post_init__(self):
-        k0 = int_from_json(self.k0)
+    def __init__(self, k0: int, mults):
+        k0 = int_from_json(k0)
         if k0 < 0:
             raise ValueError("k0 must be nonnegative")
-        items = tuple(sorted(((h, int_from_json(m)) for h, m in self.mults), key=_pair_key))
+        items = tuple(sorted(((h, int_from_json(m)) for h, m in mults), key=_pair_key))
         if any(m <= 0 for _, m in items):
             raise ValueError("plane multiplicities must be positive")
         if len({h for h, _ in items}) != len(items):
             raise ValueError("duplicate weight id in decomposition")
         _check_ranks(items, items[-1:])  # lowest rank against highest
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "mults", items)
+        _set(self, "k0", k0)
+        _set(self, "mults", items)
 
     @classmethod
     def from_dict(cls, k0: int, mults: dict[SubgroupId, int]) -> "TorusRepDecomposition":
@@ -71,10 +71,11 @@ class TorusRepDecomposition:
 
     def __add__(self, other: "TorusRepDecomposition") -> "TorusRepDecomposition":
         # both sides are validated, so the merge is sorted, positive and free
-        # of duplicates: it skips __post_init__ once the ranks agree
+        # of duplicates: it skips __init__ once the ranks agree
         _check_ranks(self.mults, other.mults)
         out = object.__new__(TorusRepDecomposition)
-        out.__dict__.update(k0=self.k0 + other.k0, mults=_merge_sorted(self.mults, 1, other.mults, 1))
+        _set(out, "k0", self.k0 + other.k0)
+        _set(out, "mults", _merge_sorted(self.mults, 1, other.mults, 1))
         return out
 
     def to_json(self) -> dict:
@@ -84,13 +85,18 @@ class TorusRepDecomposition:
         }
 
 
-@dataclass(frozen=True)
-class SpectralLevel:
+class SpectralLevel(Record):
     """One eigenvalue of -Delta with every dominant weight realizing it."""
 
     eigenvalue: Fraction
     alphas: tuple[RestrictedWeight, ...]
     torus_decomp: TorusRepDecomposition
+    __slots__ = _fields = ("eigenvalue", "alphas", "torus_decomp")
+
+    def __init__(self, eigenvalue, alphas, torus_decomp):
+        _set(self, "eigenvalue", eigenvalue)
+        _set(self, "alphas", alphas)
+        _set(self, "torus_decomp", torus_decomp)
 
     @property
     def real_dim(self) -> int:
@@ -112,20 +118,22 @@ class SpectralLevel:
 TableRow = tuple[RestrictedWeight, tuple[tuple[RestrictedWeight, int], ...]]
 
 
-@dataclass(frozen=True)
-class GenericTables:
+class GenericTables(Record):
     """Complex restricted-weight multiplicities per irreducible summand,
     supplied by the user for spaces without a built-in oracle.  Each row lists
     every weight of the summand with highest weight alpha, negatives included;
     the complex dimension is the multiplicity total.  Each alpha has one
     row, and each weight of a row appears once, with multiplicity at least 1
-    and the rank of its alpha."""
+    and the rank of its alpha.  ``by_alpha`` maps each alpha to its row as
+    a dict mu -> multiplicity."""
 
     rows: tuple[TableRow, ...]
+    _fields = ("rows",)
+    __slots__ = ("rows", "by_alpha")
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[TableRow, ...]):
         seen = set()
-        for alpha, weights in self.rows:
+        for alpha, weights in rows:
             if alpha in seen:
                 raise ValueError(f"weight tables repeat alpha {alpha}")
             seen.add(alpha)
@@ -140,10 +148,8 @@ class GenericTables:
                     raise ValueError(
                         f"weight tables give mu {mu} of rank {mu.rank} at alpha {alpha} of rank {alpha.rank}"
                     )
-
-    @cached_property
-    def by_alpha(self) -> dict[RestrictedWeight, dict[RestrictedWeight, int]]:
-        return {alpha: dict(ws) for alpha, ws in self.rows}
+        _set(self, "rows", rows)
+        _set(self, "by_alpha", {alpha: dict(ws) for alpha, ws in rows})
 
     @classmethod
     def from_json(cls, data) -> "GenericTables":
@@ -197,8 +203,7 @@ def _sphere_form(ns: Sequence[int]) -> tuple[tuple[tuple[Fraction, ...], ...], t
     return gram, tuple(Fraction(n - 1, 2) for n in ns)
 
 
-@dataclass(frozen=True)
-class SymmetricSpaceData:
+class SymmetricSpaceData(Record):
     """Exact descriptor: Gram matrix of simple restricted roots, rho in
     simple-root coordinates, and exactly one weight oracle, the sphere factors
     of a product of spheres or user-supplied weight tables.  Sphere factors
@@ -207,23 +212,22 @@ class SymmetricSpaceData:
 
     gram: tuple[tuple[Fraction, ...], ...]
     rho: tuple[Fraction, ...]
-    factors: tuple[int, ...] | None = None
-    tables: GenericTables | None = None
+    factors: tuple[int, ...] | None
+    tables: GenericTables | None
+    _fields = ("gram", "rho", "factors", "tables")
+    __slots__ = _fields + ("_integer_form",)
 
-    def __post_init__(self):
-        gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
-        rho = tuple(Fraction(x) for x in self.rho)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "rho", rho)
-        if (self.factors is None) == (self.tables is None):
+    def __init__(self, gram, rho, factors=None, tables=None):
+        gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        rho = tuple(Fraction(x) for x in rho)
+        if (factors is None) == (tables is None):
             raise ValueError("a space needs exactly one weight oracle: sphere factors or weight tables")
-        if self.factors is not None:
-            ns = tuple(int_from_json(n) for n in self.factors)
-            if any(n < 2 for n in ns):
+        if factors is not None:
+            factors = tuple(int_from_json(n) for n in factors)
+            if any(n < 2 for n in factors):
                 raise ValueError("each sphere factor needs n >= 2")
-            if (gram, rho) != _sphere_form(ns):
-                raise ValueError(f"sphere factors {list(ns)} fix gram = identity and rho_i = (n_i - 1)/2")
-            object.__setattr__(self, "factors", ns)
+            if (gram, rho) != _sphere_form(factors):
+                raise ValueError(f"sphere factors {list(factors)} fix gram = identity and rho_i = (n_i - 1)/2")
         r = len(gram)
         if r < 1:
             raise ValueError("rank must be positive")
@@ -231,8 +235,8 @@ class SymmetricSpaceData:
             raise ValueError("gram must be a rank x rank matrix")
         if len(rho) != r:
             raise ValueError("rho must have length rank")
-        if self.tables is not None:
-            for alpha, _ in self.tables.rows:
+        if tables is not None:
+            for alpha, _ in tables.rows:
                 if alpha.rank != r:
                     raise ValueError(f"weight tables give alpha {alpha} of rank {alpha.rank}, but gram has rank {r}")
         for i in range(r):
@@ -254,7 +258,11 @@ class SymmetricSpaceData:
             tuple(tuple(int(x * den) for x in row) for row in gram),
             tuple(int(2 * x * den) for x in pairings),
         )
-        object.__setattr__(self, "_integer_form", scaled)
+        _set(self, "gram", gram)
+        _set(self, "rho", rho)
+        _set(self, "factors", factors)
+        _set(self, "tables", tables)
+        _set(self, "_integer_form", scaled)
 
     # -- presets --------------------------------------------------------------
 
@@ -373,9 +381,26 @@ def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ..
     refused with ``ValueError`` before it is walked.  Grouping is by exact
     rational equality.
     """
-    levels = []
+    return tuple(level for level, _ in _levels_with_maps(space, cutoff))
+
+
+def summand_decompositions(
+    space: SymmetricSpaceData, cutoff
+) -> tuple[tuple[SpectralLevel, tuple[TorusRepDecomposition, ...]], ...]:
+    """The levels of ``spectrum_up_to``, each with the torus decomposition
+    of each of its summands, in the order of its alphas.  Each summand's
+    weight map is built once and read for both.  Every level is checked, and
+    refused as ``spectrum_up_to`` refuses it, before any summand is."""
+    levels = list(_levels_with_maps(space, cutoff))
+    return tuple((level, tuple(_decomposition(space, (pairs,)) for pairs in maps)) for level, maps in levels)
+
+
+def _levels_with_maps(space: SymmetricSpaceData, cutoff):
+    """Each level of ``spectrum_up_to`` with the weight maps of its summands,
+    one ``_alpha_weight_map`` per alpha."""
     for lam, alphas in _eigenvalue_groups(space, cutoff):
-        decomp = _decompose_alphas(space, alphas)
+        maps = [_alpha_weight_map(space, a) for a in alphas]
+        decomp = _decomposition(space, maps)
         if space.factors is not None:
             # sphere factors count the dimension a second, independent way;
             # a table's only count is the sum of its own multiplicities
@@ -384,8 +409,7 @@ def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ..
                 raise ValueError(
                     f"decomposition dimension {decomp.total_dim} != eigenspace dimension {real_dim} at lambda={lam}"
                 )
-        levels.append(SpectralLevel(lam, alphas, decomp))
-    return tuple(levels)
+        yield SpectralLevel(lam, alphas, decomp), maps
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +523,15 @@ def _weight_count(space: SymmetricSpaceData, alpha: RestrictedWeight, mu: tuple[
 def _level_weights(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> dict[tuple[int, ...], int]:
     """Complex weight multiplicities summed over the summands alphas, refused
     with ``ValueError`` unless they are those of a real representation."""
+    return _summed_weights(_alpha_weight_map(space, alpha) for alpha in alphas)
+
+
+def _summed_weights(maps) -> dict[tuple[int, ...], int]:
+    """The sum of summands' weight maps, each (coords, mult) pairs, refused
+    with ``ValueError`` unless it is that of a real representation."""
     weights: dict[tuple[int, ...], int] = {}
-    for alpha in alphas:
-        for coords, mult in _alpha_weight_map(space, alpha):
+    for pairs in maps:
+        for coords, mult in pairs:
             weights[coords] = weights.get(coords, 0) + mult
     for coords, mult in weights.items():
         if weights.get(tuple(-c for c in coords), 0) != mult:
@@ -512,8 +542,9 @@ def _level_weights(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]
     return weights
 
 
-def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> TorusRepDecomposition:
-    weights = _level_weights(space, alphas)
+def _decomposition(space: SymmetricSpaceData, maps) -> TorusRepDecomposition:
+    """The torus decomposition of the sum of summands' weight maps."""
+    weights = _summed_weights(maps)
     zero = tuple([0] * space.rank)
     # one id per pair {mu, -mu}, built from its sign-canonical member;
     # coordinates are unique keys, so each id is set once
@@ -528,4 +559,4 @@ def _decompose_alphas(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeig
 def alpha_decomposition(space: SymmetricSpaceData, alpha: RestrictedWeight) -> TorusRepDecomposition:
     """Torus decomposition of the single irreducible summand with highest
     weight alpha (one piece of a possibly degenerate level)."""
-    return _decompose_alphas(space, (alpha,))
+    return _decomposition(space, (_alpha_weight_map(space, alpha),))

@@ -15,21 +15,22 @@ H_{2mu}, so identifiers are never reduced by content.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .jsonio import int_from_json
 
 
-@dataclass(frozen=True)
-class RestrictedWeight:
+class RestrictedWeight(Record):
     """Integer coordinate vector of a weight in the simple-root basis."""
 
     coords: tuple[int, ...]
+    _fields = ("coords",)
+    __slots__ = ("coords", "_hash")
 
-    def __post_init__(self):
-        coords = tuple(int_from_json(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_hash", hash(coords))
+    def __init__(self, coords):
+        coords = tuple(int_from_json(c) for c in coords)
+        _set(self, "coords", coords)
+        _set(self, "_hash", hash(coords))
 
     def __hash__(self) -> int:
         return self._hash
@@ -58,8 +59,7 @@ class RestrictedWeight:
         return cls(tuple(data))
 
 
-@dataclass(frozen=True)
-class SubgroupId:
+class SubgroupId(Record):
     """Identifier of the codimension-one subgroup H_mu, keyed by the
     sign-canonical weight.  Construct via :func:`canonicalize`.
 
@@ -67,16 +67,19 @@ class SubgroupId:
     every sorted sequence of ids."""
 
     canonical: RestrictedWeight
+    _fields = ("canonical",)
+    __slots__ = ("canonical", "sort_key", "_hash")
 
-    def __post_init__(self):
-        coords = self.canonical.coords
-        if self.canonical.is_zero():
+    def __init__(self, canonical: RestrictedWeight):
+        coords = canonical.coords
+        if canonical.is_zero():
             raise ValueError("zero weight has no codimension-one subgroup")
         first = next(c for c in coords if c != 0)
         if first < 0:
-            raise ValueError(f"{self.canonical} is not sign-canonical")
-        object.__setattr__(self, "sort_key", (len(coords), coords))
-        object.__setattr__(self, "_hash", self.canonical._hash)
+            raise ValueError(f"{canonical} is not sign-canonical")
+        _set(self, "canonical", canonical)
+        _set(self, "sort_key", (len(coords), coords))
+        _set(self, "_hash", canonical._hash)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

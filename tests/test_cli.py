@@ -74,6 +74,25 @@ def test_decompose_json_lists_per_alpha(tmp_path, capsys):
     assert len(level2["per_alpha"]) == 2
 
 
+def test_decompose_builds_one_weight_map_per_alpha(tmp_path, capsys, monkeypatch):
+    # each summand's weight map feeds both its level and its own decomposition
+    from torusbif import spaces
+
+    built, weight_map = [], spaces._alpha_weight_map
+
+    def counted(space, alpha):
+        built.append(alpha.coords)
+        return weight_map(space, alpha)
+
+    monkeypatch.setattr(spaces, "_alpha_weight_map", counted)
+    cfg = write_config(tmp_path, {"space": {"kind": "product", "factors": [2, 2, 2]}, "cutoff": 100})
+    code, out, _ = run(capsys, ["decompose", "--config", cfg, "--format", "json"])
+    assert code == 0
+    alphas = [tuple(pa["alpha"]) for lv in json.loads(out)["levels"] for pa in lv["per_alpha"]]
+    assert len(alphas) > 100
+    assert built == alphas
+
+
 def test_decompose_csv_is_a_config_error(tmp_path, capsys):
     # csv held only the spectrum's rows, with no per-alpha data
     cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": 6})
@@ -351,7 +370,7 @@ def test_selftest_checks_out_before_running(tmp_path, capsys, monkeypatch):
     "command, computation",
     [
         ("spectrum", "spectrum_up_to"),
-        ("decompose", "spectrum_up_to"),
+        ("decompose", "summand_decompositions"),
         ("index", "bifurcation_levels"),
         ("certify", "certify_levels"),
     ],
@@ -905,15 +924,17 @@ def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monke
 
 IMPORT_PROBE = """
 import json, sys
-from torusbif.cli import main
 
-exact, branch, out, result = sys.argv[1:]
+WATCHED = ("dataclasses", "inspect", "numpy", "numpy.ma", "numpy.random", "scipy")
 
 
 def loaded():
-    return sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy") if m in sys.modules)
+    return sorted(m for m in WATCHED if m in sys.modules)
 
-seen = {}
+seen = {"before": loaded()}
+from torusbif.cli import main
+
+exact, branch, out, result = sys.argv[1:]
 for command in ("spectrum", "index", "certify"):
     assert main([command, "--config", exact, "--format", "json", "--out", out]) == 0, command
 seen["exact"] = loaded()
@@ -946,11 +967,18 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads((tmp_path / "result").read_text())
-    assert seen["exact"] == []
-    # no scipy, and no numpy.ma (np.unique, for one, imports it) or
-    # numpy.random (several MB of resident size)
-    assert seen["branch"] == ["numpy"]
-    assert seen["selftest"] == ["numpy"]
+
+    def added(key):
+        return [m for m in seen[key] if m not in seen["before"]]
+
+    # the exact commands load neither numpy nor dataclasses and inspect,
+    # which cost a fresh process about 10 ms to import
+    assert added("exact") == []
+    # numpy imports inspect itself; no dataclasses, no scipy, and no
+    # numpy.ma (np.unique, for one, imports it) or numpy.random (several MB
+    # of resident size)
+    assert [m for m in added("branch") if m != "inspect"] == ["numpy"]
+    assert [m for m in added("selftest") if m != "inspect"] == ["numpy"]
 
 
 def test_every_public_name_resolves():

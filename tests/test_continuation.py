@@ -235,6 +235,19 @@ def test_branch_reaches_target_without_returning(branch):
     assert all(st.h1_norm >= 1e-4 for st in branch.states)
 
 
+def test_a_K512_branch_reaches_its_target_and_agrees_with_K256():
+    # the refined Gauss-Legendre rule holds the table check at K = 512, where
+    # numpy's own weights once refused it; the benchmark's axisymmetric run
+    # (lambda = 2 to norm 5) reaches its target there in the same 19 steps as
+    # at K = 256, to the same final lambda.  K = 1024 takes about 6 s and is
+    # left out of tier-1.
+    runs = [continue_branch(K, QUARTIC, NEG, 2, 5.0) for K in (256, 512)]
+    assert [r.outcome for r in runs] == ["reached_target"] * 2
+    assert [len(r.states) for r in runs] == [19, 19]
+    assert runs[1].states[-1].h1_norm >= 5.0
+    assert math.isclose(runs[1].states[-1].lam, runs[0].states[-1].lam, rel_tol=1e-9)
+
+
 def test_branch_states_are_solutions(branch):
     for st in branch.states:
         r = residual_coeffs(FULL, QUARTIC, NEG, embed(FULL, st.coeffs), st.lam)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -224,9 +223,10 @@ def test_elements_round_trip(build, round_trip):
 def test_elements_are_frozen(build, name):
     x = build()
     before = (x.unit, x.codim1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
         setattr(x, name, 0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert (x.unit, x.codim1) == before
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
         delattr(x, name)
     assert (x.unit, x.codim1) == before
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -223,7 +222,8 @@ def test_sphere_preset_requires_n_at_least_two():
 
 
 def test_descriptor_stores_no_rank_or_kind():
-    assert [f.name for f in dataclasses.fields(SymmetricSpaceData)] == ["gram", "rho", "factors", "tables"]
+    assert SymmetricSpaceData._fields == ("gram", "rho", "factors", "tables")
+    assert SymmetricSpaceData.__slots__ == (*SymmetricSpaceData._fields, "_integer_form")
     assert P23.rank == 2
     assert S2 == SymmetricSpaceData.product_of_spheres([2])
     assert str(S2) == "S^2" and str(P23) == "S^2 x S^3"
@@ -425,5 +425,5 @@ def test_spectral_level_json_round_trip():
 
 
 def test_spectral_level_stores_no_dimension():
-    assert [f.name for f in dataclasses.fields(SpectralLevel)] == ["eigenvalue", "alphas", "torus_decomp"]
+    assert SpectralLevel._fields == SpectralLevel.__slots__ == ("eigenvalue", "alphas", "torus_decomp")
     assert [lv.real_dim for lv in spectrum_up_to(S2, 12)] == [1, 3, 5, 7]
