@@ -7,7 +7,9 @@ that, assigning or deleting any attribute raises ``AttributeError``.
 Equality and hashing compare the tuple of fields, ``repr`` is
 ``Name(field=value!r, ...)``, and pickle, ``copy`` and ``deepcopy`` rebuild
 a record through its constructor from its fields, so derived slots are
-recomputed.  A record may define its own ``__eq__`` and ``__hash__``.
+recomputed.  ``__replace__`` (what ``copy.replace`` calls from Python 3.13)
+rebuilds one through its constructor too, with the named fields changed.
+A record may define its own ``__eq__`` and ``__hash__``.
 """
 
 # Writes a slot past the frozen __setattr__; only a record's own
@@ -36,6 +38,12 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+    def __replace__(self, **changes):
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise TypeError(f"{self.__class__.__qualname__} has no field {min(unknown)!r}")
+        return self.__class__(*[changes.get(name, getattr(self, name)) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -89,10 +89,14 @@ def test_sort_key_orders_by_rank_then_coords():
     assert all(h.sort_key == (h.rank, h.canonical.coords) for h in ids)
 
 
+# copy.replace (Python 3.13) calls a record's __replace__; older Pythons call it directly
+replace = getattr(copy, "replace", lambda obj, **changes: obj.__replace__(**changes))
+
+
 @pytest.mark.parametrize(
     "round_trip",
-    [lambda h: pickle.loads(pickle.dumps(h)), copy.copy, copy.deepcopy],
-    ids=["pickle", "copy", "deepcopy"],
+    [lambda h: pickle.loads(pickle.dumps(h)), copy.copy, copy.deepcopy, replace],
+    ids=["pickle", "copy", "deepcopy", "replace"],
 )
 def test_subgroup_id_round_trips_keep_identity_data(round_trip):
     h = canonicalize(W((-2, 4)))
@@ -102,13 +106,24 @@ def test_subgroup_id_round_trips_keep_identity_data(round_trip):
     assert repr(back) == "SubgroupId(canonical=RestrictedWeight(coords=(2, -4)))"
 
 
+def test_replace_recomputes_cached_data():
+    h = replace(canonicalize(W((2, 4))), canonical=W((1, 3)))
+    assert h == canonicalize(W((1, 3)))
+    assert hash(h) == hash(canonicalize(W((1, 3))))
+    assert h.sort_key == (2, (1, 3))
+    with pytest.raises(ValueError, match="is not sign-canonical"):
+        replace(h, canonical=W((-1, 3)))
+    with pytest.raises(TypeError, match="has no field 'sort_key'"):
+        replace(h, sort_key=(2, (2, 4)))
+
+
 def test_round_trips_recompute_cached_data():
-    # pickle, copy and deepcopy rebuild an id through its constructor from
+    # pickle, copy, deepcopy and replace rebuild an id through its constructor from
     # its canonical weight, so cached data that disagrees with that weight
     # does not survive a round trip; pickle and deepcopy rebuild the weight too
     h = canonicalize(W((1, 3)))
     assert h.__reduce__() == (SubgroupId, (h.canonical,))
-    for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+    for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy, replace):
         stale = canonicalize(W((1, 3)))
         object.__setattr__(stale, "sort_key", (2, (2, 4)))
         object.__setattr__(stale, "_hash", hash(W((2, 4))))
