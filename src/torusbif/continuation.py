@@ -69,14 +69,14 @@ def _positive_real(name: str, x) -> float:
 
 class BranchResult(Record):
     basis: GalerkinBasis  # the basis of the states' coefficients
-    states: list[BranchState]
+    states: tuple[BranchState, ...]
     outcome: str  # reached_target | returned_to_trivial | incomplete | diverged
     reason: str | None  # why the trace diverged; set exactly then
     __slots__ = _fields = ("basis", "states", "outcome", "reason")
 
     def __init__(self, basis, states, outcome, reason=None):
         _set(self, "basis", basis)
-        _set(self, "states", states)
+        _set(self, "states", tuple(states))
         _set(self, "outcome", outcome)
         _set(self, "reason", reason)
 
@@ -196,7 +196,7 @@ def continue_branch(
     x0[k_pos] = ONSET_AMPLITUDE
     x, lam, M = newton(x0, lam0f, unit_row, np.zeros(n_act + 1), ONSET_AMPLITUDE)
     if M is None:
-        return BranchResult(basis, [], "diverged", "failed to leave the trivial branch at the crossing")
+        return BranchResult(basis, (), "diverged", "failed to leave the trivial branch at the crossing")
 
     s_total = float(np.sqrt(np.dot(x, x) + (lam - lam0f) ** 2))
     states = [make_state(basis, x, lam, s_total)]

@@ -309,6 +309,7 @@ def h1_norm(basis: GalerkinBasis, coeffs: np.ndarray) -> float:
 
 def make_state(basis: GalerkinBasis, coeffs: np.ndarray, lam: float, arclength: float = 0.0) -> BranchState:
     c = np.array(coeffs, dtype=float)
+    c.flags.writeable = False
     return BranchState(c, float(lam), float(arclength), h1_norm(basis, c))
 
 

@@ -1,15 +1,21 @@
 """Acceptance sweeps: one callable per criterion, each returning a result with
 its pass flag, timing, and a one-line summary.  The CLI ``selftest`` command
-and the acceptance test module both run these."""
+and the acceptance test module both run these.
+
+The numerical criteria (08-10) import the Galerkin solver, and so numpy,
+when they run: ``run_all`` forks its one worker before that, so the worker
+starts from a process with one thread."""
 
 from __future__ import annotations
 
+import os
 import random
+import signal
 import sys
 import time
 from array import array
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from ._record import Record, _set
 from .bifurcation import (
@@ -20,16 +26,7 @@ from .bifurcation import (
     cancellation_impossible,
     witness_coefficient,
 )
-from .continuation import ONSET_AMPLITUDE, continue_branch
 from .euler_ring import UNIT, ZERO, _element
-from .galerkin import (
-    GalerkinBasis,
-    NonlinearitySpec,
-    gradient_check,
-    make_state,
-    node_variance,
-    trivial_branch_crossings,
-)
 from .spaces import SymmetricSpaceData, spectrum_up_to
 from .weights import RestrictedWeight, canonicalize
 
@@ -272,15 +269,14 @@ def _euler_cases(seed):
         yield x, y, z, _element(1 - 2 * next(sign), x.codim1)
 
 
-def criterion_07_euler_axioms(seed=0) -> CriterionResult:
-    """Randomized ring laws on truncated elements, 10^4 cases per law.  One
-    product x*y per case serves the commutativity, associativity and
-    distributivity checks.  A negative control, x + UNIT differing from x,
-    keeps an equality that ignores the unit, or holds always, from passing
-    the laws."""
-    t0 = time.perf_counter()
+def _euler_laws(seed, start, stop) -> bool:
+    """Whether cases [start, stop) of criterion 07's one case stream keep
+    every law.  One product x*y per case serves the commutativity,
+    associativity and distributivity checks.  A negative control, x + UNIT
+    differing from x, keeps an equality that ignores the unit, or holds
+    always, from passing the laws."""
     ok = True
-    for x, y, z, u in _euler_cases(seed):
+    for x, y, z, u in islice(_euler_cases(seed), start, stop):
         if x + UNIT == x:
             ok = False
         xy = x * y
@@ -298,11 +294,24 @@ def criterion_07_euler_axioms(seed=0) -> CriterionResult:
             ok = False
         if not ok:
             break
-    return _result(7, "euler-ring-axioms", t0, ok, f"{EULER_CASES} randomized cases per law")
+    return ok
+
+
+def _euler_result(ok, elapsed, note="") -> CriterionResult:
+    return CriterionResult(7, "euler-ring-axioms", ok, f"{EULER_CASES} randomized cases per law{note}", elapsed)
+
+
+def criterion_07_euler_axioms(seed=0) -> CriterionResult:
+    """Randomized ring laws on truncated elements, 10^4 cases per law."""
+    t0 = time.perf_counter()
+    ok = _euler_laws(seed, 0, EULER_CASES)
+    return _euler_result(ok, time.perf_counter() - t0)
 
 
 def criterion_08_gradient_check(seed=0) -> CriterionResult:
     """Residual matches central differences of the discrete functional."""
+    from .galerkin import GalerkinBasis, NonlinearitySpec, gradient_check, make_state
+
     t0 = time.perf_counter()
     basis = GalerkinBasis(8)
     nl = NonlinearitySpec.quartic()
@@ -316,6 +325,8 @@ def criterion_08_gradient_check(seed=0) -> CriterionResult:
 
 def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
     """Galerkin crossings equal the candidate bifurcation levels exactly."""
+    from .galerkin import trivial_branch_crossings
+
     t0 = time.perf_counter()
     space = SymmetricSpaceData.sphere(2)
     cutoff = Fraction(30)
@@ -330,6 +341,9 @@ def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
 
 def criterion_10_branch_witness(seed=0) -> CriterionResult:
     """Axisymmetric branch from lambda = 2 grows to norm 1 and breaks symmetry."""
+    from .continuation import ONSET_AMPLITUDE, continue_branch
+    from .galerkin import NonlinearitySpec, node_variance
+
     t0 = time.perf_counter()
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((-1,))
@@ -362,4 +376,43 @@ CRITERIA = (
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
-    return [fn(seed=seed) for fn in CRITERIA]
+    """The ten criteria in order.  With two or more CPUs, one forked worker
+    checks the second half of criterion 07's cases while this process runs
+    the other criteria and the first half; criterion 07 passes when both
+    halves do, and its time is the longer half's."""
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        return [fn(seed=seed) for fn in CRITERIA]
+    half = EULER_CASES // 2
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: its verdict and time, then out without cleanup
+        code = 1
+        try:
+            os.close(read_end)
+            t0 = time.perf_counter()
+            ok = _euler_laws(seed, half, EULER_CASES)
+            os.write(write_end, f"{ok:d} {time.perf_counter() - t0!r}".encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            results = [fn(seed=seed) for fn in CRITERIA[:6]]
+            t0 = time.perf_counter()
+            ok = _euler_laws(seed, 0, half)
+            elapsed = time.perf_counter() - t0
+            later = [fn(seed=seed) for fn in CRITERIA[7:]]
+            verdict = pipe.read().split()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if verdict:
+        ok = ok and verdict[0] == b"1"
+        result = _euler_result(ok, max(elapsed, float(verdict[1])))
+    else:
+        code = os.waitstatus_to_exitcode(status)
+        result = _euler_result(False, elapsed, f"; the worker exited with status {code} before its verdict")
+    return [*results, result, *later]

@@ -6,6 +6,7 @@ lines, or ``torusbif selftest`` for the same sweeps outside pytest.
 """
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -194,7 +195,7 @@ def _ignores_unit(eq):
     return faulty
 
 
-@pytest.mark.parametrize(
+FAULTS = pytest.mark.parametrize(
     "method, fault",
     [
         ("__mul__", _non_commutative),
@@ -206,6 +207,116 @@ def _ignores_unit(eq):
     ],
     ids=["non-commutative", "non-associative", "non-distributive", "wrong-inverse", "always-equal", "ignores-unit"],
 )
+
+
+@FAULTS
 def test_euler_axioms_catch_a_broken_law(monkeypatch, method, fault):
     monkeypatch.setattr(EulerRingElement, method, fault(getattr(EulerRingElement, method)))
     assert not selftest.criterion_07_euler_axioms(seed=0).passed
+
+
+# run_all forks one worker for the second half of criterion 07's cases when
+# it sees two CPUs or more; these tests show it two, whatever the host has.
+
+
+def _refuse_fork():
+    raise AssertionError("run_all forked")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that run_all forks, on its forked path."""
+    pids = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _summary(results):
+    return [(r.number, r.slug, r.passed, r.detail) for r in results]
+
+
+def test_forked_and_one_cpu_runs_report_the_same(monkeypatch, forked):
+    results = selftest.run_all(seed=1)
+    (pid,) = forked
+    assert _reaped(pid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    sequential = selftest.run_all(seed=1)
+    assert _summary(results) == _summary(sequential)
+    assert [r.number for r in results] == list(range(1, 11)) and all(r.passed for r in results)
+
+
+@FAULTS
+def test_forked_run_catches_a_broken_law(monkeypatch, forked, method, fault):
+    monkeypatch.setattr(EulerRingElement, method, fault(getattr(EulerRingElement, method)))
+    results = selftest.run_all(seed=0)
+    assert [r.number for r in results] == list(range(1, 11))
+    assert not results[6].passed
+    assert results[6].detail == EXPECTED_DETAIL["euler-ring-axioms"]
+    (pid,) = forked
+    assert _reaped(pid)
+
+
+def test_forked_run_reads_the_workers_verdict(monkeypatch, forked):
+    # a fault on one product of the last case, which the worker checks
+    half = selftest.EULER_CASES // 2
+    *_, (X, Y, _, _) = selftest._euler_cases(0)
+    mul = EulerRingElement.__mul__
+
+    def faulty(x, y):
+        out = mul(x, y)
+        return out + UNIT if (x, y) == (X, Y) else out
+
+    monkeypatch.setattr(EulerRingElement, "__mul__", faulty)
+    assert selftest._euler_laws(0, 0, half)
+    assert not selftest._euler_laws(0, half, selftest.EULER_CASES)
+    results = selftest.run_all(seed=0)
+    assert not results[6].passed
+    assert all(r.passed for r in results if r.number != 7)
+
+
+def test_a_worker_that_raises_fails_criterion_07_and_is_reaped(monkeypatch, forked):
+    laws = selftest._euler_laws
+
+    def raising(seed, start, stop):
+        if start:  # the worker's half
+            raise RuntimeError("worker fault")
+        return laws(seed, start, stop)
+
+    monkeypatch.setattr(selftest, "_euler_laws", raising)
+    results = selftest.run_all(seed=0)
+    assert not results[6].passed
+    assert results[6].detail == (
+        f"{EXPECTED_DETAIL['euler-ring-axioms']}; the worker exited with status 1 before its verdict"
+    )
+    assert all(r.passed for r in results if r.number != 7)
+    (pid,) = forked
+    assert _reaped(pid)
+
+
+def test_an_error_in_the_parent_kills_and_reaps_the_worker(monkeypatch, forked):
+    def raising(seed):
+        raise RuntimeError("parent fault")
+
+    monkeypatch.setattr(selftest, "CRITERIA", (raising, *selftest.CRITERIA[1:]))
+    with pytest.raises(RuntimeError, match="parent fault"):
+        selftest.run_all(seed=0)
+    (pid,) = forked
+    assert _reaped(pid)

@@ -906,13 +906,14 @@ def test_diverged_branch_run_says_why(tmp_path, capsys, monkeypatch, where, reas
 
 
 def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monkeypatch):
-    from torusbif import selftest
+    from torusbif import continuation
     from torusbif.continuation import BranchResult
 
     def diverge(*args, **kwargs):
         return BranchResult(None, [], "diverged", "failed to leave the trivial branch at the crossing")
 
-    monkeypatch.setattr(selftest, "continue_branch", diverge)
+    # criterion 10 imports the solver when it runs
+    monkeypatch.setattr(continuation, "continue_branch", diverge)
     code, out, _ = run(capsys, ["selftest"])
     lines = out.splitlines()
     assert code == 1 and len(lines) == 10
@@ -923,7 +924,7 @@ def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monke
 
 
 IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 
 WATCHED = ("dataclasses", "inspect", "numpy", "numpy.ma", "numpy.random", "scipy")
 
@@ -934,14 +935,27 @@ def loaded():
 seen = {"before": loaded()}
 from torusbif.cli import main
 
+# selftest forks its worker on two CPUs or more; show it two, and note what
+# is loaded when it forks
+fork = os.fork
+
+
+def probed_fork():
+    seen["fork"] = loaded()
+    return fork()
+
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.fork = probed_fork
+
 exact, branch, out, result = sys.argv[1:]
 for command in ("spectrum", "index", "certify"):
     assert main([command, "--config", exact, "--format", "json", "--out", out]) == 0, command
 seen["exact"] = loaded()
-assert main(["branch", "--config", branch, "--out", out]) == 0
-seen["branch"] = loaded()
 assert main(["selftest", "--out", out]) == 0
 seen["selftest"] = loaded()
+assert main(["branch", "--config", branch, "--out", out]) == 0
+seen["branch"] = loaded()
 with open(result, "w") as fh:
     json.dump(seen, fh)
 """
@@ -979,6 +993,9 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     # of resident size)
     assert [m for m in added("branch") if m != "inspect"] == ["numpy"]
     assert [m for m in added("selftest") if m != "inspect"] == ["numpy"]
+    # selftest forks before numpy starts its BLAS threads, so the worker
+    # is a copy of a one-thread process
+    assert "numpy" not in seen["fork"]
 
 
 def test_every_public_name_resolves():

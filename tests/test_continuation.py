@@ -308,6 +308,16 @@ def test_immediate_stop_when_target_below_onset():
     assert len(result.states) == 1
 
 
+def test_a_branch_result_cannot_be_changed_in_place(branch):
+    # the states are a tuple and each state's coefficients are read-only, so
+    # what is written from a result is what the solver returned
+    with pytest.raises(AttributeError):
+        branch.states.append(branch.states[-1])
+    with pytest.raises(ValueError, match="read-only"):
+        branch.states[0].coeffs[0] = 1
+    assert len(branch.states) == 7
+
+
 def test_budget_exhaustion_is_flagged_incomplete(monkeypatch):
     monkeypatch.setattr(continuation, "MAX_STEPS", 1)
     result = continue_branch(8, QUARTIC, NEG, 2)
@@ -389,7 +399,6 @@ def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(GalerkinBasis, "_build", recorded_build)
     monkeypatch.setattr(continuation, "continue_branch", recorded_solve)
-    monkeypatch.setattr(selftest, "continue_branch", recorded_solve)
     config = tmp_path / "branch.json"
     galerkin = {"K": 8, "nl": "quartic", "crossing": 0, "target_norm": 0.8}
     config.write_text(json.dumps({"space": {"kind": "sphere", "n": 2}, "a": [-1], "galerkin": galerkin}))
