@@ -11,7 +11,6 @@ from .spaces import (
     SpectralLevel,
     SymmetricSpaceData,
     TorusRepDecomposition,
-    alpha_decomposition,
     eigenvalue_of,
     harmonic_dim,
     load_space,
@@ -77,7 +76,6 @@ __all__ = [
     "SpectralLevel",
     "SymmetricSpaceData",
     "TorusRepDecomposition",
-    "alpha_decomposition",
     "eigenvalue_of",
     "harmonic_dim",
     "load_space",

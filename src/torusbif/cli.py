@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -329,11 +330,34 @@ def branch_csv(result) -> str:
     return _csv_text(rows)
 
 
-def cmd_branch(raw: dict, base_dir, out) -> int:
-    # the numerical half (and numpy) loads only for this command
-    from .continuation import _positive_real, continue_branch
-    from .galerkin import NONLINEARITIES, trivial_branch_crossings
+# numpy starts OpenBLAS's thread pool when it loads, and its worker thread
+# spins through a start-up timeout while the import goes on: about 60 ms of
+# wall time that a small solve never wins back.  A branch of degree K at
+# most this loads numpy on one BLAS thread (the sweep is in CHANGES.md); a
+# larger one keeps the default pool.
+SERIAL_BLAS_MAX_DEGREE = 128
+# what OpenBLAS reads for its thread count; a caller's own setting stands
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+
+@contextmanager
+def _serial_blas(serial: bool = True):
+    """Run the body with OPENBLAS_NUM_THREADS=1 in the environment, so that
+    numpy, when the body loads it, starts OpenBLAS without a thread pool,
+    and then restore the environment.  Nothing is set when ``serial`` is
+    false, when numpy is already loaded, or when the caller set a BLAS
+    thread count."""
+    if not serial or "numpy" in sys.modules or any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+def cmd_branch(raw: dict, base_dir, out) -> int:
     space = require_space(raw, base_dir)
     if space.factors != (2,):
         raise ConfigError("the branch solver supports the 2-sphere only")
@@ -344,6 +368,12 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     unknown = sorted(set(block) - {"K", "crossing", "nl", "target_norm", "isotropy_restriction"})
     if unknown:
         raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
+    # the numerical half (and numpy) loads only for this command, and only
+    # once the checks that need no solver have passed
+    with _serial_blas(type(block.get("K")) is int and block["K"] <= SERIAL_BLAS_MAX_DEGREE):
+        from .continuation import _positive_real, continue_branch
+        from .galerkin import NONLINEARITIES, trivial_branch_crossings
+
     try:
         K, crossing = block["K"], frac_from_json(block["crossing"])
         known = {c.lam for c in trivial_branch_crossings(K, sig, (crossing, crossing))}
@@ -433,7 +463,8 @@ def main(argv=None) -> int:
             _check_writable(args.out)
             from . import selftest
 
-            results = selftest.run_all(seed=args.seed or 0)
+            with _serial_blas():  # criteria 08-10 load numpy and solve at K = 8
+                results = selftest.run_all(seed=args.seed or 0)
             text = "".join(selftest.format_result(r) for r in results)
             _emit(text, args.out)
             return 0 if all(r.passed for r in results) else 1

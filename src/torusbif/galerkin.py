@@ -35,8 +35,10 @@ from .jsonio import _echo, int_from_json
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
 GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
 GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
-# The largest degree K a basis is built for: leggauss's (2K+1)^2 companion
-# matrix is 134 MB at K = 2048, so a larger K is refused before any work.
+# The largest degree K a basis is built for.  At K = 2048 the order-0 basis
+# that the solver uses holds two (K + 1) x (2K + 1) tables of 67 MB each and
+# takes about 1.3 s to build and check; memory grows as K^2 and the check as
+# K^3, so a larger K is refused before any work.
 MAX_DEGREE = 2048
 
 
@@ -56,13 +58,18 @@ def _max_degree(max_degree) -> int:
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre nodes and weights: numpy's ``leggauss``
-    nodes refined by three Newton steps on P_n, which the three-term
-    recurrence evaluates, and the weights 2 / ((1 - x^2) P_n'(x)^2) at the
-    refined nodes.  numpy's own weights, off by up to 1e-7 relative near
-    the ends at these sizes, cost the m = 0 table more than 1e-12 of
-    orthonormality from K = 448 on."""
-    x = np.polynomial.legendre.leggauss(n)[0]
+    """The n-point Gauss-Legendre nodes and weights, ascending.  The nodes
+    start from the asymptotic estimate (1 - 1/(8n^2) + 1/(8n^3)) *
+    cos(pi (4i - 1) / (4n + 2)), i = n..1 (Hale and Townsend, "Fast and
+    accurate computation of Gauss-Legendre and Gauss-Jacobi quadrature nodes
+    and weights", SIAM J. Sci. Comput. 2013), and take three Newton steps on
+    P_n, which the three-term recurrence evaluates; the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the refined nodes.  numpy's ``leggauss``
+    solves an n x n companion eigenproblem for its nodes, and its weights,
+    off by up to 1e-7 relative near the ends at these sizes, cost the m = 0
+    table more than 1e-12 of orthonormality from K = 448 on."""
+    i = np.arange(n, 0, -1)
+    x = (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n**3)) * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
     for step in range(4):  # three Newton steps, then P_n' at the refined nodes
         p_prev, p = np.ones_like(x), x
         for j in range(2, n + 1):

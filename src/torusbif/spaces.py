@@ -554,9 +554,3 @@ def _decomposition(space: SymmetricSpaceData, maps) -> TorusRepDecomposition:
         if coords != zero and next(c for c in coords if c) > 0
     }
     return TorusRepDecomposition.from_dict(weights.get(zero, 0), mults)
-
-
-def alpha_decomposition(space: SymmetricSpaceData, alpha: RestrictedWeight) -> TorusRepDecomposition:
-    """Torus decomposition of the single irreducible summand with highest
-    weight alpha (one piece of a possibly degenerate level)."""
-    return _decomposition(space, (_alpha_weight_map(space, alpha),))

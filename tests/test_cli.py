@@ -595,9 +595,10 @@ def test_branch_negative_K_is_refused_by_the_basis(tmp_path, capsys):
 
 @pytest.mark.parametrize("K", [None, 10**5, 10**6], ids=["MAX_DEGREE+1", "1e5", "1e6"])
 def test_a_K_past_max_degree_is_refused_before_any_work(tmp_path, capsys, K):
-    # K = 10**5 once ended in a numpy _ArrayMemoryError from leggauss's
-    # 298 GiB companion matrix, and K = 10**6 was refused only after 3 s of
-    # listing crossings
+    # the order-0 basis holds two (K + 1) x (2K + 1) tables, 160 GB each at
+    # K = 10**5 (which once ended in a numpy _ArrayMemoryError from the
+    # quadrature's companion matrix), and K = 10**6 was refused only after
+    # 3 s of listing crossings
     import time
     import tracemalloc
 
@@ -926,7 +927,7 @@ def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monke
 IMPORT_PROBE = """
 import json, os, sys
 
-WATCHED = ("dataclasses", "inspect", "numpy", "numpy.ma", "numpy.random", "scipy")
+WATCHED = ("dataclasses", "inspect", "numpy", "numpy.ma", "numpy.polynomial", "numpy.random", "scipy")
 
 
 def loaded():
@@ -948,12 +949,16 @@ def probed_fork():
 os.sched_getaffinity = lambda pid: {0, 1}
 os.fork = probed_fork
 
-exact, branch, out, result = sys.argv[1:]
+exact, branch, refused, out, result = sys.argv[1:]
 for command in ("spectrum", "index", "certify"):
     assert main([command, "--config", exact, "--format", "json", "--out", out]) == 0, command
 seen["exact"] = loaded()
+assert main(["branch", "--config", refused, "--out", out]) == 2
+seen["refused"] = loaded()
 assert main(["selftest", "--out", out]) == 0
 seen["selftest"] = loaded()
+tasks = "/proc/self/task"
+seen["selftest_tasks"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 assert main(["branch", "--config", branch, "--out", out]) == 0
 seen["branch"] = loaded()
 with open(result, "w") as fh:
@@ -961,26 +966,34 @@ with open(result, "w") as fh:
 """
 
 
-def test_commands_load_only_the_layers_they_use(tmp_path):
+def run_probe(tmp_path, probe, *args, blas_env=None):
+    """Run ``probe`` in a fresh interpreter that imports this checkout's
+    torusbif, with no BLAS thread count in its environment but
+    ``blas_env``; return what it wrote to the path after ``args``."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     import torusbif
+    from torusbif.cli import BLAS_THREAD_VARIABLES
 
     src = str(Path(torusbif.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    env.update(blas_env or {})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = tmp_path / "result"
+    proc = subprocess.run([sys.executable, "-c", probe, *args, str(result)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text())
+
+
+def test_commands_load_only_the_layers_they_use(tmp_path):
     exact = write_config(tmp_path, {**SPHERE_CFG, "a": [-1]}, "exact.json")
     branch = write_config(tmp_path, BRANCH_CFG, "branch.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, exact, branch, str(tmp_path / "out"), str(tmp_path / "result")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads((tmp_path / "result").read_text())
+    unknown_key = {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "step": 0.1}}
+    refused = write_config(tmp_path, unknown_key, "refused.json")
+    seen = run_probe(tmp_path, IMPORT_PROBE, exact, branch, refused, str(tmp_path / "out"))
 
     def added(key):
         return [m for m in seen[key] if m not in seen["before"]]
@@ -988,14 +1001,103 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     # the exact commands load neither numpy nor dataclasses and inspect,
     # which cost a fresh process about 10 ms to import
     assert added("exact") == []
-    # numpy imports inspect itself; no dataclasses, no scipy, and no
+    # a branch config that needs no solver to refuse is refused before
+    # numpy loads
+    assert added("refused") == []
+    # numpy imports inspect itself; no dataclasses, no scipy, no
+    # numpy.polynomial (the quadrature seeds its own nodes), and no
     # numpy.ma (np.unique, for one, imports it) or numpy.random (several MB
     # of resident size)
     assert [m for m in added("branch") if m != "inspect"] == ["numpy"]
     assert [m for m in added("selftest") if m != "inspect"] == ["numpy"]
-    # selftest forks before numpy starts its BLAS threads, so the worker
-    # is a copy of a one-thread process
+    # selftest forks before numpy loads, so the worker is a copy of a
+    # one-thread process that holds no BLAS state, and numpy then starts
+    # OpenBLAS without a thread pool
     assert "numpy" not in seen["fork"]
+    assert seen["selftest_tasks"] in (1, None)
+
+
+BLAS_PROBE = """
+import json, os, sys
+from torusbif.cli import main
+
+branch, out, result = sys.argv[1:]
+environ = dict(os.environ)
+assert main(["branch", "--config", branch, "--out", out]) == 0
+tasks = "/proc/self/task"
+seen = {
+    "tasks": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "cpus": len(os.sched_getaffinity(0)),
+    "environ_kept": dict(os.environ) == environ,
+}
+with open(result, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+@pytest.mark.parametrize("caller", [None, "2"], ids=["default", "caller-sets-2"])
+def test_a_small_branch_starts_numpy_on_one_blas_thread(tmp_path, caller):
+    # OpenBLAS starts its thread pool when numpy loads, and at a small K the
+    # pool costs more than it saves; a caller's own OPENBLAS_NUM_THREADS
+    # stands, and the command leaves os.environ as it found it
+    branch = write_config(tmp_path, BRANCH_CFG, "branch.json")
+    blas_env = None if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    seen = run_probe(tmp_path, BLAS_PROBE, branch, str(tmp_path / "out"), blas_env=blas_env)
+    assert seen["environ_kept"]
+    if seen["tasks"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert seen["tasks"] == (1 if caller is None else min(int(caller), seen["cpus"]))
+
+
+@pytest.mark.parametrize(
+    "serial, caller, fresh, inside",
+    [
+        (True, None, True, "1"),
+        (False, None, True, None),
+        (True, None, False, None),
+        (True, ("OPENBLAS_NUM_THREADS", "4"), True, "4"),
+        (True, ("OMP_NUM_THREADS", "2"), True, None),
+    ],
+    ids=["serial", "not-serial", "numpy-loaded", "caller-openblas", "caller-omp"],
+)
+def test_serial_blas_sets_one_thread_only_for_a_fresh_numpy(monkeypatch, serial, caller, fresh, inside):
+    import os
+    import sys
+
+    from torusbif import cli
+
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    if caller is not None:
+        monkeypatch.setenv(*caller)
+    if fresh:  # nothing in the body imports numpy
+        monkeypatch.delitem(sys.modules, "numpy", raising=False)
+    else:
+        import numpy  # noqa: F401
+    before = dict(os.environ)
+    with cli._serial_blas(serial):
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == inside
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("offset, serial", [(0, True), (1, False)], ids=["at-the-degree", "above-it"])
+def test_branch_keeps_the_blas_pool_above_the_serial_degree(tmp_path, capsys, monkeypatch, offset, serial):
+    from torusbif import cli
+
+    seen = []
+    real = cli._serial_blas
+
+    def recording(flag=True):
+        seen.append(flag)
+        return real(flag)
+
+    monkeypatch.setattr(cli, "_serial_blas", recording)
+    # 3 is no crossing, so the run is refused before the solver starts
+    K = cli.SERIAL_BLAS_MAX_DEGREE + offset
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "K": K, "crossing": 3}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert (code, out, err) == (2, "", "error: 3 is not a crossing of the trivial branch\n")
+    assert seen == [serial]
 
 
 def test_every_public_name_resolves():

@@ -198,10 +198,11 @@ def test_legendre_table_at_high_degree_is_finite_and_orthonormal():
     galerkin._check_legendre_table(basis.legendre, wx)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 49, 513])
+@pytest.mark.parametrize("n", [1, 2, 5, 49, 513, 1025, 2049])
 def test_gauss_legendre_rule_refines_numpys(n):
-    # the refined nodes are numpy's to roundoff, and the rule integrates
-    # P_0 .. P_{2n-1} to 1e-14 (numpy's own weights miss by 5.6e-14 at n = 513)
+    # the nodes, Newton-refined from an asymptotic seed, are numpy's to
+    # roundoff, and the rule integrates P_0 .. P_{2n-1} to 1e-14 (numpy's
+    # own weights miss by 5.6e-14 at n = 513)
     x, w = galerkin._gauss_legendre(n)
     assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
     moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
