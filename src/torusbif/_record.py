@@ -1,9 +1,12 @@
 """The one base of torusbif's immutable records.
 
 A record names its fields in ``_fields``, in declaration order, and keeps
-them, with anything it derives from them, in ``__slots__``.  Its own
-``__init__`` validates and writes each slot once through ``_set``; after
-that, assigning or deleting any attribute raises ``AttributeError``.
+them, with anything it derives from them, in ``__slots__``.  The base
+``__init__`` stores the fields, given by position or by name, and raises
+``TypeError`` when one is missing, unknown or given twice.  A record that
+validates or derives writes each slot once through ``_set`` in its own
+``__init__`` instead; after construction, assigning or deleting any
+attribute raises ``AttributeError``.
 Equality and hashing compare the tuple of fields, ``repr`` is
 ``Name(field=value!r, ...)``, and pickle, ``copy`` and ``deepcopy`` rebuild
 a record through its constructor from its fields, so derived slots are
@@ -20,6 +23,22 @@ _set = object.__setattr__
 class Record:
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{self.__class__.__qualname__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{self.__class__.__qualname__} got field {name!r} twice")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{self.__class__.__qualname__} is missing field {name!r}")
+            _set(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -56,8 +56,9 @@ from .spaces import (
     SpectralLevel,
     SymmetricSpaceData,
     TorusRepDecomposition,
+    _alpha_weight_map,
     _eigenvalue_groups,
-    _level_weights,
+    _summed_weights,
     _weight_count,
     spectrum_up_to,
 )
@@ -105,11 +106,6 @@ class BifurcationLevel(Record):
     index: EulerRingElement
     __slots__ = _fields = ("level", "kernel_dim", "index")
 
-    def __init__(self, level, kernel_dim, index):
-        _set(self, "level", level)
-        _set(self, "kernel_dim", kernel_dim)
-        _set(self, "index", index)
-
     def to_json(self) -> dict:
         return {
             "level": frac_to_json(self.level),
@@ -138,10 +134,8 @@ class UnboundednessCertificate(Record):
 
     unbounded = True  # what every issued certificate shows
 
-    def __init__(self, level, witness, ledger):
-        _set(self, "level", level)
-        _set(self, "witness", witness)
-        _set(self, "ledger", ledger)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if (self.witness is None) != (self.level == 0):
             raise ValueError("a certificate has a witness exactly when its level is nonzero")
         levels = [lv for lv, _ in self.ledger]
@@ -317,7 +311,8 @@ def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> t
     d_w = k0_w = 0
     for lam, alphas in _eigenvalue_groups(space, cutoff):
         if space.tables is not None:
-            _level_weights(space, alphas)  # a table is checked for a real V at every level
+            # a table is checked for a real V at every level
+            _summed_weights(_alpha_weight_map(space, a) for a in alphas)
         d_v = sum(_weight_count(space, a) for a in alphas)
         k0_v = sum(_weight_count(space, a, zero) for a in alphas)
         dim_parity = (d_w + d_v) % 2

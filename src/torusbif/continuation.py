@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._record import Record, _set
+from ._record import Record
 from .galerkin import (
     BranchState,
     GalerkinBasis,
@@ -75,10 +75,7 @@ class BranchResult(Record):
     __slots__ = _fields = ("basis", "states", "outcome", "reason")
 
     def __init__(self, basis, states, outcome, reason=None):
-        _set(self, "basis", basis)
-        _set(self, "states", tuple(states))
-        _set(self, "outcome", outcome)
-        _set(self, "reason", reason)
+        super().__init__(basis, tuple(states), outcome, reason)
 
 
 def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam: float) -> None:

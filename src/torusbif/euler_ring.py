@@ -93,10 +93,6 @@ class EulerRingElement(Record):
         _set(self, "unit", int_from_json(unit))
         _set(self, "codim1", _normalize(codim1))
 
-    @classmethod
-    def generator(cls, h: SubgroupId) -> "EulerRingElement":
-        return cls(0, ((h, 1),))
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not EulerRingElement:
             return NotImplemented
@@ -136,11 +132,6 @@ class EulerRingElement(Record):
     def __neg__(self) -> "EulerRingElement":
         return _element(-self.unit, _scale(self.codim1, -1))
 
-    def __sub__(self, other: "EulerRingElement") -> "EulerRingElement":
-        if not isinstance(other, EulerRingElement):
-            return NotImplemented
-        return self + (-other)
-
     def scaled(self, n: int) -> "EulerRingElement":
         n = int_from_json(n)
         return _element(n * self.unit, _scale(self.codim1, n))
@@ -161,28 +152,12 @@ class EulerRingElement(Record):
         _set(out, "codim1", _merge_sorted(a, t, b, s) if a and b and s and t else _combine(a, t, b, s))
         return out
 
-    def __rmul__(self, other) -> "EulerRingElement":
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
     def inverse(self) -> "EulerRingElement":
         """Multiplicative inverse, defined when the unit coefficient is +-1:
         (u*I + b)^(-1) = u*I - b in the truncated representation."""
         if self.unit not in (1, -1):
             raise ValueError("not invertible in truncated ring")
         return _element(self.unit, _scale(self.codim1, -1))
-
-    def __pow__(self, n: int) -> "EulerRingElement":
-        """(u*I + b)^n = u^n I + n u^(n-1) b, since b*b has no codimension-one
-        part."""
-        n = int_from_json(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return UNIT
-        u, b = self.unit, self.codim1
-        return _element(u**n, _scale(b, n * u ** (n - 1)))
 
     # -- presentation -------------------------------------------------------
 

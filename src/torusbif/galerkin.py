@@ -29,16 +29,19 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import Record, _set
+from ._record import Record
 from .jsonio import _echo, int_from_json
 
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
 GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
 GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
 # The largest degree K a basis is built for.  At K = 2048 the order-0 basis
-# that the solver uses holds two (K + 1) x (2K + 1) tables of 67 MB each and
-# takes about 1.3 s to build and check; memory grows as K^2 and the check as
-# K^3, so a larger K is refused before any work.
+# that the solver uses holds two (K + 1) x (2K + 1) tables of 67 MB each, and
+# building and checking it peaks at about 230 MB RSS.  A branch run peaks
+# higher, at about 935 MB: continuation's order-invariance check evaluates
+# grad on the full (2K + 1) x (4K + 1) grid, 268 MB an array.  Memory grows
+# as K^2 and the table check's time as K^3, so a larger K is refused before
+# any work.
 MAX_DEGREE = 2048
 
 
@@ -226,13 +229,6 @@ class NonlinearitySpec(Record):
     grad_degree: int
     __slots__ = _fields = ("name", "value", "grad", "hess", "grad_degree")
 
-    def __init__(self, name, value, grad, hess, grad_degree):
-        _set(self, "name", name)
-        _set(self, "value", value)
-        _set(self, "grad", grad)
-        _set(self, "hess", hess)
-        _set(self, "grad_degree", grad_degree)
-
     @classmethod
     def quartic(cls) -> "NonlinearitySpec":
         """Defocusing quartic h(u) = -(|u|^2)^2 / 4 with cubic gradient."""
@@ -297,12 +293,6 @@ class BranchState(Record):
     arclength: float
     h1_norm: float
     __slots__ = _fields = ("coeffs", "lam", "arclength", "h1_norm")
-
-    def __init__(self, coeffs, lam, arclength, h1_norm):
-        _set(self, "coeffs", coeffs)
-        _set(self, "lam", lam)
-        _set(self, "arclength", arclength)
-        _set(self, "h1_norm", h1_norm)
 
 
 def h1_norm(basis: GalerkinBasis, coeffs: np.ndarray) -> float:
@@ -442,10 +432,6 @@ class Crossing(Record):
     lam: Fraction
     pairs: tuple[tuple[int, int], ...]  # (component, degree), ascending
     __slots__ = _fields = ("lam", "pairs")
-
-    def __init__(self, lam, pairs):
-        _set(self, "lam", lam)
-        _set(self, "pairs", pairs)
 
     @property
     def kernel_dim(self) -> int:

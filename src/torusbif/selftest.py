@@ -17,7 +17,7 @@ from array import array
 from fractions import Fraction
 from itertools import chain, islice
 
-from ._record import Record, _set
+from ._record import Record
 from .bifurcation import (
     SystemSignature,
     _indices,
@@ -38,13 +38,6 @@ class CriterionResult(Record):
     detail: str
     elapsed: float
     __slots__ = _fields = ("number", "slug", "passed", "detail", "elapsed")
-
-    def __init__(self, number, slug, passed, detail, elapsed):
-        _set(self, "number", number)
-        _set(self, "slug", slug)
-        _set(self, "passed", passed)
-        _set(self, "detail", detail)
-        _set(self, "elapsed", elapsed)
 
 
 def format_result(r: CriterionResult) -> str:

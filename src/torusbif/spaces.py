@@ -58,10 +58,6 @@ class TorusRepDecomposition(Record):
         _set(self, "k0", k0)
         _set(self, "mults", items)
 
-    @classmethod
-    def from_dict(cls, k0: int, mults: dict[SubgroupId, int]) -> "TorusRepDecomposition":
-        return cls(k0, tuple((h, m) for h, m in mults.items() if m != 0))
-
     def multiplicity(self, h: SubgroupId) -> int:
         return _count_at(self.mults, h)
 
@@ -92,11 +88,6 @@ class SpectralLevel(Record):
     alphas: tuple[RestrictedWeight, ...]
     torus_decomp: TorusRepDecomposition
     __slots__ = _fields = ("eigenvalue", "alphas", "torus_decomp")
-
-    def __init__(self, eigenvalue, alphas, torus_decomp):
-        _set(self, "eigenvalue", eigenvalue)
-        _set(self, "alphas", alphas)
-        _set(self, "torus_decomp", torus_decomp)
 
     @property
     def real_dim(self) -> int:
@@ -331,6 +322,13 @@ def eigenvalue_of(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Fractio
 # The most candidate weights, the points of the box of _coordinate_bound,
 # that one spectrum enumerates; a larger box is refused before it is walked.
 LATTICE_LIMIT = 10**6
+# The most harmonics, the summed dimension of the levels up to the cutoff,
+# that one spectrum builds weight maps for; a larger count is refused before
+# the first map is built.  Peak RSS grows about linearly in the count, by
+# about 0.9 KB a harmonic for decompose, the largest: on (S^2)^3 it peaks at
+# 1227 MB at cutoff 200 (1,365,223 harmonics) and at 1730 MB at cutoff 225
+# (1,954,599), which still answers under a 2.5 GB address-space cap.
+HARMONIC_LIMIT = 2 * 10**6
 
 
 def _coordinate_bound(gram: Sequence[Sequence[Fraction]], cutoff: Fraction) -> tuple[int, ...]:
@@ -378,8 +376,9 @@ def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ..
     Enumeration terminates because the Gram form is positive definite and rho
     pairs nonnegatively with dominant weights, so (alpha, alpha) <= cutoff
     bounds every coordinate; a box of more than ``LATTICE_LIMIT`` points is
-    refused with ``ValueError`` before it is walked.  Grouping is by exact
-    rational equality.
+    refused with ``ValueError`` before it is walked, and a cutoff that admits
+    more than ``HARMONIC_LIMIT`` harmonics before any weight map is built.
+    Grouping is by exact rational equality.
     """
     return tuple(level for level, _ in _levels_with_maps(space, cutoff))
 
@@ -397,8 +396,13 @@ def summand_decompositions(
 
 def _levels_with_maps(space: SymmetricSpaceData, cutoff):
     """Each level of ``spectrum_up_to`` with the weight maps of its summands,
-    one ``_alpha_weight_map`` per alpha."""
-    for lam, alphas in _eigenvalue_groups(space, cutoff):
+    one ``_alpha_weight_map`` per alpha, after the harmonic count of every
+    level is checked against ``HARMONIC_LIMIT``."""
+    groups = _eigenvalue_groups(space, cutoff)
+    count = sum(_weight_count(space, a) for _, alphas in groups for a in alphas)
+    if count > HARMONIC_LIMIT:
+        raise ValueError(f"the cutoff admits {count} harmonics, more than HARMONIC_LIMIT = {HARMONIC_LIMIT}")
+    for lam, alphas in groups:
         maps = [_alpha_weight_map(space, a) for a in alphas]
         decomp = _decomposition(space, maps)
         if space.factors is not None:
@@ -520,12 +524,6 @@ def _weight_count(space: SymmetricSpaceData, alpha: RestrictedWeight, mu: tuple[
     return sum(row.values()) if mu is None else row.get(RestrictedWeight(mu), 0)
 
 
-def _level_weights(space: SymmetricSpaceData, alphas: Iterable[RestrictedWeight]) -> dict[tuple[int, ...], int]:
-    """Complex weight multiplicities summed over the summands alphas, refused
-    with ``ValueError`` unless they are those of a real representation."""
-    return _summed_weights(_alpha_weight_map(space, alpha) for alpha in alphas)
-
-
 def _summed_weights(maps) -> dict[tuple[int, ...], int]:
     """The sum of summands' weight maps, each (coords, mult) pairs, refused
     with ``ValueError`` unless it is that of a real representation."""
@@ -547,10 +545,10 @@ def _decomposition(space: SymmetricSpaceData, maps) -> TorusRepDecomposition:
     weights = _summed_weights(maps)
     zero = tuple([0] * space.rank)
     # one id per pair {mu, -mu}, built from its sign-canonical member;
-    # coordinates are unique keys, so each id is set once
-    mults = {
-        SubgroupId(RestrictedWeight(coords)): mult
+    # coordinates are unique keys, so each id comes once
+    mults = (
+        (SubgroupId(RestrictedWeight(coords)), mult)
         for coords, mult in weights.items()
         if coords != zero and next(c for c in coords if c) > 0
-    }
-    return TorusRepDecomposition.from_dict(weights.get(zero, 0), mults)
+    )
+    return TorusRepDecomposition(weights.get(zero, 0), mults)

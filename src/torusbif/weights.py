@@ -96,9 +96,6 @@ class SubgroupId(Record):
     def __str__(self) -> str:
         return "H[" + ",".join(str(c) for c in self.canonical.coords) + "]"
 
-    def to_json(self) -> dict:
-        return {"H": self.canonical.to_json()}
-
 
 def _check_ranks(a, b) -> None:
     """Raise unless the first ids of two sequences of (SubgroupId, count)

@@ -190,7 +190,7 @@ def _ignores_unit(eq):
     def faulty(x, y):
         if y.__class__ is not EulerRingElement:
             return eq(x, y)
-        return eq(x - UNIT.scaled(x.unit), y - UNIT.scaled(y.unit))
+        return eq(x + UNIT.scaled(-x.unit), y + UNIT.scaled(-y.unit))
 
     return faulty
 

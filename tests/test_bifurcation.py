@@ -45,7 +45,7 @@ def sig(n_plus, n_minus):
 
 
 def decomp(k0, mults):
-    return TorusRepDecomposition.from_dict(k0, mults)
+    return TorusRepDecomposition(k0, mults.items())
 
 
 def index_at(space, s, level):
@@ -63,6 +63,16 @@ def neg_identity_degree(decomp):
     of the ring path: (-1)^{k0} (I - sum_mu k_mu [T/H_mu]), truncated."""
     sign = -1 if decomp.k0 % 2 else 1
     return EulerRingElement(sign, tuple((h, -sign * m) for h, m in decomp.mults))
+
+
+def power(x, n):
+    """x^n from the ring's ``*`` and ``inverse``; a negative n inverts x first."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = UNIT
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 # -- degree of the negative identity ------------------------------------------
@@ -163,9 +173,9 @@ def test_index_matches_ring_path(vw, n, s, other):
     signature = sig(other, n) if s > 0 else sig(n, other)
     split = bifurcation._Split(SpectralLevel(Fraction(1), (), v), w, w + v)
     if s > 0:
-        ring = neg_identity_degree(w) ** n * (neg_identity_degree(v) ** n - UNIT)
+        ring = power(neg_identity_degree(w), n) * (power(neg_identity_degree(v), n) + (-UNIT))
     else:
-        ring = neg_identity_degree(w + v) ** -n * (neg_identity_degree(v) ** n - UNIT)
+        ring = power(neg_identity_degree(w + v), -n) * (power(neg_identity_degree(v), n) + (-UNIT))
     assert bifurcation._index(signature, Fraction(s), split) == ring
 
 
@@ -177,7 +187,7 @@ def test_levels_and_certificates_form_no_ring_product(monkeypatch):
     def no_product(*args):
         raise AssertionError("an Euler-ring product was formed")
 
-    for name in ("__mul__", "__pow__", "inverse"):
+    for name in ("__mul__", "inverse"):
         monkeypatch.setattr(EulerRingElement, name, no_product)
     assert [(bifurcation_levels(*run), certify_levels(*run)) for run in runs] == expected
 
@@ -249,10 +259,10 @@ def test_degree_power_products_match_coefficient_identity(k0, l0, km, lm, n, h):
     w = decomp(l0, lm)
     k_mu = km.get(h, 0)
     l_mu = lm.get(h, 0)
-    direct = (neg_identity_degree(v) ** n) * (neg_identity_degree(w) ** n - UNIT)
+    direct = power(neg_identity_degree(v), n) * (power(neg_identity_degree(w), n) + (-UNIT))
     expect = (-1) ** (k0 * n) * n * ((-1) ** (l0 * n + 1) * l_mu - ((-1) ** (l0 * n) - 1) * k_mu)
     assert direct.coeff_at(h) == expect
-    inv = (neg_identity_degree(v) ** -n) * (neg_identity_degree(w) ** n - UNIT)
+    inv = power(neg_identity_degree(v), -n) * (power(neg_identity_degree(w), n) + (-UNIT))
     expect_inv = (-1) ** (k0 * n) * n * ((-1) ** (l0 * n + 1) * l_mu + ((-1) ** (l0 * n) - 1) * k_mu)
     assert inv.coeff_at(h) == expect_inv
 

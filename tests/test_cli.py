@@ -595,8 +595,9 @@ def test_branch_negative_K_is_refused_by_the_basis(tmp_path, capsys):
 
 @pytest.mark.parametrize("K", [None, 10**5, 10**6], ids=["MAX_DEGREE+1", "1e5", "1e6"])
 def test_a_K_past_max_degree_is_refused_before_any_work(tmp_path, capsys, K):
-    # the order-0 basis holds two (K + 1) x (2K + 1) tables, 160 GB each at
-    # K = 10**5 (which once ended in a numpy _ArrayMemoryError from the
+    # a branch run's memory peaks in continuation's order-invariance check,
+    # which evaluates grad on the (2K + 1) x (4K + 1) grid, 640 GB an array
+    # at K = 10**5 (which once ended in a numpy _ArrayMemoryError from the
     # quadrature's companion matrix), and K = 10**6 was refused only after
     # 3 s of listing crossings
     import time
@@ -767,6 +768,32 @@ def test_a_cutoff_past_the_lattice_limit_is_refused_before_enumeration(tmp_path,
     refusal = f"the cutoff spans a lattice box of {count} candidate weights, more than LATTICE_LIMIT = 1000000"
     assert err == f"error: {refusal}\n"
     assert peak < 1e6 and time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("cutoff, count", [(400, 10_727_448), (800, 85_957_450)])
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "index"])
+def test_a_cutoff_past_the_harmonic_limit_is_refused_before_any_weight_map(
+    tmp_path, capsys, monkeypatch, cutoff, count, command
+):
+    # both boxes pass the lattice preflight (9261 and 24,389 points); decompose
+    # at cutoff 400 once ended in a MemoryError traceback under a 2.5 GB
+    # address-space cap, and at cutoff 800 it did so in the weight maps
+    import time
+
+    from torusbif import spaces
+
+    def no_map(*args):
+        raise AssertionError("a weight map was built")
+
+    monkeypatch.setattr(spaces, "_alpha_weight_map", no_map)
+    config = {"space": {"kind": "product", "factors": [2, 2, 2]}, "a": [1, 1, -1], "cutoff": cutoff}
+    out_file = tmp_path / "out.json"
+    started = time.perf_counter()
+    code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config), "--out", str(out_file)])
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the cutoff admits {count} harmonics, more than HARMONIC_LIMIT = 2000000\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("exponent", ["1000000", "+1000000", "-1000000", "10000000", "-10000000"])

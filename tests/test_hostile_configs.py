@@ -5,9 +5,14 @@ Each case starts from a golden config (the five exact ones of
 with a hostile value, and runs one command on it through ``cli.main``
 in-process.  An exception other than the two ``main`` turns into exit codes
 fails the test with its traceback.  The hostile values are ones the
-preflight refuses cheaply or that run quickly: a value that would run long
-(a cutoff of 10**6 on S^2 x S^3 enumerates 10**6 box points) is not a
-hostile input but a large one.
+preflights refuse cheaply or that run quickly.  A cutoff is refused before
+anything large is built when its lattice box holds more than
+``spaces.LATTICE_LIMIT`` points, and ``spectrum``, ``decompose`` and
+``index`` refuse one that admits more than ``spaces.HARMONIC_LIMIT``
+harmonics; ``test_cli`` checks that refusal on (S^2)^3 at cutoffs 400 and
+800, which once ended in a ``MemoryError`` traceback.  A value under both
+limits that runs long (``certify`` walks a box of up to 10**6 points) is
+not a hostile input but a large one.
 """
 
 import io

@@ -24,7 +24,7 @@ from torusbif import (
 )
 from torusbif._record import Record
 from torusbif.continuation import continue_branch
-from torusbif.galerkin import GalerkinBasis, NonlinearitySpec, make_state, trivial_branch_crossings
+from torusbif.galerkin import Crossing, GalerkinBasis, NonlinearitySpec, make_state, trivial_branch_crossings
 from torusbif.selftest import CriterionResult
 
 W = RestrictedWeight
@@ -154,3 +154,53 @@ def test_repr_names_each_field_in_order():
         "witness=SubgroupId(canonical=RestrictedWeight(coords=(1,))), "
         "ledger=((Fraction(-2, 1), -1), (Fraction(2, 1), -1)))"
     )
+
+
+# -- the base constructor -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build", SAMPLES.values(), ids=SAMPLES.keys())
+def test_keyword_and_positional_construction_agree(build):
+    x = build()
+    cls, values = type(x), x._values()
+    by_position, by_name = cls(*values), cls(**dict(zip(x._fields, values)))
+    assert _structure(by_position) == _structure(by_name) == _structure(x)
+
+
+# the records that store their fields as given, through the base constructor
+# alone, and the certificate, which checks its ledger after calling it
+PLAIN = ("SpectralLevel", "BifurcationLevel", "NonlinearitySpec", "BranchState", "Crossing", "CriterionResult")
+BASE_BUILT = PLAIN + ("UnboundednessCertificate",)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_records_use_the_base_constructor(name):
+    cls = type(SAMPLES[name]())
+    assert cls.__init__ is Record.__init__
+
+
+@pytest.mark.parametrize("name", BASE_BUILT)
+def test_a_missing_unknown_or_repeated_field_raises(name):
+    x = SAMPLES[name]()
+    cls, values, first = type(x), x._values(), x._fields[0]
+    with pytest.raises(TypeError):
+        cls(*values[:-1])  # missing
+    with pytest.raises(TypeError):
+        cls(*values, bogus=1)  # unknown
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})  # repeated
+    with pytest.raises(TypeError):
+        cls(*values, values[0])  # one too many
+
+
+def test_the_base_constructor_names_the_field():
+    crossing = trivial_branch_crossings(4, SystemSignature((1, -1)), (-6, 6))[-1]
+    assert Crossing(lam=crossing.lam, pairs=crossing.pairs) == crossing
+    with pytest.raises(TypeError, match=r"^Crossing is missing field 'pairs'$"):
+        Crossing(crossing.lam)
+    with pytest.raises(TypeError, match=r"^Crossing has no field 'kernel'$"):
+        Crossing(crossing.lam, kernel=())
+    with pytest.raises(TypeError, match=r"^Crossing got field 'lam' twice$"):
+        Crossing(crossing.lam, crossing.pairs, lam=crossing.lam)
+    with pytest.raises(TypeError, match=r"^Crossing takes 2 fields, got 3$"):
+        Crossing(crossing.lam, crossing.pairs, ())

@@ -103,6 +103,39 @@ def test_lattice_limit_refuses_a_larger_box_only(monkeypatch, space, cutoff, cou
         spectrum_up_to(space, cutoff)
 
 
+@pytest.mark.parametrize(
+    "space, cutoff, count",
+    [(S2, 6, 9), (P22, 12, 1 + 2 * 3 + 9 + 2 * 5 + 2 * 15 + 25 + 2 * 7), ("tables", 12, 16)],
+    ids=["S2", "S2xS2", "tables"],
+)
+def test_harmonic_limit_refuses_a_larger_count_only(monkeypatch, space, cutoff, count):
+    # the count is the summed dimension of the levels up to the cutoff;
+    # exactly HARMONIC_LIMIT harmonics are decomposed, one more is refused
+    # before any weight map is built
+    if space == "tables":
+        space = SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=GenericTables.from_json(sphere2_tables(3)))
+    monkeypatch.setattr(spaces, "HARMONIC_LIMIT", count)
+    assert sum(lv.real_dim for lv in spectrum_up_to(space, cutoff)) == count
+    monkeypatch.setattr(spaces, "HARMONIC_LIMIT", count - 1)
+
+    def no_map(*args):
+        raise AssertionError("a weight map was built")
+
+    monkeypatch.setattr(spaces, "_alpha_weight_map", no_map)
+    refusal = f"^the cutoff admits {count} harmonics, more than HARMONIC_LIMIT = {count - 1}$"
+    for compute in (spectrum_up_to, spaces.summand_decompositions):
+        with pytest.raises(ValueError, match=refusal):
+            compute(space, cutoff)
+
+
+def test_certify_builds_no_weight_map_so_the_harmonic_limit_does_not_apply(monkeypatch):
+    want = certify_levels(P22, SystemSignature((1, -1)), 12)
+    monkeypatch.setattr(spaces, "HARMONIC_LIMIT", 0)
+    assert certify_levels(P22, SystemSignature((1, -1)), 12) == want
+    with pytest.raises(ValueError, match="more than HARMONIC_LIMIT = 0$"):
+        spectrum_up_to(P22, 12)
+
+
 def test_coordinate_bound_on_identity_gram():
     identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert _coordinate_bound(identity, Fraction(80)) == (8, 8)
