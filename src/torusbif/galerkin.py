@@ -73,10 +73,17 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     table more than 1e-12 of orthonormality from K = 448 on."""
     i = np.arange(n, 0, -1)
     x = (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n**3)) * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
+    p_prev, p, t = np.empty((3, n))  # the recurrence writes into these, allocating nothing
     for step in range(4):  # three Newton steps, then P_n' at the refined nodes
-        p_prev, p = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        p_prev[:] = 1.0
+        p[:] = x
+        for j in range(2, n + 1):  # P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j
+            np.multiply(x, 2 * j - 1, out=t)
+            t *= p
+            p_prev *= j - 1
+            t -= p_prev
+            np.divide(t, j, out=p_prev)
+            p_prev, p = p, p_prev
         dp = n * (x * p - p_prev) / (x * x - 1.0)
         if step < 3:
             x = x - p / dp

@@ -14,6 +14,7 @@ import signal
 import sys
 import time
 from array import array
+from collections import deque
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -189,6 +190,11 @@ def criterion_06_zero_level(seed=0) -> CriterionResult:
 
 
 EULER_CASES = 10_000
+# The cases [0, _PARENT_CASES) that run_all's own process checks when it forks
+# a worker for the rest: fewer than half, since it also runs the other
+# criteria and loads numpy, so that both processes end together.  It was set
+# by timing both; a change to that work or to a case's cost moves it.
+_PARENT_CASES = 4250
 
 
 _WORDS = 1024  # Mersenne Twister outputs read per getrandbits call
@@ -204,9 +210,10 @@ def _words(rng: random.Random):
         yield chunk
 
 
-def _euler_cases(seed):
-    """The cases of criterion 07: (x, y, z, u) with u a unit-led element on
-    the codimension-one part of x, all drawn from ``random.Random(seed)``.
+def _euler_cases(seed, start=0):
+    """The cases of criterion 07 from the ``start``-th on: (x, y, z, u) with
+    u a unit-led element on the codimension-one part of x, all drawn from
+    ``random.Random(seed)``.
 
     After a pool of 12 ids, each of x, y, z draws a support of 0..8 ids
     from the pool as ``sample(pool, randint(0, 8))``, one coefficient in
@@ -219,7 +226,9 @@ def _euler_cases(seed):
     one shared stream of outputs.  So the cases are the very ones those
     calls draw.  The drawn pairs are placed by the id's rank in the sorted
     pool and their zeros dropped, which is the normalized part the public
-    constructor would build, so the elements are built from it directly."""
+    constructor would build, so the elements are built from it directly.
+    The cases before ``start`` make the same draws in the same order, but
+    no element is built for them."""
     rng = random.Random(seed)
     pool = []
     seen = set()
@@ -236,9 +245,14 @@ def _euler_cases(seed):
     # pairs[r][c]: the pair of rank r with coefficient c - 9, None for zero
     pairs = [[(h, c - 9) if c != 9 else None for c in range(19)] for h in ranked]
     words = chain.from_iterable(_words(rng))
+    # kept[n]: the outputs whose top n.bit_length() bits are below n, which
+    # are the outputs below n << (32 - n.bit_length()); below(n) maps them
+    # to those bits.  A filter holds nothing but its place in words, so
+    # size and pick[9] may share kept[9], and a skipped draw reads kept[n].
+    kept = {n: filter((n << 32 - n.bit_length()).__gt__, words) for n in (2, *range(5, 13), 19)}
 
     def below(n):
-        return filter(n.__gt__, map((32 - n.bit_length()).__rrshift__, words))
+        return map((32 - n.bit_length()).__rrshift__, kept[n])
 
     size, coeff, sign = below(9), below(19), below(2)
     pick = {n: below(n) for n in range(5, 13)}  # sample's i-th pick, i < 8, is below(12 - i)
@@ -255,7 +269,16 @@ def _euler_cases(seed):
             slots[r] = pairs[r][c]
         return _element(next(coeff) - 9, tuple(filter(None, slots)))
 
-    for _ in range(EULER_CASES):
+    # draws[k]: an element's draws after a size of k, unread: its k picks,
+    # then its k coefficients and its unit
+    draws = [(*(kept[n] for n in range(12, 12 - k, -1)), *[kept[19]] * (k + 1)) for k in range(9)]
+    skip = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
+    for _ in range(start):
+        skip(map(next, draws[next(size)]))
+        skip(map(next, draws[next(size)]))
+        skip(map(next, draws[next(size)]))
+        next(sign)
+    for _ in range(start, EULER_CASES):
         x = element()
         y = element()
         z = element()
@@ -269,7 +292,7 @@ def _euler_laws(seed, start, stop) -> bool:
     differing from x, keeps an equality that ignores the unit, or holds
     always, from passing the laws."""
     ok = True
-    for x, y, z, u in islice(_euler_cases(seed), start, stop):
+    for x, y, z, u in islice(_euler_cases(seed, start), stop - start):
         if x + UNIT == x:
             ok = False
         xy = x * y
@@ -370,12 +393,11 @@ CRITERIA = (
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
     """The ten criteria in order.  With two or more CPUs, one forked worker
-    checks the second half of criterion 07's cases while this process runs
-    the other criteria and the first half; criterion 07 passes when both
-    halves do, and its time is the longer half's."""
+    checks criterion 07's cases from ``_PARENT_CASES`` on while this process
+    runs the other criteria and the cases before; criterion 07 passes when
+    both parts do, and its time is the longer part's."""
     if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
         return [fn(seed=seed) for fn in CRITERIA]
-    half = EULER_CASES // 2
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the worker: its verdict and time, then out without cleanup
@@ -383,7 +405,7 @@ def run_all(seed: int = 0) -> list[CriterionResult]:
         try:
             os.close(read_end)
             t0 = time.perf_counter()
-            ok = _euler_laws(seed, half, EULER_CASES)
+            ok = _euler_laws(seed, _PARENT_CASES, EULER_CASES)
             os.write(write_end, f"{ok:d} {time.perf_counter() - t0!r}".encode())
             code = 0
         finally:
@@ -393,7 +415,7 @@ def run_all(seed: int = 0) -> list[CriterionResult]:
         with open(read_end, "rb") as pipe:
             results = [fn(seed=seed) for fn in CRITERIA[:6]]
             t0 = time.perf_counter()
-            ok = _euler_laws(seed, 0, half)
+            ok = _euler_laws(seed, 0, _PARENT_CASES)
             elapsed = time.perf_counter() - t0
             later = [fn(seed=seed) for fn in CRITERIA[7:]]
             verdict = pipe.read().split()

@@ -8,6 +8,7 @@ lines, or ``torusbif selftest`` for the same sweeps outside pytest.
 import hashlib
 import os
 import random
+from itertools import islice
 
 import pytest
 
@@ -110,6 +111,42 @@ def test_euler_axioms_make_one_product_and_sum_per_law_and_case(monkeypatch):
         monkeypatch.setattr(EulerRingElement, name, counted(name))
     assert selftest.criterion_07_euler_axioms(seed=0).passed
     assert calls == {"__mul__": 100_000, "__add__": 50_000}
+
+
+# SPLIT: the first case of the worker's part on a forked run.  STARTS: the
+# first case of each part, the case before each, and the end of the stream.
+SPLIT = selftest._PARENT_CASES
+STARTS = (0, 1, SPLIT - 1, SPLIT, selftest.EULER_CASES - 1, selftest.EULER_CASES)
+
+
+@pytest.mark.parametrize("seed", sorted(EULER_CASE_DIGESTS))
+def test_euler_cases_skipped_without_building_are_the_same_cases(seed):
+    # the cases before start are drawn but not built; every case from start
+    # on is the one the whole stream has there
+    cases = list(selftest._euler_cases(seed))
+    for start in STARTS:
+        assert list(selftest._euler_cases(seed, start)) == list(islice(cases, start, None)), start
+
+
+def test_the_workers_part_builds_and_multiplies_only_its_own_cases(monkeypatch):
+    # four elements (x, y, z, u) and ten products per case checked, none
+    # for the cases it skips
+    calls = {"elements": 0, "products": 0}
+    element, mul = selftest._element, EulerRingElement.__mul__
+
+    def counted_element(unit, codim1):
+        calls["elements"] += 1
+        return element(unit, codim1)
+
+    def counted_mul(x, y):
+        calls["products"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(selftest, "_element", counted_element)
+    monkeypatch.setattr(EulerRingElement, "__mul__", counted_mul)
+    assert selftest._euler_laws(0, SPLIT, selftest.EULER_CASES)
+    worker_cases = selftest.EULER_CASES - SPLIT
+    assert calls == {"elements": 4 * worker_cases, "products": 10 * worker_cases}
 
 
 @pytest.mark.parametrize("seed", sorted(EULER_CASE_DIGESTS))
@@ -215,8 +252,8 @@ def test_euler_axioms_catch_a_broken_law(monkeypatch, method, fault):
     assert not selftest.criterion_07_euler_axioms(seed=0).passed
 
 
-# run_all forks one worker for the second half of criterion 07's cases when
-# it sees two CPUs or more; these tests show it two, whatever the host has.
+# run_all forks one worker for criterion 07's cases from SPLIT on when it
+# sees two CPUs or more; these tests show it two, whatever the host has.
 
 
 def _refuse_fork():
@@ -274,10 +311,9 @@ def test_forked_run_catches_a_broken_law(monkeypatch, forked, method, fault):
     assert _reaped(pid)
 
 
-def test_forked_run_reads_the_workers_verdict(monkeypatch, forked):
-    # a fault on one product of the last case, which the worker checks
-    half = selftest.EULER_CASES // 2
-    *_, (X, Y, _, _) = selftest._euler_cases(0)
+def _fault_on_case(monkeypatch, case):
+    """Break x * y for the x, y of one case of seed 0 only."""
+    (X, Y, _, _), *_ = selftest._euler_cases(0, case)
     mul = EulerRingElement.__mul__
 
     def faulty(x, y):
@@ -285,9 +321,38 @@ def test_forked_run_reads_the_workers_verdict(monkeypatch, forked):
         return out + UNIT if (x, y) == (X, Y) else out
 
     monkeypatch.setattr(EulerRingElement, "__mul__", faulty)
-    assert selftest._euler_laws(0, 0, half)
-    assert not selftest._euler_laws(0, half, selftest.EULER_CASES)
+
+
+def test_forked_run_reads_the_workers_verdict(monkeypatch, forked):
+    # a fault on one product of the last case, which the worker checks
+    _fault_on_case(monkeypatch, selftest.EULER_CASES - 1)
+    assert selftest._euler_laws(0, 0, SPLIT)
+    assert not selftest._euler_laws(0, SPLIT, selftest.EULER_CASES)
     results = selftest.run_all(seed=0)
+    assert not results[6].passed
+    assert all(r.passed for r in results if r.number != 7)
+
+
+@pytest.mark.parametrize("case, failing_part", [(SPLIT - 1, "parent"), (SPLIT, "worker")])
+def test_forked_run_fails_the_part_that_checks_a_faulty_case(monkeypatch, forked, case, failing_part):
+    # the cases on either side of the split; the parent's verdict on its
+    # own part is recorded here, and the worker's is only seen through
+    # criterion 07
+    _fault_on_case(monkeypatch, case)
+    parts = {"parent": (0, SPLIT), "worker": (SPLIT, selftest.EULER_CASES)}
+    assert {name: selftest._euler_laws(0, *part) for name, part in parts.items()} == {
+        name: name != failing_part for name in parts
+    }
+    laws, verdicts = selftest._euler_laws, []
+
+    def recorded(seed, start, stop):
+        ok = laws(seed, start, stop)
+        verdicts.append((start, stop, ok))
+        return ok
+
+    monkeypatch.setattr(selftest, "_euler_laws", recorded)
+    results = selftest.run_all(seed=0)
+    assert verdicts == [(0, SPLIT, failing_part != "parent")]
     assert not results[6].passed
     assert all(r.passed for r in results if r.number != 7)
 
@@ -296,7 +361,7 @@ def test_a_worker_that_raises_fails_criterion_07_and_is_reaped(monkeypatch, fork
     laws = selftest._euler_laws
 
     def raising(seed, start, stop):
-        if start:  # the worker's half
+        if start:  # the worker's part
             raise RuntimeError("worker fault")
         return laws(seed, start, stop)
 

@@ -466,6 +466,32 @@ def test_certificates_agree_with_the_indices(factors, n_plus, n_minus, cutoff):
         assert cert.ledger == tuple((lv, indices[lv].coeff_at(cert.witness)) for lv in sorted({level, -level} & set(indices)))
 
 
+GENERIC = GOLDEN_CONFIGS["generic-rank2"]
+# (space, cutoff): a sphere, a product and a weight-table space
+PERMUTATION_RUNS = (
+    (S2, Fraction(30)),
+    (P22, Fraction(20)),
+    (load_space(GENERIC["space"]), frac_from_json(GENERIC["cutoff"])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PERMUTATION_RUNS),
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4).flatmap(
+        lambda a: st.tuples(st.just(a), st.permutations(a))
+    ),
+)
+def test_reordering_the_signature_changes_no_index_or_certificate(run, signatures):
+    # the system's equations have no order: every index and every
+    # certificate is the same for any order of a's entries
+    (space, cutoff), (a, reordered) = run, signatures
+    assert bifurcation_levels(space, SystemSignature(a), cutoff) == bifurcation_levels(
+        space, SystemSignature(reordered), cutoff
+    )
+    assert certify_levels(space, SystemSignature(a), cutoff) == certify_levels(space, SystemSignature(reordered), cutoff)
+
+
 def test_impossibility_identity():
     for nm in range(1, 7):
         for np_ in range(1, 7):
