@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,9 +35,9 @@ QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a q
 GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
 GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
 # The largest degree K a basis is built for.  At K = 2048 the order-0 basis
-# that the solver uses holds two (K + 1) x (2K + 1) tables of 67 MB each, and
+# that the solver uses holds one (K + 1) x (2K + 1) table of 67 MB, and
 # building and checking it peaks at about 230 MB RSS.  A branch run peaks
-# higher, at about 935 MB: continuation's order-invariance check evaluates
+# higher, at about 870 MB: continuation's order-invariance check evaluates
 # grad on the full (2K + 1) x (4K + 1) grid, 268 MB an array.  Memory grows
 # as K^2 and the table check's time as K^3, so a larger K is refused before
 # any work.
@@ -144,15 +143,14 @@ class GalerkinBasis:
         every order, (K+1)^2 modes; order 0 alone is the K + 1 modes that
         span the fixed space of the O(2) about the pole.
 
-    The basis keeps two small factors: ``legendre[m, k, i]``, the normalized
-    Legendre function of degree k and order m at the i-th colatitude node,
-    built and checked when first read, and ``longitude[m + M, j]``, which is
-    1, sqrt(2) cos(m phi_j) or sqrt(2) sin(|m| phi_j) for m = 0, m > 0 and
-    m < 0 at the QUAD_MARGIN * M + 1 longitudes, M = max |m| over the orders
-    held, so the basis of order 0 has one node per latitude ring.  Mode
-    Y_{k,m} is their outer product, a row of the dense (n_modes, nodes) table
-    ``values`` that the transforms and the Jacobian read; it is formed on
-    first use.
+    Mode Y_{k,m} is the product of the normalized Legendre function of
+    degree k and order |m| at the colatitude nodes (``_legendre_table``,
+    checked orthonormal when the basis is built) and a longitude row: 1,
+    sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) for m = 0, m > 0 and m < 0 at
+    the QUAD_MARGIN * M + 1 longitudes, M = max |m| over the orders held, so
+    the basis of order 0 has one node per latitude ring.  The basis keeps
+    only the products: ``values``, the dense (n_modes, nodes) table, nodes
+    colatitude major, that the transforms and the Jacobian read.
     """
 
     def __init__(self, max_degree: int, orders=None):
@@ -163,37 +161,23 @@ class GalerkinBasis:
         self._build(K, tuple((k, m) for k in range(K + 1) for m in orders if abs(m) <= k))
 
     def _build(self, K: int, modes: tuple[tuple[int, int], ...]) -> None:
-        """The mode data, quadrature and longitude rows of ``modes``."""
+        """The mode data, quadrature and checked table of ``modes``."""
         M = max(abs(m) for _, m in modes)
         self.max_degree, self.quad_degree, self.modes = K, QUAD_MARGIN * K, modes
         self.mode_index = {km: i for i, km in enumerate(modes)}
         self.eigenvalues = np.array([degree_eigenvalue(k) for k, _ in modes], dtype=float)
-        self._gauss = _gauss_legendre(self.quad_degree // 2 + 1)
+        x, wx = _gauss_legendre(self.quad_degree // 2 + 1)
+        P = _legendre_table(K, M, x)
+        _check_legendre_table(P, wx)
         n_phi = QUAD_MARGIN * M + 1
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        self.weights = np.repeat(self._gauss[1], n_phi) * (2.0 * np.pi / n_phi)
+        self.weights = np.repeat(wx, n_phi) * (2.0 * np.pi / n_phi)
         order = np.arange(-M, M + 1)
         angle = np.abs(order)[:, None] * phi[None, :]
-        self.longitude = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
-        self.longitude[M] = 1.0
-
-    @cached_property
-    def legendre(self) -> np.ndarray:
-        """``legendre[m, k, i]`` for orders 0..M, built and checked on first read."""
-        x, wx = self._gauss
-        P = _legendre_table(self.max_degree, self.longitude.shape[0] // 2, x)
-        _check_legendre_table(P, wx)
-        return P
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Dense table Y_{k,m}(node), one row per mode of this basis, formed on
-        first read: row (k, m) is ``legendre[|m|, k]`` times ``longitude[m + M]``,
-        nodes colatitude major.  Every transform and the Jacobian read it."""
-        k, m = np.array(self.modes).T
-        rows = self.legendre[np.abs(m), k]
-        lon = self.longitude[m + self.longitude.shape[0] // 2]
-        return (rows[:, :, None] * lon[:, None, :]).reshape(self.n_modes, -1)
+        longitude = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
+        longitude[M] = 1.0
+        k, m = np.array(modes).T
+        self.values = (P[np.abs(m), k][:, :, None] * longitude[m + M][:, None, :]).reshape(len(modes), -1)
 
     @property
     def n_modes(self) -> int:

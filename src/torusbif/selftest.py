@@ -326,9 +326,9 @@ def criterion_07_euler_axioms(seed=0) -> CriterionResult:
 
 def criterion_08_gradient_check(seed=0) -> CriterionResult:
     """Residual matches central differences of the discrete functional."""
+    t0 = time.perf_counter()
     from .galerkin import GalerkinBasis, NonlinearitySpec, gradient_check, make_state
 
-    t0 = time.perf_counter()
     basis = GalerkinBasis(8)
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((1, -1))
@@ -340,16 +340,17 @@ def criterion_08_gradient_check(seed=0) -> CriterionResult:
 
 
 def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
-    """Galerkin crossings equal the candidate bifurcation levels exactly."""
+    """Galerkin crossings and their kernel dimensions equal the candidate
+    bifurcation levels and theirs exactly."""
+    t0 = time.perf_counter()
     from .galerkin import trivial_branch_crossings
 
-    t0 = time.perf_counter()
     space = SymmetricSpaceData.sphere(2)
     cutoff = Fraction(30)
     ok = True
     for sig in _signatures(3):
-        crossings = [c.lam for c in trivial_branch_crossings(8, sig, (-cutoff, cutoff))]
-        levels = [bl.level for bl in bifurcation_levels(space, sig, cutoff)]
+        crossings = [(c.lam, c.kernel_dim) for c in trivial_branch_crossings(8, sig, (-cutoff, cutoff))]
+        levels = [(bl.level, bl.kernel_dim) for bl in bifurcation_levels(space, sig, cutoff)]
         if crossings != levels:
             ok = False
     return _result(9, "crossing-agreement", t0, ok, "all signatures with p <= 3, window [-30, 30]")
@@ -357,10 +358,10 @@ def criterion_09_crossing_agreement(seed=0) -> CriterionResult:
 
 def criterion_10_branch_witness(seed=0) -> CriterionResult:
     """Axisymmetric branch from lambda = 2 grows to norm 1 and breaks symmetry."""
+    t0 = time.perf_counter()
     from .continuation import ONSET_AMPLITUDE, continue_branch
     from .galerkin import NonlinearitySpec, node_variance
 
-    t0 = time.perf_counter()
     nl = NonlinearitySpec.quartic()
     sig = SystemSignature((-1,))
     result = continue_branch(8, nl, sig, 2, target_norm=1.0)

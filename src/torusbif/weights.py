@@ -89,10 +89,6 @@ class SubgroupId(Record):
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def rank(self) -> int:
-        return self.canonical.rank
-
     def __str__(self) -> str:
         return "H[" + ",".join(str(c) for c in self.canonical.coords) + "]"
 

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines, or ``torusbif selftest`` for the same sweeps outside pytest.
 """
 
+import builtins
 import hashlib
 import os
 import random
@@ -250,6 +251,41 @@ FAULTS = pytest.mark.parametrize(
 def test_euler_axioms_catch_a_broken_law(monkeypatch, method, fault):
     monkeypatch.setattr(EulerRingElement, method, fault(getattr(EulerRingElement, method)))
     assert not selftest.criterion_07_euler_axioms(seed=0).passed
+
+
+NUMERICAL_CRITERIA = selftest.CRITERIA[7:]
+
+
+@pytest.mark.parametrize(
+    "criterion", NUMERICAL_CRITERIA, ids=[fn.__name__.removeprefix("criterion_") for fn in NUMERICAL_CRITERIA]
+)
+def test_numerical_criteria_start_their_clock_before_importing_the_solver(monkeypatch, criterion):
+    # the first of criteria 08-10 to run loads numpy with the solver, so
+    # its time must include that import: the clock is read first
+    events = []
+    clock, load = selftest.time.perf_counter, builtins.__import__
+
+    def timed():
+        events.append("clock")
+        return clock()
+
+    def loaded(name, globals=None, locals=None, fromlist=(), level=0):
+        if level == 1 and name in ("galerkin", "continuation") and (globals or {}).get("__name__") == selftest.__name__:
+            events.append(name)
+        return load(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(selftest.time, "perf_counter", timed)
+    monkeypatch.setattr(builtins, "__import__", loaded)
+    assert criterion(seed=0).passed
+    assert events[0] == "clock" and {"galerkin"} <= set(events), events
+
+
+def test_crossing_agreement_catches_a_wrong_kernel_dimension(monkeypatch):
+    from torusbif.galerkin import Crossing
+
+    kernel_dim = Crossing.kernel_dim
+    monkeypatch.setattr(Crossing, "kernel_dim", property(lambda c: kernel_dim.fget(c) + 1))
+    assert not selftest.criterion_09_crossing_agreement(seed=0).passed
 
 
 # run_all forks one worker for criterion 07's cases from SPLIT on when it

@@ -492,6 +492,37 @@ def test_reordering_the_signature_changes_no_index_or_certificate(run, signature
     assert certify_levels(space, SystemSignature(a), cutoff) == certify_levels(space, SystemSignature(reordered), cutoff)
 
 
+# (space, largest cutoff): a sphere, a product of rank 2 and a weight-table
+# space, whose tables end below its level 6
+MONOTONE_RUNS = (
+    (S2, Fraction(30)),
+    (P23, Fraction(20)),
+    (load_space(GENERIC["space"]), Fraction(23, 4)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MONOTONE_RUNS).flatmap(
+        lambda run: st.tuples(
+            st.just(run[0]),
+            st.lists(st.fractions(0, run[1], max_denominator=4), min_size=2, max_size=2, unique=True).map(sorted),
+        )
+    ),
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=3),
+)
+def test_raising_the_cutoff_only_appends_levels(run, a):
+    # a run at L1 < L2 is the run at L2 cut at L1: the same spectral levels,
+    # indices and certificates, compared whole
+    (space, (low, high)), s = run, SystemSignature(a)
+    spectrum = spectrum_up_to(space, high)
+    assert spectrum_up_to(space, low) == tuple(lv for lv in spectrum if lv.eigenvalue <= low)
+    levels = bifurcation_levels(space, s, high)
+    assert bifurcation_levels(space, s, low) == tuple(bl for bl in levels if abs(bl.level) <= low)
+    certs = certify_levels(space, s, high)
+    assert certify_levels(space, s, low) == tuple(entry for entry in certs if abs(entry[0]) <= low)
+
+
 def test_impossibility_identity():
     for nm in range(1, 7):
         for np_ in range(1, 7):

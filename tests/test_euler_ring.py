@@ -351,7 +351,7 @@ def _ref_normalize(pairs):
     acc = {}
     for h, c in pairs:
         acc[h] = acc.get(h, 0) + c
-    return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: (hc[0].rank, hc[0].canonical.coords)))
+    return tuple(sorted(((h, c) for h, c in acc.items() if c != 0), key=lambda hc: (hc[0].canonical.rank, hc[0].canonical.coords)))
 
 
 def _ref(x):

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -120,15 +121,16 @@ def test_restricted_basis_keeps_the_chosen_modes():
     sub = GalerkinBasis(8, orders=[0])
     assert sub.modes == tuple((k, 0) for k in range(9))
     assert sub.mode_index[(3, 0)] == 3
-    # one node per latitude ring: each row is the full basis's row at phi = 0
-    assert np.array_equal(sub.values, BASIS.values[keep][:, :: BASIS.longitude.shape[1]])
+    # one node per latitude ring: each row is the full basis's row at phi = 0,
+    # the first of its QUAD_MARGIN * K + 1 longitudes
+    assert np.array_equal(sub.values, BASIS.values[keep][:, :: galerkin.QUAD_MARGIN * 8 + 1])
     assert np.array_equal(sub.eigenvalues, BASIS.eigenvalues[keep])
     assert sub.weights.size == 17 and sub.quad_degree == BASIS.quad_degree
     assert BASIS.n_modes == 81 and mass_error(sub) <= 1e-12
     # the axisymmetric basis holds the single order m = 0: one longitude, so
-    # its table is its Legendre block of order 0
-    assert np.array_equal(sub.longitude, np.ones((1, 1)))
-    assert np.array_equal(sub.values, sub.legendre[0])
+    # its table is the Legendre block of order 0 on its own colatitude nodes
+    x, _ = galerkin._gauss_legendre(17)
+    assert np.array_equal(sub.values, galerkin._legendre_table(8, 0, x)[0])
 
 
 @pytest.mark.parametrize(
@@ -171,7 +173,7 @@ def test_basis_of_order_0_is_the_m0_modes_of_the_full_basis_bit_for_bit(K):
     rng = np.random.default_rng(K)
     c = rng.standard_normal((2, K + 1))
     f = rng.standard_normal((2, want.weights.size))
-    for name in ("weights", "longitude", "eigenvalues", "legendre"):
+    for name in ("weights", "eigenvalues", "values"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.evaluate(c), want.evaluate(c))
     assert np.array_equal(got.project(f), want.project(f))
@@ -189,13 +191,13 @@ def test_legendre_recurrence_matches_scipy(K):
 
 
 def test_legendre_table_at_high_degree_is_finite_and_orthonormal():
-    # K = 90 is past where factorial ratios overflow; the dense table
-    # (about 4.3 GB) is never formed
-    basis = GalerkinBasis(90)
-    assert "values" not in vars(basis)
-    assert np.all(np.isfinite(basis.legendre))
-    x, wx = np.polynomial.legendre.leggauss(181)
-    galerkin._check_legendre_table(basis.legendre, wx)
+    # K = 90 is past where factorial ratios overflow; the table of every
+    # order on the Gauss rule that GalerkinBasis(90) builds, whose dense
+    # table (about 4.3 GB) is not formed here
+    x, wx = galerkin._gauss_legendre(galerkin.QUAD_MARGIN * 90 // 2 + 1)
+    P = galerkin._legendre_table(90, 90, x)
+    assert P.shape == (91, 91, 181) and np.all(np.isfinite(P))
+    galerkin._check_legendre_table(P, wx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 49, 513, 1025, 2049])
@@ -211,9 +213,13 @@ def test_gauss_legendre_rule_refines_numpys(n):
 
 @pytest.mark.parametrize("K", [448, 512, 1024])
 def test_m0_legendre_table_is_orthonormal_at_high_degree(K):
-    # the table is checked to 1e-12 when first read; with numpy's leggauss
-    # weights it missed that bound here (5.84e-12 at K = 512)
-    assert GalerkinBasis(K, orders=[0]).legendre.shape == (1, K + 1, 2 * K + 1)
+    # GalerkinBasis(K, orders=[0]) checks this table to 1e-12 on its own
+    # Gauss rule; with numpy's leggauss weights it missed that bound here
+    # (5.84e-12 at K = 512)
+    x, wx = galerkin._gauss_legendre(galerkin.QUAD_MARGIN * K // 2 + 1)
+    P = galerkin._legendre_table(K, 0, x)
+    assert P.shape == (1, K + 1, 2 * K + 1)
+    galerkin._check_legendre_table(P, wx)
 
 
 @pytest.mark.parametrize("M", [0, 3, 24])
@@ -232,26 +238,40 @@ def test_basis_refuses_a_bad_legendre_table(monkeypatch, bad):
         return P
 
     monkeypatch.setattr(galerkin, "_legendre_table", corrupted)
-    basis = GalerkinBasis(8)  # the table is built and checked when first read
     with pytest.raises(ValueError, match="Legendre table"):
-        basis.evaluate(np.zeros(basis.n_modes))
+        GalerkinBasis(8)  # the table is built and checked with the basis
 
 
-def test_dense_table_is_formed_on_first_use_only():
-    basis = GalerkinBasis(6)
-    assert "values" not in vars(basis)
-    keep = [i for i, (k, m) in enumerate(basis.modes) if m == 0]
-    sub = GalerkinBasis(6, orders=[0])
-    assert sub.values.shape == (7, 13)
-    assert "values" not in vars(basis)
-    assert np.array_equal(sub.values, basis.values[keep][:, :: basis.longitude.shape[1]])
+# what a basis keeps: its mode data, quadrature weights and dense table
+BASIS_ATTRIBUTES = {"max_degree", "quad_degree", "modes", "mode_index", "eigenvalues", "weights", "values"}
+
+
+@pytest.mark.parametrize("orders", [None, [0], [-2, 0, 3]], ids=["full", "m0", "m-2,0,3"])
+def test_a_basis_builds_one_legendre_table_and_keeps_only_what_is_read(monkeypatch, orders):
+    calls = []
+    build = galerkin._legendre_table
+
+    def counted(K, M, x):
+        calls.append((K, M))
+        return build(K, M, x)
+
+    monkeypatch.setattr(galerkin, "_legendre_table", counted)
+    basis = GalerkinBasis(8, orders)
+    assert set(vars(basis)) == BASIS_ATTRIBUTES  # built whole, before any use
+    c = np.ones((2, basis.n_modes))
+    residual_jacobian(basis, QUARTIC, SystemSignature((1, -1)), c.ravel(), 0.5)
+    basis.project(basis.evaluate(c))
+    assert calls == [(8, max(map(abs, orders or [8])))]
+    assert set(vars(basis)) == BASIS_ATTRIBUTES
+    assert not any(isinstance(value, cached_property) for value in vars(GalerkinBasis).values())
 
 
 def only_m0_table(basis):
-    # the basis formed the (K + 1, 2K + 1) table of the m = 0 modes, one node
-    # per ring, and a Legendre table of order 0 only
+    # the basis keeps the (K + 1, 2K + 1) table of the m = 0 modes, one node
+    # per ring, and no other table
     K = basis.max_degree
-    return vars(basis)["values"].shape == (K + 1, 2 * K + 1) and basis.legendre.shape == (1, K + 1, 2 * K + 1)
+    tables = [value.shape for value in vars(basis).values() if isinstance(value, np.ndarray) and value.ndim > 1]
+    return tables == [(K + 1, 2 * K + 1)]
 
 
 def axisymmetric_branch_peak(K):
@@ -528,7 +548,7 @@ def restricted_and_full_residual(orders, n_phi):
     sig = SystemSignature((1, -1))
     sub = GalerkinBasis(8, orders)
     keep = [BASIS.mode_index[km] for km in sub.modes]
-    assert sub.longitude.shape[1] == n_phi and mass_error(sub) <= 1e-12
+    assert sub.weights.size == 17 * n_phi and mass_error(sub) <= 1e-12
     rng = np.random.default_rng(19)
     x = 0.5 * rng.standard_normal((2, sub.n_modes))
     full = np.zeros((2, BASIS.n_modes))

@@ -86,7 +86,7 @@ def test_sort_key_orders_by_rank_then_coords():
     coords = [(2, -1), (1,), (0, 0, 1), (3,), (1, 0), (0, 1), (1, -1, 0), (2,)]
     ids = sorted((canonicalize(W(c)) for c in coords), key=lambda h: h.sort_key)
     assert [h.canonical.coords for h in ids] == [(1,), (2,), (3,), (0, 1), (1, 0), (2, -1), (0, 0, 1), (1, -1, 0)]
-    assert all(h.sort_key == (h.rank, h.canonical.coords) for h in ids)
+    assert all(h.sort_key == (h.canonical.rank, h.canonical.coords) for h in ids)
 
 
 # copy.replace (Python 3.13) calls a record's __replace__; older Pythons call it directly
