@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from ._record import Record, _set
-from .euler_ring import UNIT, EulerRingElement, _combine, _element
+from .euler_ring import UNIT, EulerRingElement, _element
 from .jsonio import frac_to_json, int_from_json
 from .spaces import (
     SpectralLevel,
@@ -62,7 +62,7 @@ from .spaces import (
     _weight_count,
     spectrum_up_to,
 )
-from .weights import RestrictedWeight, SubgroupId, canonicalize
+from .weights import RestrictedWeight, SubgroupId, _merge_sorted, canonicalize
 
 
 class SystemSignature(Record):
@@ -231,7 +231,7 @@ def _index(sig: SystemSignature, level: Fraction, split: _Split) -> EulerRingEle
         return UNIT.scaled((-1) ** sig.n_minus - (-1) ** sig.n_plus)
     x, v = split.w if level > 0 else split.wv, split.v.torus_decomp
     unit, t_x, t_v = _expansion(sig, level, x.k0, v.k0)
-    return _element(unit, _combine(x.mults, t_x, v.mults, t_v))
+    return _element(unit, _merge_sorted(x.mults, t_x, v.mults, t_v))
 
 
 def _indices(sig: SystemSignature, split: _Split) -> dict[Fraction, EulerRingElement]:

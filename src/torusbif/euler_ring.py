@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ._record import Record, _set
 from .jsonio import int_from_json
-from .weights import SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
+from .weights import SubgroupId, _check_ranks, _count_at, _id_pairs, _merge_sorted, _pair_key
 
 Codim1 = tuple[tuple[SubgroupId, int], ...]
 
@@ -29,11 +29,7 @@ def _normalize(codim1) -> Codim1:
     """Sort the pairs once by subgroup key, then fold runs of one id (keeping
     its first object) and drop zero sums in one pass."""
     items = codim1.items() if isinstance(codim1, dict) else codim1
-    pairs = []
-    for h, c in items:
-        if not isinstance(h, SubgroupId):
-            raise TypeError(f"codim1 keys must be SubgroupId, got {type(h).__name__}")
-        pairs.append((h, int_from_json(c)))
+    pairs = _id_pairs(items, "codim1")
     pairs.sort(key=_pair_key)
     out = []
     g = key = None
@@ -50,25 +46,6 @@ def _normalize(codim1) -> Codim1:
     out = tuple(out)
     _check_ranks(out, out[-1:])  # lowest rank against highest
     return out
-
-
-# Arithmetic on normalized parts (nonzero coefficients, sorted by subgroup
-# key): results come out normalized, so they skip _normalize.
-
-
-def _scale(a: Codim1, s: int) -> Codim1:
-    if s == 1:
-        return a
-    return tuple([(h, s * c) for h, c in a]) if s else ()
-
-
-def _combine(a: Codim1, s: int, b: Codim1, t: int) -> Codim1:
-    """Normalized s*a + t*b."""
-    if not (s and a):
-        return _scale(b, t)
-    if not (t and b):
-        return _scale(a, s)
-    return _merge_sorted(a, s, b, t)
 
 
 def _element(unit: int, codim1: Codim1) -> "EulerRingElement":
@@ -106,50 +83,42 @@ class EulerRingElement(Record):
     def is_zero(self) -> bool:
         return self.unit == 0 and not self.codim1
 
-    def coeff_at(self, h: SubgroupId | None) -> int:
-        """Coefficient of the class of H; ``None`` addresses the full torus
-        (the unit coefficient)."""
-        return self.unit if h is None else _count_at(self.codim1, h)
+    def coeff_at(self, h: SubgroupId) -> int:
+        """Coefficient of the class of H; ``unit`` is that of the full torus."""
+        return _count_at(self.codim1, h)
 
     # -- module structure ----------------------------------------------------
 
     # __add__ and __mul__ carry criterion 07, so they write the two slots
-    # themselves instead of calling _element, call _check_ranks only to
-    # raise, once the first ids differ in rank, and call _merge_sorted
-    # directly when both parts are nonempty and both scales nonzero.
+    # themselves instead of calling _element; _merge_sorted refuses parts of
+    # two ranks.
 
     def __add__(self, other: "EulerRingElement") -> "EulerRingElement":
         if other.__class__ is not EulerRingElement:
             return NotImplemented
-        a, b = self.codim1, other.codim1
-        if a and b and a[0][0].sort_key[0] != b[0][0].sort_key[0]:
-            _check_ranks(a, b)
         out = object.__new__(EulerRingElement)
         _set(out, "unit", self.unit + other.unit)
-        _set(out, "codim1", _merge_sorted(a, 1, b, 1) if a and b else a or b)
+        _set(out, "codim1", _merge_sorted(self.codim1, 1, other.codim1, 1))
         return out
 
     def __neg__(self) -> "EulerRingElement":
-        return _element(-self.unit, _scale(self.codim1, -1))
+        return _element(-self.unit, _merge_sorted(self.codim1, -1, (), 0))
 
     def scaled(self, n: int) -> "EulerRingElement":
         n = int_from_json(n)
-        return _element(n * self.unit, _scale(self.codim1, n))
+        return _element(n * self.unit, _merge_sorted(self.codim1, n, (), 0))
 
     # -- ring structure -----------------------------------------------------
 
-    def __mul__(self, other) -> "EulerRingElement":
+    def __mul__(self, other: "EulerRingElement") -> "EulerRingElement":
         if other.__class__ is not EulerRingElement:
-            return self.scaled(other) if isinstance(other, int) else NotImplemented
-        a, b = self.codim1, other.codim1
-        if a and b and a[0][0].sort_key[0] != b[0][0].sort_key[0]:
-            _check_ranks(a, b)
+            return NotImplemented
         s, t = self.unit, other.unit
         # products of two codimension-one classes have no unit or
         # codimension-one part, so only the cross terms with the units remain
         out = object.__new__(EulerRingElement)
         _set(out, "unit", s * t)
-        _set(out, "codim1", _merge_sorted(a, t, b, s) if a and b and s and t else _combine(a, t, b, s))
+        _set(out, "codim1", _merge_sorted(self.codim1, t, other.codim1, s))
         return out
 
     def inverse(self) -> "EulerRingElement":
@@ -157,7 +126,7 @@ class EulerRingElement(Record):
         (u*I + b)^(-1) = u*I - b in the truncated representation."""
         if self.unit not in (1, -1):
             raise ValueError("not invertible in truncated ring")
-        return _element(self.unit, _scale(self.codim1, -1))
+        return _element(self.unit, _merge_sorted(self.codim1, -1, (), 0))
 
     # -- presentation -------------------------------------------------------
 

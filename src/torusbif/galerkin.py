@@ -395,7 +395,9 @@ def gradient_check(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: Branc
     """Largest relative mismatch between central finite differences of the
     discrete functional, of step GRADIENT_STEP, and the residual, over
     GRADIENT_SAMPLES coordinates (at most all of them) drawn by
-    ``random.Random(seed)``."""
+    ``random.Random(seed)``.  A mismatch that is not finite at any sampled
+    coordinate (a nan or inf value or gradient) returns inf, which fails
+    every bound."""
     r = residual_coeffs(basis, nl, sig, state.coeffs, state.lam)
     sample = random.Random(seed).sample(range(r.size), min(GRADIENT_SAMPLES, r.size))
     worst = 0.0
@@ -407,6 +409,8 @@ def gradient_check(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: Branc
         cm[idx] -= GRADIENT_STEP
         fd = (energy(basis, nl, sig, cp, state.lam) - energy(basis, nl, sig, cm, state.lam)) / (2 * GRADIENT_STEP)
         err = abs(fd - r[idx]) / max(1.0, abs(r[idx]))
+        if not math.isfinite(err):
+            return math.inf
         worst = max(worst, err)
     return worst
 

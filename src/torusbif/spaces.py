@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from ._record import Record, _set
 from .jsonio import _echo, frac_from_json, frac_to_json, int_from_json
-from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _merge_sorted, _pair_key
+from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _id_pairs, _merge_sorted, _pair_key
 
 # ---------------------------------------------------------------------------
 # torus representation data
@@ -49,7 +49,7 @@ class TorusRepDecomposition(Record):
         k0 = int_from_json(k0)
         if k0 < 0:
             raise ValueError("k0 must be nonnegative")
-        items = tuple(sorted(((h, int_from_json(m)) for h, m in mults), key=_pair_key))
+        items = tuple(sorted(_id_pairs(mults, "mults"), key=_pair_key))
         if any(m <= 0 for _, m in items):
             raise ValueError("plane multiplicities must be positive")
         if len({h for h, _ in items}) != len(items):
@@ -67,8 +67,7 @@ class TorusRepDecomposition(Record):
 
     def __add__(self, other: "TorusRepDecomposition") -> "TorusRepDecomposition":
         # both sides are validated, so the merge is sorted, positive and free
-        # of duplicates: it skips __init__ once the ranks agree
-        _check_ranks(self.mults, other.mults)
+        # of duplicates: it skips __init__, and _merge_sorted refuses two ranks
         out = object.__new__(TorusRepDecomposition)
         _set(out, "k0", self.k0 + other.k0)
         _set(out, "mults", _merge_sorted(self.mults, 1, other.mults, 1))

@@ -103,6 +103,17 @@ def _check_ranks(a, b) -> None:
             raise ValueError(f"rank mismatch: {min(r, s)} vs {max(r, s)}")
 
 
+def _id_pairs(items, field: str) -> list:
+    """(SubgroupId, int) pairs from (id, count) items; a key that is not a
+    SubgroupId raises TypeError, naming the field."""
+    pairs = []
+    for h, c in items:
+        if not isinstance(h, SubgroupId):
+            raise TypeError(f"{field} keys must be SubgroupId, got {type(h).__name__}")
+        pairs.append((h, int_from_json(c)))
+    return pairs
+
+
 def _pair_key(pair):
     return pair[0].sort_key
 
@@ -115,21 +126,29 @@ def _count_at(pairs, h: SubgroupId) -> int:
 
 
 def _merge_sorted(a, s: int, b, t: int) -> tuple:
-    """s*a + t*b for nonzero s, t and two sequences of (SubgroupId, nonzero
+    """s*a + t*b for integers s, t and two sequences of (SubgroupId, nonzero
     count) pairs sorted by ``sort_key`` with unique ids, merged in one pass.
     Counts that cancel are dropped, the result is sorted the same way, and an
     id present on both sides keeps the object from ``a``.  Either side may be
-    empty, and a side scaled by 1 passes its pairs through as they are."""
+    empty, a side scaled by 0 adds nothing (not even its objects), and a side
+    scaled by 1 passes its pairs through as they are.  Raises ``ValueError``
+    when both sides are nonempty and their first ids differ in rank, whatever
+    the scales."""
     na, nb = len(a), len(b)
-    if not na:
+    if na and nb:
+        p, q = a[0], b[0]
+        hk, gk = p[0].sort_key, q[0].sort_key
+        if hk[0] != gk[0]:
+            _check_ranks(a, b)
+    if not (s and na):
+        if not (t and nb):
+            return ()
         return tuple(b) if t == 1 else tuple([(g, t * d) for g, d in b])
-    if not nb:
+    if not (t and nb):
         return tuple(a) if s == 1 else tuple([(h, s * c) for h, c in a])
     out = []
     append = out.append
     i = j = 0
-    p, q = a[0], b[0]
-    hk, gk = p[0].sort_key, q[0].sort_key
     while True:
         if hk < gk:
             append(p if s == 1 else (p[0], s * p[1]))

@@ -288,6 +288,15 @@ def test_crossing_agreement_catches_a_wrong_kernel_dimension(monkeypatch):
     assert not selftest.criterion_09_crossing_agreement(seed=0).passed
 
 
+def test_gradient_check_catches_a_nan_gradient(monkeypatch):
+    from test_galerkin import nan_spec
+    from torusbif.galerkin import NonlinearitySpec
+
+    monkeypatch.setattr(NonlinearitySpec, "quartic", classmethod(lambda cls: nan_spec("grad")))
+    result = selftest.criterion_08_gradient_check(seed=0)
+    assert not result.passed and result.detail == "max relative FD error inf"
+
+
 # run_all forks one worker for criterion 07's cases from SPLIT on when it
 # sees two CPUs or more; these tests show it two, whatever the host has.
 

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import math
 import operator
 import weakref
 from fractions import Fraction
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from torusbif import (
     UNIT,
     EulerRingElement,
+    GenericTables,
     RestrictedWeight,
     SymmetricSpaceData,
     SystemSignature,
@@ -22,6 +25,7 @@ from torusbif import (
     certify_levels,
     load_space,
     spectrum_up_to,
+    sphere_weight_multiplicity,
     witness_coefficient,
 )
 from torusbif import bifurcation
@@ -490,6 +494,72 @@ def test_reordering_the_signature_changes_no_index_or_certificate(run, signature
         space, SystemSignature(reordered), cutoff
     )
     assert certify_levels(space, SystemSignature(a), cutoff) == certify_levels(space, SystemSignature(reordered), cutoff)
+
+
+def _sphere_product_tables(factors, kmax):
+    # the product of spheres as a weight-table space: one row per alpha in
+    # the box [0, kmax]^r, its multiplicities from the sphere oracle
+    sphere = SymmetricSpaceData.product_of_spheres(factors)
+    rows = []
+    for alpha in itertools.product(range(kmax + 1), repeat=len(factors)):
+        weights = []
+        for mu in itertools.product(*(range(-k, k + 1) for k in alpha)):
+            mult = math.prod(sphere_weight_multiplicity(n, k, m) for n, k, m in zip(factors, alpha, mu))
+            if mult:
+                weights.append((W(mu), mult))
+        rows.append((W(alpha), tuple(weights)))
+    return SymmetricSpaceData(sphere.gram, sphere.rho, tables=GenericTables(tuple(rows)))
+
+
+# (build, factors, cutoff): products of spheres with mixed n, of rank 2 and
+# 3, and a rank-2 weight-table space whose tables end at degree 3
+FACTOR_RUNS = (
+    (SymmetricSpaceData.product_of_spheres, (2, 3), Fraction(30)),
+    (SymmetricSpaceData.product_of_spheres, (2, 2, 3), Fraction(16)),
+    (SymmetricSpaceData.product_of_spheres, (2, 3, 4), Fraction(20)),
+    (functools.partial(_sphere_product_tables, kmax=3), (2, 3), Fraction(12)),
+)
+
+
+def _permuted(perm, coords):
+    # coordinate i of the permuted space is coordinate perm[i] of the original
+    return tuple(coords[i] for i in perm)
+
+
+def _mapped(perm, pairs):
+    # (id, count) pairs of the original space as a dict over the permuted ids
+    return {canonicalize(W(_permuted(perm, h.canonical.coords))): c for h, c in pairs}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(FACTOR_RUNS).flatmap(lambda run: st.tuples(st.just(run), st.permutations(range(len(run[1]))))),
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=3),
+)
+def test_permuting_the_factors_permutes_every_level(drawn, a):
+    # a space written with its factors in another order is the same space:
+    # eigenvalues and dimensions agree, and alphas, ids, multiplicities and
+    # index coefficients agree after permuting coordinates
+    (build, factors, cutoff), perm = drawn
+    space, image, s = build(factors), build(_permuted(perm, factors)), SystemSignature(a)
+    witnesses = {}
+    for got, want in zip(spectrum_up_to(image, cutoff), spectrum_up_to(space, cutoff), strict=True):
+        assert (got.eigenvalue, got.real_dim, got.torus_decomp.k0) == (want.eigenvalue, want.real_dim, want.torus_decomp.k0)
+        assert {alpha.coords for alpha in got.alphas} == {_permuted(perm, alpha.coords) for alpha in want.alphas}
+        assert dict(got.torus_decomp.mults) == _mapped(perm, want.torus_decomp.mults)
+        witnesses[got.eigenvalue] = {canonicalize(alpha) for alpha in got.alphas if not alpha.is_zero()}
+    for got, want in zip(bifurcation_levels(image, s, cutoff), bifurcation_levels(space, s, cutoff), strict=True):
+        assert (got.level, got.kernel_dim, got.index.unit) == (want.level, want.kernel_dim, want.index.unit)
+        assert dict(got.index.codim1) == _mapped(perm, want.index.codim1)
+    # the witness is some alpha's id at the level, so it may be the image of
+    # another alpha than the original's; the ledger must not depend on which
+    for (level, got), (_, want) in zip(certify_levels(image, s, cutoff), certify_levels(space, s, cutoff), strict=True):
+        if isinstance(want, str):
+            assert got == want
+        elif level == 0:
+            assert got == want
+        else:
+            assert got.ledger == want.ledger and got.witness in witnesses[abs(level)]
 
 
 # (space, largest cutoff): a sphere, a product of rank 2 and a weight-table

@@ -181,7 +181,6 @@ def test_decomposition_sum_rejects_ids_of_two_ranks():
 def test_coeff_at_lookup():
     x = el(3, ((H11, -2),))
     assert x.coeff_at(H11) == -2
-    assert x.coeff_at(None) == 3
     assert ZERO.coeff_at(H11) == 0
     assert el(1, ((H1, -2),)).coeff_at(H2) == 0
     # absent ids before, after and among the present ones, and one of another rank
@@ -220,7 +219,7 @@ def test_elements_round_trip(build, round_trip):
     back = round_trip(x)
     assert back == x and hash(back) == hash(x) and repr(back) == repr(x)
     assert back.codim1 == x.codim1 and back.unit == x.unit
-    assert all(back.coeff_at(h) == x.coeff_at(h) for h in (None, H10, H01, H11, H1))
+    assert all(back.coeff_at(h) == x.coeff_at(h) for h in (H10, H01, H11, H1))
 
 
 @pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
@@ -259,7 +258,7 @@ def test_equal_elements_from_different_paths_are_one_key():
 
 def test_coeff_at_on_arithmetic_results():
     prod = X * Y  # -3 I - H01 + 6 H10 - 12 H11
-    assert [prod.coeff_at(h) for h in (None, H10, H01, H11)] == [-3, 6, -1, -12]
+    assert [prod.unit] + [prod.coeff_at(h) for h in (H10, H01, H11)] == [-3, 6, -1, -12]
     assert (X + Y).coeff_at(H11) == 0 and (X + (-Y)).coeff_at(H11) == -6
     assert (X * X).coeff_at(H10) == -4 and X.inverse().coeff_at(H11) == 3
     assert (-prod).coeff_at(H10) == -6 and prod.coeff_at(H10) == 6
@@ -336,6 +335,22 @@ def test_json_round_trip():
 )
 def test_library_constructors_reject_non_integers(build):
     with pytest.raises(ValueError, match="expected an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EulerRingElement(0, [((1, 2), 3)]), "^codim1 keys must be SubgroupId, got tuple$"),
+        (lambda: TorusRepDecomposition(0, [((1, 2), 3)]), "^mults keys must be SubgroupId, got tuple$"),
+        (lambda: TorusRepDecomposition(0, [(None, 1)]), "^mults keys must be SubgroupId, got NoneType$"),
+        (lambda: el(1, ((H1, 2),)) * 3, "unsupported operand"),
+    ],
+    ids=["codim1-tuple", "mults-tuple", "mults-none", "times-int"],
+)
+def test_library_records_reject_other_types(build, message):
+    # a multiple is x.scaled(n); an element times an int is no product
+    with pytest.raises(TypeError, match=message):
         build()
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -654,6 +655,23 @@ def test_gradient_check_requires_a_sample():
     rng = np.random.default_rng(5)
     state = make_state(BASIS, 0.5 * rng.standard_normal(BASIS.n_modes), 1.0)
     assert gradient_check(BASIS, wrong, NEG, state) > 0.1
+
+
+def nan_spec(part):
+    # the quartic with its value or its gradient multiplied by nan
+    fields = {"value": QUARTIC.value, "grad": QUARTIC.grad}
+    fields[part] = lambda u, lam, f=fields[part]: np.nan * f(u, lam)
+    return NonlinearitySpec(f"quartic-nan-{part}", fields["value"], fields["grad"], QUARTIC.hess, grad_degree=3)
+
+
+@pytest.mark.parametrize("part", ["grad", "value"])
+def test_gradient_check_fails_a_nan_value_or_gradient(part):
+    # max(0.0, nan) is 0.0, so a nan mismatch once read as a perfect score;
+    # the state is criterion 08's at seed 0
+    rng = random.Random(0)
+    state = make_state(BASIS, [rng.gauss(0.0, 0.5) for _ in range(2 * BASIS.n_modes)], 1.3)
+    err = gradient_check(BASIS, nan_spec(part), SystemSignature((1, -1)), state)
+    assert not err <= 1e-6 and err == math.inf
 
 
 # -- crossings -----------------------------------------------------------------------

@@ -5,6 +5,9 @@ record class or of ``GalerkinBasis``, the one public class that is not a
 record, must be read by a module under ``src/torusbif`` other than
 ``__init__.py`` (the ``selftest`` criteria included), outside its own
 definition, or by the README's library quick tour.  Tests do not count.
+Every module-level private function and constant (``_name``, dunders
+excepted) must be read somewhere under ``src/torusbif``, ``__init__.py``
+included, outside its own definition.
 
 The scan is by name, with the standard library's ``ast``: a read is a loaded
 ``Name`` or attribute of that name.  An attribute of a module that ``import``
@@ -79,6 +82,23 @@ def _class_members() -> set[str]:
     }
 
 
+def _private_definitions() -> dict[str, str]:
+    """Each module-level function and constant of ``src/torusbif`` whose name
+    starts with ``_``, dunders excepted, mapped to its module's file name."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found.update((name, path.name) for name in names if name.startswith("_") and not name.endswith("__"))
+    return found
+
+
 def test_every_exported_name_is_read():
     reads = _read_names()
     assert sorted(name for name in torusbif.__all__ if name not in reads) == sorted(ALLOWED)
@@ -87,6 +107,15 @@ def test_every_exported_name_is_read():
 def test_every_public_record_member_is_read():
     reads = _read_names()
     assert sorted(member for member in _class_members() if member.split(".")[1] not in reads) == []
+
+
+def test_every_private_helper_is_read():
+    # a private helper or constant that nothing in src/ reads is dead code;
+    # a read in its own module counts
+    reads = set()
+    for path in SRC.glob("*.py"):
+        reads |= _reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert sorted(f"{module}:{name}" for name, module in _private_definitions().items() if name not in reads) == []
 
 
 def test_the_scan_sees_reads_and_skips_definitions():

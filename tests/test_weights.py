@@ -147,14 +147,16 @@ MERGE_POOLS = [
     [(1, 0), (2, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, -2)],
     [(1, 0, 0), (0, 1, -1), (0, 2, -2), (1, 1, 1), (2, -1, 0)],
 ]
-SCALES = [-3, -2, -1, 1, 2, 3]
+SCALES = [-3, -2, -1, 0, 1, 2, 3]
+COUNTS = [c for c in SCALES if c]  # a side holds nonzero counts only
 
 
 def _ref_merge(a, s, b, t):
+    # a side scaled by 0 adds nothing, not even the objects of its ids
     acc = {}
-    for h, c in a:
+    for h, c in a if s else ():
         acc[h] = acc.get(h, 0) + s * c
-    for h, c in b:
+    for h, c in b if t else ():
         acc[h] = acc.get(h, 0) + t * c
     return tuple(sorted(((h, c) for h, c in acc.items() if c), key=lambda hc: hc[0].sort_key))
 
@@ -176,7 +178,7 @@ def merge_operands(draw):
 
     def side():
         coords = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-        return _side(coords, draw(st.lists(st.sampled_from(SCALES), min_size=len(coords), max_size=len(coords))))
+        return _side(coords, draw(st.lists(st.sampled_from(COUNTS), min_size=len(coords), max_size=len(coords))))
 
     return side(), draw(st.sampled_from(SCALES)), side(), draw(st.sampled_from(SCALES))
 
@@ -197,5 +199,11 @@ def test_merge_sorted_edge_cases(pool, s):
     twin = _side(pool, [c for _, c in a])  # equal ids, other objects
     assert _merge_sorted(a, s, twin, -s) == ()  # every count cancels
     both = _merge_sorted(a, s, twin, s)
-    assert both == tuple((h, 2 * s * c) for h, c in a)
+    assert both == tuple((h, 2 * s * c) for h, c in a if s)
     assert all(g is h for (g, _), (h, _) in zip(both, a))
+    # first ids of two ranks are refused whatever the scales, 0 included
+    low, high = _side([(1,)], [1]), _side([(1, 0)], [1])
+    for x, y in ((low, high), (high, low)):
+        for u, v in ((s, 1), (1, s), (s, s)):
+            with pytest.raises(ValueError, match=r"^rank mismatch: 1 vs 2$"):
+                _merge_sorted(x, u, y, v)
