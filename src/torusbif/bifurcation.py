@@ -81,6 +81,9 @@ class SystemSignature(Record):
 
     @classmethod
     def from_counts(cls, n_plus: int, n_minus: int) -> "SystemSignature":
+        n_plus, n_minus = int_from_json(n_plus), int_from_json(n_minus)
+        if n_plus < 0 or n_minus < 0:
+            raise ValueError(f"signature counts must be nonnegative, got {n_plus} and {n_minus}")
         return cls((1,) * n_plus + (-1,) * n_minus)
 
     @property

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
-from .jsonio import _echo, canonical_dumps, frac_from_json, frac_to_json
+from .jsonio import _echo, _positive_real, canonical_dumps, frac_from_json, frac_to_json
 from .spaces import SymmetricSpaceData, load_space, spectrum_up_to, summand_decompositions
 
 
@@ -368,20 +368,19 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
     unknown = sorted(set(block) - {"K", "crossing", "nl", "target_norm", "isotropy_restriction"})
     if unknown:
         raise ConfigError(f"bad galerkin block: unknown key {', '.join(map(repr, unknown))}")
-    # the numerical half (and numpy) loads only for this command, and only
-    # once the checks that need no solver have passed
-    with _serial_blas(type(block.get("K")) is int and block["K"] <= SERIAL_BLAS_MAX_DEGREE):
-        from .continuation import _positive_real, continue_branch
-        from .galerkin import NONLINEARITIES, trivial_branch_crossings
-
     try:
         K, crossing = block["K"], frac_from_json(block["crossing"])
-        known = {c.lam for c in trivial_branch_crossings(K, sig, (crossing, crossing))}
         target_norm = _positive_real("target_norm", block.get("target_norm", 1.0))
         # the solver always works on the axisymmetric (m = 0) modes; the key may say so
         restriction = block.get("isotropy_restriction", "axisymmetric")
         if restriction != "axisymmetric":
             raise ValueError(f"isotropy_restriction must be 'axisymmetric', got {_echo(repr(restriction))}")
+        # the numerical half (and numpy) loads only for this command, and only
+        # once the checks that need no solver have passed
+        with _serial_blas(type(K) is int and K <= SERIAL_BLAS_MAX_DEGREE):
+            from .continuation import continue_branch
+            from .galerkin import NONLINEARITIES, trivial_branch_crossings
+        known = {c.lam for c in trivial_branch_crossings(K, sig, (crossing, crossing))}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")

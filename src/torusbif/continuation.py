@@ -30,8 +30,6 @@ only; unboundedness itself is not a finitely checkable property.
 
 from __future__ import annotations
 
-import math
-import numbers
 import random
 from fractions import Fraction
 
@@ -46,7 +44,7 @@ from .galerkin import (
     residual_jacobian,
     trivial_branch_crossings,
 )
-from .jsonio import _echo
+from .jsonio import _positive_real
 
 # Fixed solver constants: the kernel amplitude pinned at branch switching (a
 # state below a tenth of it counts as back on the trivial branch), the Newton
@@ -59,12 +57,6 @@ INITIAL_STEP = 0.05
 MIN_STEP = 1e-6
 MAX_STEP = 0.2
 MAX_STEPS = 500
-
-
-def _positive_real(name: str, x) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {_echo(repr(x))}")
-    return float(x)
 
 
 class BranchResult(Record):

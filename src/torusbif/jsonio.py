@@ -1,7 +1,9 @@
-"""Shared JSON conventions: exact rationals travel as {"num": p, "den": q}."""
+"""Shared JSON conventions (exact rationals travel as {"num": p, "den": q})
+and the one set of scalar input rules, for configs and library calls alike."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -41,11 +43,13 @@ def _frac_from_text(text: str) -> Fraction:
 
 
 def frac_from_json(data) -> Fraction:
-    """Parse a rational from {"num","den"}, an integer, or a "p/q" string.
-    Floats are rejected: exact outputs must not pick up binary drift."""
+    """Parse a rational from {"num","den"}, an integer, a ``Fraction`` or a
+    "p/q" string: the one rule for every exact input, of a config or of the
+    library.  Floats, ``Decimal`` and booleans are rejected: exact outputs
+    must not pick up binary drift."""
     if isinstance(data, bool):
         raise ValueError("expected a rational, got a boolean")
-    if isinstance(data, int):
+    if isinstance(data, (int, Fraction)):
         return Fraction(data)
     try:
         if isinstance(data, dict):
@@ -65,6 +69,12 @@ def int_from_json(data) -> int:
     if isinstance(data, bool) or not isinstance(data, numbers.Integral):
         raise ValueError(f"expected an integer, got {_echo(repr(data))}")
     return int(data)
+
+
+def _positive_real(name: str, x) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {_echo(repr(x))}")
+    return float(x)
 
 
 def canonical_dumps(obj) -> str:

@@ -113,8 +113,8 @@ class GenericTables(Record):
     supplied by the user for spaces without a built-in oracle.  Each row lists
     every weight of the summand with highest weight alpha, negatives included;
     the complex dimension is the multiplicity total.  Each alpha has one
-    row, and each weight of a row appears once, with multiplicity at least 1
-    and the rank of its alpha.  ``by_alpha`` maps each alpha to its row as
+    row, and each weight of a row appears once, with an integer multiplicity
+    at least 1 and the rank of its alpha.  ``by_alpha`` maps each alpha to its row as
     a dict mu -> multiplicity."""
 
     rows: tuple[TableRow, ...]
@@ -122,35 +122,31 @@ class GenericTables(Record):
     __slots__ = ("rows", "by_alpha")
 
     def __init__(self, rows: tuple[TableRow, ...]):
-        seen = set()
+        by_alpha: dict[RestrictedWeight, dict[RestrictedWeight, int]] = {}
         for alpha, weights in rows:
-            if alpha in seen:
+            if alpha in by_alpha:
                 raise ValueError(f"weight tables repeat alpha {alpha}")
-            seen.add(alpha)
-            mus = set()
+            row = by_alpha[alpha] = {}
             for mu, mult in weights:
-                if mu in mus:
+                if mu in row:
                     raise ValueError(f"weight tables repeat mu {mu} at alpha {alpha}")
-                mus.add(mu)
+                row[mu] = mult = int_from_json(mult)
                 if mult < 1:
                     raise ValueError(f"weight tables need mult >= 1, got {_echo(str(mult))} for mu {mu} at alpha {alpha}")
                 if mu.rank != alpha.rank:
                     raise ValueError(
                         f"weight tables give mu {mu} of rank {mu.rank} at alpha {alpha} of rank {alpha.rank}"
                     )
-        _set(self, "rows", rows)
-        _set(self, "by_alpha", {alpha: dict(ws) for alpha, ws in rows})
+        _set(self, "rows", tuple((alpha, tuple(row.items())) for alpha, row in by_alpha.items()))
+        _set(self, "by_alpha", by_alpha)
 
     @classmethod
     def from_json(cls, data) -> "GenericTables":
         rows = []
         for entry in data["entries"]:
-            alpha = RestrictedWeight.from_json(entry["alpha"])
+            alpha = RestrictedWeight(entry["alpha"])
             weights = tuple(
-                sorted(
-                    ((RestrictedWeight.from_json(w["mu"]), int_from_json(w["mult"])) for w in entry["weights"]),
-                    key=lambda wm: wm[0].coords,
-                )
+                sorted(((RestrictedWeight(w["mu"]), w["mult"]) for w in entry["weights"]), key=lambda wm: wm[0].coords)
             )
             rows.append((alpha, weights))
         return cls(tuple(sorted(rows, key=lambda r: r[0].coords)))
@@ -208,8 +204,8 @@ class SymmetricSpaceData(Record):
     __slots__ = _fields + ("_integer_form",)
 
     def __init__(self, gram, rho, factors=None, tables=None):
-        gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        rho = tuple(Fraction(x) for x in rho)
+        gram = tuple(tuple(frac_from_json(x) for x in row) for row in gram)
+        rho = tuple(frac_from_json(x) for x in rho)
         if (factors is None) == (tables is None):
             raise ValueError("a space needs exactly one weight oracle: sphere factors or weight tables")
         if factors is not None:
@@ -287,9 +283,7 @@ def load_space(descriptor: dict, base_dir=None) -> SymmetricSpaceData:
     if kind == "product":
         return SymmetricSpaceData.product_of_spheres(descriptor["factors"])
     if kind == "generic":
-        gram = [[frac_from_json(x) for x in row] for row in descriptor["gram"]]
-        rho = [frac_from_json(x) for x in descriptor["rho"]]
-        tables = descriptor["tables"]
+        gram, rho, tables = descriptor["gram"], descriptor["rho"], descriptor["tables"]
         if isinstance(tables, str):
             path = Path(tables)
             if base_dir is not None and not path.is_absolute():
@@ -348,7 +342,7 @@ def _eigenvalue_groups(space: SymmetricSpaceData, cutoff) -> list[tuple[Fraction
     coordinate order.  One call of ``eigenvalue_of`` per box point; a box of
     more than ``LATTICE_LIMIT`` points is refused with ``ValueError`` before
     it is walked."""
-    cutoff = Fraction(cutoff)
+    cutoff = frac_from_json(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     bounds = _coordinate_bound(space.gram, cutoff)
@@ -387,10 +381,12 @@ def summand_decompositions(
 ) -> tuple[tuple[SpectralLevel, tuple[TorusRepDecomposition, ...]], ...]:
     """The levels of ``spectrum_up_to``, each with the torus decomposition
     of each of its summands, in the order of its alphas.  Each summand's
-    weight map is built once and read for both.  Every level is checked, and
-    refused as ``spectrum_up_to`` refuses it, before any summand is."""
-    levels = list(_levels_with_maps(space, cutoff))
-    return tuple((level, tuple(_decomposition(space, (pairs,)) for pairs in maps)) for level, maps in levels)
+    weight map is built once and read for both, and one level's maps are
+    held at a time.  A range is refused as ``spectrum_up_to`` refuses it."""
+    return tuple(
+        (level, tuple(_decomposition(space, (pairs,)) for pairs in maps))
+        for level, maps in _levels_with_maps(space, cutoff)
+    )
 
 
 def _levels_with_maps(space: SymmetricSpaceData, cutoff):
@@ -433,6 +429,7 @@ def harmonic_dim(n: int, k: int) -> int:
     degree k-2 (the image of multiplication by the squared radius), so the
     value is derived from counting rather than from a quoted dimension formula.
     """
+    n, k = int_from_json(n), int_from_json(k)
     if n < 2:
         raise ValueError("need n >= 2")
     if k < 0:
@@ -453,6 +450,7 @@ def sphere_weight_multiplicity(n: int, k: int, m: int) -> int:
 
     and the harmonic multiplicity is N(k, m) - N(k-2, m).
     """
+    n, k, m = int_from_json(n), int_from_json(k), int_from_json(m)
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
 

@@ -54,10 +54,6 @@ class RestrictedWeight(Record):
     def to_json(self) -> list[int]:
         return list(self.coords)
 
-    @classmethod
-    def from_json(cls, data) -> "RestrictedWeight":
-        return cls(tuple(data))
-
 
 class SubgroupId(Record):
     """Identifier of the codimension-one subgroup H_mu, keyed by the

@@ -29,7 +29,7 @@ from torusbif import (
     witness_coefficient,
 )
 from torusbif import bifurcation
-from torusbif.jsonio import frac_from_json
+from torusbif.jsonio import frac_from_json, frac_to_json
 from torusbif.spaces import SpectralLevel
 
 W = RestrictedWeight
@@ -591,6 +591,45 @@ def test_raising_the_cutoff_only_appends_levels(run, a):
     assert bifurcation_levels(space, s, low) == tuple(bl for bl in levels if abs(bl.level) <= low)
     certs = certify_levels(space, s, high)
     assert certify_levels(space, s, low) == tuple(entry for entry in certs if abs(entry[0]) <= low)
+
+
+# (factors, tables degree, cutoff L): sphere-oracle table spaces of rank 1 to 3
+SCALING_RUNS = (((2,), 6, 30), ((2, 3), 3, 12), ((2, 2, 2), 2, 8))
+
+
+@pytest.mark.parametrize("factors, kmax, cutoff", SCALING_RUNS, ids=["S2", "S2xS3", "S2xS2xS2"])
+def test_scaling_the_gram_matrix_scales_every_level(factors, kmax, cutoff):
+    # Gram c G with the same rho multiplies every eigenvalue by c, so cutoff
+    # c L reproduces cutoff L level for level: the same alphas, dimensions,
+    # decompositions and indices, and certificates whose levels are times c.
+    # The scaled Gram is stated as a config states it, as "p/q" strings or
+    # {"num", "den"} objects, and a float scale is refused.
+    space = _sphere_product_tables(factors, kmax)
+    for c, form in ((Fraction(1, 3), str), (Fraction(7, 2), frac_to_json)):
+        scaled = SymmetricSpaceData([[form(c * x) for x in row] for row in space.gram], space.rho, tables=space.tables)
+        assert scaled.gram == tuple(tuple(c * x for x in row) for row in space.gram)
+        for got, want in zip(spectrum_up_to(scaled, c * cutoff), spectrum_up_to(space, cutoff), strict=True):
+            assert got == SpectralLevel(c * want.eigenvalue, want.alphas, want.torus_decomp)
+        for a in ((-1,), (1, -1), (1, 1, -1)):
+            s = SystemSignature(a)
+            levels = bifurcation_levels(space, s, cutoff)
+            for got, want in zip(bifurcation_levels(scaled, s, c * cutoff), levels, strict=True):
+                assert (got.level, got.kernel_dim, got.index) == (c * want.level, want.kernel_dim, want.index)
+            certs = certify_levels(space, s, cutoff)
+            for got, (level, want) in zip(certify_levels(scaled, s, c * cutoff), certs, strict=True):
+                if not isinstance(want, str):
+                    want = UnboundednessCertificate(c * level, want.witness, tuple((c * lv, k) for lv, k in want.ledger))
+                assert got == (c * level, want)
+    with pytest.raises(ValueError, match="expected a rational"):
+        SymmetricSpaceData([[x / 3.0 for x in row] for row in space.gram], space.rho, tables=space.tables)
+
+
+@pytest.mark.parametrize("counts", [(-1, 2), (2, -1), (True, 1), (1, True), (1, 1.0), (1.5, 1)])
+def test_signature_counts_are_nonnegative_integers(counts):
+    # a negative count gave a signature of the other sign, and True counted as 1
+    with pytest.raises(ValueError, match="nonnegative|expected an integer"):
+        SystemSignature.from_counts(*counts)
+    assert SystemSignature.from_counts(2, 0).a == (1, 1)
 
 
 def test_impossibility_identity():

@@ -952,7 +952,7 @@ def test_selftest_reports_every_criterion_when_the_branch_diverges(capsys, monke
 
 
 IMPORT_PROBE = """
-import json, os, sys
+import contextlib, io, json, os, sys
 
 WATCHED = ("dataclasses", "inspect", "numpy", "numpy.ma", "numpy.polynomial", "numpy.random", "scipy")
 
@@ -976,12 +976,16 @@ def probed_fork():
 os.sched_getaffinity = lambda pid: {0, 1}
 os.fork = probed_fork
 
-exact, branch, refused, out, result = sys.argv[1:]
+exact, branch, out, *refused, result = sys.argv[1:]
 for command in ("spectrum", "index", "certify"):
     assert main([command, "--config", exact, "--format", "json", "--out", out]) == 0, command
 seen["exact"] = loaded()
-assert main(["branch", "--config", refused, "--out", out]) == 2
-seen["refused"] = loaded()
+seen["refused"] = []
+for config in refused:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["branch", "--config", config, "--out", out])
+    seen["refused"].append([code, err.getvalue(), loaded()])
 assert main(["selftest", "--out", out]) == 0
 seen["selftest"] = loaded()
 tasks = "/proc/self/task"
@@ -1015,12 +1019,23 @@ def run_probe(tmp_path, probe, *args, blas_env=None):
     return json.loads(result.read_text())
 
 
+# galerkin-block values that the branch command refuses without the solver
+NO_SOLVER_REFUSALS = [
+    ("step", 0.1, "unknown key 'step'"),
+    ("target_norm", -1, "target_norm must be a finite positive number, got -1"),
+    ("isotropy_restriction", "none", "isotropy_restriction must be 'axisymmetric', got 'none'"),
+    ("crossing", 2.5, "expected a rational (int, 'p/q', or {num,den}), got 2.5"),
+]
+
+
 def test_commands_load_only_the_layers_they_use(tmp_path):
     exact = write_config(tmp_path, {**SPHERE_CFG, "a": [-1]}, "exact.json")
     branch = write_config(tmp_path, BRANCH_CFG, "branch.json")
-    unknown_key = {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "step": 0.1}}
-    refused = write_config(tmp_path, unknown_key, "refused.json")
-    seen = run_probe(tmp_path, IMPORT_PROBE, exact, branch, refused, str(tmp_path / "out"))
+    refused = [
+        write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], key: value}}, f"{key}.json")
+        for key, value, _ in NO_SOLVER_REFUSALS
+    ]
+    seen = run_probe(tmp_path, IMPORT_PROBE, exact, branch, str(tmp_path / "out"), *refused)
 
     def added(key):
         return [m for m in seen[key] if m not in seen["before"]]
@@ -1028,9 +1043,11 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     # the exact commands load neither numpy nor dataclasses and inspect,
     # which cost a fresh process about 10 ms to import
     assert added("exact") == []
-    # a branch config that needs no solver to refuse is refused before
-    # numpy loads
-    assert added("refused") == []
+    # a branch config that needs no solver to refuse is refused, with exit
+    # 2, before numpy loads
+    assert seen["refused"] == [
+        [2, f"error: bad galerkin block: {message}\n", seen["before"]] for *_, message in NO_SOLVER_REFUSALS
+    ]
     # numpy imports inspect itself; no dataclasses, no scipy, no
     # numpy.polynomial (the quadrature seeds its own nodes), and no
     # numpy.ma (np.unique, for one, imports it) or numpy.random (several MB

@@ -1,5 +1,6 @@
 import itertools
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from torusbif import (
     SpectralLevel,
     SymmetricSpaceData,
     SystemSignature,
+    bifurcation_levels,
     canonicalize,
     certify_levels,
     eigenvalue_of,
@@ -21,6 +23,7 @@ from torusbif import (
     sphere_weight_multiplicity,
 )
 from torusbif.cli import run_exact
+from torusbif.jsonio import MAX_EXPONENT
 from torusbif import spaces
 from torusbif.spaces import _coordinate_bound
 
@@ -196,6 +199,26 @@ def test_sphere_weight_multiplicities():
         for k in range(1, 7):
             assert sphere_weight_multiplicity(n, k, k) == 1
             assert sphere_weight_multiplicity(n, k, m=-k) == 1
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (harmonic_dim, (3, True)),
+        (harmonic_dim, (2, 2.0)),
+        (harmonic_dim, (2.0, 2)),
+        (sphere_weight_multiplicity, (2, True, 1)),
+        (sphere_weight_multiplicity, (2, 2, 1.0)),
+        (sphere_weight_multiplicity, (2, 2, True)),
+        (sphere_weight_multiplicity, (Fraction(2), 2, 1)),
+    ],
+    ids=lambda x: repr(x) if isinstance(x, tuple) else x.__name__,
+)
+def test_the_harmonic_oracle_takes_integers_only(function, args):
+    # a bool or float was counted as the integer it equals, or raised a
+    # TypeError from math.comb
+    with pytest.raises(ValueError, match="expected an integer"):
+        function(*args)
 
 
 # -- torus decompositions -----------------------------------------------------------
@@ -430,6 +453,122 @@ def test_released_spectrum_leaves_no_weight_maps():
     finally:
         tracemalloc.stop()
     assert left < 500_000
+
+
+def test_decompose_holds_one_levels_weight_maps_at_a_time(monkeypatch):
+    # each level's summands are decomposed before the next level's weight
+    # maps are built: every decomposition, of a level or of a summand, sees
+    # only the maps of its own level and the levels below
+    built, weight_map, decomposition, seen = [], spaces._alpha_weight_map, spaces._decomposition, []
+
+    def counted_map(space, alpha):
+        built.append(alpha)
+        return weight_map(space, alpha)
+
+    def counted_decomposition(space, maps):
+        seen.append(len(built))
+        return decomposition(space, maps)
+
+    monkeypatch.setattr(spaces, "_alpha_weight_map", counted_map)
+    monkeypatch.setattr(spaces, "_decomposition", counted_decomposition)
+    result = spaces.summand_decompositions(P23, 20)
+    expected, below = [], 0
+    for level, decs in result:
+        below += len(level.alphas)
+        expected += [below] * (1 + len(decs))
+    assert len(result) > 5
+    assert seen == expected
+
+
+# -- exact inputs: one rule, jsonio's, for a config and for the library ------------------
+
+
+def trivial_tables(kmax):
+    """Rank-2 tables with every alpha in [0, kmax]^2 the trivial line."""
+    zero = W((0, 0))
+    return GenericTables(tuple((W(a), ((zero, 1),)) for a in itertools.product(range(kmax + 1), repeat=2)))
+
+
+RANGE_FUNCTIONS = {
+    "spectrum_up_to": spectrum_up_to,
+    "summand_decompositions": spaces.summand_decompositions,
+    "bifurcation_levels": lambda space, cutoff: bifurcation_levels(space, SystemSignature((1, -1)), cutoff),
+    "certify_levels": lambda space, cutoff: certify_levels(space, SystemSignature((1, -1)), cutoff),
+}
+INEXACT = [0.5, 1.0, True, Decimal("0.5")]
+INEXACT_IDS = ["float", "integral-float", "bool", "Decimal"]
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=INEXACT_IDS)
+def test_a_space_refuses_an_inexact_gram_or_rho(value):
+    tables = GenericTables.from_json(sphere2_tables(2))
+    with pytest.raises(ValueError, match="expected a rational"):
+        SymmetricSpaceData([[value]], [Fraction(1, 2)], tables=tables)
+    with pytest.raises(ValueError, match="expected a rational"):
+        SymmetricSpaceData([[1]], [value], tables=tables)
+    with pytest.raises(ValueError, match="expected a rational"):
+        SymmetricSpaceData([[value]], [Fraction(1, 2)], factors=(2,))
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=INEXACT_IDS)
+@pytest.mark.parametrize("function", RANGE_FUNCTIONS.values(), ids=RANGE_FUNCTIONS.keys())
+def test_the_range_functions_refuse_an_inexact_cutoff(function, value):
+    with pytest.raises(ValueError, match="expected a rational"):
+        function(S2, value)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [Fraction, str, lambda f: {"num": 2 * f.numerator, "den": 2 * f.denominator}],
+    ids=["Fraction", "p/q", "num-den"],
+)
+@pytest.mark.parametrize("function", RANGE_FUNCTIONS.values(), ids=RANGE_FUNCTIONS.keys())
+def test_a_space_and_a_range_take_every_exact_form(function, form):
+    tables = GenericTables.from_json(sphere2_tables(3))
+    want = function(SymmetricSpaceData([[1]], [Fraction(1, 2)], tables=tables), 12)
+    space = SymmetricSpaceData([[form(Fraction(1))]], [form(Fraction(1, 2))], tables=tables)
+    assert space.gram == ((1,),) and space.rho == (Fraction(1, 2),)
+    assert function(space, form(Fraction(12))) == want
+
+
+def test_an_exact_gram_keeps_a_level_that_a_float_gram_splits():
+    # lambda(1,1) = 1/10 + 3/10 and lambda(2,0) = 4/10 are one level, which
+    # floats would split: Fraction(0.1) + Fraction(0.3) != 4 * Fraction(0.1)
+    space = SymmetricSpaceData([["1/10", 0], [0, {"num": 3, "den": 10}]], [0, 0], tables=trivial_tables(2))
+    levels = spectrum_up_to(space, "2/5")
+    assert [lv.eigenvalue for lv in levels] == [0, Fraction(1, 10), Fraction(3, 10), Fraction(2, 5)]
+    assert [a.coords for a in levels[-1].alphas] == [(1, 1), (2, 0)] and levels[-1].real_dim == 2
+    with pytest.raises(ValueError, match="expected a rational"):
+        SymmetricSpaceData([[0.1, 0], [0, 0.3]], [0, 0], tables=trivial_tables(2))
+
+
+@pytest.mark.parametrize("function", RANGE_FUNCTIONS.values(), ids=RANGE_FUNCTIONS.keys())
+def test_an_exact_cutoff_keeps_a_level_that_a_float_cutoff_drops(function):
+    # Fraction(0.3) < 3/10, so a float cutoff would drop the level at 3/10
+    space = SymmetricSpaceData([["1/10", 0], [0, "3/10"]], [0, 0], tables=trivial_tables(2))
+    top = spectrum_up_to(space, "3/10")[-1]
+    assert top.eigenvalue == Fraction(3, 10) and [a.coords for a in top.alphas] == [(0, 1)]
+    assert function(space, Fraction(3, 10)) == function(space, "3/10") == function(space, {"num": 3, "den": 10})
+    with pytest.raises(ValueError, match="expected a rational"):
+        function(space, 0.3)
+
+
+@pytest.mark.parametrize("mult", [1.5, True, "2"], ids=["float", "bool", "str"])
+def test_table_multiplicities_are_refused_unless_integers(mult):
+    mu = W((0,))
+    with pytest.raises(ValueError, match="expected an integer"):
+        GenericTables(((mu, ((mu, mult),)),))
+    with pytest.raises(ValueError, match="expected an integer"):
+        GenericTables.from_json({"entries": [{"alpha": [0], "weights": [{"mu": [0], "mult": mult}]}]})
+
+
+@pytest.mark.parametrize("function", RANGE_FUNCTIONS.values(), ids=RANGE_FUNCTIONS.keys())
+def test_a_library_exponent_past_the_limit_is_refused_before_the_power_is_built(function):
+    refusal = f"exceeds {MAX_EXPONENT} in magnitude"
+    with pytest.raises(ValueError, match=refusal):
+        SymmetricSpaceData([["1e1000000"]], ["1/2"], tables=GenericTables.from_json(sphere2_tables(2)))
+    with pytest.raises(ValueError, match=refusal):
+        function(S2, "1e1000000")
 
 
 # -- export and serialization --------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_subgroup_id_requires_canonical_form():
 
 def test_json_round_trip():
     mu = W((1, -2, 0))
-    assert RestrictedWeight.from_json(mu.to_json()) == mu
+    assert RestrictedWeight(mu.to_json()) == mu
     h = canonicalize(W((0, -3)))
     assert h.canonical.to_json() == [0, 3]  # what every output writes under "H"
 
