@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bifurcation import SystemSignature, bifurcation_levels, certify_levels
-from .jsonio import _echo, _positive_real, canonical_dumps, frac_from_json, frac_to_json
+from .jsonio import _echo, _int_literal, _positive_real, canonical_dumps, frac_from_json, frac_to_json
 from .spaces import SymmetricSpaceData, load_space, spectrum_up_to, summand_decompositions
 
 
@@ -40,7 +40,7 @@ def load_config(path) -> tuple[dict, Path | None]:
         raise ConfigError("--config is required for this command")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_int_literal)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except OSError as exc:
@@ -56,7 +56,7 @@ def require_space(raw: dict, base_dir) -> SymmetricSpaceData:
     if "space" not in raw:
         raise ConfigError("config needs a 'space' descriptor")
     if not isinstance(raw["space"], dict):
-        raise ConfigError(f"bad space descriptor: expected a JSON object, got {_echo(repr(raw['space']))}")
+        raise ConfigError(f"bad space descriptor: expected a JSON object, got {_echo(raw['space'], repr)}")
     try:
         return load_space(raw["space"], base_dir)
     except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -290,16 +290,22 @@ def run_exact(command: str, raw: dict, base_dir, fmt: str, out=None) -> tuple[st
     cutoff = require_cutoff(raw)
     _check_writable(out)
     run = Run(space, sig, cutoff, entry.compute(space, sig, cutoff))
-    body = entry.renderers[fmt](run)
     code = 1 if isinstance(run.result, Certification) and run.result.failures else 0
-    if fmt == "csv":
-        return _csv_text(body), code
-    if fmt == "pretty":
-        return "\n".join(body) + "\n", code
-    header = {"space": str(space), "cutoff": frac_to_json(cutoff)}
-    if sig is not None:
-        header["a"] = list(sig.a)
-    return canonical_dumps({**header, **body}), code
+    try:
+        body = entry.renderers[fmt](run)
+        if fmt == "csv":
+            return _csv_text(body), code
+        if fmt == "pretty":
+            return "\n".join(body) + "\n", code
+        header = {"space": str(space), "cutoff": frac_to_json(cutoff)}
+        if sig is not None:
+            header["a"] = list(sig.a)
+        return canonical_dumps({**header, **body}), code
+    except ValueError:  # what rendering raises: an integer Python will not print
+        raise ValueError(
+            f"the output holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "past Python's limit on printing one (sys.get_int_max_str_digits())"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +380,7 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
         # the solver always works on the axisymmetric (m = 0) modes; the key may say so
         restriction = block.get("isotropy_restriction", "axisymmetric")
         if restriction != "axisymmetric":
-            raise ValueError(f"isotropy_restriction must be 'axisymmetric', got {_echo(repr(restriction))}")
+            raise ValueError(f"isotropy_restriction must be 'axisymmetric', got {_echo(restriction, repr)}")
         # the numerical half (and numpy) loads only for this command, and only
         # once the checks that need no solver have passed
         with _serial_blas(type(K) is int and K <= SERIAL_BLAS_MAX_DEGREE):
@@ -385,12 +391,12 @@ def cmd_branch(raw: dict, base_dir, out) -> int:
         raise ConfigError(f"bad galerkin block: {exc}")
     nl_name = block.get("nl", "quartic")
     if not isinstance(nl_name, str):
-        raise ConfigError(f"bad galerkin block: 'nl' must be a string, got {_echo(repr(nl_name))}")
+        raise ConfigError(f"bad galerkin block: 'nl' must be a string, got {_echo(nl_name, repr)}")
     if nl_name not in NONLINEARITIES:
-        raise ConfigError(f"unknown nonlinearity {_echo(repr(nl_name))}; choose from {sorted(NONLINEARITIES)}")
+        raise ConfigError(f"unknown nonlinearity {_echo(nl_name, repr)}; choose from {sorted(NONLINEARITIES)}")
     nl = NONLINEARITIES[nl_name]()
     if crossing not in known:
-        raise ConfigError(f"{_echo(str(crossing))} is not a crossing of the trivial branch")
+        raise ConfigError(f"{_echo(crossing)} is not a crossing of the trivial branch")
     _check_writable(out)
     result = continue_branch(K, nl, sig, crossing, target_norm)
     states = result.states

@@ -37,6 +37,7 @@ import numpy as np
 
 from ._record import Record
 from .galerkin import (
+    QUAD_MARGIN,
     BranchState,
     GalerkinBasis,
     NonlinearitySpec,
@@ -75,16 +76,24 @@ def _check_order_invariance(basis: GalerkinBasis, nl: NonlinearitySpec, sig, lam
     one fixed-seed random state of ``basis``, the basis of the m = 0 modes.
     The solver rests on that invariance: it solves on the m = 0 modes only,
     and a solution there solves the full system only when the residual has
-    no part of order m != 0.  The state's ring values are tiled over the
-    QUAD_MARGIN * K + 1 longitudes of the full grid, and the gradient there
-    must be constant along each ring, so it projects to zero on every order
-    m != 0.  Non-finite gradients are left to the corrector.  The state comes
-    from the standard library's generator: importing numpy's random module
-    would add several MB to the resident size of a run."""
+    no part of order m != 0.  The state's ring values, at the colatitudes of
+    ``basis``, are tiled over the QUAD_MARGIN * min(K, 8) + 1 longitudes of
+    the degree-min(K, 8) grid (33 from K = 8 on), and the gradient there must
+    be constant along each ring, so it projects to zero on every order
+    m != 0.  The probe's longitudes do not grow with K, so its arrays grow
+    only with the 2K + 1 colatitudes, but a fixed probe cannot see what a finer
+    longitude grid shows: variation along a ring at a multiple of 33 in
+    frequency, which 33 uniform longitudes alias to a constant, or position
+    read through arrays sized for the full grid of a larger K, which fails on
+    the probe's shape before anything is measured.  Non-finite gradients are
+    left to the corrector.  The state comes from the standard library's
+    generator: importing numpy's random module would add several MB to the
+    resident size of a run."""
     rng = random.Random(0)
     c = np.array([[rng.gauss(0.0, 0.5) for _ in basis.modes] for _ in sig.a])
-    g = nl.grad(np.repeat(basis.evaluate(c), basis.quad_degree + 1, axis=-1), lam)
-    rings = g.reshape(*g.shape[:-1], -1, basis.quad_degree + 1)  # (p, theta, phi) of the full grid
+    n_phi = QUAD_MARGIN * min(basis.max_degree, 8) + 1
+    g = nl.grad(np.repeat(basis.evaluate(c), n_phi, axis=-1), lam)
+    rings = g.reshape(*g.shape[:-1], -1, n_phi)  # (p, theta, phi) of the probe grid
     off, scale = np.max(np.abs(rings - rings[..., :1])), np.max(np.abs(g))
     if off > 1e-12 * scale:
         raise ValueError(

@@ -36,11 +36,11 @@ GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
 GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
 # The largest degree K a basis is built for.  At K = 2048 the order-0 basis
 # that the solver uses holds one (K + 1) x (2K + 1) table of 67 MB, and
-# building and checking it peaks at about 230 MB RSS.  A branch run peaks
-# higher, at about 870 MB: continuation's order-invariance check evaluates
-# grad on the full (2K + 1) x (4K + 1) grid, 268 MB an array.  Memory grows
-# as K^2 and the table check's time as K^3, so a larger K is refused before
-# any work.
+# building and checking it peaks at about 230 MB RSS.  A one-state branch run
+# peaks at about 265 MB: continuation's order-invariance check evaluates grad
+# on the 2K + 1 colatitudes times 33 longitudes, about 1 MB an array, so
+# the basis sets a run's memory.  Memory grows as K^2 and the table check's
+# time as K^3, so a larger K is refused before any work.
 MAX_DEGREE = 2048
 
 
@@ -53,9 +53,9 @@ def _max_degree(max_degree) -> int:
     """The largest harmonic degree K, an integer in 0..MAX_DEGREE."""
     K = int_from_json(max_degree)
     if K < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {_echo(str(K))}")
+        raise ValueError(f"max_degree must be nonnegative, got {_echo(K)}")
     if K > MAX_DEGREE:
-        raise ValueError(f"max_degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {_echo(str(K))}")
+        raise ValueError(f"max_degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {_echo(K)}")
     return K
 
 

@@ -5,23 +5,62 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 
-# The largest decimal exponent a rational string may state, Python's own
-# limit on the digits of an int converted from text (default_max_str_digits):
-# past it, Fraction would spend unbounded time building 10**exponent.
+# The largest decimal exponent a rational string may state: past it,
+# Fraction would spend unbounded time building 10**exponent.  It equals
+# Python's default limit on the digits of an int converted to or from text
+# (sys.get_int_max_str_digits()), but "1e4300" is 10**4300, of 4301 digits,
+# which Python refuses to print: ``_echo`` cuts such a number without its
+# text, and ``cli.run_exact`` refuses an output that holds one.
 MAX_EXPONENT = 4300
 
 # The most characters of a refused value that an error message repeats.
 ECHO_WIDTH = 60
 
 
-def _echo(text: str) -> str:
-    """``text`` as an error message repeats it: whole up to ECHO_WIDTH
-    characters, else its head and its length."""
-    if len(text) <= ECHO_WIDTH:
+def _echo(value, form=str) -> str:
+    """``form(value)`` as an error message repeats it: whole up to ECHO_WIDTH
+    characters, else its head and its length.  An int or Fraction whose text
+    Python refuses to build, past ``sys.get_int_max_str_digits()`` digits, is
+    cut the same way, from its digits counted without that text."""
+    try:
+        text = form(value)
+        length = len(text)
+    except ValueError:
+        if isinstance(value, Fraction):
+            n, d = value.numerator, value.denominator
+            parts = ["Fraction(", n, ", ", d, ")"] if form is repr else [n] if d == 1 else [n, "/", d]
+        elif isinstance(value, int):
+            parts = [value]
+        else:
+            raise
+        heads = [_int_head(p) if isinstance(p, int) else (p, len(p)) for p in parts]
+        text, length = "".join(head for head, _ in heads), sum(size for _, size in heads)
+    if length <= ECHO_WIDTH:
         return text
-    return f"{text[:ECHO_WIDTH]}... ({len(text)} characters)"
+    return f"{text[:ECHO_WIDTH]}... ({length} characters)"
+
+
+def _int_head(n: int) -> tuple[str, int]:
+    """The first ECHO_WIDTH digits of ``str(n)``, with its sign, and the
+    length of ``str(n)``, computed without building ``str(n)``."""
+    a = abs(n)
+    digits = max(1, int((a.bit_length() - 1) * math.log10(2)))  # at most the digit count
+    while a >= 10**digits:
+        digits += 1
+    return "-" * (n < 0) + str(a // 10 ** max(0, digits - ECHO_WIDTH)), (n < 0) + digits
+
+
+def _int_literal(text: str) -> int:
+    """``json.load``'s ``parse_int``: ``int(text)``, refused in a line of its
+    own past Python's limit on the digits of an int read from text."""
+    try:
+        return int(text)
+    except ValueError:
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        raise ValueError(f"an integer literal of {digits} digits, past Python's limit of {limit}") from None
 
 
 def frac_to_json(x) -> dict:
@@ -35,11 +74,11 @@ def _frac_from_text(text: str) -> Fraction:
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
-        raise ValueError(f"the decimal exponent of {_echo(repr(text))} exceeds {MAX_EXPONENT} in magnitude")
+        raise ValueError(f"the decimal exponent of {_echo(text, repr)} exceeds {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ValueError:
-        raise ValueError(f"Invalid literal for Fraction: {_echo(repr(text))}") from None
+        raise ValueError(f"Invalid literal for Fraction: {_echo(text, repr)}") from None
 
 
 def frac_from_json(data) -> Fraction:
@@ -57,8 +96,8 @@ def frac_from_json(data) -> Fraction:
         if isinstance(data, str):
             return _frac_from_text(data)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {_echo(repr(data))}") from None
-    raise ValueError(f"expected a rational (int, 'p/q', or {{num,den}}), got {_echo(repr(data))}")
+        raise ValueError(f"zero denominator in {_echo(data, repr)}") from None
+    raise ValueError(f"expected a rational (int, 'p/q', or {{num,den}}), got {_echo(data, repr)}")
 
 
 def int_from_json(data) -> int:
@@ -67,13 +106,17 @@ def int_from_json(data) -> int:
     if type(data) is int:  # the common case, ahead of the slower ABC check
         return data
     if isinstance(data, bool) or not isinstance(data, numbers.Integral):
-        raise ValueError(f"expected an integer, got {_echo(repr(data))}")
+        raise ValueError(f"expected an integer, got {_echo(data, repr)}")
     return int(data)
 
 
 def _positive_real(name: str, x) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {_echo(repr(x))}")
+    try:
+        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x) and x > 0
+    except OverflowError:  # an int or Fraction past the largest float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite positive number, got {_echo(x, repr)}")
     return float(x)
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._record import Record, _set
-from .jsonio import _echo, frac_from_json, frac_to_json, int_from_json
+from .jsonio import _echo, _int_literal, frac_from_json, frac_to_json, int_from_json
 from .weights import RestrictedWeight, SubgroupId, _check_ranks, _count_at, _id_pairs, _merge_sorted, _pair_key
 
 # ---------------------------------------------------------------------------
@@ -112,49 +112,44 @@ class GenericTables(Record):
     """Complex restricted-weight multiplicities per irreducible summand,
     supplied by the user for spaces without a built-in oracle.  Each row lists
     every weight of the summand with highest weight alpha, negatives included;
-    the complex dimension is the multiplicity total.  Each alpha has one
-    row, and each weight of a row appears once, with an integer multiplicity
-    at least 1 and the rank of its alpha.  ``by_alpha`` maps each alpha to its row as
-    a dict mu -> multiplicity."""
+    the complex dimension is the multiplicity total.  Each alpha has one row,
+    and each weight of a row appears once, with an integer multiplicity at
+    least 1 and the rank of its alpha.  ``rows`` is the canonical form, in
+    coordinate order of alpha and of mu whatever the order given, and
+    ``by_alpha`` maps alpha coords to that row as {mu coords: mult}."""
 
     rows: tuple[TableRow, ...]
     _fields = ("rows",)
     __slots__ = ("rows", "by_alpha")
 
-    def __init__(self, rows: tuple[TableRow, ...]):
-        by_alpha: dict[RestrictedWeight, dict[RestrictedWeight, int]] = {}
+    def __init__(self, rows: Iterable[TableRow]):
+        table: dict[tuple[int, ...], tuple[RestrictedWeight, dict]] = {}
         for alpha, weights in rows:
-            if alpha in by_alpha:
+            if alpha.coords in table:
                 raise ValueError(f"weight tables repeat alpha {alpha}")
-            row = by_alpha[alpha] = {}
+            row: dict[tuple[int, ...], tuple[RestrictedWeight, int]] = {}
+            table[alpha.coords] = alpha, row
             for mu, mult in weights:
-                if mu in row:
+                if mu.coords in row:
                     raise ValueError(f"weight tables repeat mu {mu} at alpha {alpha}")
-                row[mu] = mult = int_from_json(mult)
+                mult = int_from_json(mult)
                 if mult < 1:
-                    raise ValueError(f"weight tables need mult >= 1, got {_echo(str(mult))} for mu {mu} at alpha {alpha}")
+                    raise ValueError(f"weight tables need mult >= 1, got {_echo(mult)} for mu {mu} at alpha {alpha}")
                 if mu.rank != alpha.rank:
                     raise ValueError(
                         f"weight tables give mu {mu} of rank {mu.rank} at alpha {alpha} of rank {alpha.rank}"
                     )
-        _set(self, "rows", tuple((alpha, tuple(row.items())) for alpha, row in by_alpha.items()))
-        _set(self, "by_alpha", by_alpha)
+                row[mu.coords] = mu, mult
+        rows = tuple((alpha, tuple(map(row.get, sorted(row)))) for alpha, row in map(table.get, sorted(table)))
+        _set(self, "rows", rows)
+        _set(self, "by_alpha", {alpha.coords: {mu.coords: m for mu, m in row} for alpha, row in rows})
 
     @classmethod
     def from_json(cls, data) -> "GenericTables":
-        rows = []
-        for entry in data["entries"]:
-            alpha = RestrictedWeight(entry["alpha"])
-            weights = tuple(
-                sorted(((RestrictedWeight(w["mu"]), w["mult"]) for w in entry["weights"]), key=lambda wm: wm[0].coords)
-            )
-            rows.append((alpha, weights))
-        return cls(tuple(sorted(rows, key=lambda r: r[0].coords)))
-
-    @classmethod
-    def load(cls, path) -> "GenericTables":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls(
+            (RestrictedWeight(entry["alpha"]), [(RestrictedWeight(w["mu"]), w["mult"]) for w in entry["weights"]])
+            for entry in data["entries"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +280,10 @@ def load_space(descriptor: dict, base_dir=None) -> SymmetricSpaceData:
     if kind == "generic":
         gram, rho, tables = descriptor["gram"], descriptor["rho"], descriptor["tables"]
         if isinstance(tables, str):
-            path = Path(tables)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            tables = GenericTables.load(path)
-        else:
-            tables = GenericTables.from_json(tables)
-        return SymmetricSpaceData(gram, rho, tables=tables)
-    raise ValueError(f"unknown space kind {_echo(repr(kind))}")
+            with open(Path(base_dir or "", tables), "r", encoding="utf-8") as fh:
+                tables = json.load(fh, parse_int=_int_literal)
+        return SymmetricSpaceData(gram, rho, tables=GenericTables.from_json(tables))
+    raise ValueError(f"unknown space kind {_echo(kind, repr)}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +373,22 @@ def summand_decompositions(
     """The levels of ``spectrum_up_to``, each with the torus decomposition
     of each of its summands, in the order of its alphas.  Each summand's
     weight map is built once and read for both, and one level's maps are
-    held at a time.  A range is refused as ``spectrum_up_to`` refuses it."""
+    held at a time.  A range is refused as ``spectrum_up_to`` refuses it, and
+    so is a summand of a table that is real only with its conjugates."""
     return tuple(
-        (level, tuple(_decomposition(space, (pairs,)) for pairs in maps))
+        (level, tuple(_summand_decomposition(space, level, a, pairs) for a, pairs in zip(level.alphas, maps)))
         for level, maps in _levels_with_maps(space, cutoff)
     )
+
+
+def _summand_decomposition(space: SymmetricSpaceData, level: SpectralLevel, alpha, pairs) -> TorusRepDecomposition:
+    try:
+        return _decomposition(space, (pairs,))
+    except ValueError:  # _summed_weights' refusal, the one a summand of a real level can meet
+        raise ValueError(
+            f"decompose lists one real summand per alpha, but alpha {alpha} at lambda = {level.eigenvalue} "
+            "is not real by itself: its weights are not conjugation-symmetric"
+        ) from None
 
 
 def _levels_with_maps(space: SymmetricSpaceData, cutoff):
@@ -494,11 +496,11 @@ def _alpha_weight_map(space: SymmetricSpaceData, alpha: RestrictedWeight) -> Ite
                     nxt[key] = nxt.get(key, 0) + mult * fm
             acc = nxt
         return acc.items()
-    return sorted((mu.coords, m) for mu, m in _table_row(space, alpha).items())
+    return _table_row(space, alpha).items()
 
 
-def _table_row(space: SymmetricSpaceData, alpha: RestrictedWeight) -> dict[RestrictedWeight, int]:
-    entry = space.tables.by_alpha.get(alpha)
+def _table_row(space: SymmetricSpaceData, alpha: RestrictedWeight) -> dict[tuple[int, ...], int]:
+    entry = space.tables.by_alpha.get(alpha.coords)
     if entry is None:
         raise ValueError(f"weight tables required: no entry for alpha {alpha}")
     return entry
@@ -518,7 +520,7 @@ def _weight_count(space: SymmetricSpaceData, alpha: RestrictedWeight, mu: tuple[
                 break
         return count
     row = _table_row(space, alpha)
-    return sum(row.values()) if mu is None else row.get(RestrictedWeight(mu), 0)
+    return sum(row.values()) if mu is None else row.get(mu, 0)
 
 
 def _summed_weights(maps) -> dict[tuple[int, ...], int]:

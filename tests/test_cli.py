@@ -11,7 +11,7 @@ from torusbif import (
     certify_levels,
     spectrum_up_to,
 )
-from torusbif.cli import main
+from torusbif.cli import COMMANDS, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -833,6 +833,91 @@ def test_a_long_refused_value_is_echoed_cut(tmp_path, capsys):
     code, out, err = run(capsys, ["spectrum", "--config", cfg])
     assert (code, out) == (2, "")
     assert err == f"error: bad cutoff: Invalid literal for Fraction: '{'x' * 59}... (402 characters)\n"
+    # a crossing of 4301 digits, past what Python prints, is cut the same way
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "crossing": "1e4300"}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == f"error: 1{'0' * 59}... (4301 characters) is not a crossing of the trivial branch\n"
+
+
+PRINT_LIMIT = (
+    "error: the output holds an integer of more than 4300 digits, "
+    "past Python's limit on printing one (sys.get_int_max_str_digits())\n"
+)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "index", "certify"])
+def test_an_output_number_too_long_to_print_is_refused_in_one_line(tmp_path, capsys, command):
+    # gram 10^4300 and cutoff 10^4300: the levels are 0 and 10^4300, whose
+    # 4301 digits Python refuses to print; every format refuses in one line
+    weights = [[[0]], [[-1], [0], [1]]]
+    tables = {"entries": [{"alpha": [k], "weights": [{"mu": mu, "mult": 1} for mu in weights[k]]} for k in (0, 1)]}
+    space = {"kind": "generic", "gram": [["1e4300"]], "rho": [0], "tables": tables}
+    out_file = tmp_path / "out"
+    # the JSON header also holds the cutoff, here 1/10^4300 at level 0 only
+    cases = [("1e4300", fmt) for fmt in COMMANDS[command].renderers] + [("1e-4300", "json")]
+    for cutoff, fmt in cases:
+        cfg = write_config(tmp_path, {"space": space, "a": [1], "cutoff": cutoff})
+        code, out, err = run(capsys, [command, "--config", cfg, "--format", fmt, "--out", str(out_file)])
+        assert (code, out, err) == (1, "", PRINT_LIMIT)
+        assert not out_file.exists()
+
+
+def test_an_integer_literal_past_the_read_limit_is_refused_in_one_line(tmp_path, capsys):
+    # json.load once repeated Python's int-from-text error, for a config and
+    # for a tables file alike
+    config = tmp_path / "config.json"
+    config.write_text('{"space": {"kind": "sphere", "n": 2}, "cutoff": ' + "9" * 5000 + "}")
+    assert run(capsys, ["spectrum", "--config", str(config)]) == (
+        2,
+        "",
+        "error: malformed config: an integer literal of 5000 digits, past Python's limit of 4300\n",
+    )
+    (tmp_path / "tables.json").write_text('{"entries": [{"alpha": [0], "weights": [{"mu": [0], "mult": -' + "9" * 4301 + "}]}]}")
+    space = {"kind": "generic", "gram": [[1]], "rho": ["1/2"], "tables": "tables.json"}
+    assert run(capsys, ["spectrum", "--config", write_config(tmp_path, {"space": space, "cutoff": 2})]) == (
+        2,
+        "",
+        "error: bad space descriptor: an integer literal of 4301 digits, past Python's limit of 4300\n",
+    )
+
+
+def test_a_huge_target_norm_is_refused_in_one_line(tmp_path, capsys):
+    # an integer past the largest float once ended in an OverflowError traceback
+    cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "target_norm": 10**400}})
+    code, out, err = run(capsys, ["branch", "--config", cfg])
+    assert (code, out) == (2, "")
+    refusal = f"target_norm must be a finite positive number, got 1{'0' * 59}... (401 characters)"
+    assert err == f"error: bad galerkin block: {refusal}\n"
+
+
+A2_TABLES = {
+    "entries": [
+        {"alpha": [0, 0], "weights": [{"mu": [0, 0], "mult": 1}]},
+        {"alpha": [1, 0], "weights": [{"mu": mu, "mult": 1} for mu in ([1, 0], [-1, 1], [0, -1])]},
+        {"alpha": [0, 1], "weights": [{"mu": mu, "mult": 1} for mu in ([0, 1], [1, -1], [-1, 0])]},
+    ]
+}
+A2_CFG = {
+    "space": {"kind": "generic", "gram": [[2, -1], [-1, 2]], "rho": [1, 1], "tables": A2_TABLES},
+    "a": [1, -1],
+    "cutoff": 4,
+}
+
+
+def test_decompose_names_a_summand_that_is_real_only_with_its_conjugate(tmp_path, capsys):
+    # level 4 holds alphas (0,1) and (1,0), two conjugate summands: the level
+    # is real, and spectrum, index and certify answer, but neither summand is
+    # real by itself, and decompose lists one real summand per alpha
+    cfg = write_config(tmp_path, A2_CFG)
+    for command in ("spectrum", "index", "certify"):
+        assert run(capsys, [command, "--config", cfg])[0] == 0
+    assert run(capsys, ["decompose", "--config", cfg]) == (
+        1,
+        "",
+        "error: decompose lists one real summand per alpha, but alpha (0,1) at lambda = 4 "
+        "is not real by itself: its weights are not conjugation-symmetric\n",
+    )
 
 
 def test_exact_command_failing_in_its_computation_leaves_no_out_file(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,10 +373,23 @@ def phi_quartic():
 
 @pytest.mark.parametrize("crossing", [0, 2], ids=["full", "axisymmetric"])
 def test_a_nonlinearity_that_reads_longitude_is_refused(crossing):
-    # the check tiles the state of the m = 0 basis over the full grid's
-    # longitudes, which it counts from K
+    # the check tiles the state of the m = 0 basis over the longitudes of the
+    # full grid of degree min(K, 8)
     with pytest.raises(ValueError, match="nonlinearity 'phi-quartic' does not keep the m = 0 subspace invariant"):
         continue_branch(8, phi_quartic(), NEG, crossing)
+
+
+def test_the_invariance_check_does_not_grow_with_the_full_grid():
+    # the probe tiles the ring values over 33 longitudes at every K from 8 on;
+    # over the 4K + 1 of the full grid, each array at K = 512 was 16.8 MB
+    basis = GalerkinBasis(512, orders=[0])
+    tracemalloc.start()
+    try:
+        continuation._check_order_invariance(basis, QUARTIC, NEG, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_branch_runs_build_only_bases_of_the_m0_modes(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,49 @@ def test_echo_keeps_a_short_value_and_cuts_a_long_one():
     assert _echo(short) == short
     long = "7" * 400
     assert _echo(long) == "7" * ECHO_WIDTH + "... (400 characters)"
+
+
+PAST_THE_PRINT_LIMIT = [
+    10**4300,
+    -(10**4301) + 1,
+    10**4301 - 1,
+    10**4301,
+    7 * 10**5000 + 3,
+    Fraction(1, 10**4300),
+    Fraction(-(10**4400), 3),
+    Fraction(3, 10**4300 + 1),
+]
+
+
+@pytest.mark.parametrize("form", [str, repr])
+@pytest.mark.parametrize("value", PAST_THE_PRINT_LIMIT, ids=range(len(PAST_THE_PRINT_LIMIT)))
+def test_a_number_past_the_print_limit_is_echoed_cut_from_its_digits(value, form):
+    # Python refuses to print an int of more than 4300 digits (the default
+    # limit); _echo counts the digits instead, and cuts the text it would have
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        form(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = form(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _echo(value, form) == f"{text[:ECHO_WIDTH]}... ({len(text)} characters)"
+
+
+def test_library_refusals_echo_a_number_past_the_print_limit():
+    from torusbif import GenericTables, RestrictedWeight
+    from torusbif.galerkin import _max_degree
+
+    head = "1" + "0" * (ECHO_WIDTH - 1)
+    with pytest.raises(ValueError) as info:
+        _max_degree(10**5000)
+    assert str(info.value) == f"max_degree must be at most MAX_DEGREE = 2048, got {head}... (5001 characters)"
+    mu = RestrictedWeight((0,))
+    with pytest.raises(ValueError) as info:
+        GenericTables(((mu, ((mu, -(10**5000)),)),))
+    cut = f"-{head[:-1]}... (5002 characters)"
+    assert str(info.value) == f"weight tables need mult >= 1, got {cut} for mu (0) at alpha (0)"
 
 
 def test_a_long_invalid_literal_is_echoed_cut():

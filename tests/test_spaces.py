@@ -1,5 +1,7 @@
 import itertools
 import json
+import pickle
+import random
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +24,8 @@ from torusbif import (
     spectrum_up_to,
     sphere_weight_multiplicity,
 )
-from torusbif.cli import run_exact
+from torusbif import cli
+from torusbif.cli import COMMANDS, run_exact
 from torusbif.jsonio import MAX_EXPONENT
 from torusbif import spaces
 from torusbif.spaces import _coordinate_bound
@@ -334,6 +337,60 @@ def test_generic_space_replicates_sphere(tmp_path):
     assert [lv.eigenvalue for lv in got] == [lv.eigenvalue for lv in want]
     assert [lv.real_dim for lv in got] == [lv.real_dim for lv in want]
     assert [lv.torus_decomp for lv in got] == [lv.torus_decomp for lv in want]
+
+
+def product_rows(kmax):
+    """The weight tables of S^2 x S^2 to degree kmax in each factor, as
+    ``GenericTables`` rows taken from the sphere oracle."""
+    return [
+        (W(alpha), tuple((W(mu), m) for mu, m in spaces._alpha_weight_map(P22, W(alpha))))
+        for alpha in itertools.product(range(kmax + 1), repeat=2)
+    ]
+
+
+def test_a_table_is_one_value_whatever_the_order_of_its_entries(monkeypatch):
+    rows = product_rows(3)
+    rng = random.Random(0)
+    shuffled = [(alpha, rng.sample(weights, len(weights))) for alpha, weights in rng.sample(rows, len(rows))]
+    assert [alpha for alpha, _ in shuffled] != [alpha for alpha, _ in rows]
+    given, reordered = GenericTables(rows), GenericTables(shuffled)
+    assert given == reordered and hash(given) == hash(reordered) and repr(given) == repr(reordered)
+    assert pickle.loads(pickle.dumps(reordered)) == given
+    # the one canonical form: alphas, and each row's weights, in coordinate order
+    assert [alpha.coords for alpha, _ in reordered.rows] == sorted(alpha.coords for alpha, _ in rows)
+    assert all([mu.coords for mu, _ in ws] == sorted(mu.coords for mu, _ in ws) for _, ws in reordered.rows)
+    raw = {"a": [1, 1, -1], "cutoff": 18}
+    outputs = []
+    for tables in (given, reordered):
+        space = SymmetricSpaceData(P22.gram, P22.rho, tables=tables)
+        monkeypatch.setattr(cli, "require_space", lambda raw, base_dir: space)
+        commands = ("spectrum", "decompose", "index", "certify")
+        outputs.append([run_exact(c, raw, None, fmt) for c in commands for fmt in COMMANDS[c].renderers])
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 for _, code in outputs[0]) and len(outputs[0]) == 11
+
+
+def test_a_table_weight_count_builds_no_weight(monkeypatch):
+    space = SymmetricSpaceData(P22.gram, P22.rho, tables=GenericTables(product_rows(2)))
+    alphas = [alpha for alpha, _ in space.tables.rows]
+    mus = list(itertools.product(range(-3, 4), repeat=2))
+
+    def counts(space):
+        return [spaces._weight_count(space, a, mu) for a in alphas for mu in mus] + [
+            spaces._weight_count(space, a) for a in alphas
+        ]
+
+    built, init = [], RestrictedWeight.__init__
+
+    def counted_init(weight, coords):
+        built.append(coords)
+        init(weight, coords)
+
+    monkeypatch.setattr(RestrictedWeight, "__init__", counted_init)
+    got = counts(space)
+    assert built == []
+    monkeypatch.undo()
+    assert got == counts(P22)
 
 
 def test_generic_space_without_tables_is_rejected():
