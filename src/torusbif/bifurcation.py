@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple
 
 from ._record import Record, _set
 from .euler_ring import UNIT, EulerRingElement, _element
-from .jsonio import frac_to_json, int_from_json
+from .jsonio import _echo, frac_to_json, int_from_json
 from .spaces import (
     SpectralLevel,
     SymmetricSpaceData,
@@ -214,7 +214,10 @@ def _equations_at(sig: SystemSignature, level: Fraction) -> int:
 def witness_coefficient(n: int, dim_parity: int) -> int:
     """Closed form (-1)^{(d_W + d_V) n + 1} * n of the witness coefficient of
     the index at +-lambda_alpha, given n (n_- for +lambda, n_+ for -lambda) and
-    the parity of d_W + d_V."""
+    the parity of d_W + d_V; n is a count, so a negative n is refused."""
+    n, dim_parity = int_from_json(n), int_from_json(dim_parity)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {_echo(n)}")
     return (-1) ** ((dim_parity % 2) * n + 1) * n
 
 
@@ -263,6 +266,7 @@ def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
 
     since equality would force either n_minus = -n_plus <= 0 or, with e odd,
     n_minus = n_plus and hence e = 0."""
+    n_minus, n_plus, dim_parity = int_from_json(n_minus), int_from_json(n_plus), int_from_json(dim_parity)
     e = dim_parity * (n_minus - n_plus)
     return (-1) ** e * n_minus != -n_plus
 

@@ -31,7 +31,6 @@ only; unboundedness itself is not a finitely checkable property.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,11 +40,12 @@ from .galerkin import (
     BranchState,
     GalerkinBasis,
     NonlinearitySpec,
+    _exact,
     make_state,
     residual_jacobian,
     trivial_branch_crossings,
 )
-from .jsonio import _positive_real
+from .jsonio import _echo, _positive_real
 
 # Fixed solver constants: the kernel amplitude pinned at branch switching (a
 # state below a tenth of it counts as back on the trivial branch), the Newton
@@ -123,11 +123,11 @@ def continue_branch(
     far with outcome ``diverged`` and the ``reason``.
     """
     target_norm = _positive_real("target_norm", target_norm)
-    lam0 = Fraction(crossing)
+    lam0 = _exact(crossing, "a crossing of the trivial branch")
     p = len(sig.a)
     crossings = {c.lam: c for c in trivial_branch_crossings(max_degree, sig, (lam0, lam0))}
     if lam0 not in crossings:
-        raise ValueError(f"{crossing} is not a crossing of the trivial branch")
+        raise ValueError(f"{_echo(crossing)} is not a crossing of the trivial branch")
 
     pairs = crossings[lam0].pairs
     if len(pairs) > 1:

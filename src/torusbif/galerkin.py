@@ -223,49 +223,43 @@ class NonlinearitySpec(Record):
     @classmethod
     def quartic(cls) -> "NonlinearitySpec":
         """Defocusing quartic h(u) = -(|u|^2)^2 / 4 with cubic gradient."""
-
-        def value(u, lam):
-            return -0.25 * np.sum(u * u, axis=0) ** 2
-
-        def grad(u, lam):
-            return -np.sum(u * u, axis=0) * u
-
-        def hess(u, lam):
-            p, n = u.shape
-            s = np.sum(u * u, axis=0)
-            out = -2.0 * u[:, None, :] * u[None, :, :]
-            out[np.arange(p), np.arange(p), :] -= s
-            return out
-
-        return cls(
-            name="quartic",
-            value=value,
-            grad=grad,
-            hess=hess,
-            grad_degree=3,
-        )
+        return _radial("quartic", {2: -0.25})
 
     @classmethod
     def zero(cls) -> "NonlinearitySpec":
         """h = 0, leaving the purely linear eigenvalue problem."""
+        return _radial("zero", {})
 
-        def value(u, lam):
-            return np.zeros(u.shape[1])
 
-        def grad(u, lam):
-            return np.zeros_like(u)
+def _radial(name: str, coeffs: dict[int, float]) -> NonlinearitySpec:
+    """The spec of h(u) = sum_j c_j s^j, s = |u|^2, from ``{j: c_j}``, j >= 2:
+    grad = (sum 2j c_j s^(j-1)) u and hess = (sum 4j(j-1) c_j s^(j-2)) u u^T
+    + (sum 2j c_j s^(j-1)) I.  Each term is c * s**e, with s**0 and s**1
+    written 1 and s; an empty table gives +0.0 arrays."""
+    h0 = [(c, j) for j, c in sorted(coeffs.items())]
+    h1 = [(2 * j * c, j - 1) for c, j in h0]
+    h2 = [(4 * j * (j - 1) * c, j - 2) for c, j in h0]
 
-        def hess(u, lam):
-            p, n = u.shape
+    def series(pairs, s):
+        terms = [c if e == 0 else c * s if e == 1 else c * s**e for c, e in pairs]
+        return sum(terms[1:], terms[0])
+
+    def value(u, lam):
+        return series(h0, np.sum(u * u, axis=0)) if h0 else np.zeros(u.shape[1])
+
+    def grad(u, lam):
+        return series(h1, np.sum(u * u, axis=0)) * u if h0 else np.zeros_like(u)
+
+    def hess(u, lam):
+        p, n = u.shape
+        if not h0:
             return np.zeros((p, p, n))
+        s, diag = np.sum(u * u, axis=0), np.arange(p)
+        out = series(h2, s) * u[:, None, :] * u[None, :, :]
+        out[diag, diag, :] += series(h1, s)
+        return out
 
-        return cls(
-            name="zero",
-            value=value,
-            grad=grad,
-            hess=hess,
-            grad_degree=0,
-        )
+    return NonlinearitySpec(name, value, grad, hess, 2 * max(coeffs) - 1 if coeffs else 0)
 
 
 NONLINEARITIES = {"quartic": NonlinearitySpec.quartic, "zero": NonlinearitySpec.zero}
@@ -434,12 +428,23 @@ class Crossing(Record):
         return sum(2 * k + 1 for _, k in self.pairs)
 
 
+def _exact(x, what: str) -> Fraction:
+    """``Fraction(x)``, or one ``ValueError`` that names x as not ``what``: a
+    float is exact, so nan and inf are refused with anything Fraction cannot
+    read."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{_echo(x)} is not {what}") from None
+
+
 def trivial_branch_crossings(max_degree: int, sig, window) -> tuple[Crossing, ...]:
     """Exact crossing values lam = -a_i k(k+1), k <= max_degree, inside the
     closed window, with the (component, degree) pairs at each; no tolerance
     enters since the linearization is diagonal in the harmonic basis."""
     K = _max_degree(max_degree)
-    lo, hi = (Fraction(window[0]), Fraction(window[1]))
+    bound = "a bound of a crossing window"
+    lo, hi = _exact(window[0], bound), _exact(window[1], bound)
     if lo > hi:
         raise ValueError("window must be ordered")
     found: dict[Fraction, list[tuple[int, int]]] = {}

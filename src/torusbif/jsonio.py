@@ -133,51 +133,53 @@ def canonical_dumps(obj) -> str:
     from json.encoder import encode_basestring_ascii as quote  # the C encoder
 
     parts: list[str] = []
-    append = parts.append
-
-    def emit(x, pad: str) -> None:
-        cls = type(x)
-        if cls is dict or cls is list or cls is tuple:
-            if not x:
-                append("{}" if cls is dict else "[]")
-                return
-            inner = pad + "  "
-            sep = ",\n" + inner
-            if cls is dict:
-                head = "{\n" + inner
-                for k in sorted(x):  # a key that is not a str raises TypeError here or in quote
-                    v = x[k]
-                    if type(v) is int:  # ints inline: most of the values of the documents
-                        append(f"{head}{quote(k)}: {int.__repr__(v)}")
-                    else:
-                        append(f"{head}{quote(k)}: ")
-                        emit(v, inner)
-                    head = sep
-                append(f"\n{pad}}}")
-            else:
-                head = "[\n" + inner
-                for v in x:
-                    if type(v) is int:
-                        append(head + int.__repr__(v))
-                    else:
-                        append(head)
-                        emit(v, inner)
-                    head = sep
-                append(f"\n{pad}]")
-        elif cls is int:
-            append(int.__repr__(x))
-        elif cls is str:
-            append(quote(x))
-        elif x is None or cls is bool:
-            append("null" if x is None else "true" if x else "false")
-        elif cls is float:
-            text = float.__repr__(x)
-            if text in ("nan", "inf", "-inf"):
-                raise ValueError(f"out of range float value {text} is not JSON compliant")
-            append(text)
-        else:
-            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-
-    emit(obj, "")
-    append("\n")
+    _emit(obj, "", parts.append, quote)
+    parts.append("\n")
     return "".join(parts)
+
+
+def _emit(x, pad: str, append, quote) -> None:
+    """Append the text of x, indented from ``pad``, for ``canonical_dumps``.
+    It is a module function, not a closure that names itself, so a dump
+    leaves no reference cycle for the collector."""
+    cls = type(x)
+    if cls is dict or cls is list or cls is tuple:
+        if not x:
+            append("{}" if cls is dict else "[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if cls is dict:
+            head = "{\n" + inner
+            for k in sorted(x):  # a key that is not a str raises TypeError here or in quote
+                v = x[k]
+                if type(v) is int:  # ints inline: most of the values of the documents
+                    append(f"{head}{quote(k)}: {int.__repr__(v)}")
+                else:
+                    append(f"{head}{quote(k)}: ")
+                    _emit(v, inner, append, quote)
+                head = sep
+            append(f"\n{pad}}}")
+        else:
+            head = "[\n" + inner
+            for v in x:
+                if type(v) is int:
+                    append(head + int.__repr__(v))
+                else:
+                    append(head)
+                    _emit(v, inner, append, quote)
+                head = sep
+            append(f"\n{pad}]")
+    elif cls is int:
+        append(int.__repr__(x))
+    elif cls is str:
+        append(quote(x))
+    elif x is None or cls is bool:
+        append("null" if x is None else "true" if x else "false")
+    elif cls is float:
+        text = float.__repr__(x)
+        if text in ("nan", "inf", "-inf"):
+            raise ValueError(f"out of range float value {text} is not JSON compliant")
+        append(text)
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")

@@ -208,6 +208,29 @@ def test_witness_coefficient_closed_form():
     assert witness_coefficient(3, 9) == witness_coefficient(3, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: witness_coefficient(True, 1),
+        lambda: witness_coefficient(2.0, 1),
+        lambda: witness_coefficient(2, "1"),
+        lambda: cancellation_impossible("1", 1, 0),
+        lambda: cancellation_impossible(1, 1.0, 0),
+        lambda: cancellation_impossible(1, 1, False),
+    ],
+    ids=["bool-n", "float-n", "str-parity", "str-n-minus", "float-n-plus", "bool-parity"],
+)
+def test_the_closed_forms_parse_their_integers(call):
+    with pytest.raises(ValueError, match="^expected an integer, got "):
+        call()
+
+
+def test_witness_coefficient_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -2$"):
+        witness_coefficient(-2, 1)
+    assert type(witness_coefficient(2, 1)) is int
+
+
 def test_coeff_formula_first_level():
     # d_W + d_V = 1 + 3
     assert index_at(S2, sig(0, 1), 2).coeff_at(H1) == witness_coefficient(1, 4) == -1

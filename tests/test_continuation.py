@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,24 @@ def test_budget_exhaustion_is_flagged_incomplete(monkeypatch):
 def test_rejects_non_crossing():
     with pytest.raises(ValueError, match="not a crossing"):
         continue_branch(8, QUARTIC, NEG, 3)
+
+
+@pytest.mark.parametrize(
+    "crossing, shown",
+    [(10**5000, f"1{'0' * 59}... (5001 characters)"), (math.nan, "nan"), (math.inf, "inf")],
+    ids=["huge", "nan", "inf"],
+)
+def test_a_crossing_that_is_no_crossing_is_refused_in_one_line(crossing, shown):
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not a crossing of the trivial branch$"):
+        continue_branch(8, QUARTIC, NEG, crossing)
+
+
+def test_an_exact_float_crossing_is_its_integer():
+    as_float = continue_branch(8, QUARTIC, NEG, 2.0, target_norm=1e-9)
+    as_int = continue_branch(8, QUARTIC, NEG, 2, target_norm=1e-9)
+    assert [s.lam for s in as_float.states] == [s.lam for s in as_int.states]
+    with pytest.raises(ValueError, match="^2.5 is not a crossing of the trivial branch$"):
+        continue_branch(8, QUARTIC, NEG, 2.5)
 
 
 def test_a_level_two_components_share_is_refused():

@@ -703,6 +703,28 @@ def test_crossings_refuse_a_bad_degree_as_the_basis_does(K):
         trivial_branch_crossings(K, NEG, (0, 7))
 
 
+@pytest.mark.parametrize(
+    "bound, shown",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_crossings_refuse_a_window_bound_that_is_no_number_in_one_line(bound, shown):
+    message = f"^{shown} is not a bound of a crossing window$"
+    with pytest.raises(ValueError, match=message):
+        trivial_branch_crossings(8, NEG, (bound, 2))
+    with pytest.raises(ValueError, match=message):
+        trivial_branch_crossings(8, NEG, (0, bound))
+
+
+def test_crossings_take_a_huge_or_float_window_bound_exactly():
+    # a bound past Python's print limit is compared, never printed, and an
+    # exact float is its integer
+    assert trivial_branch_crossings(8, NEG, (0, 10**5000)) == trivial_branch_crossings(8, NEG, (0, 72))
+    assert trivial_branch_crossings(8, NEG, (0.0, 7.0)) == trivial_branch_crossings(8, NEG, (0, 7))
+    with pytest.raises(ValueError, match="^window must be ordered$"):
+        trivial_branch_crossings(8, NEG, (10**5000, 2))
+
+
 # -- equivariance ----------------------------------------------------------------------
 
 
@@ -739,6 +761,42 @@ def test_rotation_refuses_a_basis_without_the_twin_order(order):
 
 
 # -- nonlinearity contract ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_quartic_is_its_closed_form_bit_for_bit(p):
+    u = np.random.default_rng(p).standard_normal((p, 40))
+    s = np.sum(u * u, axis=0)
+    assert np.array_equal(QUARTIC.value(u, 0.3), -(s**2) / 4)
+    assert np.array_equal(QUARTIC.grad(u, 0.3), -s * u)
+    assert np.array_equal(QUARTIC.hess(u, 0.3), -2.0 * u[:, None, :] * u[None, :, :] - s * np.eye(p)[:, :, None])
+    assert QUARTIC.grad_degree == 3
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_zero_is_positive_zeros_of_the_right_shapes(p):
+    u = -np.abs(np.random.default_rng(p).standard_normal((p, 40)))
+    parts = LINEAR.value(u, 0.3), LINEAR.grad(u, 0.3), LINEAR.hess(u, 0.3)
+    assert [x.shape for x in parts] == [(40,), (p, 40), (p, p, 40)]
+    for x in parts:
+        assert np.all(x == 0) and not np.any(np.signbit(x))
+    assert LINEAR.grad_degree == 0
+
+
+def test_a_radial_table_derives_grad_and_hess():
+    # h = -s^2/4 + s^3/10, s = |u|^2: grad against central differences of
+    # value, and hess against central differences of grad
+    nl, step = galerkin._radial("two terms", {2: -0.25, 3: 0.1}), 1e-6
+    assert nl.grad_degree == 5
+    u = np.random.default_rng(7).standard_normal((3, 20))
+    grad, hess = nl.grad(u, 0.0), nl.hess(u, 0.0)
+    for i in range(3):
+        e = np.zeros_like(u)
+        e[i] = step
+        fd_value = (nl.value(u + e, 0.0) - nl.value(u - e, 0.0)) / (2 * step)
+        assert np.max(np.abs(fd_value - grad[i])) <= 1e-6 * np.max(np.abs(grad[i]))
+        fd_grad = (nl.grad(u + e, 0.0) - nl.grad(u - e, 0.0)) / (2 * step)
+        assert np.max(np.abs(fd_grad - hess[:, i])) <= 1e-6 * np.max(np.abs(hess[:, i]))
 
 
 def test_quartic_gradient_vanishes_to_second_order_at_origin():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import sys
@@ -43,6 +44,18 @@ def test_canonical_dumps_matches_the_standard_library(doc):
 def test_canonical_dumps_on_empty_and_nested_containers():
     for doc in [{}, [], (), {"a": {}}, {"a": []}, [[]], [{}], {"b": [{}, []], "a": [[[]]]}, "", 0, None]:
         assert canonical_dumps(doc) == stdlib_dumps(doc)
+
+
+def test_canonical_dumps_leaves_nothing_for_the_cycle_collector():
+    doc = {"levels": [{"lambda": {"num": k, "den": 1}, "index": [[k, [0, 1]], [-k, [1, 0]]]} for k in range(50)]}
+    gc.collect()
+    gc.disable()
+    try:
+        text = canonical_dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == stdlib_dumps(doc)
 
 
 @pytest.mark.parametrize(
