@@ -42,7 +42,6 @@ _LAZY = {
             "make_state",
             "node_variance",
             "residual_coeffs",
-            "rotate_coeffs",
             "trivial_branch_crossings",
         ),
         "galerkin",

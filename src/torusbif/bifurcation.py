@@ -265,8 +265,11 @@ def cancellation_impossible(n_minus: int, n_plus: int, dim_parity: int) -> bool:
         (-1)^e * n_minus != -n_plus,
 
     since equality would force either n_minus = -n_plus <= 0 or, with e odd,
-    n_minus = n_plus and hence e = 0."""
+    n_minus = n_plus and hence e = 0.  Both are counts, so a negative one is
+    refused."""
     n_minus, n_plus, dim_parity = int_from_json(n_minus), int_from_json(n_plus), int_from_json(dim_parity)
+    if n_minus < 0 or n_plus < 0:
+        raise ValueError(f"n_minus and n_plus must be nonnegative, got {_echo(n_minus)} and {_echo(n_plus)}")
     e = dim_parity * (n_minus - n_plus)
     return (-1) ** e * n_minus != -n_plus
 

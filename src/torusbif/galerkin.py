@@ -29,18 +29,19 @@ from typing import Callable
 import numpy as np
 
 from ._record import Record
-from .jsonio import _echo, int_from_json
+from .jsonio import _echo, frac_from_json, int_from_json
 
 QUAD_MARGIN = 4  # quadrature is exact to degree QUAD_MARGIN * K, enough for a quartic
 GRADIENT_STEP = 1e-5  # gradient_check's central-difference step
 GRADIENT_SAMPLES = 50  # coordinates gradient_check samples, capped at their count
 # The largest degree K a basis is built for.  At K = 2048 the order-0 basis
 # that the solver uses holds one (K + 1) x (2K + 1) table of 67 MB, and
-# building and checking it peaks at about 230 MB RSS.  A one-state branch run
-# peaks at about 265 MB: continuation's order-invariance check evaluates grad
-# on the 2K + 1 colatitudes times 33 longitudes, about 1 MB an array, so
-# the basis sets a run's memory.  Memory grows as K^2 and the table check's
-# time as K^3, so a larger K is refused before any work.
+# building and checking it peaks at about 200 MB RSS.  A one-state branch run
+# peaks at about 265 MB, set by the Jacobian assembly on that table;
+# continuation's order-invariance check adds little, evaluating grad on the
+# 2K + 1 colatitudes times 33 longitudes, about 1 MB an array.  Memory grows
+# as K^2 and the table check's time as K^3, so a larger K is refused before
+# any work.
 MAX_DEGREE = 2048
 
 
@@ -124,8 +125,9 @@ def _check_legendre_table(P: np.ndarray, wx: np.ndarray) -> None:
         raise ValueError("Legendre table has non-finite entries")
     orders, degrees = P.shape[:2]
     gram = (P * wx) @ P.transpose(0, 2, 1)  # (m, k, j)
-    want = np.eye(degrees) * np.triu(np.ones((orders, degrees)))[:, :, None] / (2.0 * math.pi)
-    err = float(np.max(np.abs(gram - want)))
+    m, k = np.triu_indices(orders, 0, degrees)  # the diagonal entries with k >= m
+    gram[m, k, k] -= 1.0 / (2.0 * math.pi)
+    err = float(np.abs(gram, out=gram).max())
     if not err <= 1e-12:
         raise ValueError(f"Legendre table is not orthonormal per order (error {err:.3g})")
 
@@ -164,7 +166,6 @@ class GalerkinBasis:
         """The mode data, quadrature and checked table of ``modes``."""
         M = max(abs(m) for _, m in modes)
         self.max_degree, self.quad_degree, self.modes = K, QUAD_MARGIN * K, modes
-        self.mode_index = {km: i for i, km in enumerate(modes)}
         self.eigenvalues = np.array([degree_eigenvalue(k) for k, _ in modes], dtype=float)
         x, wx = _gauss_legendre(self.quad_degree // 2 + 1)
         P = _legendre_table(K, M, x)
@@ -177,7 +178,8 @@ class GalerkinBasis:
         longitude = np.where(order[:, None] > 0, np.cos(angle), np.sin(angle)) * math.sqrt(2.0)
         longitude[M] = 1.0
         k, m = np.array(modes).T
-        self.values = (P[np.abs(m), k][:, :, None] * longitude[m + M][:, None, :]).reshape(len(modes), -1)
+        P = P[np.abs(m), k]  # the mode rows; the per-order table is freed here
+        self.values = (P[:, :, None] * longitude[m + M][:, None, :]).reshape(len(modes), -1)
 
     @property
     def n_modes(self) -> int:
@@ -410,7 +412,7 @@ def gradient_check(basis: GalerkinBasis, nl: NonlinearitySpec, sig, state: Branc
 
 
 # ---------------------------------------------------------------------------
-# trivial-branch crossings and torus action
+# trivial-branch crossings and the nonconstancy witness
 # ---------------------------------------------------------------------------
 
 
@@ -429,13 +431,15 @@ class Crossing(Record):
 
 
 def _exact(x, what: str) -> Fraction:
-    """``Fraction(x)``, or one ``ValueError`` that names x as not ``what``: a
-    float is exact, so nan and inf are refused with anything Fraction cannot
-    read."""
+    """x as a Fraction, or one ``ValueError`` that names x as not ``what``.
+    A float is exact, so only nan and inf are refused; anything else is read
+    by ``jsonio.frac_from_json``, which refuses a bool, a ``Decimal`` and a
+    decimal exponent past MAX_EXPONENT.  A refused float is echoed by
+    ``str``, anything else by ``repr``."""
     try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{_echo(x)} is not {what}") from None
+        return Fraction(x) if isinstance(x, float) else frac_from_json(x)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{_echo(x, str if isinstance(x, float) else repr)} is not {what}") from None
 
 
 def trivial_branch_crossings(max_degree: int, sig, window) -> tuple[Crossing, ...]:
@@ -454,28 +458,6 @@ def trivial_branch_crossings(max_degree: int, sig, window) -> tuple[Crossing, ..
             if lo <= lam <= hi:
                 found.setdefault(lam, []).append((i, k))
     return tuple(Crossing(lam, tuple(found[lam])) for lam in sorted(found))
-
-
-def rotate_coeffs(basis: GalerkinBasis, coeffs: np.ndarray, angle: float) -> np.ndarray:
-    """Coefficient action of the rotation u(theta, phi) -> u(theta, phi - angle):
-    each ((k,m),(k,-m)) pair turns by m * angle.  Raises ``ValueError`` when
-    the basis holds a mode of order m != 0 without its twin of order -m, or
-    when the angle is not finite."""
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    for k, m in basis.modes:
-        if m != 0 and (k, -m) not in basis.mode_index:
-            raise ValueError(f"the basis lacks mode (k, m) = ({k}, {-m}), the twin of ({k}, {m})")
-    c = np.asarray(coeffs, dtype=float).reshape(-1, basis.n_modes).copy()
-    for (k, m), idx in basis.mode_index.items():
-        if m <= 0:
-            continue
-        jdx = basis.mode_index[(k, -m)]
-        cosw, sinw = math.cos(m * angle), math.sin(m * angle)
-        cm, cneg = c[:, idx].copy(), c[:, jdx].copy()
-        c[:, idx] = cosw * cm + sinw * cneg
-        c[:, jdx] = -sinw * cm + cosw * cneg
-    return c.reshape(np.asarray(coeffs).shape)
 
 
 def node_variance(basis: GalerkinBasis, coeffs: np.ndarray) -> float:

@@ -182,8 +182,5 @@ def canonicalize(mu: RestrictedWeight) -> SubgroupId:
     """Identifier of H_mu: the representative of {mu, -mu} whose first nonzero
     coordinate is positive.  Raises for the zero weight, which fixes the whole
     torus rather than a codimension-one subgroup."""
-    if mu.is_zero():
-        raise ValueError("zero weight has no codimension-one subgroup")
-    first = next(c for c in mu.coords if c != 0)
-    return SubgroupId(mu if first > 0 else -mu)
+    return SubgroupId(mu if next((c for c in mu.coords if c), 0) >= 0 else -mu)
 

@@ -231,6 +231,14 @@ def test_witness_coefficient_refuses_a_negative_count():
     assert type(witness_coefficient(2, 1)) is int
 
 
+@pytest.mark.parametrize("counts", [(-2, 2), (2, -2), (-1, -1)])
+def test_cancellation_impossible_refuses_a_negative_count(counts):
+    # counts are nonnegative, and a negative exponent makes (-1) ** e a float
+    shown = " and ".join(map(str, counts))
+    with pytest.raises(ValueError, match=f"^n_minus and n_plus must be nonnegative, got {shown}$"):
+        cancellation_impossible(*counts, 1)
+
+
 def test_coeff_formula_first_level():
     # d_W + d_V = 1 + 3
     assert index_at(S2, sig(0, 1), 2).coeff_at(H1) == witness_coefficient(1, 4) == -1

@@ -36,7 +36,7 @@ def embed(full, coeffs):
     K = full.max_degree
     c = np.asarray(coeffs, dtype=float).reshape(-1, K + 1)
     out = np.zeros((c.shape[0], full.n_modes))
-    out[:, [full.mode_index[(k, 0)] for k in range(K + 1)]] = c
+    out[:, [full.modes.index((k, 0)) for k in range(K + 1)]] = c
     return out.ravel()
 
 
@@ -274,8 +274,8 @@ def test_branch_norm_bookkeeping(branch):
 def test_branch_matches_one_mode_reduction(branch):
     # near onset lambda - 2 = gamma t^2 with gamma the quartic self-interaction
     # of the kernel mode, computed by quadrature
-    kernel = BASIS.mode_index[(1, 0)]
-    y4 = FULL.values[FULL.mode_index[(1, 0)]] ** 4
+    kernel = BASIS.modes.index((1, 0))
+    y4 = FULL.values[FULL.modes.index((1, 0))] ** 4
     gamma = FULL.integrate(y4)
     assert math.isclose(gamma, 9 / (20 * math.pi), rel_tol=1e-12)
     checked = 0
@@ -295,7 +295,7 @@ def test_constant_branch_from_zero_crossing(constant_branch):
     result = constant_branch
     assert result.outcome == "reached_target"
     kappa = 1.0 / (4 * math.pi)
-    i00 = BASIS.mode_index[(0, 0)]
+    i00 = BASIS.modes.index((0, 0))
     for st in result.states:
         c = st.coeffs[i00]
         # residual tolerance 1e-10 on -lam*c + kappa*c^3 bounds the defect by 1e-10/|c|

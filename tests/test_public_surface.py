@@ -13,8 +13,7 @@ The scan is by name, with the standard library's ``ast``: a read is a loaded
 ``Name`` or attribute of that name.  An attribute of a module that ``import``
 brings in from outside the package (``json.load``, ``np.sum``) is not one,
 and a read inside a function or class of the same name is the definition's
-own.  ``ALLOWED`` names each exception and the ROADMAP item that will read
-it.
+own.
 """
 
 import ast
@@ -30,7 +29,6 @@ from torusbif.galerkin import GalerkinBasis
 
 SRC = Path(torusbif.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
-ALLOWED = {"rotate_coeffs": "ROADMAP item 9, the isotropy check of a traced branch"}
 MEMBER_KINDS = (types.FunctionType, property, cached_property, classmethod, staticmethod)
 
 
@@ -101,7 +99,7 @@ def _private_definitions() -> dict[str, str]:
 
 def test_every_exported_name_is_read():
     reads = _read_names()
-    assert sorted(name for name in torusbif.__all__ if name not in reads) == sorted(ALLOWED)
+    assert sorted(name for name in torusbif.__all__ if name not in reads) == []
 
 
 def test_every_public_record_member_is_read():
