@@ -28,8 +28,7 @@ Codim1 = tuple[tuple[SubgroupId, int], ...]
 def _normalize(codim1) -> Codim1:
     """Sort the pairs once by subgroup key, then fold runs of one id (keeping
     its first object) and drop zero sums in one pass."""
-    items = codim1.items() if isinstance(codim1, dict) else codim1
-    pairs = _id_pairs(items, "codim1")
+    pairs = _id_pairs(codim1, "codim1")
     pairs.sort(key=_pair_key)
     out = []
     g = key = None

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
 from fractions import Fraction
 
@@ -68,9 +69,16 @@ def frac_to_json(x) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+# A run of digits as Fraction reads one, with single underscores between them.
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+
+
 def _frac_from_text(text: str) -> Fraction:
     """Fraction(text), refusing a decimal exponent past MAX_EXPONENT in
-    magnitude before the power of ten is built."""
+    magnitude before the power of ten is built.  A literal with a run of
+    digits past Python's limit on the digits of an int read from text, which
+    Fraction reads once each run is shortened to "1", is refused in a line
+    naming that limit."""
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
@@ -78,7 +86,17 @@ def _frac_from_text(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ValueError:
-        raise ValueError(f"Invalid literal for Fraction: {_echo(text, repr)}") from None
+        pass
+    longest = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
+    limit = sys.get_int_max_str_digits()
+    if longest > limit > 0:
+        try:
+            Fraction(_DIGIT_RUN.sub("1", text))
+        except ValueError:
+            pass
+        else:
+            raise ValueError(f"a rational literal with a run of {longest} digits, past Python's limit of {limit}")
+    raise ValueError(f"Invalid literal for Fraction: {_echo(text, repr)}")
 
 
 def frac_from_json(data) -> Fraction:

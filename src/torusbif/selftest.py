@@ -11,12 +11,9 @@ from __future__ import annotations
 import os
 import random
 import signal
-import sys
 import time
-from array import array
-from collections import deque
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 from ._record import Record
 from .bifurcation import (
@@ -193,96 +190,55 @@ EULER_CASES = 10_000
 # The cases [0, _PARENT_CASES) that run_all's own process checks when it forks
 # a worker for the rest: fewer than half, since it also runs the other
 # criteria and loads numpy, so that both processes end together.  It was set
-# by timing both; a change to that work or to a case's cost moves it.
+# by timing both, on a chunk boundary so that the worker builds no case
+# before its own; a change to that work or to a case's cost moves it.
 _PARENT_CASES = 4250
-
-
-_WORDS = 1024  # Mersenne Twister outputs read per getrandbits call
-
-
-def _words(rng: random.Random):
-    """The 32-bit outputs of ``rng`` in order, read ``_WORDS`` at a time:
-    ``getrandbits(32 * w)`` is w outputs as little-endian words."""
-    while True:
-        chunk = array("I", rng.getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little"))
-        if sys.byteorder == "big":
-            chunk.byteswap()
-        yield chunk
+_CHUNK = 250  # the cases drawn from one generator; a divisor of both counts
 
 
 def _euler_cases(seed, start=0):
     """The cases of criterion 07 from the ``start``-th on: (x, y, z, u) with
-    u a unit-led element on the codimension-one part of x, all drawn from
-    ``random.Random(seed)``.
+    u a unit-led element on the codimension-one part of x.
 
-    After a pool of 12 ids, each of x, y, z draws a support of 0..8 ids
-    from the pool as ``sample(pool, randint(0, 8))``, one coefficient in
-    -9..9 per id, then its unit, each as ``randint(-9, 9)``; u's unit is
-    ``choice((1, -1))``.  These calls are read here straight off the
-    generator's 32-bit outputs: each reduces to ``_randbelow(n)`` (``sample``
-    of 12 takes its pool path, ``_randbelow(12 - i)`` for its i-th pick),
-    which takes the top ``n.bit_length()`` bits of the next output and
-    draws again while they are >= n, and that is what ``below(n)`` does to
-    one shared stream of outputs.  So the cases are the very ones those
-    calls draw.  The drawn pairs are placed by the id's rank in the sorted
-    pool and their zeros dropped, which is the normalized part the public
-    constructor would build, so the elements are built from it directly.
-    The cases before ``start`` make the same draws in the same order, but
-    no element is built for them."""
+    A pool of 12 ids comes from ``random.Random(seed)``, and chunk j of
+    ``_CHUNK`` cases from ``random.Random(f"{seed}:{j}")`` (a string seed is
+    hashed by SHA-512 on every Python): a size in 0..8 per element, codes
+    in 0..18, read as c - 9, for each element's coefficients then its unit,
+    u's unit in (1, -1) per case, then each element's support, the ranks of
+    its ids in the sorted pool, as ``sample(range(12), size)``.  The pairs,
+    slotted by rank with the zeros dropped, are the normalized part the
+    public constructor would build.  A start draws no chunk before its own."""
     rng = random.Random(seed)
     pool = []
-    seen = set()
     while len(pool) < 12:
         coords = (rng.randint(-4, 4), rng.randint(-4, 4))
         if coords == (0, 0):
             continue
         h = canonicalize(RestrictedWeight(coords))
-        if h not in seen:
-            seen.add(h)
+        if h not in pool:
             pool.append(h)
-    ranked = sorted(pool, key=lambda h: h.sort_key)
-    ranks = [ranked.index(h) for h in pool]
     # pairs[r][c]: the pair of rank r with coefficient c - 9, None for zero
-    pairs = [[(h, c - 9) if c != 9 else None for c in range(19)] for h in ranked]
-    words = chain.from_iterable(_words(rng))
-    # kept[n]: the outputs whose top n.bit_length() bits are below n, which
-    # are the outputs below n << (32 - n.bit_length()); below(n) maps them
-    # to those bits.  A filter holds nothing but its place in words, so
-    # size and pick[9] may share kept[9], and a skipped draw reads kept[n].
-    kept = {n: filter((n << 32 - n.bit_length()).__gt__, words) for n in (2, *range(5, 13), 19)}
+    pairs = [[(h, c - 9) if c != 9 else None for c in range(19)] for h in sorted(pool, key=lambda h: h.sort_key)]
 
-    def below(n):
-        return map((32 - n.bit_length()).__rrshift__, kept[n])
+    def chunk(j):
+        rng = random.Random(f"{seed}:{j}")
+        sizes = rng.choices(range(9), k=3 * _CHUNK)
+        codes = iter(rng.choices(range(19), k=sum(sizes) + 3 * _CHUNK))
+        signs = rng.choices((1, -1), k=_CHUNK)
 
-    size, coeff, sign = below(9), below(19), below(2)
-    pick = {n: below(n) for n in range(5, 13)}  # sample's i-th pick, i < 8, is below(12 - i)
+        def element(size):
+            slots = [None] * 12
+            for r in rng.sample(range(12), size):
+                slots[r] = pairs[r][next(codes)]
+            return _element(next(codes) - 9, tuple(filter(None, slots)))
 
-    def element():
-        left = ranks.copy()  # sample's pool: the ranks not yet drawn come first
-        support = []
-        for n in range(12, 12 - next(size), -1):
-            j = next(pick[n])
-            support.append(left[j])
-            left[j] = left[n - 1]
-        slots = [None] * 12
-        for r, c in zip(support, coeff):  # zip stops at support's end, before coeff
-            slots[r] = pairs[r][c]
-        return _element(next(coeff) - 9, tuple(filter(None, slots)))
+        sizes = iter(sizes)
+        for sign in signs:
+            x, y, z = map(element, islice(sizes, 3))
+            yield x, y, z, _element(sign, x.codim1)
 
-    # draws[k]: an element's draws after a size of k, unread: its k picks,
-    # then its k coefficients and its unit
-    draws = [(*(kept[n] for n in range(12, 12 - k, -1)), *[kept[19]] * (k + 1)) for k in range(9)]
-    skip = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
-    for _ in range(start):
-        skip(map(next, draws[next(size)]))
-        skip(map(next, draws[next(size)]))
-        skip(map(next, draws[next(size)]))
-        next(sign)
-    for _ in range(start, EULER_CASES):
-        x = element()
-        y = element()
-        z = element()
-        yield x, y, z, _element(1 - 2 * next(sign), x.codim1)
+    cases = (case for j in range(start // _CHUNK, EULER_CASES // _CHUNK) for case in chunk(j))
+    return islice(cases, start % _CHUNK, None)
 
 
 def _euler_laws(seed, start, stop) -> bool:

@@ -100,10 +100,11 @@ def _check_ranks(a, b) -> None:
 
 
 def _id_pairs(items, field: str) -> list:
-    """(SubgroupId, int) pairs from (id, count) items; a key that is not a
-    SubgroupId raises TypeError, naming the field."""
+    """(SubgroupId, int) pairs from (id, count) items or a mapping of id to
+    count; a key that is not a SubgroupId raises TypeError, naming the
+    field."""
     pairs = []
-    for h, c in items:
+    for h, c in items.items() if isinstance(items, dict) else items:
         if not isinstance(h, SubgroupId):
             raise TypeError(f"{field} keys must be SubgroupId, got {type(h).__name__}")
         pairs.append((h, int_from_json(c)))

@@ -1,11 +1,14 @@
 """Run the exact half of torusbif on the interpreter that runs this file,
-with numpy blocked: every golden CLI case, selftest criteria 01-07, and a
-round trip of every exact-half record through pickle, ``copy``,
-``deepcopy`` and, from Python 3.13, ``copy.replace``.
+with numpy blocked: every golden CLI case, selftest criteria 01-07 and the
+digest of criterion 07's seed-0 cases, and a round trip of every exact-half
+record through pickle, ``copy``, ``deepcopy`` and, from Python 3.13,
+``copy.replace``.
 
-    python tests/exact_half_driver.py SRC
+    python tests/exact_half_driver.py SRC DIGEST
 
-SRC is the directory that holds the torusbif package.  The driver needs
+SRC is the directory that holds the torusbif package, and DIGEST the
+expected SHA-256 of the reprs of ``selftest._euler_cases(0)``, one per
+line, so that a change in what ``random`` draws fails here.  The driver needs
 only the standard library, so it runs on an interpreter without numpy,
 pytest or hypothesis.  It prints one line when every check passes and
 exits 1 with the first check that fails.
@@ -42,11 +45,15 @@ def check_golden(main):
     return len(golden["cases"])
 
 
-def check_criteria(selftest):
+def check_criteria(selftest, digest):
     for criterion in selftest.CRITERIA[:7]:
         result = criterion(seed=0)
         if not result.passed:
             fail(selftest.format_result(result).strip())
+    text = "".join(repr(case) + "\n" for case in selftest._euler_cases(0))
+    got = hashlib.sha256(text.encode()).hexdigest()
+    if got != digest:
+        fail(f"criterion 07's seed-0 cases have sha256 {got}, not {digest}")
 
 
 def record_samples():
@@ -109,14 +116,14 @@ def check_records():
     return len(samples), len(round_trips)
 
 
-def main(src):
+def main(src, digest):
     sys.modules["numpy"] = None  # an import of numpy now raises ImportError
     sys.path.insert(0, src)
     from torusbif import selftest
     from torusbif.cli import main as cli_main
 
     cases = check_golden(cli_main)
-    check_criteria(selftest)
+    check_criteria(selftest, digest)
     samples, round_trips = check_records()
     if sys.modules["numpy"] is not None:
         fail("numpy was loaded")
@@ -127,4 +134,4 @@ def main(src):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    main(*sys.argv[1:])

@@ -14,7 +14,6 @@ from itertools import islice
 import pytest
 
 from torusbif import UNIT, EulerRingElement, RestrictedWeight, canonicalize, selftest
-from torusbif.euler_ring import _element
 
 # The case counts of the two slowest sweeps, pinned so that no speed-up can
 # shrink what they cover.
@@ -37,12 +36,14 @@ def test_criterion(criterion):
         assert result.detail == EXPECTED_DETAIL[result.slug]
 
 
-# SHA-256 of the reprs of the 10^4 cases criterion 07 checks, one per line,
-# as drawn before its ring arithmetic was made cheaper: a faster criterion
-# must check the very same cases.
+# SHA-256 of the reprs of the 10^4 cases criterion 07 checks, one per line.
+# The pin guards the stream the cases are drawn from, a pool from
+# random.Random(seed) and chunk j from random.Random(f"{seed}:{j}"): a
+# faster criterion must check the very same cases, and a change in what
+# choices or sample draw shows here (and in the interpreter driver).
 EULER_CASE_DIGESTS = {
-    0: "f1a84c3c09dcda22fa30989a32bf7671cff33b18260b78f25a80e767264b53cb",
-    1: "de30153f1d878e1315ad5766b64033fa29ee877c3a58bf7d43c6dfe6014cbf7b",
+    0: "17321ff6baf78015085cf97385929deba64a13322c91d1823b06848bea2db86b",
+    1: "4681e0d44142f3fc80e18f3d6c180af49d05a01b0fdaa86f26ae0d8b27ff42bf",
 }
 
 
@@ -54,42 +55,36 @@ def test_euler_axiom_cases_are_pinned(seed):
 
 
 def _reference_euler_cases(seed):
-    """Criterion 07's cases drawn through ``randint``, ``sample`` and
-    ``choice``, as the criterion drew them before it read the generator's
-    outputs itself: ``randrange(9)`` and ``randrange(19) - 9`` are
-    ``randint(0, 8)`` and ``randint(-9, 9)``, and sampling the ids' ranks in
-    the pool's order draws the same supports as sampling the ids."""
+    """Criterion 07's cases from the same public calls, each element built
+    through the public constructor from its sorted (id, coefficient) pairs,
+    one chunk of cases after another."""
     rng = random.Random(seed)
     pool = []
-    seen = set()
     while len(pool) < 12:
         coords = (rng.randint(-4, 4), rng.randint(-4, 4))
-        if coords == (0, 0):
-            continue
-        h = canonicalize(RestrictedWeight(coords))
-        if h not in seen:
-            seen.add(h)
-            pool.append(h)
+        if coords != (0, 0) and canonicalize(RestrictedWeight(coords)) not in pool:
+            pool.append(canonicalize(RestrictedWeight(coords)))
     ranked = sorted(pool, key=lambda h: h.sort_key)
-    ranks = [ranked.index(h) for h in pool]
-    sample, draw = rng.sample, rng.randrange
-
-    def element():
-        support = sample(ranks, draw(9))
-        pairs = sorted(zip(support, [draw(19) - 9 for _ in support]))
-        return _element(draw(19) - 9, tuple((ranked[r], c) for r, c in pairs if c))
-
-    for _ in range(selftest.EULER_CASES):
-        x = element()
-        y = element()
-        z = element()
-        yield x, y, z, _element(rng.choice((1, -1)), x.codim1)
+    chunk = selftest._CHUNK
+    for j in range(selftest.EULER_CASES // chunk):
+        rng = random.Random(f"{seed}:{j}")
+        sizes = rng.choices(range(9), k=3 * chunk)
+        codes = iter([c - 9 for c in rng.choices(range(19), k=sum(sizes) + 3 * chunk)])
+        signs = rng.choices((1, -1), k=chunk)
+        elements = []
+        for size in sizes:
+            support = rng.sample(range(12), size)
+            coeffs = [next(codes) for _ in support]
+            elements.append(EulerRingElement(next(codes), [(ranked[r], c) for r, c in sorted(zip(support, coeffs))]))
+        for i, sign in enumerate(signs):
+            x, y, z = elements[3 * i : 3 * i + 3]
+            yield x, y, z, EulerRingElement(sign, x.codim1)
 
 
 @pytest.mark.parametrize("seed", [2, 3, 5])
 def test_euler_axiom_cases_are_the_random_module_draws(seed):
-    # seeds past the pinned ones: the cases read off the generator's outputs
-    # are the ones randint, sample and choice draw, case for case
+    # seeds past the pinned ones: the cases slotted by rank are the ones the
+    # public constructor builds from the same draws, case for case
     assert list(selftest._euler_cases(seed)) == list(_reference_euler_cases(seed))
 
 
@@ -115,18 +110,34 @@ def test_euler_axioms_make_one_product_and_sum_per_law_and_case(monkeypatch):
 
 
 # SPLIT: the first case of the worker's part on a forked run.  STARTS: the
-# first case of each part, the case before each, and the end of the stream.
+# first case of each part, the case before each, the first case of the
+# second and the last chunk, and the end of the stream.
 SPLIT = selftest._PARENT_CASES
-STARTS = (0, 1, SPLIT - 1, SPLIT, selftest.EULER_CASES - 1, selftest.EULER_CASES)
+LAST_CHUNK = selftest.EULER_CASES - selftest._CHUNK
+STARTS = (0, 1, selftest._CHUNK, SPLIT - 1, SPLIT, LAST_CHUNK, selftest.EULER_CASES - 1, selftest.EULER_CASES)
 
 
 @pytest.mark.parametrize("seed", sorted(EULER_CASE_DIGESTS))
 def test_euler_cases_skipped_without_building_are_the_same_cases(seed):
-    # the cases before start are drawn but not built; every case from start
-    # on is the one the whole stream has there
+    # the chunks before start's own are neither drawn nor built; every case
+    # from start on is the one the whole stream has there
     cases = list(selftest._euler_cases(seed))
     for start in STARTS:
         assert list(selftest._euler_cases(seed, start)) == list(islice(cases, start, None)), start
+
+
+def test_a_start_draws_from_no_chunk_before_its_own(monkeypatch):
+    # the pool's generator and the last chunk's, and none of the 39 before
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    assert len(list(selftest._euler_cases(0, LAST_CHUNK))) == selftest._CHUNK
+    assert seeds == [0, f"0:{LAST_CHUNK // selftest._CHUNK}"]
 
 
 def test_the_workers_part_builds_and_multiplies_only_its_own_cases(monkeypatch):

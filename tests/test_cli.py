@@ -882,6 +882,16 @@ def test_an_integer_literal_past_the_read_limit_is_refused_in_one_line(tmp_path,
     )
 
 
+def test_a_rational_string_past_the_read_limit_is_refused_in_one_line(tmp_path, capsys):
+    # it was refused as an invalid literal, though it is only too long
+    cfg = write_config(tmp_path, {"space": {"kind": "sphere", "n": 2}, "cutoff": "1" * 5000})
+    assert run(capsys, ["spectrum", "--config", cfg]) == (
+        2,
+        "",
+        "error: bad cutoff: a rational literal with a run of 5000 digits, past Python's limit of 4300\n",
+    )
+
+
 def test_a_huge_target_norm_is_refused_in_one_line(tmp_path, capsys):
     # an integer past the largest float once ended in an OverflowError traceback
     cfg = write_config(tmp_path, {**BRANCH_CFG, "galerkin": {**BRANCH_CFG["galerkin"], "target_norm": 10**400}})

@@ -354,6 +354,17 @@ def test_library_records_reject_other_types(build, message):
         build()
 
 
+@pytest.mark.parametrize("record", [EulerRingElement, TorusRepDecomposition])
+def test_records_read_a_mapping_as_their_pairs(record):
+    # both records read (id, count) input by one rule: a mapping of id to
+    # count builds what its items build, and a bad key in it is named
+    pairs = ((H10, 2), (H01, 1))
+    assert record(1, dict(pairs)) == record(1, pairs) == record(1, pairs[::-1])
+    field = record._fields[1]
+    with pytest.raises(TypeError, match=f"^{field} keys must be SubgroupId, got tuple$"):
+        record(1, {(1, 2): 3})
+
+
 # -- differential check against a plain reference ----------------------------
 #
 # The reference keeps the textbook algorithms: a dict accumulation sorted by

@@ -1,7 +1,8 @@
 """The exact half on the other Pythons the package claims (``requires-python
 >= 3.10``).  ``exact_half_driver.py`` runs on the oldest and the newest
-interpreter found, side by side, one subprocess each; the numerical half
-is not run there, since it needs numpy."""
+interpreter found, side by side, one subprocess each, with criterion 07's
+pinned seed-0 case digest; the numerical half is not run there, since it
+needs numpy."""
 
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import torusbif
+from test_acceptance import EULER_CASE_DIGESTS
 
 DRIVER = Path(__file__).with_name("exact_half_driver.py")
 OLDEST = (3, 10)
@@ -55,7 +57,7 @@ def test_the_exact_half_runs_on_the_oldest_and_newest_other_python():
     # -I keeps each interpreter's own environment and site-packages out; -B
     # writes no bytecode beside the sources
     procs = {
-        exe: subprocess.Popen([exe, "-I", "-B", str(DRIVER), src], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        exe: subprocess.Popen([exe, "-I", "-B", str(DRIVER), src, EULER_CASE_DIGESTS[0]], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         for exe in chosen
     }
     try:

@@ -100,6 +100,30 @@ def test_an_exponent_past_the_limit_is_refused_before_the_power_is_built(text):
         frac_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text, run",
+    [("1" * 5000, 5000), ("-3/" + "7" * 4301, 4301), ("2." + "5" * 4301 + "e-3", 4301), ("1_" * 4300 + "1", 4301), ("1/" + "0" * 4301, 4301)],
+    ids=["integer", "denominator", "decimals", "underscores", "zero-denominator"],
+)
+def test_a_rational_literal_past_the_read_limit_is_refused_in_one_line(text, run):
+    # Fraction's own error once called such a literal invalid; it is only long
+    message = f"a rational literal with a run of {run} digits, past Python's limit of {sys.get_int_max_str_digits()}"
+    with pytest.raises(ValueError) as refused:
+        frac_from_json(text)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("text", ["1" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300])
+def test_a_rational_literal_up_to_the_read_limit_is_parsed(text):
+    assert frac_from_json(text) == Fraction(text)
+
+
+def test_an_invalid_literal_with_a_long_run_of_digits_stays_invalid():
+    with pytest.raises(ValueError) as refused:
+        frac_from_json("x" + "1" * 5000)
+    assert str(refused.value) == f"Invalid literal for Fraction: 'x{'1' * 58}... (5003 characters)"
+
+
 # -- echoed values ---------------------------------------------------------------
 
 
