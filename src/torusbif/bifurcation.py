@@ -32,16 +32,16 @@ coefficients and the integer identity that rules out cancellation, which is
 what forces any bounded return to the trivial branch into a contradiction.
 
 Each level needs only V and W, so one ascending pass over the spectrum
-serves a whole range, and each range enumerates the dominant weights once.
+serves a whole range.  Both range functions read one stream of eigenvalue
+groups that enumerates the dominant weights once and gives each group's d_V,
+d_W and trivial multiplicities k0 of V and W, each summand counted once.
 bifurcation_levels decomposes every level (spectrum_up_to), keeps a running
-sum for W, holds one eigenvalue's W and W + V at a time (every V stays in the
-enumerated tuple until the pass ends) and computes each index once.
-certify_levels builds no decomposition: a certificate reads only d_V, the
-trivial multiplicities k0 of V and W, and the multiplicity of its witness in
-V and W, and it sums those over the eigenvalue's summands and the lower ones,
-one weight multiplicity per summand.  It forms each ledger coefficient by
-the same expansion as the index and checks it against witness_coefficient,
-the one copy of the closed form.
+sum for W, holds one eigenvalue's W and W + V at a time (every V stays in
+the enumerated tuple until the pass ends) and computes each index once.
+certify_levels folds over the groups and builds no decomposition: it adds
+the multiplicity of each witness in V and W, one weight multiplicity per
+summand, forms each ledger coefficient by the index's expansion and checks
+it against witness_coefficient, the one copy of the closed form.
 """
 
 from __future__ import annotations
@@ -315,16 +315,12 @@ def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> t
     summands, not from decompositions; weight tables are still refused at
     a level where they are not conjugation-symmetric.
     """
-    zero = (0,) * space.rank
     out = []
     lower: list[RestrictedWeight] = []  # the alphas of W
-    d_w = k0_w = 0
-    for lam, alphas in _eigenvalue_groups(space, cutoff):
+    for lam, alphas, d_v, k0_v, d_w, k0_w in _eigenvalue_groups(space, cutoff):
         if space.tables is not None:
             # a table is checked for a real V at every level
             _summed_weights(_alpha_weight_map(space, a) for a in alphas)
-        d_v = sum(_weight_count(space, a) for a in alphas)
-        k0_v = sum(_weight_count(space, a, zero) for a in alphas)
         dim_parity = (d_w + d_v) % 2
         levels = [lv for lv in {lam, -lam} if _equations_at(sig, lv)]
         if lam == 0:
@@ -347,5 +343,4 @@ def certify_levels(space: SymmetricSpaceData, sig: SystemSignature, cutoff) -> t
             except ValueError as exc:
                 out.append((level, str(exc)))
         lower += alphas
-        d_w, k0_w = d_w + d_v, k0_w + k0_v
     return tuple(sorted(out, key=lambda lc: lc[0]))

@@ -69,34 +69,30 @@ def frac_to_json(x) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-# A run of digits as Fraction reads one, with single underscores between them.
-_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+# The grammar of a rational string, the same on every Python and stated in
+# README's config rules; digits are [0-9], with single underscores between.
+_DIGITS = "(?:[0-9]+(?:_[0-9]+)*)"
+_RATIONAL = re.compile(rf"\s*([-+]?)(?=\.?[0-9])({_DIGITS}?)(?:/({_DIGITS})|(?:\.({_DIGITS}?))?(?:[eE]([-+]?)({_DIGITS}))?)\s*")
 
 
 def _frac_from_text(text: str) -> Fraction:
-    """Fraction(text), refusing a decimal exponent past MAX_EXPONENT in
-    magnitude before the power of ten is built.  A literal with a run of
-    digits past Python's limit on the digits of an int read from text, which
-    Fraction reads once each run is shortened to "1", is refused in a line
-    naming that limit."""
-    _, e, exponent = text.lower().rpartition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+    """The rational ``text`` states in the grammar of ``_RATIONAL``.  A decimal
+    exponent past MAX_EXPONENT in magnitude is refused before the power of ten
+    is built, and a run of digits past Python's limit on the digits of an int
+    read from text in a line naming that limit."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {_echo(text, repr)}")
+    sign, num, den, dec, exp_sign, exp = (group.replace("_", "") for group in match.groups(""))
+    magnitude = exp.lstrip("0")
+    if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or 0) > MAX_EXPONENT:
         raise ValueError(f"the decimal exponent of {_echo(text, repr)} exceeds {MAX_EXPONENT} in magnitude")
-    try:
-        return Fraction(text)
-    except ValueError:
-        pass
-    longest = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
-    limit = sys.get_int_max_str_digits()
+    longest, limit = max(map(len, (num, den, dec, exp))), sys.get_int_max_str_digits()
     if longest > limit > 0:
-        try:
-            Fraction(_DIGIT_RUN.sub("1", text))
-        except ValueError:
-            pass
-        else:
-            raise ValueError(f"a rational literal with a run of {longest} digits, past Python's limit of {limit}")
-    raise ValueError(f"Invalid literal for Fraction: {_echo(text, repr)}")
+        raise ValueError(f"a rational literal with a run of {longest} digits, past Python's limit of {limit}")
+    scale = 10 ** len(dec)
+    value = Fraction(int(num or 0) * scale + int(dec or 0), int(den or 1) * scale) * Fraction(10) ** int(exp_sign + exp or 0)
+    return -value if sign == "-" else value
 
 
 def frac_from_json(data) -> Fraction:

@@ -327,12 +327,13 @@ def _coordinate_bound(gram: Sequence[Sequence[Fraction]], cutoff: Fraction) -> t
     )
 
 
-def _eigenvalue_groups(space: SymmetricSpaceData, cutoff) -> list[tuple[Fraction, tuple[RestrictedWeight, ...]]]:
-    """The dominant weights with eigenvalue <= cutoff, grouped by exact
-    eigenvalue: (eigenvalue, alphas) pairs, ascending, each group's alphas in
-    coordinate order.  One call of ``eigenvalue_of`` per box point; a box of
-    more than ``LATTICE_LIMIT`` points is refused with ``ValueError`` before
-    it is walked."""
+def _eigenvalue_groups(space: SymmetricSpaceData, cutoff) -> list[tuple[Fraction, tuple[RestrictedWeight, ...], int, int, int, int]]:
+    """The one group stream of the range functions: the dominant weights with
+    eigenvalue <= cutoff by exact eigenvalue, ascending, each group (lam,
+    alphas, d_v, k0_v, d_w, k0_w) with its alphas in coordinate order, the
+    dimension and trivial multiplicity of V at lam, each alpha counted once,
+    and those of W, all lower levels.  One ``eigenvalue_of`` per box point; a
+    box past ``LATTICE_LIMIT`` points is refused before it is walked."""
     cutoff = frac_from_json(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -351,7 +352,14 @@ def _eigenvalue_groups(space: SymmetricSpaceData, cutoff) -> list[tuple[Fraction
         lam = eigenvalue_of(space, alpha)
         if lam <= cutoff:
             by_eig.setdefault(lam, []).append(alpha)
-    return [(lam, tuple(by_eig[lam])) for lam in sorted(by_eig)]
+    zero = (0,) * space.rank
+    groups, d_w, k0_w = [], 0, 0
+    for lam, alphas in sorted(by_eig.items()):
+        d_v = sum(_weight_count(space, a) for a in alphas)
+        k0_v = sum(_weight_count(space, a, zero) for a in alphas)
+        groups.append((lam, tuple(alphas), d_v, k0_v, d_w, k0_w))
+        d_w, k0_w = d_w + d_v, k0_w + k0_v
+    return groups
 
 
 def spectrum_up_to(space: SymmetricSpaceData, cutoff) -> tuple[SpectralLevel, ...]:
@@ -393,13 +401,13 @@ def _summand_decomposition(space: SymmetricSpaceData, level: SpectralLevel, alph
 
 def _levels_with_maps(space: SymmetricSpaceData, cutoff):
     """Each level of ``spectrum_up_to`` with the weight maps of its summands,
-    one ``_alpha_weight_map`` per alpha, after the harmonic count of every
-    level is checked against ``HARMONIC_LIMIT``."""
+    one ``_alpha_weight_map`` per alpha, after the stream's harmonic count,
+    the last group's d_w + d_v, is checked against ``HARMONIC_LIMIT``."""
     groups = _eigenvalue_groups(space, cutoff)
-    count = sum(_weight_count(space, a) for _, alphas in groups for a in alphas)
-    if count > HARMONIC_LIMIT:
-        raise ValueError(f"the cutoff admits {count} harmonics, more than HARMONIC_LIMIT = {HARMONIC_LIMIT}")
-    for lam, alphas in groups:
+    _, _, d_v, _, d_w, _ = groups[-1]  # a cutoff is nonnegative, so lambda = 0 makes a group
+    if d_w + d_v > HARMONIC_LIMIT:
+        raise ValueError(f"the cutoff admits {d_w + d_v} harmonics, more than HARMONIC_LIMIT = {HARMONIC_LIMIT}")
+    for lam, alphas, *_ in groups:
         maps = [_alpha_weight_map(space, a) for a in alphas]
         decomp = _decomposition(space, maps)
         if space.factors is not None:

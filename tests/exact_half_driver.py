@@ -1,8 +1,8 @@
 """Run the exact half of torusbif on the interpreter that runs this file,
-with numpy blocked: every golden CLI case, selftest criteria 01-07 and the
-digest of criterion 07's seed-0 cases, and a round trip of every exact-half
-record through pickle, ``copy``, ``deepcopy`` and, from Python 3.13,
-``copy.replace``.
+with numpy blocked: every golden CLI case, the table of rational literals
+``RATIONAL_LITERALS``, selftest criteria 01-07 and the digest of criterion
+07's seed-0 cases, and a round trip of every exact-half record through
+pickle, ``copy``, ``deepcopy`` and, from Python 3.13, ``copy.replace``.
 
     python tests/exact_half_driver.py SRC DIGEST
 
@@ -20,9 +20,35 @@ import json
 import pickle
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().with_name("golden_cli.json")
+
+# Rational literals with the value ``jsonio.frac_from_json`` reads, or the
+# message it refuses them with, the same on every Python.  Fraction(str) is
+# not: it refuses the first three on 3.10, reads "1 / 2" and "1/ 2" from
+# 3.12 on, and reads the Arabic-Indic digits of the sixth and fourteenth.
+RATIONAL_LITERALS = [
+    ("1_000", Fraction(1000)),
+    ("1.5_0", Fraction(3, 2)),
+    ("1_0/3", Fraction(10, 3)),
+    ("1 / 2", "Invalid literal for Fraction: '1 / 2'"),
+    ("1/ 2", "Invalid literal for Fraction: '1/ 2'"),
+    ("\u0661\u0662", "Invalid literal for Fraction: '\u0661\u0662'"),
+    (" 1/2 ", Fraction(1, 2)),
+    (".5", Fraction(1, 2)),
+    ("5.", Fraction(5)),
+    ("1.5e-2", Fraction(3, 200)),
+    ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    ("1e3/2", "Invalid literal for Fraction: '1e3/2'"),
+    ("0x10", "Invalid literal for Fraction: '0x10'"),
+    ("1e\u0664\u0663\u0660\u0661", "Invalid literal for Fraction: '1e\u0664\u0663\u0660\u0661'"),
+    ("1__0", "Invalid literal for Fraction: '1__0'"),
+    ("1._5", "Invalid literal for Fraction: '1._5'"),
+    ("-1_0.2_5E+0_1", Fraction(-205, 2)),
+    ("1/0", "zero denominator in '1/0'"),
+]
 
 
 def fail(message):
@@ -43,6 +69,17 @@ def check_golden(main):
             if (code, digest) != (case["exit"], case["sha256"]):
                 fail(f"golden case {case['config']} {case['command']} {case['format']}: exit {code}, sha256 {digest}")
     return len(golden["cases"])
+
+
+def check_literals(frac_from_json):
+    for text, expected in RATIONAL_LITERALS:
+        try:
+            got = frac_from_json(text)
+        except ValueError as exc:
+            got = str(exc)
+        if got != expected:
+            fail(f"frac_from_json({text!r}) gives {got!r}, not {expected!r}")
+    return len(RATIONAL_LITERALS)
 
 
 def check_criteria(selftest, digest):
@@ -121,14 +158,16 @@ def main(src, digest):
     sys.path.insert(0, src)
     from torusbif import selftest
     from torusbif.cli import main as cli_main
+    from torusbif.jsonio import frac_from_json
 
     cases = check_golden(cli_main)
+    literals = check_literals(frac_from_json)
     check_criteria(selftest, digest)
     samples, round_trips = check_records()
     if sys.modules["numpy"] is not None:
         fail("numpy was loaded")
     print(
-        f"Python {sys.version.split()[0]}: {cases} golden cases, criteria 01-07, "
+        f"Python {sys.version.split()[0]}: {cases} golden cases, {literals} rational literals, criteria 01-07, "
         f"{samples} records x {round_trips} round trips"
     )
 

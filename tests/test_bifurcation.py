@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -525,6 +526,40 @@ def test_reordering_the_signature_changes_no_index_or_certificate(run, signature
         space, SystemSignature(reordered), cutoff
     )
     assert certify_levels(space, SystemSignature(a), cutoff) == certify_levels(space, SystemSignature(reordered), cutoff)
+
+
+@pytest.mark.parametrize("space, cutoff", PERMUTATION_RUNS[1:], ids=["S2xS2", "tables"])
+def test_each_summand_is_counted_once_per_range(monkeypatch, space, cutoff):
+    # the group stream counts each alpha's dimension and trivial multiplicity
+    # once, and every range function reads those counts from it
+    import torusbif.spaces as spaces
+
+    zero, s = (0,) * space.rank, sig(1, 2)
+    levels = spectrum_up_to(space, cutoff)
+    alphas = [alpha.coords for level in levels for alpha in level.alphas]
+    counted, real = [], spaces._weight_count
+
+    def counted_weight_count(space, alpha, mu=None):
+        counted.append((alpha.coords, mu))
+        return real(space, alpha, mu)
+
+    monkeypatch.setattr(spaces, "_weight_count", counted_weight_count)
+    for run in (
+        lambda: spectrum_up_to(space, cutoff),
+        lambda: spaces.summand_decompositions(space, cutoff),
+        lambda: bifurcation_levels(space, s, cutoff),
+        lambda: certify_levels(space, s, cutoff),
+    ):
+        counted.clear()
+        run()
+        assert collections.Counter(counted) == collections.Counter([(a, None) for a in alphas] + [(a, zero) for a in alphas])
+    # each group's d_V and k0_V are its level's, and d_W and k0_W sum the lower levels'
+    want, d_w, k0_w = [], 0, 0
+    for level in levels:
+        d_v, k0_v = level.real_dim, level.torus_decomp.k0
+        want.append((level.eigenvalue, level.alphas, d_v, k0_v, d_w, k0_w))
+        d_w, k0_w = d_w + d_v, k0_w + k0_v
+    assert spaces._eigenvalue_groups(space, cutoff) == want
 
 
 def _sphere_product_tables(factors, kmax):

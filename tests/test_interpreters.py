@@ -1,8 +1,9 @@
 """The exact half on the other Pythons the package claims (``requires-python
 >= 3.10``).  ``exact_half_driver.py`` runs on the oldest and the newest
 interpreter found, side by side, one subprocess each, with criterion 07's
-pinned seed-0 case digest; the numerical half is not run there, since it
-needs numpy."""
+pinned seed-0 case digest; it reads the table of rational literals there
+too, so a grammar that changes with the interpreter fails here.  The
+numerical half is not run there, since it needs numpy."""
 
 import os
 import re
